@@ -91,7 +91,7 @@ func main() {
 	workers := flag.Int("workers", 0, "bound the fleet worker pool (default GOMAXPROCS)")
 	seed := flag.Uint64("seed", 1, "root seed for deterministic per-vehicle seed derivation")
 	reuse := flag.Bool("reuse", true, "pool vehicles per worker (reset in place); false rebuilds every stack from scratch")
-	noBatch := flag.Bool("no-batch", false, "run the cell-by-cell oracle executor instead of the batched default (prefix checkpointing + cross-vehicle memoisation); reports are byte-identical either way")
+	noBatch := flag.Bool("no-batch", false, "run the cell-by-cell oracle executor instead of the batched default (prefix checkpointing + cross-vehicle stamping); reports are byte-identical either way")
 	detail := flag.Bool("detail", false, "with -campaign: append the verbose per-family detail block (stage counters included)")
 	campaignFile := flag.String("campaign", "", "compile a campaign spec (text or JSON) and sweep it across the fleet")
 	riskFile := flag.String("risk", "", "run a risk spec: synthesize a campaign from its threat model, sweep it, print the calibrated profile")

@@ -448,6 +448,48 @@ func TestChaosSupervisorEndToEnd(t *testing.T) {
 	}
 }
 
+// TestExitCodeContract pins the documented exit codes of the command-line
+// tools, one row per contract: carsim exits 0 on a clean sweep, 1 on a bad
+// spec and 3 on an unrecoverable sweep (after flushing the partial report);
+// rollout exits 0 when the candidate reaches the fleet, 2 when it rolls
+// back and 1 when the driver itself fails; policyc exits 2 on an unknown
+// backend (a bad invocation, as opposed to bad input at 1).
+func TestExitCodeContract(t *testing.T) {
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/carsim", "./cmd/rollout", "./cmd/policyc").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	const quickstart = "examples/campaigns/quickstart.campaign"
+	cases := []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"carsim clean", []string{"carsim", "-campaign", quickstart, "-fleet", "4"}, 0},
+		{"carsim bad spec", []string{"carsim", "-campaign", "no-such.campaign"}, 1},
+		{"carsim unrecoverable chaos", []string{"carsim", "-campaign", quickstart, "-fleet", "4", "-chaos", "seed=3,panic=1,persist=99"}, 3},
+		{"rollout advance", []string{"rollout", "-vehicles", "40"}, 0},
+		{"rollout driver failure", []string{"rollout", "-vehicles", "0"}, 1},
+		{"rollout rollback", []string{"rollout", "-vehicles", "40", "-drill", "rollback"}, 2},
+		{"policyc unknown backend", []string{"policyc", "-check", "-backend", "no-such-backend"}, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			out, err := exec.Command(filepath.Join(bin, c.args[0]), c.args[1:]...).CombinedOutput()
+			code := 0
+			var exit *exec.ExitError
+			if errors.As(err, &exit) {
+				code = exit.ExitCode()
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if code != c.want {
+				t.Errorf("%v: exit code %d, want %d\n%s", c.args, code, c.want, out)
+			}
+		})
+	}
+}
+
 // TestDeterministicReplay: two identical simulations produce identical
 // traces — the property every experiment in EXPERIMENTS.md relies on.
 func TestDeterministicReplay(t *testing.T) {

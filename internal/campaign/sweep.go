@@ -32,7 +32,7 @@ type SweepConfig struct {
 	ErrorRate float64
 	// NoBatch selects the engine's cell-by-cell oracle executor instead of
 	// the default batched one (prefix checkpointing + cross-vehicle
-	// memoisation); both render byte-identical reports.
+	// stamping); both render byte-identical reports.
 	NoBatch bool
 	// Chaos arms the engine's deterministic fault injection (nil: none).
 	Chaos *chaos.Plan

@@ -35,12 +35,17 @@
 // prefix-sharing buckets (attack.PlanBatches), each worker's arena replays a
 // bucket's shared pre-attack prefix once per enforcement regime and forks
 // the remaining cells from a checkpoint, and — because attack cells never
-// enable bus error injection, the only seed consumer in the substrate — each
-// worker computes its first vehicle fully and reuses the seed-invariant
-// parts (attack aggregates always; live counters when ErrorRate is zero; MAC
-// probe counts always) for every later vehicle it claims. Config.NoBatch
-// selects the cell-by-cell oracle path instead; both render byte-identical
-// reports, which the equivalence tests and the CI smoke job assert.
+// enable bus error injection, the only seed consumer in the substrate — Run
+// executes the run's first vehicle alone, before the worker pool starts, and
+// stamps its seed-invariant result on every later vehicle: attack
+// aggregates and MAC probe counts always, live counters too when ErrorRate
+// is zero (a stamped vehicle then executes nothing; otherwise only its live
+// phase runs). The stamp is built once and shared read-only — stamped
+// reports point at its slices instead of copying them. If the first
+// vehicle's visit fails, nothing is stamped and every vehicle executes.
+// Config.NoBatch selects the cell-by-cell oracle path instead; both render
+// byte-identical reports, which the equivalence tests and the CI smoke job
+// assert.
 //
 // # Determinism
 //
@@ -64,14 +69,15 @@
 // Config.VerifySample cross-checks a deterministic fraction of batched
 // cells against the oracle inline. Containment history accumulates in the
 // report's Health ledger, itself a pure function of the config — arming
-// chaos or sampling disables cross-vehicle memoisation so every vehicle
-// really executes its cells. See DESIGN.md §11.
+// chaos or sampling disables stamping so every vehicle really executes its
+// cells. See DESIGN.md §11.
 package engine
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -164,7 +170,7 @@ type Config struct {
 	// module derivation entirely).
 	SkipMAC bool
 	// NoBatch disables the batched executor: no prefix-checkpointed scenario
-	// batching and no cross-vehicle memoisation — every vehicle and every
+	// batching and no cross-vehicle stamping — every vehicle and every
 	// scenario×regime cell runs through the cell-by-cell oracle path. Batched
 	// (default) and oracle runs render byte-identical reports; the oracle
 	// survives as the reference the equivalence tests and the CI batched
@@ -174,7 +180,7 @@ type Config struct {
 	// as a pure function of (vehicle, group, regime, scenario, attempt)
 	// coordinates, which cells panic, corrupt their checkpoint restore,
 	// overrun their deadline, or crash the whole vehicle visit. An active
-	// plan disables cross-vehicle memoisation so every vehicle actually
+	// plan disables cross-vehicle stamping so every vehicle actually
 	// executes its cells. Nil means no injection (the supervisor still
 	// contains organic failures).
 	Chaos *chaos.Plan
@@ -182,7 +188,7 @@ type Config struct {
 	// of batched (checkpoint-forked) cells against the cell-by-cell oracle
 	// inline. A mismatch is booked in the Health ledger, demotes the vehicle
 	// to the oracle path, and the oracle's result stands. Like Chaos, a
-	// non-zero sample rate disables memoisation.
+	// non-zero sample rate disables stamping.
 	VerifySample float64
 	// MaxRetries bounds the supervisor's retry budget per rung: a failing
 	// cell gets MaxRetries batched retries, then (demoted) MaxRetries oracle
@@ -258,8 +264,20 @@ func VehicleSeed(root uint64, index int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// VIN formats the deterministic vehicle identifier for an index.
-func VIN(index int) string { return fmt.Sprintf("VIN-%06d", index) }
+// VIN formats the deterministic vehicle identifier for an index, "VIN-"
+// and the index zero-padded to six digits — the fmt form "VIN-%06d", built
+// without fmt because every stamped vehicle pays for it.
+func VIN(index int) string {
+	if index < 0 {
+		return fmt.Sprintf("VIN-%06d", index)
+	}
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(index), 10)
+	var buf [32]byte
+	b := append(buf[:0], "VIN-"...)
+	b = append(b, "000000"[min(len(d), 6):]...)
+	return string(append(b, d...))
+}
 
 // macCheck is one precomputed least-privilege probe: the security contexts
 // are built once per fleet run instead of re-rendering the SELinux type
@@ -283,25 +301,40 @@ type shared struct {
 	// sup is the resolved supervision configuration (chaos plan, verify
 	// sampling, retry budget, deadline budget) every worker consults.
 	sup supervisorCfg
+	// stamp is the run's seed-invariant result: set before the worker pool
+	// starts, read-only afterwards, nil when every vehicle executes.
+	stamp *stamp
 }
 
-// vehicleMemo caches the parts of one worker's first fully-computed vehicle
-// that are provably invariant across vehicle seeds, so every later vehicle
-// the worker claims copies them instead of re-simulating. The invariance is
-// structural, not assumed: a vehicle seed's only consumer in the simulation
-// substrate is the bus error-injection RNG, attack cells always reset the
-// vehicle with error injection disabled (so attack aggregates never depend
-// on the seed), the MAC probe is a pure function of the derived module, and
-// the live phase consumes the RNG only when Config.ErrorRate is non-zero —
-// the one case liveOK is never set. One memo per worker (never shared):
-// writes stay single-owner like the arena they ride with.
-type vehicleMemo struct {
-	attacks               [][]attack.RegimeSummary // per-group aggregates, copied per vehicle
-	attacksOK             bool
-	live                  VehicleReport // live-phase counters only
-	liveOK                bool
-	macChecks, macAllowed int
-	macOK                 bool
+// stamp is the part of a run's first executed vehicle that is provably
+// invariant across vehicle seeds, stamped on every later vehicle instead of
+// re-simulated. The invariance is structural, not assumed: a vehicle seed's
+// only consumer in the simulation substrate is the bus error-injection RNG,
+// attack cells always reset the vehicle with error injection disabled (so
+// attack aggregates never depend on the seed), the MAC probe is a pure
+// function of the derived module, and the live phase consumes the RNG only
+// when Config.ErrorRate is non-zero. Stamped reports share first's Groups
+// and Attacks slices, so no consumer may write through them.
+type stamp struct {
+	first VehicleReport
+	// live reports that the live phase is seed-invariant too (ErrorRate
+	// zero, or the phase skipped): stamped vehicles then execute nothing.
+	live bool
+}
+
+// replay is vehicle index's report when nothing about it executes: first's
+// report under the vehicle's own identity, with nothing contained.
+func (st *stamp) replay(root uint64, index int) VehicleReport {
+	rep := st.first
+	rep.Index, rep.VIN, rep.Seed, rep.Health = index, VIN(index), VehicleSeed(root, index), Health{}
+	return rep
+}
+
+// onto stamps the seed-invariant sections — MAC probe counts and attack
+// aggregates — on a vehicle whose live phase executed.
+func (st *stamp) onto(rep *VehicleReport) {
+	rep.MACChecks, rep.MACAllowed = st.first.MACChecks, st.first.MACAllowed
+	rep.Groups, rep.Attacks = st.first.Groups, st.first.Attacks
 }
 
 // buildProbes precomputes the least-privilege probe contexts.
@@ -383,54 +416,60 @@ func Run(cfg Config) (*FleetReport, error) {
 		emit = newOrderedEmit(cfg.OnVehicle, reports)
 	}
 	var next atomic.Int64
+	// Stamping is off whenever supervision is armed: stamped vehicles
+	// execute no cells, which would dodge their injected faults and verify
+	// samples. Otherwise the first vehicle executes alone and its report
+	// becomes the stamp if its visit succeeds. A stack that fails to build
+	// here fails again in the workers, which report it.
+	if !cfg.NoBatch && !sh.sup.chaotic() {
+		if s, err := newStack(sh); err == nil {
+			next.Add(1)
+			reports[0], errs[0] = sh.runVehicle(s, cfg.IndexOffset)
+			if errs[0] == nil {
+				sh.stamp = &stamp{first: reports[0], live: cfg.ErrorRate == 0 || cfg.SkipLive}
+			}
+			if emit != nil {
+				emit.complete(0)
+			}
+		}
+	}
+	// With a full stamp no later vehicle executes, so no worker needs a
+	// stack of its own.
+	needStack := sh.stamp == nil || !sh.stamp.live
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var ar *arena
-			if !cfg.FreshVehicles {
-				var err error
-				if ar, err = newArena(sh); err != nil {
-					// Arena construction only fails on programming errors;
-					// record it once, then drain this worker's share of the
-					// cursor so the run still terminates.
-					reported := false
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= cfg.Fleet {
-							return
-						}
-						if !reported {
-							errs[i] = err
-							reported = true
-						}
-						if emit != nil {
-							emit.complete(i)
-						}
-					}
-				}
-			}
-			var memo *vehicleMemo
-			// Memoisation is off whenever supervision is armed: memoised
-			// vehicles execute no cells, which would both dodge their
-			// injected faults and leave the Health ledger dependent on
-			// which vehicles each worker happened to compute first.
-			if !cfg.NoBatch && !sh.sup.chaotic() {
-				memo = &vehicleMemo{}
-			}
+			var s stack
+			var serr error
+			reported := false
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= cfg.Fleet {
 					return
 				}
-				// Simulate under the global fleet index (shifted by the
-				// shard offset); the report still lands in the local slot so
-				// merge order stays range-local.
-				if ar != nil {
-					reports[i], errs[i] = ar.runVehicle(sh, i+cfg.IndexOffset, memo)
-				} else {
-					reports[i], errs[i] = runVehicle(sh, i+cfg.IndexOffset, memo)
+				// Every worker builds its own stack on its own goroutine, once
+				// it has a vehicle to execute. Handing the first vehicle's
+				// stack to a worker instead measured ~20% slower live phases
+				// with two workers executing every live phase (the
+				// benchmark's noisy-live workload).
+				if s == nil && serr == nil && needStack {
+					s, serr = newStack(sh)
+				}
+				switch {
+				case serr != nil:
+					// Stack construction only fails on programming errors;
+					// record it once, then drain this worker's share of the
+					// cursor so the run still terminates.
+					if !reported {
+						errs[i], reported = serr, true
+					}
+				default:
+					// Simulate under the global fleet index (shifted by the
+					// shard offset); the report still lands in the local
+					// slot so merge order stays range-local.
+					reports[i], errs[i] = sh.runVehicle(s, i+cfg.IndexOffset)
 				}
 				if emit != nil {
 					emit.complete(i)
@@ -446,6 +485,34 @@ func Run(cfg Config) (*FleetReport, error) {
 		return merge(cfg, reports), err
 	}
 	return merge(cfg, reports), nil
+}
+
+// stack is the vehicle stack a visit executes on: a worker's pooled arena,
+// or fresh construction (the reference path pooled runs are compared
+// against). The visit itself — phase order, seeding, supervision — is the
+// same on both.
+type stack interface {
+	// startLive returns a reset vehicle with a provisioned HPE stack, ready
+	// for the live background simulation.
+	startLive(sh *shared, cfg car.Config) (*car.Car, error)
+	// probe runs the MAC least-privilege probe on a clean MAC server.
+	probe(sh *shared, rep *VehicleReport) error
+	// bind points one group's cell executor at the stack, seeded with
+	// e.seed.
+	bind(e *cellExec, gi int)
+	// rebuild replaces the stack after a crashed visit.
+	rebuild(sh *shared) error
+}
+
+func newStack(sh *shared) (stack, error) {
+	if sh.cfg.FreshVehicles {
+		return fresh{}, nil
+	}
+	a, err := newArena(sh)
+	if err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // arena is one worker's reusable vehicle stack: the attack arena (car +
@@ -473,235 +540,151 @@ func newArena(sh *shared) (*arena, error) {
 	return a, nil
 }
 
-// runVehicle is the pooled counterpart of the package-level runVehicle:
-// identical phases, identical outcomes, zero reconstruction. One call is one
-// supervised vehicle *visit*: the live phase once, then every scenario
-// group's cells back to back on the same warm arena, each cell behind the
-// supervisor's containment ladder — cross-group isolation rests on the
-// arena's reset-equals-fresh contract, which resets the vehicle per cell. A
-// non-nil memo (the batched, unsupervised default) reuses the worker's first
-// vehicle's seed-invariant phases for every later one. A crash (injected or
-// organic panic at visit scope) rebuilds the worker's arena and re-runs the
-// vehicle.
-func (a *arena) runVehicle(sh *shared, index int, memo *vehicleMemo) (VehicleReport, error) {
-	return superviseVisit(&sh.sup,
-		func(attempt int, h *Health) (VehicleReport, error) {
-			return a.visit(sh, index, memo, attempt, h)
-		},
-		func() error {
-			na, err := newArena(sh)
-			if err != nil {
-				return err
-			}
-			*a = *na
-			return nil
-		})
+func (a *arena) startLive(_ *shared, cfg car.Config) (*car.Car, error) { return a.att.StartLive(cfg) }
+
+func (a *arena) probe(sh *shared, rep *VehicleReport) error {
+	a.srv.Reset()
+	macProbe(rep, a.srv, sh)
+	return nil
 }
 
-// visit is one attempt of one pooled vehicle visit.
-func (a *arena) visit(sh *shared, index int, memo *vehicleMemo, attempt int, h *Health) (rep VehicleReport, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("%w: vehicle %d: %v", ErrVehicleCrash, index, p)
+func (a *arena) bind(e *cellExec, gi int) {
+	a.att.SetSeed(e.seed)
+	e.owner = a
+	if e.sh.plans != nil {
+		e.br = a.att.NewBatchRun(e.sh.plans[gi])
+	}
+}
+
+func (a *arena) rebuild(sh *shared) error {
+	na, err := newArena(sh)
+	if err != nil {
+		return err
+	}
+	*a = *na
+	return nil
+}
+
+// fresh constructs every phase's simulation stack from scratch, as the
+// engine originally did: its own car and deployed policy engines for the
+// live phase, its own MAC server, and a fresh car per cell (the cell-by-cell
+// path; fresh runs exercise no checkpointing). There is no worker stack to
+// rebuild, so a crash retry simply re-runs the vehicle.
+type fresh struct{}
+
+func (fresh) startLive(sh *shared, cfg car.Config) (*car.Car, error) {
+	c, err := car.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := sh.harness.DeployEngines(c.Bus(), c, car.AllNodes...); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+func (fresh) probe(sh *shared, rep *VehicleReport) error {
+	srv := mac.NewServer()
+	if err := srv.Load(sh.macModule); err != nil {
+		return err
+	}
+	macProbe(rep, srv, sh)
+	return nil
+}
+
+func (fresh) bind(e *cellExec, _ int) { e.hv = e.sh.harness.WithSeed(e.seed) }
+
+func (fresh) rebuild(*shared) error { return nil }
+
+// runVehicle produces one vehicle's report on stack s. Without a stamp the
+// whole visit executes under the visit supervisor, which re-runs it on a
+// rebuilt stack after a crash (injected or organic panic at visit scope).
+// With a stamp, only a seed-dependent live phase executes — supervised the
+// same way — and the stamp supplies the rest; with a fully seed-invariant
+// stamp nothing executes at all.
+func (sh *shared) runVehicle(s stack, index int) (VehicleReport, error) {
+	st := sh.stamp
+	if st != nil && st.live {
+		return st.replay(sh.cfg.Groups[0].RootSeed, index), nil
+	}
+	visit := func(attempt int, h *Health) (VehicleReport, error) {
+		if st == nil {
+			return sh.visit(s, index, attempt, h)
 		}
-	}()
+		rep, err := sh.visitLive(s, index)
+		if err == nil {
+			st.onto(&rep)
+		}
+		return rep, err
+	}
+	return superviseVisit(&sh.sup, visit, func() error { return s.rebuild(sh) })
+}
+
+// visitLive is one attempt of a visit's opening phase: the vehicle's
+// identity and, unless skipped, its live background simulation — its own
+// seeded traffic over the configured horizon on a reset vehicle with
+// provisioned policy engines.
+func (sh *shared) visitLive(s stack, index int) (rep VehicleReport, err error) {
+	defer contain(index, &err)
 	seed := VehicleSeed(sh.cfg.Groups[0].RootSeed, index)
 	rep = VehicleReport{Index: index, VIN: VIN(index), Seed: seed}
-
-	// Live background simulation on the reset vehicle with re-provisioned
-	// pooled engines.
-	if !sh.cfg.SkipLive {
-		if memo != nil && memo.liveOK {
-			copyLive(&rep, &memo.live)
-		} else {
-			c, lerr := a.att.StartLive(car.Config{Seed: seed, ErrorRate: sh.cfg.ErrorRate})
-			if lerr != nil {
-				return rep, lerr
-			}
-			c.StartTraffic(sh.cfg.TrafficPeriod, sh.cfg.TrafficHorizon, sh.cfg.Speed)
-			c.Scheduler().Run()
-			collectLive(&rep, c)
-			if memo != nil && sh.cfg.ErrorRate == 0 {
-				copyLive(&memo.live, &rep)
-				memo.liveOK = true
-			}
-		}
+	if sh.cfg.SkipLive {
+		return rep, nil
 	}
+	c, err := s.startLive(sh, car.Config{Seed: seed, ErrorRate: sh.cfg.ErrorRate})
+	if err != nil {
+		return rep, err
+	}
+	c.StartTraffic(sh.cfg.TrafficPeriod, sh.cfg.TrafficHorizon, sh.cfg.Speed)
+	c.Scheduler().Run()
+	collectLive(&rep, c)
+	return rep, nil
+}
 
-	// MAC least-privilege probe on the reset pooled server.
+// visit is one attempt of one whole vehicle visit: the live phase, the MAC
+// probe, then every group's scenario×regime block on the same stack,
+// reseeded per group so each block is a pure function of (group root,
+// index), every cell supervised. The demotion latch spans the visit: once
+// any cell falls back to the oracle, the rest of the vehicle follows.
+func (sh *shared) visit(s stack, index, attempt int, h *Health) (rep VehicleReport, err error) {
+	if rep, err = sh.visitLive(s, index); err != nil {
+		return rep, err
+	}
+	defer contain(index, &err)
 	if !sh.cfg.SkipMAC {
-		if memo != nil && memo.macOK {
-			rep.MACChecks, rep.MACAllowed = memo.macChecks, memo.macAllowed
-		} else {
-			a.srv.Reset()
-			macProbe(&rep, a.srv, sh)
-			if memo != nil {
-				memo.macChecks, memo.macAllowed = rep.MACChecks, rep.MACAllowed
-				memo.macOK = true
-			}
+		if err := s.probe(sh, &rep); err != nil {
+			return rep, err
 		}
 	}
-
-	// Every group's scenario×regime block on the pooled vehicle, reseeded
-	// per group so each block is a pure function of (group root, index),
-	// every cell supervised. The demotion latch spans the visit: once any
-	// cell falls back to the oracle, the rest of the vehicle follows.
 	rep.Groups = make([][]attack.RegimeSummary, len(sh.cfg.Groups))
-	if memo != nil && memo.attacksOK {
-		for gi := range memo.attacks {
-			rep.Groups[gi] = append([]attack.RegimeSummary(nil), memo.attacks[gi]...)
+	var demoted bool
+	for gi := range sh.cfg.Groups {
+		g := &sh.cfg.Groups[gi]
+		if sh.sup.plan.CrashFault(index, gi, attempt) {
+			panic(&chaos.InjectedCrash{Vehicle: index, Group: gi, Attempt: attempt})
 		}
-	} else {
-		var demoted bool
-		for gi := range sh.cfg.Groups {
-			g := &sh.cfg.Groups[gi]
-			if sh.sup.plan.CrashFault(index, gi, attempt) {
-				panic(&chaos.InjectedCrash{Vehicle: index, Group: gi, Attempt: attempt})
-			}
-			gseed := VehicleSeed(g.RootSeed, index)
-			a.att.SetSeed(gseed)
-			e := &cellExec{
-				sup: &sh.sup, health: h, sh: sh, owner: a,
-				vehicle: index, group: gi, seed: gseed, demoted: &demoted,
-			}
-			if sh.plans != nil {
-				e.br = a.att.NewBatchRun(sh.plans[gi])
-			}
-			sums, gerr := runGroupCells(e, g)
-			rep.Groups[gi] = sums
-			if gerr != nil {
-				return rep, fmt.Errorf("group %d (%q): %w", gi, g.Name, gerr)
-			}
+		e := &cellExec{
+			sup: &sh.sup, health: h, sh: sh,
+			vehicle: index, group: gi, seed: VehicleSeed(g.RootSeed, index), demoted: &demoted,
 		}
-		memoizeAttacks(memo, rep.Groups)
+		s.bind(e, gi)
+		sums, gerr := runGroupCells(e, g)
+		rep.Groups[gi] = sums
+		if gerr != nil {
+			return rep, fmt.Errorf("group %d (%q): %w", gi, g.Name, gerr)
+		}
 	}
 	rep.Attacks = foldGroups(rep.Groups)
 	return rep, nil
 }
 
-// memoizeAttacks stores deep copies of one vehicle's per-group aggregates in
-// the worker memo. Copies both ways (store and replay) — a memoized slice
-// must never alias a report's, or foldGroups merging into one vehicle's view
-// would corrupt every later vehicle's.
-func memoizeAttacks(memo *vehicleMemo, groups [][]attack.RegimeSummary) {
-	if memo == nil {
-		return
+// contain converts a panic escaping a visit into ErrVehicleCrash, the
+// failure the visit supervisor retries. Deferred directly by each visit
+// phase.
+func contain(index int, err *error) {
+	if p := recover(); p != nil {
+		*err = fmt.Errorf("%w: vehicle %d: %v", ErrVehicleCrash, index, p)
 	}
-	memo.attacks = make([][]attack.RegimeSummary, len(groups))
-	for gi := range groups {
-		memo.attacks[gi] = append([]attack.RegimeSummary(nil), groups[gi]...)
-	}
-	memo.attacksOK = true
-}
-
-// copyLive copies the live-phase counters between vehicle reports.
-func copyLive(dst, src *VehicleReport) {
-	dst.FramesDelivered = src.FramesDelivered
-	dst.BusErrors = src.BusErrors
-	dst.WriteBlocked = src.WriteBlocked
-	dst.ReadBlocked = src.ReadBlocked
-	dst.AbortedTx = src.AbortedTx
-	dst.Utilisation = src.Utilisation
-	dst.SchedulerSteps = src.SchedulerSteps
-}
-
-// runVehicle simulates one vehicle end to end from scratch: the live
-// background simulation with a provisioned HPE stack, the MAC
-// least-privilege probe, and every scenario group's attack sweep (each cell
-// on a freshly constructed car — the reference path pooled runs are
-// compared against), every cell supervised. The memo behaves exactly as in
-// the pooled variant; the first vehicle a worker computes still runs cell by
-// cell on fresh cars, so fresh batched runs exercise no checkpointing, only
-// memo reuse. Fresh visits have no worker stack to rebuild, so a crash
-// retry simply re-runs the vehicle.
-func runVehicle(sh *shared, index int, memo *vehicleMemo) (VehicleReport, error) {
-	return superviseVisit(&sh.sup,
-		func(attempt int, h *Health) (VehicleReport, error) {
-			return visitFresh(sh, index, memo, attempt, h)
-		}, nil)
-}
-
-// visitFresh is one attempt of one fresh-construction vehicle visit.
-func visitFresh(sh *shared, index int, memo *vehicleMemo, attempt int, h *Health) (rep VehicleReport, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("%w: vehicle %d: %v", ErrVehicleCrash, index, p)
-		}
-	}()
-	seed := VehicleSeed(sh.cfg.Groups[0].RootSeed, index)
-	rep = VehicleReport{Index: index, VIN: VIN(index), Seed: seed}
-
-	// Live background simulation: this vehicle's own scheduler, bus, car and
-	// deployed policy engines, driven over the configured horizon.
-	if !sh.cfg.SkipLive {
-		if memo != nil && memo.liveOK {
-			copyLive(&rep, &memo.live)
-		} else {
-			c, err := car.New(car.Config{Seed: seed, ErrorRate: sh.cfg.ErrorRate})
-			if err != nil {
-				return rep, err
-			}
-			if _, err := sh.harness.DeployEngines(c.Bus(), c, car.AllNodes...); err != nil {
-				return rep, err
-			}
-			c.StartTraffic(sh.cfg.TrafficPeriod, sh.cfg.TrafficHorizon, sh.cfg.Speed)
-			c.Scheduler().Run()
-			collectLive(&rep, c)
-			if memo != nil && sh.cfg.ErrorRate == 0 {
-				copyLive(&memo.live, &rep)
-				memo.liveOK = true
-			}
-		}
-	}
-
-	// MAC stack: a per-vehicle server loaded with the derived
-	// type-enforcement module.
-	if !sh.cfg.SkipMAC {
-		if memo != nil && memo.macOK {
-			rep.MACChecks, rep.MACAllowed = memo.macChecks, memo.macAllowed
-		} else {
-			srv := mac.NewServer()
-			if err := srv.Load(sh.macModule); err != nil {
-				return rep, err
-			}
-			macProbe(&rep, srv, sh)
-			if memo != nil {
-				memo.macChecks, memo.macAllowed = rep.MACChecks, rep.MACAllowed
-				memo.macOK = true
-			}
-		}
-	}
-
-	// Every group's scenario×regime sweep, seeded per group with this
-	// vehicle's group-derived seed, every cell supervised on its own fresh
-	// car.
-	rep.Groups = make([][]attack.RegimeSummary, len(sh.cfg.Groups))
-	if memo != nil && memo.attacksOK {
-		for gi := range memo.attacks {
-			rep.Groups[gi] = append([]attack.RegimeSummary(nil), memo.attacks[gi]...)
-		}
-	} else {
-		var demoted bool
-		for gi := range sh.cfg.Groups {
-			g := &sh.cfg.Groups[gi]
-			if sh.sup.plan.CrashFault(index, gi, attempt) {
-				panic(&chaos.InjectedCrash{Vehicle: index, Group: gi, Attempt: attempt})
-			}
-			gseed := VehicleSeed(g.RootSeed, index)
-			e := &cellExec{
-				sup: &sh.sup, health: h, sh: sh, hv: sh.harness.WithSeed(gseed),
-				vehicle: index, group: gi, seed: gseed, demoted: &demoted,
-			}
-			sums, gerr := runGroupCells(e, g)
-			rep.Groups[gi] = sums
-			if gerr != nil {
-				return rep, fmt.Errorf("group %d (%q): %w", gi, g.Name, gerr)
-			}
-		}
-		memoizeAttacks(memo, rep.Groups)
-	}
-	rep.Attacks = foldGroups(rep.Groups)
-	return rep, nil
 }
 
 // foldGroups flattens per-group regime summaries into one aggregate per

@@ -22,6 +22,11 @@ type VehicleReport struct {
 	Attacks []attack.RegimeSummary
 	// Groups holds one regime-summary block per scenario group, in group
 	// order — the per-vehicle slice the campaign executor folds from.
+	//
+	// Groups and Attacks are read-only: on the batched path every vehicle
+	// after a run's first shares the first vehicle's slices (the run-level
+	// stamp) instead of owning a copy, so writing through one vehicle's
+	// slice would change every vehicle's.
 	Groups [][]attack.RegimeSummary
 	// FramesDelivered, BusErrors, WriteBlocked, ReadBlocked and AbortedTx
 	// are the background simulation's bus counters.

@@ -65,9 +65,8 @@ type supervisorCfg struct {
 }
 
 // chaotic reports whether fault injection or inline verification is armed —
-// the modes that disable cross-vehicle memoisation, because memoised
-// vehicles execute no cells and would make the Health ledger depend on
-// which vehicles each worker happened to compute.
+// the modes that disable cross-vehicle stamping, because stamped vehicles
+// execute no cells and would dodge their injected faults and samples.
 func (s *supervisorCfg) chaotic() bool { return s.plan.Active() || s.verify > 0 }
 
 // backoff returns the capped virtual backoff recorded before retry n
@@ -300,11 +299,9 @@ func superviseVisit(sup *supervisorCfg, visit func(attempt int, h *Health) (Vehi
 		h.CrashRecoveries++
 		h.Retries++
 		h.Backoff += backoff(attempt + 1)
-		if rebuild != nil {
-			if rerr := rebuild(); rerr != nil {
-				err = rerr
-				break
-			}
+		if rerr := rebuild(); rerr != nil {
+			err = rerr
+			break
 		}
 	}
 	if err != nil && errors.Is(err, ErrVehicleCrash) {

@@ -61,6 +61,15 @@ import (
 // change to the stream grammar or payload layout.
 const Version = 1
 
+// schemas pins, per protocol version, a fingerprint of the struct layout
+// that version encodes positionally: the field names, types and order of
+// engine.VehicleReport, attack.RegimeSummary, attack.Summary and
+// engine.Health. Append-only — a layout change fails TestSchemaFingerprint
+// until Version is bumped and the new fingerprint pinned under it.
+var schemas = map[int]string{
+	1: "ed64c7a3270cb79aa0383e4a95266ae2dfe66870ea1877f860c63bc02bfbb731",
+}
+
 // magic opens every stream: "CSW1" (carsim shard wire). Distinguishes a
 // binary stream from a JSON document ('{') at the first byte.
 var magic = [4]byte{'C', 'S', 'W', 0x01}
