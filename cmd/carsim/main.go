@@ -10,7 +10,7 @@
 //	carsim -attack all -enforcement none,software,hpe
 //	carsim -attack EVECU-1 -enforcement hpe -trace
 //	carsim -fleet 100 -workers 8 -seed 42
-//	carsim -fleet 1000 -reuse=false   # fresh-construction reference mode
+//	carsim -fleet 1000 -no-batch   # reference oracle: fresh stacks, cell by cell
 //	carsim -campaign examples/campaigns/quickstart.campaign -fleet 100
 //	carsim -campaign examples/campaigns/quickstart.campaign -list-scenarios
 //	carsim -risk examples/threatmodels/connected-car.json
@@ -18,10 +18,19 @@
 //	carsim -campaign examples/campaigns/quickstart.campaign -fleet 50 -chaos "seed=7,panic=0.01,crash=0.002"
 //	carsim -campaign examples/campaigns/quickstart.campaign -fleet 50 -verify-sample 0.05
 //	carsim -campaign examples/campaigns/quickstart.campaign -fleet 100 -cpuprofile cpu.out -memprofile mem.out
+//
+// Exit codes:
+//
+//	0  success
+//	1  any other failure: a rejected flag value (a bad -chaos spec,
+//	   -shard-wire other than binary), an unreadable or invalid spec, or a
+//	   sweep that failed before producing a report
+//	2  flag parsing failed: an undefined flag or a malformed value
+//	3  unrecoverable sweep: the partial report, health line included, was
+//	   flushed to stdout first
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -62,20 +71,16 @@ type supervision struct {
 	backend   string
 	chaosSpec string
 	// shards partitions the fleet index space (<=1: unsharded); shardExec
-	// runs each range as a carsim subprocess speaking the shard wire format.
+	// runs each range as a carsim subprocess speaking the binary shard wire.
 	shards    int
 	shardExec bool
-	// shardWire selects the subprocess wire format: "binary" (the default
-	// streaming frame protocol) or "json" (PR 9's buffered document, the
-	// debugging fallback and differential-test oracle).
-	shardWire string
 	// shardParallelism bounds how many subprocess shards run concurrently
 	// (1: sequential, PR 9's behaviour). The merge still consumes shards in
 	// range order, so the report does not move.
 	shardParallelism int
 	// shardRange, when non-empty, puts this process in shard-child mode: run
-	// only that "start:count" slice of the whole-fleet config and write the
-	// wire report to stdout.
+	// only that "start:count" slice of the whole-fleet config and stream it
+	// to stdout on the binary shard wire.
 	shardRange string
 }
 
@@ -90,8 +95,7 @@ func main() {
 	fleetSize := flag.Int("fleet", 0, "sweep N independent vehicle simulations and print the merged fleet report")
 	workers := flag.Int("workers", 0, "bound the fleet worker pool (default GOMAXPROCS)")
 	seed := flag.Uint64("seed", 1, "root seed for deterministic per-vehicle seed derivation")
-	reuse := flag.Bool("reuse", true, "pool vehicles per worker (reset in place); false rebuilds every stack from scratch")
-	noBatch := flag.Bool("no-batch", false, "run the cell-by-cell oracle executor instead of the batched default (prefix checkpointing + cross-vehicle stamping); reports are byte-identical either way")
+	noBatch := flag.Bool("no-batch", false, "run the reference oracle (fresh stacks, cell by cell) instead of the pooled batched default (prefix checkpointing + cross-vehicle stamping); reports are byte-identical either way")
 	detail := flag.Bool("detail", false, "with -campaign: append the verbose per-family detail block (stage counters included)")
 	campaignFile := flag.String("campaign", "", "compile a campaign spec (text or JSON) and sweep it across the fleet")
 	riskFile := flag.String("risk", "", "run a risk spec: synthesize a campaign from its threat model, sweep it, print the calibrated profile")
@@ -101,7 +105,7 @@ func main() {
 	policyBackend := flag.String("policy-backend", "", "policy enforcement backend for swept vehicles: "+strings.Join(ir.Names(), ", ")+" (default table)")
 	shards := flag.Int("shards", 0, "partition the fleet index space into N contiguous ranges run as independent engine runs; the merged report is byte-identical to the unsharded sweep")
 	shardExec := flag.Bool("shard-exec", false, "with -shards: run each shard as a carsim subprocess (shard wire format over stdout) instead of in-process")
-	shardWire := flag.String("shard-wire", "binary", "with -shard-exec: subprocess wire format, \"binary\" (streaming frame protocol) or \"json\" (buffered document; debugging fallback)")
+	shardWire := flag.String("shard-wire", "binary", "with -shard-exec: subprocess wire format; only \"binary\" (the streaming frame protocol) is accepted")
 	shardParallelism := flag.Int("shard-parallelism", 1, "with -shard-exec: run up to P subprocess shards concurrently; the merge stays in range order, so the report is byte-identical at any P")
 	shardRange := flag.String("shard-range", "", "internal: run only this start:count slice of the fleet and emit the shard wire report on stdout (set by -shard-exec parents)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with `go tool pprof`)")
@@ -125,8 +129,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "carsim: -shards %d is negative\n", *shards)
 		os.Exit(1)
 	}
-	if *shardWire != "binary" && *shardWire != "json" {
-		fmt.Fprintf(os.Stderr, "carsim: -shard-wire %q (want binary or json)\n", *shardWire)
+	if *shardWire != "binary" {
+		fmt.Fprintf(os.Stderr, "carsim: -shard-wire %q (want binary)\n", *shardWire)
 		os.Exit(1)
 	}
 	if *shardParallelism < 1 {
@@ -136,8 +140,7 @@ func main() {
 	sup := supervision{
 		plan: plan, verify: *verifySample, backend: *policyBackend,
 		chaosSpec: *chaosSpec, shards: *shards, shardExec: *shardExec,
-		shardWire: *shardWire, shardParallelism: *shardParallelism,
-		shardRange: *shardRange,
+		shardParallelism: *shardParallelism, shardRange: *shardRange,
 	}
 
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
@@ -150,7 +153,7 @@ func main() {
 	var flushErr error
 	err = func() error {
 		defer func() { flushErr = stopProfiles() }()
-		return run(*topology, *nodeArch, *hpeView, *latency, *attackSel, *enforcement, *trace, *fleetSize, *workers, *seed, *reuse, *noBatch, *detail, *campaignFile, *riskFile, *listScenarios, sup)
+		return run(*topology, *nodeArch, *hpeView, *latency, *attackSel, *enforcement, *trace, *fleetSize, *workers, *seed, *noBatch, *detail, *campaignFile, *riskFile, *listScenarios, sup)
 	}()
 	if err == nil {
 		err = flushErr
@@ -212,7 +215,7 @@ func startProfiles(cpuPath, memPath string) (func() error, error) {
 	}, nil
 }
 
-func run(topology bool, nodeArch string, hpeView, latency bool, attackSel, enforcement string, trace bool, fleetSize, workers int, seed uint64, reuse, noBatch, detail bool, campaignFile, riskFile string, listScenarios bool, sup supervision) error {
+func run(topology bool, nodeArch string, hpeView, latency bool, attackSel, enforcement string, trace bool, fleetSize, workers int, seed uint64, noBatch, detail bool, campaignFile, riskFile string, listScenarios bool, sup supervision) error {
 	if topology {
 		fmt.Print(report.Topology())
 		return nil
@@ -228,19 +231,19 @@ func run(topology bool, nodeArch string, hpeView, latency bool, attackSel, enfor
 		return runLatency()
 	}
 	if sup.shardRange != "" {
-		return runShardChild(campaignFile, riskFile, enforcement, fleetSize, workers, seed, reuse, noBatch, sup)
+		return runShardChild(campaignFile, riskFile, enforcement, fleetSize, workers, seed, noBatch, sup)
 	}
 	if campaignFile != "" {
-		return runCampaign(campaignFile, listScenarios, fleetSize, workers, seed, reuse, noBatch, detail, sup)
+		return runCampaign(campaignFile, listScenarios, fleetSize, workers, seed, noBatch, detail, sup)
 	}
 	if riskFile != "" {
-		return runRisk(riskFile, listScenarios, fleetSize, workers, seed, reuse, noBatch, sup)
+		return runRisk(riskFile, listScenarios, fleetSize, workers, seed, noBatch, sup)
 	}
 	if listScenarios {
 		return fmt.Errorf("-list-scenarios requires -campaign or -risk")
 	}
 	if fleetSize > 0 {
-		return runFleet(fleetSize, workers, seed, enforcement, reuse, noBatch, sup)
+		return runFleet(fleetSize, workers, seed, enforcement, noBatch, sup)
 	}
 	if attackSel == "" {
 		flag.Usage()
@@ -253,7 +256,7 @@ func run(topology bool, nodeArch string, hpeView, latency bool, attackSel, enfor
 // current mode — campaign, risk, or the Table I fleet sweep — from the same
 // flags the parent parsed, so a shard child partitions exactly the index
 // space its parent did.
-func buildEngineConfig(campaignFile, riskFile, enforcement string, fleetSize, workers int, seed uint64, reuse, noBatch bool, sup supervision) (engine.Config, error) {
+func buildEngineConfig(campaignFile, riskFile, enforcement string, fleetSize, workers int, seed uint64, noBatch bool, sup supervision) (engine.Config, error) {
 	switch {
 	case campaignFile != "":
 		raw, err := os.ReadFile(campaignFile)
@@ -268,7 +271,7 @@ func buildEngineConfig(campaignFile, riskFile, enforcement string, fleetSize, wo
 		if err != nil {
 			return engine.Config{}, err
 		}
-		return campaign.EngineConfig(plan, campaignSweepConfig(fleetSize, workers, seed, reuse, noBatch, sup, nil))
+		return campaign.EngineConfig(plan, campaignSweepConfig(fleetSize, workers, seed, noBatch, sup, nil))
 	case riskFile != "":
 		raw, err := os.ReadFile(riskFile)
 		if err != nil {
@@ -278,7 +281,7 @@ func buildEngineConfig(campaignFile, riskFile, enforcement string, fleetSize, wo
 		if err != nil {
 			return engine.Config{}, err
 		}
-		out, scfg, err := risk.SweepSetup(spec, riskRunConfig(fleetSize, workers, seed, reuse, noBatch, sup, nil))
+		out, scfg, err := risk.SweepSetup(spec, riskRunConfig(fleetSize, workers, seed, noBatch, sup, nil))
 		if err != nil {
 			return engine.Config{}, err
 		}
@@ -293,7 +296,6 @@ func buildEngineConfig(campaignFile, riskFile, enforcement string, fleetSize, wo
 			Workers:       workers,
 			RootSeed:      seed,
 			Regimes:       regimes,
-			FreshVehicles: !reuse,
 			NoBatch:       noBatch,
 			Chaos:         sup.plan,
 			VerifySample:  sup.verify,
@@ -304,34 +306,28 @@ func buildEngineConfig(campaignFile, riskFile, enforcement string, fleetSize, wo
 
 // runShardChild is the hidden -shard-range mode a -shard-exec parent spawns:
 // rebuild the whole-fleet configuration from the forwarded flags, run only
-// the assigned index slice, and write the shard wire stream to stdout — on
-// the binary wire, frame by frame as vehicles complete; on the JSON
-// fallback, one buffered document. The child always exits 0 when the stream
-// is written — an unrecoverable sweep travels in the trailer (or the
-// document's Err field), exactly as engine.Run returns the partial report
-// alongside its error.
-func runShardChild(campaignFile, riskFile, enforcement string, fleetSize, workers int, seed uint64, reuse, noBatch bool, sup supervision) error {
+// the assigned index slice, and stream it to stdout on the binary shard
+// wire, frame by frame as vehicles complete. The child always exits 0 when
+// the stream is written — an unrecoverable sweep travels in the trailer,
+// exactly as engine.Run returns the partial report alongside its error.
+func runShardChild(campaignFile, riskFile, enforcement string, fleetSize, workers int, seed uint64, noBatch bool, sup supervision) error {
 	r, err := shard.ParseRange(sup.shardRange)
 	if err != nil {
 		return err
 	}
-	ecfg, err := buildEngineConfig(campaignFile, riskFile, enforcement, fleetSize, workers, seed, reuse, noBatch, sup)
+	ecfg, err := buildEngineConfig(campaignFile, riskFile, enforcement, fleetSize, workers, seed, noBatch, sup)
 	if err != nil {
 		return err
-	}
-	if sup.shardWire == "json" {
-		return shard.RunRange(ecfg, r).Encode(os.Stdout)
 	}
 	return shard.RunRangeWire(ecfg, r, os.Stdout)
 }
 
 // shardSpawn returns the subprocess spawn hook: re-invoke this binary with
-// the run's own mode flags plus the child's -shard-range, and stream the
-// wire format from its stdout. On the binary wire the child's pipe is
-// decoded incrementally (the parent never buffers a shard's report set);
-// the JSON fallback buffers the document as PR 9 did. Child stderr passes
-// through for diagnostics.
-func shardSpawn(campaignFile, riskFile, enforcement string, fleetSize, workers int, seed uint64, reuse, noBatch bool, sup supervision) shard.Spawn {
+// the run's own mode flags plus the child's -shard-range, and decode the
+// child's binary wire stream from its stdout pipe incrementally (the
+// parent never buffers a shard's report set). Child stderr passes through
+// for diagnostics.
+func shardSpawn(campaignFile, riskFile, enforcement string, fleetSize, workers int, seed uint64, noBatch bool, sup supervision) shard.Spawn {
 	return func(r shard.Range) (shard.Stream, error) {
 		exe, err := os.Executable()
 		if err != nil {
@@ -339,7 +335,6 @@ func shardSpawn(campaignFile, riskFile, enforcement string, fleetSize, workers i
 		}
 		args := []string{
 			"-shard-range", r.String(),
-			"-shard-wire", sup.shardWire,
 			"-fleet", strconv.Itoa(fleetSize),
 			"-workers", strconv.Itoa(workers),
 			"-seed", strconv.FormatUint(seed, 10),
@@ -351,9 +346,6 @@ func shardSpawn(campaignFile, riskFile, enforcement string, fleetSize, workers i
 			args = append(args, "-risk", riskFile)
 		default:
 			args = append(args, "-enforcement", enforcement)
-		}
-		if !reuse {
-			args = append(args, "-reuse=false")
 		}
 		if noBatch {
 			args = append(args, "-no-batch")
@@ -369,18 +361,6 @@ func shardSpawn(campaignFile, riskFile, enforcement string, fleetSize, workers i
 		}
 		cmd := exec.Command(exe, args...)
 		cmd.Stderr = os.Stderr
-		if sup.shardWire == "json" {
-			var out bytes.Buffer
-			cmd.Stdout = &out
-			if err := cmd.Run(); err != nil {
-				return nil, fmt.Errorf("subprocess shard %s: %w", r, err)
-			}
-			w, err := shard.DecodeWireReport(&out)
-			if err != nil {
-				return nil, err
-			}
-			return w.Stream(), nil
-		}
 		pipe, err := cmd.StdoutPipe()
 		if err != nil {
 			return nil, err
@@ -403,12 +383,11 @@ func shardSpawn(campaignFile, riskFile, enforcement string, fleetSize, workers i
 // campaignSweepConfig assembles the campaign sweep configuration shared by
 // the parent sweep and the shard child's config rebuild (spawn is nil in the
 // child — its slice IS the work).
-func campaignSweepConfig(fleetSize, workers int, seed uint64, reuse, noBatch bool, sup supervision, spawn shard.Spawn) campaign.SweepConfig {
+func campaignSweepConfig(fleetSize, workers int, seed uint64, noBatch bool, sup supervision, spawn shard.Spawn) campaign.SweepConfig {
 	return campaign.SweepConfig{
 		Fleet:            fleetSize,
 		Workers:          workers,
 		RootSeed:         seed,
-		FreshVehicles:    !reuse,
 		NoBatch:          noBatch,
 		Chaos:            sup.plan,
 		VerifySample:     sup.verify,
@@ -420,12 +399,11 @@ func campaignSweepConfig(fleetSize, workers int, seed uint64, reuse, noBatch boo
 }
 
 // riskRunConfig is campaignSweepConfig's counterpart for the risk pipeline.
-func riskRunConfig(fleetSize, workers int, seed uint64, reuse, noBatch bool, sup supervision, spawn shard.Spawn) risk.RunConfig {
+func riskRunConfig(fleetSize, workers int, seed uint64, noBatch bool, sup supervision, spawn shard.Spawn) risk.RunConfig {
 	return risk.RunConfig{
 		Fleet:            fleetSize,
 		Workers:          workers,
 		RootSeed:         seed,
-		FreshVehicles:    !reuse,
 		NoBatch:          noBatch,
 		Chaos:            sup.plan,
 		VerifySample:     sup.verify,
@@ -439,7 +417,7 @@ func riskRunConfig(fleetSize, workers int, seed uint64, reuse, noBatch bool, sup
 // runCampaign compiles a campaign spec and either lists its generated
 // scenario matrix or sweeps it across the fleet, printing the deterministic
 // campaign view plus a separate wall-clock throughput line.
-func runCampaign(path string, listOnly bool, fleetSize, workers int, seed uint64, reuse, noBatch, detail bool, sup supervision) error {
+func runCampaign(path string, listOnly bool, fleetSize, workers int, seed uint64, noBatch, detail bool, sup supervision) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -461,10 +439,10 @@ func runCampaign(path string, listOnly bool, fleetSize, workers int, seed uint64
 	}
 	var spawn shard.Spawn
 	if sup.shardExec {
-		spawn = shardSpawn(path, "", "", fleetSize, workers, seed, reuse, noBatch, sup)
+		spawn = shardSpawn(path, "", "", fleetSize, workers, seed, noBatch, sup)
 	}
 	start := time.Now()
-	rep, err := campaign.Sweep(plan, campaignSweepConfig(fleetSize, workers, seed, reuse, noBatch, sup, spawn))
+	rep, err := campaign.Sweep(plan, campaignSweepConfig(fleetSize, workers, seed, noBatch, sup, spawn))
 	if err != nil {
 		if rep == nil {
 			return err
@@ -482,21 +460,17 @@ func runCampaign(path string, listOnly bool, fleetSize, workers int, seed uint64
 	} else {
 		fmt.Print(report.CampaignView(rep))
 	}
-	pool := "pooled"
-	if !reuse {
-		pool = "fresh"
-	}
-	fmt.Printf("\nthroughput: %.0f vehicles/s, %.0f cells/s (%s vehicles, %v wall clock)\n",
+	fmt.Printf("\nthroughput: %.0f vehicles/s, %.0f cells/s (%v wall clock)\n",
 		float64(fleetSize)/elapsed.Seconds(), float64(rep.Cells)/elapsed.Seconds(),
-		pool, elapsed.Round(time.Millisecond))
+		elapsed.Round(time.Millisecond))
 	return nil
 }
 
 // execMode names the executor for the report header: "batched" is the
-// default prefix-checkpointed path, "oracle" the -no-batch cell-by-cell
-// reference. The marker sits in the deterministic body on purpose — the CI
-// equivalence smoke strips it (with the throughput line) before diffing a
-// batched run against an oracle run.
+// default pooled, prefix-checkpointed path, "oracle" the -no-batch
+// fresh-stack, cell-by-cell reference. The marker sits in the deterministic
+// body on purpose — the CLI differential test strips it (with the
+// throughput line) before diffing a batched run against an oracle run.
 func execMode(noBatch bool) string {
 	if noBatch {
 		return "oracle"
@@ -508,7 +482,7 @@ func execMode(noBatch bool) string {
 // from its threat model, sweep it across the fleet, and print the
 // calibrated rubric-vs-measured profile. The profile itself is
 // deterministic; the wall-clock throughput line prints separately.
-func runRisk(path string, listOnly bool, fleetSize, workers int, seed uint64, reuse, noBatch bool, sup supervision) error {
+func runRisk(path string, listOnly bool, fleetSize, workers int, seed uint64, noBatch bool, sup supervision) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -530,10 +504,10 @@ func runRisk(path string, listOnly bool, fleetSize, workers int, seed uint64, re
 	}
 	var spawn shard.Spawn
 	if sup.shardExec {
-		spawn = shardSpawn("", path, "", fleetSize, workers, seed, reuse, noBatch, sup)
+		spawn = shardSpawn("", path, "", fleetSize, workers, seed, noBatch, sup)
 	}
 	start := time.Now()
-	out, err := risk.Run(spec, riskRunConfig(fleetSize, workers, seed, reuse, noBatch, sup, spawn))
+	out, err := risk.Run(spec, riskRunConfig(fleetSize, workers, seed, noBatch, sup, spawn))
 	if err != nil {
 		if out == nil || out.Report == nil {
 			return err
@@ -548,21 +522,17 @@ func runRisk(path string, listOnly bool, fleetSize, workers int, seed uint64, re
 	elapsed := time.Since(start)
 	fmt.Printf("mode=%s\n", execMode(noBatch))
 	fmt.Print(report.RiskView(out.Profile))
-	pool := "pooled"
-	if !reuse {
-		pool = "fresh"
-	}
-	fmt.Printf("\nthroughput: %.0f vehicles/s, %.0f cells/s (%s vehicles, %v wall clock)\n",
+	fmt.Printf("\nthroughput: %.0f vehicles/s, %.0f cells/s (%v wall clock)\n",
 		float64(out.Report.Fleet)/elapsed.Seconds(), float64(out.Report.Cells)/elapsed.Seconds(),
-		pool, elapsed.Round(time.Millisecond))
+		elapsed.Round(time.Millisecond))
 	return nil
 }
 
 // runFleet sweeps the Table I matrix across a simulated fleet and prints the
 // merged report plus the wall-clock throughput. The report itself stays
 // byte-stable for a given config; the timing line is printed separately.
-func runFleet(fleetSize, workers int, seed uint64, enforcement string, reuse, noBatch bool, sup supervision) error {
-	ecfg, err := buildEngineConfig("", "", enforcement, fleetSize, workers, seed, reuse, noBatch, sup)
+func runFleet(fleetSize, workers int, seed uint64, enforcement string, noBatch bool, sup supervision) error {
+	ecfg, err := buildEngineConfig("", "", enforcement, fleetSize, workers, seed, noBatch, sup)
 	if err != nil {
 		return err
 	}
@@ -571,7 +541,7 @@ func runFleet(fleetSize, workers int, seed uint64, enforcement string, reuse, no
 	if sup.shards > 1 || sup.shardExec {
 		var spawn shard.Spawn
 		if sup.shardExec {
-			spawn = shardSpawn("", "", enforcement, fleetSize, workers, seed, reuse, noBatch, sup)
+			spawn = shardSpawn("", "", enforcement, fleetSize, workers, seed, noBatch, sup)
 		}
 		fr, err = shard.Run(shard.Config{
 			Engine: ecfg, Shards: sup.shards,
@@ -591,12 +561,8 @@ func runFleet(fleetSize, workers int, seed uint64, enforcement string, reuse, no
 	elapsed := time.Since(start)
 	fmt.Printf("mode=%s\n", execMode(noBatch))
 	fmt.Print(fr)
-	pool := "pooled"
-	if !reuse {
-		pool = "fresh"
-	}
-	fmt.Printf("throughput: %.0f vehicles/s (%s vehicles, %v wall clock)\n",
-		float64(fleetSize)/elapsed.Seconds(), pool, elapsed.Round(time.Millisecond))
+	fmt.Printf("throughput: %.0f vehicles/s (%v wall clock)\n",
+		float64(fleetSize)/elapsed.Seconds(), elapsed.Round(time.Millisecond))
 	return nil
 }
 
@@ -682,7 +648,6 @@ func runAttacks(sel, enforcement string, trace bool, backend string) error {
 		}
 		scenarios = []attack.Scenario{sc}
 	}
-	_ = trace // trace wiring below uses per-run cars; see verbose note.
 
 	results, err := h.RunAll(scenarios, regimes...)
 	if err != nil {

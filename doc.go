@@ -42,14 +42,15 @@
 //     per-worker vehicle arenas that reset one stack in place per vehicle
 //     instead of rebuilding it; multi-group runs sweep a whole campaign's
 //     scenario groups per vehicle visit (vehicle-major, no per-family
-//     barrier)
+//     barrier); one fast path (pooled, prefix-batched, stamped) and one
+//     reference oracle (fresh stacks, cell by cell: -no-batch)
 //   - internal/campaign  — procedural adversary-campaign generator: a
 //     declarative text/JSON spec (campaign.Parse) expands into families of
 //     generated scenarios — Table I mutations, coordinated multi-attacker
 //     floods, predicate-gated multi-stage kill chains — compiled onto
 //     attack.Scenario cells and swept on the fleet engine in one
 //     vehicle-major pass with SplitMix64 sub-seeds (CampaignReport
-//     byte-identical across worker counts and pooled/fresh runs); shipped
+//     byte-identical across worker counts and batched/oracle runs); shipped
 //     specs live under examples/campaigns
 //   - internal/risk      — empirically-grounded risk scoring: the threat
 //     model compiles into campaign families (risk.Synthesize: tampering →
@@ -64,14 +65,15 @@
 //     keeps every vehicle trajectory pinned to its shard-independent
 //     coordinates) and merge in range order through engine.MergeFold,
 //     byte-identical to the unsharded run; spawn hooks run ranges out of
-//     process (carsim -shard-exec), sequentially or concurrently under a
-//     bounded in-order merge window (-shard-parallelism)
-//   - internal/shard/wire — the binary shard transport: a versioned,
-//     CRC32-framed varint stream carrying one vehicle report per frame,
-//     written as vehicles complete and decoded incrementally (neither side
-//     buffers a shard's report set; ~12x smaller than the JSON document
-//     fallback); any corrupted byte surfaces as a typed checksum error the
-//     shard driver records like a failed shard
+//     process (carsim -shard-exec) over the binary wire, sequentially or
+//     concurrently under a bounded in-order merge window
+//     (-shard-parallelism)
+//   - internal/shard/wire — the binary shard transport, the only one: a
+//     versioned, CRC32-framed varint stream carrying one vehicle report per
+//     frame, written as vehicles complete and decoded incrementally
+//     (neither side buffers a shard's report set; ~12x smaller than the
+//     JSON documents it replaced); any corrupted byte surfaces as a typed
+//     checksum error the shard driver records like a failed shard
 //
 // The benchmarks in bench_test.go regenerate every table and figure of the
 // paper's evaluation; see DESIGN.md for the experiment index and

@@ -335,7 +335,7 @@ func TestArtifactsRenderTogether(t *testing.T) {
 // require a zero exit code plus a profile byte-identical to the checked-in
 // golden file. The spec pins fleet and root seed, so the deterministic part
 // of the output (everything before the wall-clock throughput line) must not
-// move with worker count or pooling mode; a bad spec path must exit 1.
+// move with worker count or executor; a bad spec path must exit 1.
 func TestRiskPipelineEndToEnd(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "carsim")
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/carsim").CombinedOutput(); err != nil {
@@ -365,10 +365,11 @@ func TestRiskPipelineEndToEnd(t *testing.T) {
 		t.Errorf("profile drifted from testdata/risk_profile.golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 
-	// Same profile whatever the parallelism or pooling mode — the
-	// determinism contract enforced through the real binary.
-	if alt := profile("-workers", "1", "-reuse=false"); alt != got {
-		t.Errorf("profile differs for -workers 1 -reuse=false:\n--- default ---\n%s\n--- alt ---\n%s", got, alt)
+	// Same profile whatever the parallelism or executor — the determinism
+	// contract enforced through the real binary; only the mode marker moves.
+	oracle := strings.Replace(got, "mode=batched", "mode=oracle", 1)
+	if alt := profile("-workers", "1", "-no-batch"); alt != oracle {
+		t.Errorf("profile differs for -workers 1 -no-batch:\n--- default ---\n%s\n--- alt ---\n%s", got, alt)
 	}
 
 	// The scenario matrix dump must work and stay sweep-free.
@@ -388,10 +389,10 @@ func TestRiskPipelineEndToEnd(t *testing.T) {
 	}
 }
 
-// TestChaosSupervisorEndToEnd drives carsim's fault-injection surface the
-// way the CI chaos smoke does: a recoverable seeded chaos sweep exits 0 with
-// a health line and a payload byte-identical to the fault-free run, and an
-// unrecoverable plan exits 3 after flushing the partial report.
+// TestChaosSupervisorEndToEnd drives carsim's fault-injection surface: a
+// recoverable seeded chaos sweep exits 0 with a health line and a payload
+// byte-identical to the fault-free run, and an unrecoverable plan exits 3
+// after flushing the partial report.
 func TestChaosSupervisorEndToEnd(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "carsim")
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/carsim").CombinedOutput(); err != nil {
@@ -450,10 +451,12 @@ func TestChaosSupervisorEndToEnd(t *testing.T) {
 
 // TestExitCodeContract pins the documented exit codes of the command-line
 // tools, one row per contract: carsim exits 0 on a clean sweep, 1 on a bad
-// spec and 3 on an unrecoverable sweep (after flushing the partial report);
-// rollout exits 0 when the candidate reaches the fleet, 2 when it rolls
-// back and 1 when the driver itself fails; policyc exits 2 on an unknown
-// backend (a bad invocation, as opposed to bad input at 1).
+// spec or a rejected flag value, 2 on an undefined flag (the flag
+// package's usage exit) and 3 on an unrecoverable sweep (after flushing
+// the partial report); rollout exits 0 when the candidate reaches the
+// fleet, 2 when it rolls back and 1 when the driver itself fails; policyc
+// exits 2 on an unknown backend (a bad invocation, as opposed to bad input
+// at 1). A row with a message also requires the output to contain it.
 func TestExitCodeContract(t *testing.T) {
 	bin := t.TempDir()
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/carsim", "./cmd/rollout", "./cmd/policyc").CombinedOutput(); err != nil {
@@ -464,14 +467,17 @@ func TestExitCodeContract(t *testing.T) {
 		name string
 		args []string
 		want int
+		msg  string
 	}{
-		{"carsim clean", []string{"carsim", "-campaign", quickstart, "-fleet", "4"}, 0},
-		{"carsim bad spec", []string{"carsim", "-campaign", "no-such.campaign"}, 1},
-		{"carsim unrecoverable chaos", []string{"carsim", "-campaign", quickstart, "-fleet", "4", "-chaos", "seed=3,panic=1,persist=99"}, 3},
-		{"rollout advance", []string{"rollout", "-vehicles", "40"}, 0},
-		{"rollout driver failure", []string{"rollout", "-vehicles", "0"}, 1},
-		{"rollout rollback", []string{"rollout", "-vehicles", "40", "-drill", "rollback"}, 2},
-		{"policyc unknown backend", []string{"policyc", "-check", "-backend", "no-such-backend"}, 2},
+		{"carsim clean", []string{"carsim", "-campaign", quickstart, "-fleet", "4"}, 0, ""},
+		{"carsim bad spec", []string{"carsim", "-campaign", "no-such.campaign"}, 1, ""},
+		{"carsim json shard wire", []string{"carsim", "-campaign", quickstart, "-shard-wire", "json"}, 1, "want binary"},
+		{"carsim undefined flag", []string{"carsim", "-campaign", quickstart, "-no-such-flag"}, 2, "not defined: -no-such-flag"},
+		{"carsim unrecoverable chaos", []string{"carsim", "-campaign", quickstart, "-fleet", "4", "-chaos", "seed=3,panic=1,persist=99"}, 3, ""},
+		{"rollout advance", []string{"rollout", "-vehicles", "40"}, 0, ""},
+		{"rollout driver failure", []string{"rollout", "-vehicles", "0"}, 1, ""},
+		{"rollout rollback", []string{"rollout", "-vehicles", "40", "-drill", "rollback"}, 2, ""},
+		{"policyc unknown backend", []string{"policyc", "-check", "-backend", "no-such-backend"}, 2, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -486,7 +492,85 @@ func TestExitCodeContract(t *testing.T) {
 			if code != c.want {
 				t.Errorf("%v: exit code %d, want %d\n%s", c.args, code, c.want, out)
 			}
+			if !strings.Contains(string(out), c.msg) {
+				t.Errorf("%v: output does not mention %q:\n%s", c.args, c.msg, out)
+			}
 		})
+	}
+}
+
+// TestCLIDifferential is the byte-identity contract of carsim's execution
+// paths through one built binary: each row's output must equal its
+// reference run's once the mode= marker and the wall-clock throughput: line
+// are stripped (health lines stay). The batched default is diffed against
+// the -no-batch oracle; in-process and subprocess shard layouts at several
+// fan-out levels against the unsharded run; the chaos plan across worker
+// counts and shard layouts; and the risk pipeline over subprocess shards.
+func TestCLIDifferential(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "carsim")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/carsim").CombinedOutput(); err != nil {
+		t.Fatalf("build carsim: %v\n%s", err, out)
+	}
+	with := func(base []string, extra ...string) []string {
+		return append(append([]string(nil), base...), extra...)
+	}
+	quick := []string{"-campaign", "examples/campaigns/quickstart.campaign", "-fleet", "10", "-workers", "4"}
+	chaos := []string{"-campaign", "examples/campaigns/quickstart.campaign", "-fleet", "12",
+		"-chaos", "seed=7,panic=0.02,corrupt=0.02,deadline=0.01,crash=0.005"}
+	chaos4 := with(chaos, "-workers", "4")
+	risk := []string{"-risk", "examples/threatmodels/connected-car.json", "-workers", "4"}
+	type row struct {
+		name      string
+		ref, args []string
+	}
+	rows := []row{{"no-batch", quick, with(quick, "-no-batch")}}
+	for _, n := range []string{"1", "4"} {
+		rows = append(rows, row{"shards=" + n, quick, with(quick, "-shards", n)})
+		for _, par := range []string{"1", "4"} {
+			rows = append(rows, row{"shards=" + n + "/exec/parallelism=" + par, quick,
+				with(quick, "-shards", n, "-shard-exec", "-shard-parallelism", par)})
+		}
+	}
+	rows = append(rows,
+		row{"chaos/workers=1", chaos4, with(chaos, "-workers", "1")},
+		row{"chaos/shards=4", chaos4, with(chaos4, "-shards", "4")},
+		row{"chaos/shards=4/exec/parallelism=4", chaos4, with(chaos4, "-shards", "4", "-shard-exec", "-shard-parallelism", "4")},
+		row{"risk/shards=2/exec", risk, with(risk, "-shards", "2", "-shard-exec")},
+	)
+
+	runs := map[string]string{} // each distinct invocation runs once
+	run := func(t *testing.T, args []string) string {
+		t.Helper()
+		key := strings.Join(args, "\x00")
+		if out, ok := runs[key]; ok {
+			return out
+		}
+		out, err := exec.Command(bin, args...).Output()
+		if err != nil {
+			var exit *exec.ExitError
+			if errors.As(err, &exit) {
+				t.Fatalf("carsim %v: %v\n%s%s", args, err, out, exit.Stderr)
+			}
+			t.Fatalf("carsim %v: %v", args, err)
+		}
+		var keep []string
+		for _, line := range strings.Split(string(out), "\n") {
+			if !strings.HasPrefix(line, "mode=") && !strings.HasPrefix(line, "throughput:") {
+				keep = append(keep, line)
+			}
+		}
+		runs[key] = strings.Join(keep, "\n")
+		return runs[key]
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			if got, want := run(t, r.args), run(t, r.ref); got != want {
+				t.Errorf("carsim %v diverged from carsim %v:\n--- want ---\n%s\n--- got ---\n%s", r.args, r.ref, want, got)
+			}
+		})
+	}
+	if !strings.Contains(run(t, chaos4), "\nhealth: ") {
+		t.Error("the chaos rows compared no health line")
 	}
 }
 

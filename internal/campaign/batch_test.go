@@ -8,10 +8,10 @@ import (
 
 // TestSweepBatchedMatchesOracle is the acceptance gate of the batched
 // executor: the default path (prefix-checkpointed batching + cross-vehicle
-// memoisation) must render a CampaignReport byte-identical to the
-// cell-by-cell oracle (NoBatch) at several worker counts, pooled and fresh,
-// with and without live-phase error injection (the one knob that disables
-// the live memo).
+// stamping) must render a CampaignReport byte-identical to the
+// single-worker fresh-stack oracle (NoBatch) at several worker counts, and
+// so must the oracle itself, with and without live-phase error injection
+// (the one knob that keeps the live phase executing per vehicle).
 func TestSweepBatchedMatchesOracle(t *testing.T) {
 	plan := determinismPlan(t)
 	for _, errRate := range []float64{0, 0.03} {
@@ -22,17 +22,17 @@ func TestSweepBatchedMatchesOracle(t *testing.T) {
 		}
 		want := oracle.String()
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-			for _, fresh := range []bool{false, true} {
-				name := fmt.Sprintf("err=%v/workers=%d/fresh=%v", errRate, workers, fresh)
+			for _, noBatch := range []bool{false, true} {
+				name := fmt.Sprintf("err=%v/workers=%d/noBatch=%v", errRate, workers, noBatch)
 				rep, err := Sweep(plan, SweepConfig{
 					Fleet: 6, Workers: workers, RootSeed: 555,
-					ErrorRate: errRate, FreshVehicles: fresh,
+					ErrorRate: errRate, NoBatch: noBatch,
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if got := rep.String(); got != want {
-					t.Errorf("%s: batched report diverged from oracle:\n--- oracle\n%s--- batched\n%s", name, want, got)
+					t.Errorf("%s: report diverged from the workers=1 oracle:\n--- oracle\n%s--- got\n%s", name, want, got)
 				}
 			}
 		}

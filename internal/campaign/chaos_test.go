@@ -33,7 +33,7 @@ func stripHealth(s string) string {
 // whose injected faults are all recovered by the supervisor (default
 // persist=1, so every retry clears its fault) renders a payload report
 // byte-identical to the fault-free oracle — only the health line may differ.
-// Checked across worker counts and both pooling modes.
+// Checked across worker counts, batched and NoBatch.
 func TestChaosSweepPayloadMatchesFaultFree(t *testing.T) {
 	plan := determinismPlan(t)
 	clean, err := Sweep(plan, SweepConfig{Fleet: 6, Workers: 1, RootSeed: 1234})
@@ -45,36 +45,36 @@ func TestChaosSweepPayloadMatchesFaultFree(t *testing.T) {
 	}
 	cleanPayload := stripHealth(clean.String())
 
-	for _, fresh := range []bool{false, true} {
+	for _, noBatch := range []bool{false, true} {
 		for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 			rep, err := Sweep(plan, SweepConfig{
 				Fleet: 6, Workers: w, RootSeed: 1234,
-				FreshVehicles: fresh, Chaos: chaosPlan(),
+				NoBatch: noBatch, Chaos: chaosPlan(),
 			})
 			if err != nil {
-				t.Fatalf("fresh=%v workers=%d: %v", fresh, w, err)
+				t.Fatalf("noBatch=%v workers=%d: %v", noBatch, w, err)
 			}
 			if rep.Health.IsZero() {
-				t.Fatalf("fresh=%v workers=%d: chaos sweep contained nothing — rates too low for the shape", fresh, w)
+				t.Fatalf("noBatch=%v workers=%d: chaos sweep contained nothing — rates too low for the shape", noBatch, w)
 			}
 			if got := stripHealth(rep.String()); got != cleanPayload {
-				t.Errorf("fresh=%v workers=%d: chaos payload diverged from fault-free oracle\n--- fault-free\n%s\n--- chaos\n%s",
-					fresh, w, cleanPayload, got)
+				t.Errorf("noBatch=%v workers=%d: chaos payload diverged from fault-free oracle\n--- fault-free\n%s\n--- chaos\n%s",
+					noBatch, w, cleanPayload, got)
 			}
 		}
 	}
 }
 
 // TestChaosHealthDeterministicAcrossWorkers: the full report — health line
-// included — must not change with the worker count, within each pooling
-// mode. (Pooled and fresh ledgers may legitimately differ: checkpoint
+// included — must not change with the worker count, batched or NoBatch.
+// (Batched and oracle ledgers may legitimately differ: checkpoint
 // corruption only exists on the pooled batched path.)
 func TestChaosHealthDeterministicAcrossWorkers(t *testing.T) {
 	plan := determinismPlan(t)
-	for _, fresh := range []bool{false, true} {
+	for _, noBatch := range []bool{false, true} {
 		base, err := Sweep(plan, SweepConfig{
 			Fleet: 6, Workers: 1, RootSeed: 1234,
-			FreshVehicles: fresh, Chaos: chaosPlan(),
+			NoBatch: noBatch, Chaos: chaosPlan(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -82,14 +82,14 @@ func TestChaosHealthDeterministicAcrossWorkers(t *testing.T) {
 		for _, w := range []int{4, runtime.GOMAXPROCS(0)} {
 			rep, err := Sweep(plan, SweepConfig{
 				Fleet: 6, Workers: w, RootSeed: 1234,
-				FreshVehicles: fresh, Chaos: chaosPlan(),
+				NoBatch: noBatch, Chaos: chaosPlan(),
 			})
 			if err != nil {
-				t.Fatalf("fresh=%v workers=%d: %v", fresh, w, err)
+				t.Fatalf("noBatch=%v workers=%d: %v", noBatch, w, err)
 			}
 			if rep.String() != base.String() {
-				t.Errorf("fresh=%v: report (health included) differs between workers=1 and workers=%d\n--- w=1\n%s--- w=%d\n%s",
-					fresh, w, base, w, rep)
+				t.Errorf("noBatch=%v: report (health included) differs between workers=1 and workers=%d\n--- w=1\n%s--- w=%d\n%s",
+					noBatch, w, base, w, rep)
 			}
 		}
 	}

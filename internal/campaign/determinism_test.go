@@ -79,15 +79,15 @@ func TestSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSweepPooledMatchesFresh requires the pooled arenas (default) and the
-// from-scratch reference path to render byte-identical campaign reports.
+// TestSweepPooledMatchesFresh requires the pooled batched default and the
+// fresh-stack NoBatch oracle to render byte-identical campaign reports.
 func TestSweepPooledMatchesFresh(t *testing.T) {
 	plan := determinismPlan(t)
 	pooled, err := Sweep(plan, SweepConfig{Fleet: 5, RootSeed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Sweep(plan, SweepConfig{Fleet: 5, RootSeed: 77, FreshVehicles: true})
+	fresh, err := Sweep(plan, SweepConfig{Fleet: 5, RootSeed: 77, NoBatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,18 +21,16 @@ type SweepConfig struct {
 	// with its own sub-seed, so families decorrelate and the whole report
 	// is a pure function of (spec, RootSeed, Fleet).
 	RootSeed uint64
-	// FreshVehicles selects the engine's from-scratch reference path
-	// (pooled arenas otherwise); both render byte-identical reports.
-	FreshVehicles bool
 	// TrafficHorizon is the live background simulation's virtual span
 	// (default 10ms); the live phase runs once per vehicle visit, before the
 	// vehicle's family cells.
 	TrafficHorizon time.Duration
 	// ErrorRate enables bus error injection in the live phase.
 	ErrorRate float64
-	// NoBatch selects the engine's cell-by-cell oracle executor instead of
-	// the default batched one (prefix checkpointing + cross-vehicle
-	// stamping); both render byte-identical reports.
+	// NoBatch selects the engine's reference oracle (fresh stacks, cell by
+	// cell) instead of the default pooled batched executor (prefix
+	// checkpointing + cross-vehicle stamping); both render byte-identical
+	// reports.
 	NoBatch bool
 	// Chaos arms the engine's deterministic fault injection (nil: none).
 	Chaos *chaos.Plan
@@ -81,7 +79,7 @@ type FamilyReport struct {
 
 // CampaignReport is the deterministic outcome of one campaign sweep:
 // byte-identical for a given (spec, RootSeed, Fleet) across worker counts
-// and across pooled/fresh runs, which is why it records neither.
+// and across batched/oracle runs, which is why it records neither.
 type CampaignReport struct {
 	// Campaign, Version and Seed echo the spec.
 	Campaign string
@@ -154,8 +152,8 @@ func Sweep(plan *Plan, cfg SweepConfig) (*CampaignReport, error) {
 // shards): per-family scenario groups with their derived fleet roots, the
 // enforcement harness, and every supervision knob. Exported so a subprocess
 // shard — which receives only the campaign file and the sweep flags — can
-// rebuild the exact configuration its parent partitions, then run its index
-// range with shard.RunRange.
+// rebuild the exact configuration its parent partitions, then stream its
+// index range with shard.RunRangeWire.
 func EngineConfig(plan *Plan, cfg SweepConfig) (engine.Config, error) {
 	if cfg.Fleet <= 0 {
 		cfg.Fleet = 1
@@ -193,7 +191,6 @@ func EngineConfig(plan *Plan, cfg SweepConfig) (engine.Config, error) {
 		Groups:         groups,
 		TrafficHorizon: cfg.TrafficHorizon,
 		ErrorRate:      cfg.ErrorRate,
-		FreshVehicles:  cfg.FreshVehicles,
 		Harness:        h,
 		SkipMAC:        true,
 		NoBatch:        cfg.NoBatch,
@@ -248,7 +245,7 @@ func (r *CampaignReport) fold(rs attack.RegimeSummary) {
 
 // String renders the campaign report. Deterministic: no worker counts, no
 // wall-clock values — two sweeps of the same (spec, RootSeed, Fleet) render
-// byte-identical text whatever the parallelism or pooling mode.
+// byte-identical text whatever the parallelism or executor.
 func (r *CampaignReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "campaign %q v%d seed %#x: fleet %d, root seed %#x, %d scenarios/vehicle, %d cells\n",

@@ -8,7 +8,8 @@ import (
 
 // TestSkipPhasesMatchAcrossPaths: the campaign fast path (shared harness,
 // no live sim, no MAC probe) must behave identically on pooled arenas and
-// fresh construction, and must actually zero the skipped phases' counters.
+// on the fresh-construction NoBatch oracle, and must actually zero the
+// skipped phases' counters.
 func TestSkipPhasesMatchAcrossPaths(t *testing.T) {
 	h, err := attack.NewHarness()
 	if err != nil {
@@ -23,7 +24,7 @@ func TestSkipPhasesMatchAcrossPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.FreshVehicles = true
+	cfg.NoBatch = true
 	fresh, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -16,8 +16,8 @@
 // server — and resets it in place between the live background simulation,
 // the MAC probe and every scenario×regime cell. A thousand-vehicle sweep
 // therefore builds `workers` vehicle stacks instead of ~7000, which is
-// worth ~3.6x in fleet-sweep throughput. Config.FreshVehicles selects the
-// from-scratch reference path; both render byte-identical reports.
+// worth ~3.6x in fleet-sweep throughput. The Config.NoBatch oracle is the
+// one path that builds every stack from scratch (see Batched evaluation).
 //
 // # Vehicle-major scenario groups
 //
@@ -43,9 +43,12 @@
 // phase runs). The stamp is built once and shared read-only — stamped
 // reports point at its slices instead of copying them. If the first
 // vehicle's visit fails, nothing is stamped and every vehicle executes.
-// Config.NoBatch selects the cell-by-cell oracle path instead; both render
-// byte-identical reports, which the equivalence tests and the CI smoke job
-// assert.
+// Config.NoBatch selects the reference oracle instead: no pooling, no
+// checkpoints, no stamping — every vehicle phase and every cell runs on a
+// freshly constructed stack, cell by cell. Both render byte-identical
+// reports, which the equivalence tests and the CLI differential test
+// assert. Inside the batched path, BatchRun.RunOracle replays single cells
+// cell by cell on the same arena for demotion and verify sampling.
 //
 // # Determinism
 //
@@ -53,7 +56,7 @@
 // so vehicle i behaves identically regardless of which worker runs it or in
 // what order vehicles are scheduled. Reports are merged in vehicle-index
 // order; two runs with the same Config produce byte-identical rendered
-// reports whatever the worker count, with or without pooling.
+// reports whatever the worker count, batched or oracle.
 //
 // # Failure containment
 //
@@ -147,12 +150,6 @@ type Config struct {
 	Speed uint16
 	// ErrorRate enables bus error injection in the background simulation.
 	ErrorRate float64
-	// FreshVehicles disables vehicle pooling: every vehicle (and every
-	// scenario×regime cell inside it) constructs its simulation stack from
-	// scratch, as the engine originally did. Pooled (default) and fresh
-	// runs produce byte-identical reports; the fresh path survives as the
-	// reference implementation the reset-equivalence tests compare against.
-	FreshVehicles bool
 	// Harness optionally supplies a pre-built attack harness (compiled
 	// policy + cycle model) the run reuses instead of deriving its own —
 	// campaign sweeps call Run once per scenario family and share one
@@ -169,12 +166,14 @@ type Config struct {
 	// SkipMAC skips the per-vehicle MAC least-privilege probe (and the MAC
 	// module derivation entirely).
 	SkipMAC bool
-	// NoBatch disables the batched executor: no prefix-checkpointed scenario
-	// batching and no cross-vehicle stamping — every vehicle and every
-	// scenario×regime cell runs through the cell-by-cell oracle path. Batched
-	// (default) and oracle runs render byte-identical reports; the oracle
-	// survives as the reference the equivalence tests and the CI batched
-	// smoke job compare against.
+	// NoBatch selects the reference oracle instead of the pooled batched
+	// executor: no pooled arenas, no prefix-checkpointed scenario batching
+	// and no cross-vehicle stamping — every vehicle phase and every
+	// scenario×regime cell constructs its simulation stack from scratch and
+	// runs cell by cell, as the engine originally did. Batched (default) and
+	// oracle runs render byte-identical reports; the oracle survives as the
+	// reference the equivalence tests and the CLI differential test compare
+	// against.
 	NoBatch bool
 	// Chaos optionally arms deterministic fault injection: the plan decides,
 	// as a pure function of (vehicle, group, regime, scenario, attempt)
@@ -487,10 +486,10 @@ func Run(cfg Config) (*FleetReport, error) {
 	return merge(cfg, reports), nil
 }
 
-// stack is the vehicle stack a visit executes on: a worker's pooled arena,
-// or fresh construction (the reference path pooled runs are compared
-// against). The visit itself — phase order, seeding, supervision — is the
-// same on both.
+// stack is the vehicle stack a visit executes on: a worker's pooled arena
+// (the batched default), or fresh construction (the NoBatch oracle the
+// batched path is compared against). The visit itself — phase order,
+// seeding, supervision — is the same on both.
 type stack interface {
 	// startLive returns a reset vehicle with a provisioned HPE stack, ready
 	// for the live background simulation.
@@ -505,7 +504,7 @@ type stack interface {
 }
 
 func newStack(sh *shared) (stack, error) {
-	if sh.cfg.FreshVehicles {
+	if sh.cfg.NoBatch {
 		return fresh{}, nil
 	}
 	a, err := newArena(sh)
@@ -551,9 +550,7 @@ func (a *arena) probe(sh *shared, rep *VehicleReport) error {
 func (a *arena) bind(e *cellExec, gi int) {
 	a.att.SetSeed(e.seed)
 	e.owner = a
-	if e.sh.plans != nil {
-		e.br = a.att.NewBatchRun(e.sh.plans[gi])
-	}
+	e.br = a.att.NewBatchRun(e.sh.plans[gi])
 }
 
 func (a *arena) rebuild(sh *shared) error {
@@ -565,11 +562,11 @@ func (a *arena) rebuild(sh *shared) error {
 	return nil
 }
 
-// fresh constructs every phase's simulation stack from scratch, as the
-// engine originally did: its own car and deployed policy engines for the
-// live phase, its own MAC server, and a fresh car per cell (the cell-by-cell
-// path; fresh runs exercise no checkpointing). There is no worker stack to
-// rebuild, so a crash retry simply re-runs the vehicle.
+// fresh is the NoBatch oracle's stack: every phase constructs its
+// simulation stack from scratch, as the engine originally did — its own car
+// and deployed policy engines for the live phase, its own MAC server, and a
+// fresh car per cell (cell by cell; no checkpointing). There is no worker
+// stack to rebuild, so a crash retry simply re-runs the vehicle.
 type fresh struct{}
 
 func (fresh) startLive(sh *shared, cfg car.Config) (*car.Car, error) {

@@ -22,7 +22,7 @@ func testGroups() []ScenarioGroup {
 	}
 }
 
-func groupConfig(groups []ScenarioGroup, workers int, fresh bool) Config {
+func groupConfig(groups []ScenarioGroup, workers int, noBatch bool) Config {
 	return Config{
 		Fleet:          6,
 		Workers:        workers,
@@ -30,7 +30,7 @@ func groupConfig(groups []ScenarioGroup, workers int, fresh bool) Config {
 		Groups:         groups,
 		TrafficHorizon: 5 * time.Millisecond,
 		ErrorRate:      0.02,
-		FreshVehicles:  fresh,
+		NoBatch:        noBatch,
 		SkipMAC:        true,
 	}
 }
@@ -84,18 +84,18 @@ func TestGroupsMatchFamilyMajorRuns(t *testing.T) {
 // TestGroupsPermutationInvariant checks cross-group isolation inside a
 // vehicle visit: executing the groups in a different order (each still
 // carrying its own fleet root) must not change any group's fleet-merged
-// outcome, pooled or fresh. Note the invariance lives at the engine layer —
+// outcome, batched or oracle. Note the invariance lives at the engine layer —
 // campaign.Sweep derives each family's root from its spec position, so
 // permuting a *spec* legitimately re-seeds its families.
 func TestGroupsPermutationInvariant(t *testing.T) {
 	groups := testGroups()
 	perm := []ScenarioGroup{groups[2], groups[0], groups[1]}
-	for _, fresh := range []bool{false, true} {
-		base, err := Run(groupConfig(groups, 2, fresh))
+	for _, noBatch := range []bool{false, true} {
+		base, err := Run(groupConfig(groups, 2, noBatch))
 		if err != nil {
 			t.Fatal(err)
 		}
-		permuted, err := Run(groupConfig(perm, 2, fresh))
+		permuted, err := Run(groupConfig(perm, 2, noBatch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,17 +105,17 @@ func TestGroupsPermutationInvariant(t *testing.T) {
 		}
 		for _, gr := range base.Groups {
 			if !reflect.DeepEqual(gr.Regimes, byName[gr.Name]) {
-				t.Errorf("fresh=%v: group %q changed under permutation:\noriginal: %+v\npermuted: %+v",
-					fresh, gr.Name, gr.Regimes, byName[gr.Name])
+				t.Errorf("noBatch=%v: group %q changed under permutation:\noriginal: %+v\npermuted: %+v",
+					noBatch, gr.Name, gr.Regimes, byName[gr.Name])
 			}
 		}
 	}
 }
 
 // TestGroupsPooledMatchesFreshAcrossWorkers extends the zero-rebuild
-// contract to multi-group runs: pooled and fresh vehicle-major sweeps agree
-// on every group at every worker count, and worker count never changes the
-// merged outcome.
+// contract to multi-group runs: pooled batched and fresh NoBatch
+// vehicle-major sweeps agree on every group at every worker count, and
+// worker count never changes the merged outcome.
 func TestGroupsPooledMatchesFreshAcrossWorkers(t *testing.T) {
 	groups := testGroups()
 	base, err := Run(groupConfig(groups, 1, false))

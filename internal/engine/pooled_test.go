@@ -24,8 +24,8 @@ func pooledTestConfig(workers int) Config {
 }
 
 // TestPooledMatchesFreshByteIdentical is the engine-level zero-rebuild
-// contract: pooled arenas and fresh construction render byte-identical
-// fleet reports at every worker count.
+// contract: the pooled batched default and the fresh-construction NoBatch
+// oracle render byte-identical fleet reports at every worker count.
 func TestPooledMatchesFreshByteIdentical(t *testing.T) {
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, w := range workerCounts {
@@ -34,7 +34,7 @@ func TestPooledMatchesFreshByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d pooled: %v", w, err)
 		}
-		cfg.FreshVehicles = true
+		cfg.NoBatch = true
 		fresh, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("workers=%d fresh: %v", w, err)

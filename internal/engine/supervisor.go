@@ -19,7 +19,9 @@ import (
 // retry on a rebuilt or re-primed arena with a capped virtual backoff
 // recorded. Exhausting the batched retries demotes the cell — and,
 // monotonically, the vehicle's remaining cells — to the cell-by-cell oracle
-// (the NoBatch reference executor), which gets its own MaxRetries budget.
+// on the same arena (BatchRun.RunOracle), which gets its own MaxRetries
+// budget. The NoBatch oracle runs every cell cell by cell on fresh stacks
+// from the start, so it has nothing to demote and only retries.
 // Only a cell that keeps failing through all of that is unrecoverable: the
 // vehicle reports a partial result and the sweep returns an error alongside
 // the partial fleet report. Per visit: a panic escaping cell scope (or an
@@ -29,7 +31,7 @@ import (
 // Determinism: chaos faults are a pure function of per-vehicle coordinates,
 // retries and demotions are decided by counters local to the vehicle, and
 // the recorded backoff is virtual (never slept) — so the Health ledger, like
-// the payload report, is byte-stable across worker counts and pooling modes.
+// the payload report, is byte-stable across worker counts and shard layouts.
 
 // Supervisor failure classes. ErrCellPanic and ErrVehicleCrash wrap
 // recovered panics at cell and visit scope; ErrCellDeadline reports a cell
@@ -83,15 +85,15 @@ func backoff(n int) time.Duration {
 }
 
 // cellExec supervises one scenario group's cells for one vehicle. Exactly
-// one execution backend is set: br for the pooled batched path, owner (with
-// br nil) for the pooled oracle path, hv for the fresh-construction path.
+// one execution backend is set: br (over owner's arena) for the pooled
+// batched path, hv for the fresh NoBatch oracle.
 type cellExec struct {
 	sup    *supervisorCfg
 	health *Health
 	sh     *shared
-	owner  *arena           // pooled vehicle stack; nil on the fresh path
-	br     *attack.BatchRun // batched cursor; nil on oracle/fresh paths
-	hv     *attack.Harness  // fresh-path harness, seed applied
+	owner  *arena           // pooled vehicle stack; nil on the oracle
+	br     *attack.BatchRun // batched cursor over owner; nil on the oracle
+	hv     *attack.Harness  // oracle harness, seed applied
 
 	vehicle, group int
 	seed           uint64 // the group seed, re-applied after arena rebuilds
@@ -164,15 +166,13 @@ func (e *cellExec) attempt(sc attack.Scenario, sci, ri int, enf attack.Enforceme
 		r, err = e.br.Run()
 	case e.br != nil:
 		r, err = e.br.RunOracle()
-	case e.owner != nil:
-		r, err = e.owner.att.Run(sc, enf)
 	default:
 		r, err = e.hv.Run(sc, enf)
 	}
 	if err != nil {
 		return r, err
 	}
-	// Virtual-time watchdog (pooled paths, where the cell's car is
+	// Virtual-time watchdog (every pooled cell, where the cell's car is
 	// reachable): a healthy cell leaves the clock in simulated
 	// milliseconds, so a clock past the budget means a runaway tail.
 	if e.owner != nil {
@@ -251,8 +251,8 @@ func (e *cellExec) maybeVerify(r attack.Result, sci, ri, attempt int) (attack.Re
 
 // runGroupCells executes one group's cells under supervision and folds them
 // into per-regime aggregates — the supervised equivalent of
-// RunSummariesBatched (batched backend) or runSummaries (oracle and fresh
-// backends), walking the identical cell order so a fault-free supervised
+// RunSummariesBatched (batched backend) or runSummaries (the NoBatch
+// oracle), walking the identical cell order so a fault-free supervised
 // sweep folds byte-identical aggregates.
 func runGroupCells(e *cellExec, g *ScenarioGroup) ([]attack.RegimeSummary, error) {
 	out := make([]attack.RegimeSummary, len(g.Regimes))

@@ -40,14 +40,14 @@ func TestProfileByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestProfilePooledMatchesFresh requires the pooled arenas (default) and
-// the from-scratch reference path to calibrate byte-identical profiles.
+// TestProfilePooledMatchesFresh requires the pooled batched default and the
+// fresh-stack NoBatch oracle to calibrate byte-identical profiles.
 func TestProfilePooledMatchesFresh(t *testing.T) {
 	pooled, err := Run(determinismSpec(), RunConfig{Fleet: 5, RootSeed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Run(determinismSpec(), RunConfig{Fleet: 5, RootSeed: 77, FreshVehicles: true})
+	fresh, err := Run(determinismSpec(), RunConfig{Fleet: 5, RootSeed: 77, NoBatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}

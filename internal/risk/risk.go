@@ -131,11 +131,9 @@ type RunConfig struct {
 	Workers int
 	// RootSeed feeds the sweep when the spec leaves it unset.
 	RootSeed uint64
-	// FreshVehicles selects the engine's from-scratch reference path; the
-	// profile is byte-identical either way.
-	FreshVehicles bool
-	// NoBatch selects the engine's cell-by-cell oracle executor instead of
-	// the default batched one; the profile is byte-identical either way.
+	// NoBatch selects the engine's reference oracle (fresh stacks, cell by
+	// cell) instead of the default pooled batched executor; the profile is
+	// byte-identical either way.
 	NoBatch bool
 	// Chaos arms the sweep supervisor's deterministic fault injection.
 	Chaos *chaos.Plan
@@ -228,7 +226,6 @@ func SweepSetup(sp *Spec, rc RunConfig) (*Outcome, campaign.SweepConfig, error) 
 		Fleet:            fleet,
 		Workers:          rc.Workers,
 		RootSeed:         root,
-		FreshVehicles:    rc.FreshVehicles,
 		NoBatch:          rc.NoBatch,
 		Chaos:            rc.Chaos,
 		VerifySample:     rc.VerifySample,

@@ -13,13 +13,14 @@
 // merged report is byte-identical to the unsharded oracle (float summation
 // order included, Health ledgers summed per class).
 //
-// Shard outcomes arrive as a Stream of vehicle reports and the driver
-// folds them as they are decoded: the parent never buffers a whole shard's
-// report set. Two wire formats implement the stream — the binary frame
-// protocol in the nested wire package (the default; compact, CRC-guarded,
-// streamed frame by frame as the child's vehicles complete) and the PR 9
-// JSON document (WireReport; kept as the human-debuggable fallback and the
-// differential-test oracle).
+// An in-process shard is an engine.Run over its range whose vehicles fold
+// straight into the merge as they complete (engine.Config.OnVehicle). A
+// spawned shard's outcome arrives as a Stream over the binary frame
+// protocol in the nested wire package — compact, CRC-guarded, streamed
+// frame by frame as the child's vehicles complete — and the driver folds
+// it as it is decoded, so the parent never buffers a spawned shard's
+// report set. The unsharded engine.Run is the differential oracle every
+// shard layout, transport and parallelism level is tested against.
 //
 // In-process shards run sequentially — each shard's engine.Run is itself
 // parallel across Config.Workers, and on a single machine stacking two
@@ -33,7 +34,6 @@
 package shard
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -122,71 +122,19 @@ func Ranges(total, n int) []Range {
 	return out
 }
 
-// Stream is one shard's outcome consumed incrementally: Next yields the
-// shard's vehicle reports in global index order and io.EOF when the shard
-// is done; Trailer (valid only after io.EOF) returns the range echo the
-// driver asserts against and the shard's sweep error text ("" on
-// success); Close releases transport resources (for a subprocess shard,
-// reaps the child). Both wire formats and the in-process path implement
-// it, so the driver folds all three identically.
+// Stream is one spawned shard's outcome consumed incrementally: Next
+// yields the shard's vehicle reports in global index order and io.EOF when
+// the shard is done; Trailer (valid only after io.EOF) returns the range
+// echo the driver asserts against and the shard's sweep error text (""
+// on success); Close releases transport resources (for a subprocess
+// shard, reaps the child). The binary wire stream implements it, and the
+// concurrent fan-out's reorder slots re-expose it, so the driver validates
+// sequential and concurrent shards identically.
 type Stream interface {
 	Next() (*engine.VehicleReport, error)
 	Trailer() (r Range, errText string, err error)
 	Close() error
 }
-
-// WireReport is the serialized outcome of one shard in the JSON wire
-// format — PR 9's document shape, kept as the debugging fallback and the
-// differential-test oracle for the binary protocol. It reuses the
-// engine's own report encoding (every field of engine.VehicleReport is
-// exported and JSON round-trips exactly, float64 included), framed with
-// the range it covers so the parent can assert the child ran the slice it
-// was asked to.
-type WireReport struct {
-	// Range echoes the shard's index slice.
-	Range Range
-	// Vehicles are the shard's per-vehicle reports in global index order.
-	Vehicles []engine.VehicleReport
-	// Err carries the shard's sweep error text ("" on success): a shard that
-	// hits an unrecoverable cell still ships its partial vehicles, exactly
-	// as engine.Run returns the partial merged report alongside the error.
-	Err string
-}
-
-// Encode writes the wire report as a single JSON document.
-func (w *WireReport) Encode(out io.Writer) error {
-	return json.NewEncoder(out).Encode(w)
-}
-
-// DecodeWireReport reads one shard wire report.
-func DecodeWireReport(in io.Reader) (*WireReport, error) {
-	var w WireReport
-	if err := json.NewDecoder(in).Decode(&w); err != nil {
-		return nil, fmt.Errorf("shard: decode wire report: %w", err)
-	}
-	return &w, nil
-}
-
-// Stream adapts the buffered JSON document to the driver's streaming
-// consumption.
-func (w *WireReport) Stream() Stream { return &sliceStream{w: w} }
-
-type sliceStream struct {
-	w *WireReport
-	i int
-}
-
-func (s *sliceStream) Next() (*engine.VehicleReport, error) {
-	if s.i >= len(s.w.Vehicles) {
-		return nil, io.EOF
-	}
-	v := &s.w.Vehicles[s.i]
-	s.i++
-	return v, nil
-}
-
-func (s *sliceStream) Trailer() (Range, string, error) { return s.w.Range, s.w.Err, nil }
-func (s *sliceStream) Close() error                    { return nil }
 
 // NewWireStream wraps a binary wire stream (a shard child's stdout pipe)
 // as a Stream. closeFn, when non-nil, runs on Close — the subprocess hook
@@ -217,24 +165,27 @@ func (s *wireStream) Close() error {
 	return nil
 }
 
-// RunRange executes one shard in this process: cfg describes the WHOLE
-// fleet (total Fleet, zero IndexOffset); the shard simulates the global
-// vehicles in r. The returned wire report always carries whatever vehicles
-// completed, with Err set when the sweep was unrecoverable — callers
-// (subprocess children, the in-process driver) forward both.
-func RunRange(cfg engine.Config, r Range) *WireReport {
-	sub := cfg
-	sub.Fleet = r.Count
-	sub.IndexOffset = r.Start
-	w := &WireReport{Range: r}
-	fr, err := engine.Run(sub)
-	if fr != nil {
-		w.Vehicles = fr.Vehicles
+// rangeConfig derives range r's engine configuration from the WHOLE-fleet
+// cfg (total Fleet, zero IndexOffset): the shard simulates exactly the
+// global vehicles in r.
+func rangeConfig(cfg engine.Config, r Range) engine.Config {
+	cfg.Fleet = r.Count
+	cfg.IndexOffset = r.Start
+	return cfg
+}
+
+// runLocal executes one shard in this process and folds its vehicles
+// straight into the merge as they complete. A sweep error is recorded
+// against the range while the vehicles that completed still merge — the
+// partial-report contract engine.Run keeps, and a spawned shard's trailer
+// carries.
+func runLocal(fold *engine.MergeFold, cfg engine.Config, r Range) error {
+	sub := rangeConfig(cfg, r)
+	sub.OnVehicle = func(v *engine.VehicleReport) { fold.Add(*v) }
+	if _, err := engine.Run(sub); err != nil {
+		return fmt.Errorf("shard %s: %w", r, err)
 	}
-	if err != nil {
-		w.Err = err.Error()
-	}
-	return w
+	return nil
 }
 
 // RunRangeWire executes one shard in this process and emits the binary
@@ -242,12 +193,10 @@ func RunRange(cfg engine.Config, r Range) *WireReport {
 // emit loop. Frames are written through engine.Config.OnVehicle in global
 // index order; the trailer carries the range echo and the sweep's error
 // text, so an unrecoverable shard still ships its partial vehicles first
-// (the same partial-report contract as RunRange). The returned error
+// (the partial-report contract engine.Run keeps). The returned error
 // reports transport failures only — a sweep error travels in the trailer.
 func RunRangeWire(cfg engine.Config, r Range, out io.Writer) error {
-	sub := cfg
-	sub.Fleet = r.Count
-	sub.IndexOffset = r.Start
+	sub := rangeConfig(cfg, r)
 	w := wire.NewWriter(out)
 	var werr error
 	sub.OnVehicle = func(v *engine.VehicleReport) {
@@ -309,13 +258,13 @@ type Config struct {
 
 // Run executes the sharded sweep and merges shard outcomes
 // deterministically in range order. The merged report is byte-identical
-// to the unsharded engine.Run for every shard count, wire format and
-// parallelism level, with or without the spawn hook: the per-vehicle
-// reports are pure functions of global indices, and the merge is the
-// engine's own fold over the same vehicle order. Like engine.Run, a
-// failing shard — a spawn error, a corrupt stream, a sweep error in the
-// trailer — is recorded and the remaining ranges still merge: Run returns
-// the merged partial report alongside the joined error.
+// to the unsharded engine.Run for every shard count and parallelism level,
+// with or without the spawn hook: the per-vehicle reports are pure
+// functions of global indices, and the merge is the engine's own fold over
+// the same vehicle order. Like engine.Run, a failing shard — a sweep
+// error, a spawn error, a corrupt stream, a sweep error in the trailer —
+// is recorded and the remaining ranges still merge: Run returns the merged
+// partial report alongside the joined error.
 func Run(cfg Config) (*engine.FleetReport, error) {
 	ec := cfg.Engine
 	if ec.Fleet <= 0 {
@@ -334,15 +283,14 @@ func Run(cfg Config) (*engine.FleetReport, error) {
 		errs = runParallel(ranges, cfg, fold)
 	} else {
 		for _, r := range ranges {
-			var st Stream
-			if cfg.Spawn != nil {
-				var err error
-				if st, err = cfg.Spawn(r); err != nil {
-					errs = append(errs, fmt.Errorf("shard %s: %w", r, err))
-					continue
-				}
-			} else {
-				st = RunRange(ec, r).Stream()
+			if cfg.Spawn == nil {
+				errs = append(errs, runLocal(fold, ec, r)) // errors.Join drops nil
+				continue
+			}
+			st, err := cfg.Spawn(r)
+			if err != nil {
+				errs = append(errs, fmt.Errorf("shard %s: %w", r, err))
+				continue
 			}
 			errs = append(errs, drainShard(fold, st, r)...)
 		}

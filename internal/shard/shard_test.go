@@ -139,40 +139,6 @@ func TestShardedChaosHealthIdentical(t *testing.T) {
 	}
 }
 
-// TestSpawnedShardsByteIdentical drives the subprocess wire path without a
-// subprocess: the spawn hook runs the range in-process but round-trips the
-// wire report through its JSON encoding, proving the serialization carries
-// everything the merge needs.
-func TestSpawnedShardsByteIdentical(t *testing.T) {
-	cfg := smallCfg(6)
-	oracle, err := engine.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spawned := 0
-	got, err := Run(Config{Engine: cfg, Shards: 3, Spawn: func(r Range) (Stream, error) {
-		spawned++
-		var buf bytes.Buffer
-		if err := RunRange(cfg, r).Encode(&buf); err != nil {
-			return nil, err
-		}
-		w, err := DecodeWireReport(&buf)
-		if err != nil {
-			return nil, err
-		}
-		return w.Stream(), nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spawned != 3 {
-		t.Errorf("spawn hook ran %d times, want 3", spawned)
-	}
-	if got.String() != oracle.String() {
-		t.Errorf("spawned merge diverged from oracle\n--- oracle\n%s\n--- spawned\n%s", oracle.String(), got.String())
-	}
-}
-
 // TestShardedUnrecoverableSurfaces asserts the partial-report contract
 // across the shard boundary: an unrecoverable sweep error in one shard
 // surfaces from Run naming the range, and the merged report still carries
@@ -214,6 +180,34 @@ func wireSpawn(cfg engine.Config) Spawn {
 		go func() { pw.CloseWithError(RunRangeWire(cfg, r, pw)) }()
 		return NewWireStream(pr, pr.Close), nil
 	}
+}
+
+// fakeChild encodes a shard stream the way a child writes it — vs as
+// vehicle frames, then tr — so range-contract tests can script a child
+// that misbehaves on an otherwise valid wire.
+func fakeChild(t *testing.T, vs []engine.VehicleReport, tr wire.Trailer) Stream {
+	t.Helper()
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	for i := range vs {
+		if err := w.WriteVehicle(&vs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.WriteTrailer(tr); err != nil {
+		t.Fatal(err)
+	}
+	return NewWireStream(&buf, nil)
+}
+
+// rangeVehicles runs the global vehicles of r in this process.
+func rangeVehicles(t *testing.T, cfg engine.Config, r Range) []engine.VehicleReport {
+	t.Helper()
+	fr, err := engine.Run(rangeConfig(cfg, r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fr.Vehicles
 }
 
 // TestBinaryWireStreamByteIdentical proves the binary protocol carries
@@ -269,11 +263,12 @@ func TestParallelFanOutByteIdentical(t *testing.T) {
 func TestSpawnErrorPartialReport(t *testing.T) {
 	cfg := smallCfg(8)
 	boom := errors.New("host unreachable")
+	healthy := wireSpawn(cfg)
 	spawn := func(r Range) (Stream, error) {
 		if r.Start == 2 { // the second of four 2-vehicle ranges
 			return nil, boom
 		}
-		return RunRange(cfg, r).Stream(), nil
+		return healthy(r)
 	}
 	for _, par := range []int{1, 3} {
 		got, err := Run(Config{Engine: cfg, Shards: 4, Spawn: spawn, Parallelism: par})
@@ -300,16 +295,16 @@ func TestSpawnErrorPartialReport(t *testing.T) {
 	}
 }
 
-// TestTrailerMismatchRecorded pins the range-echo check: a stream
-// covering the wrong range is recorded, the rest still merges.
+// TestTrailerMismatchRecorded pins the range-echo check: a stream whose
+// trailer claims the wrong range is recorded, the rest still merges.
 func TestTrailerMismatchRecorded(t *testing.T) {
 	cfg := smallCfg(4)
 	spawn := func(r Range) (Stream, error) {
-		w := RunRange(cfg, r)
+		tr := wire.Trailer{Start: r.Start, Count: r.Count}
 		if r.Start == 0 {
-			w.Range = Range{Start: 99, Count: 1} // lie about coverage
+			tr = wire.Trailer{Start: 99, Count: 1} // lie about coverage
 		}
-		return w.Stream(), nil
+		return fakeChild(t, rangeVehicles(t, cfg, r), tr), nil
 	}
 	got, err := Run(Config{Engine: cfg, Shards: 2, Spawn: spawn})
 	if err == nil {
@@ -320,6 +315,38 @@ func TestTrailerMismatchRecorded(t *testing.T) {
 	}
 	if got == nil || len(got.Vehicles) != 4 {
 		t.Fatalf("mismatched shard's vehicles were dropped: %+v", got)
+	}
+}
+
+// TestOvercountRecorded pins the vehicle-count check: a stream carrying
+// one frame more than its range, under an honest trailer, is recorded;
+// only the range's own vehicles fold, and the other shard still merges —
+// the merged report still matches the unsharded oracle.
+func TestOvercountRecorded(t *testing.T) {
+	cfg := smallCfg(4)
+	oracle, err := engine.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spawn := func(r Range) (Stream, error) {
+		frames := r
+		if r.Start == 0 {
+			frames.Count++ // one vehicle past the range
+		}
+		return fakeChild(t, rangeVehicles(t, cfg, frames), wire.Trailer{Start: r.Start, Count: r.Count}), nil
+	}
+	got, err := Run(Config{Engine: cfg, Shards: 2, Spawn: spawn})
+	if err == nil {
+		t.Fatal("overcounting stream surfaced no error")
+	}
+	if !strings.Contains(err.Error(), "shard 0:2: stream carried 3 vehicles") {
+		t.Errorf("error does not describe the overcount: %v", err)
+	}
+	if got == nil || len(got.Vehicles) != 4 {
+		t.Fatalf("merged report carries %d vehicles, want 4", len(got.Vehicles))
+	}
+	if got.String() != oracle.String() {
+		t.Errorf("overcount leaked into the merge\n--- oracle\n%s\n--- got\n%s", oracle.String(), got.String())
 	}
 }
 

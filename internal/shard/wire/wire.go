@@ -88,7 +88,7 @@ const maxFrame = 1 << 26
 // Typed stream errors.
 var (
 	// ErrBadMagic reports a stream that does not open with the wire magic
-	// (e.g. a JSON child piped into a binary reader).
+	// (e.g. a JSON document piped into a binary reader).
 	ErrBadMagic = errors.New("wire: bad stream magic")
 	// ErrVersion reports a stream speaking a protocol version this reader
 	// does not.
