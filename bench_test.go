@@ -491,10 +491,12 @@ func BenchmarkFleetSweep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var err error
 				fr, err = engine.Run(engine.Config{
-					Fleet:          fleetSize,
-					RootSeed:       42,
-					Scenarios:      scenarios,
-					Regimes:        []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
+					Fleet: fleetSize,
+					Groups: []engine.ScenarioGroup{{
+						Scenarios: scenarios,
+						Regimes:   []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
+						RootSeed:  42,
+					}},
 					TrafficHorizon: 10 * time.Millisecond,
 				})
 				if err != nil {

@@ -281,25 +281,30 @@ func buildEngineConfig(campaignFile, riskFile, enforcement string, fleetSize, wo
 		if err != nil {
 			return engine.Config{}, err
 		}
-		out, scfg, err := risk.SweepSetup(spec, riskRunConfig(fleetSize, workers, seed, noBatch, sup, nil))
+		out, scfg, err := risk.SweepSetup(spec, campaignSweepConfig(fleetSize, workers, seed, noBatch, sup, nil))
 		if err != nil {
 			return engine.Config{}, err
 		}
 		return campaign.EngineConfig(out.Plan, scfg)
 	default:
+		// The Table I sweep: one group of every Table I scenario under the
+		// selected regimes, seeded by -seed, on the -policy-backend harness.
 		regimes, err := parseRegimes(enforcement)
 		if err != nil {
 			return engine.Config{}, err
 		}
+		h, err := attack.NewHarnessBackend(sup.backend)
+		if err != nil {
+			return engine.Config{}, err
+		}
 		return engine.Config{
-			Fleet:         fleetSize,
-			Workers:       workers,
-			RootSeed:      seed,
-			Regimes:       regimes,
-			NoBatch:       noBatch,
-			Chaos:         sup.plan,
-			VerifySample:  sup.verify,
-			PolicyBackend: sup.backend,
+			Fleet:        fleetSize,
+			Workers:      workers,
+			Groups:       []engine.ScenarioGroup{{Scenarios: attack.Scenarios(), Regimes: regimes, RootSeed: seed}},
+			Harness:      h,
+			NoBatch:      noBatch,
+			Chaos:        sup.plan,
+			VerifySample: sup.verify,
 		}, nil
 	}
 }
@@ -380,27 +385,11 @@ func shardSpawn(campaignFile, riskFile, enforcement string, fleetSize, workers i
 	}
 }
 
-// campaignSweepConfig assembles the campaign sweep configuration shared by
-// the parent sweep and the shard child's config rebuild (spawn is nil in the
-// child — its slice IS the work).
+// campaignSweepConfig assembles the sweep configuration of the campaign and
+// risk modes, shared by the parent sweep and the shard child's config
+// rebuild (spawn is nil in the child — its slice IS the work).
 func campaignSweepConfig(fleetSize, workers int, seed uint64, noBatch bool, sup supervision, spawn shard.Spawn) campaign.SweepConfig {
 	return campaign.SweepConfig{
-		Fleet:            fleetSize,
-		Workers:          workers,
-		RootSeed:         seed,
-		NoBatch:          noBatch,
-		Chaos:            sup.plan,
-		VerifySample:     sup.verify,
-		PolicyBackend:    sup.backend,
-		Shards:           sup.shards,
-		SpawnShard:       spawn,
-		ShardParallelism: sup.shardParallelism,
-	}
-}
-
-// riskRunConfig is campaignSweepConfig's counterpart for the risk pipeline.
-func riskRunConfig(fleetSize, workers int, seed uint64, noBatch bool, sup supervision, spawn shard.Spawn) risk.RunConfig {
-	return risk.RunConfig{
 		Fleet:            fleetSize,
 		Workers:          workers,
 		RootSeed:         seed,
@@ -507,7 +496,7 @@ func runRisk(path string, listOnly bool, fleetSize, workers int, seed uint64, no
 		spawn = shardSpawn("", path, "", fleetSize, workers, seed, noBatch, sup)
 	}
 	start := time.Now()
-	out, err := risk.Run(spec, riskRunConfig(fleetSize, workers, seed, noBatch, sup, spawn))
+	out, err := risk.Run(spec, campaignSweepConfig(fleetSize, workers, seed, noBatch, sup, spawn))
 	if err != nil {
 		if out == nil || out.Report == nil {
 			return err

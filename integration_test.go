@@ -389,6 +389,32 @@ func TestRiskPipelineEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFleetReportGolden drives carsim's Table I fleet mode and requires the
+// deterministic report (everything before the wall-clock throughput line)
+// to match the checked-in golden file byte for byte.
+func TestFleetReportGolden(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "carsim")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/carsim").CombinedOutput(); err != nil {
+		t.Fatalf("build carsim: %v\n%s", err, out)
+	}
+	args := []string{"-fleet", "8", "-workers", "2", "-seed", "42"}
+	out, err := exec.Command(bin, args...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("carsim %v: %v\n%s", args, err, out)
+	}
+	got, _, found := strings.Cut(string(out), "\nthroughput:")
+	if !found {
+		t.Fatalf("no throughput line in output:\n%s", out)
+	}
+	want, err := os.ReadFile("testdata/fleet_report.golden")
+	if err != nil {
+		t.Fatalf("%v (regenerate with: go run ./cmd/carsim %s, dropping the throughput line)", err, strings.Join(args, " "))
+	}
+	if got != strings.TrimSuffix(string(want), "\n") {
+		t.Errorf("fleet report drifted from testdata/fleet_report.golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
 // TestChaosSupervisorEndToEnd drives carsim's fault-injection surface: a
 // recoverable seeded chaos sweep exits 0 with a health line and a payload
 // byte-identical to the fault-free run, and an unrecoverable plan exits 3
@@ -505,7 +531,9 @@ func TestExitCodeContract(t *testing.T) {
 // are stripped (health lines stay). The batched default is diffed against
 // the -no-batch oracle; in-process and subprocess shard layouts at several
 // fan-out levels against the unsharded run; the chaos plan across worker
-// counts and shard layouts; and the risk pipeline over subprocess shards.
+// counts and shard layouts; the Table I fleet mode against its oracle,
+// subprocess shards and every policy backend; and the risk pipeline over
+// subprocess shards and a non-default backend.
 func TestCLIDifferential(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "carsim")
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/carsim").CombinedOutput(); err != nil {
@@ -519,6 +547,7 @@ func TestCLIDifferential(t *testing.T) {
 		"-chaos", "seed=7,panic=0.02,corrupt=0.02,deadline=0.01,crash=0.005"}
 	chaos4 := with(chaos, "-workers", "4")
 	risk := []string{"-risk", "examples/threatmodels/connected-car.json", "-workers", "4"}
+	fleet := []string{"-fleet", "20", "-workers", "4"}
 	type row struct {
 		name      string
 		ref, args []string
@@ -536,6 +565,11 @@ func TestCLIDifferential(t *testing.T) {
 		row{"chaos/shards=4", chaos4, with(chaos4, "-shards", "4")},
 		row{"chaos/shards=4/exec/parallelism=4", chaos4, with(chaos4, "-shards", "4", "-shard-exec", "-shard-parallelism", "4")},
 		row{"risk/shards=2/exec", risk, with(risk, "-shards", "2", "-shard-exec")},
+		row{"risk/backend=expr", risk, with(risk, "-policy-backend", "expr")},
+		row{"fleet/no-batch", fleet, with(fleet, "-no-batch")},
+		row{"fleet/shards=3/exec/parallelism=2", fleet, with(fleet, "-shards", "3", "-shard-exec", "-shard-parallelism", "2")},
+		row{"fleet/backend=closure", fleet, with(fleet, "-policy-backend", "closure")},
+		row{"fleet/backend=expr", fleet, with(fleet, "-policy-backend", "expr")},
 	)
 
 	runs := map[string]string{} // each distinct invocation runs once

@@ -194,65 +194,6 @@ func (a *Arena) restore(ck *checkpoint, enf Enforcement) error {
 	return nil
 }
 
-// RunSummariesBatched is RunSummaries driven by a precomputed BatchPlan: for
-// every bucket of scenarios sharing a prefix it replays the prefix once per
-// regime, checkpoints the quiescent vehicle, and forks each cell from the
-// checkpoint instead of paying a full reset + regime provisioning + setup
-// replay. Singleton buckets fall back to the plain per-cell path.
-//
-// Aggregates are byte-identical to RunSummaries on the same scenarios and
-// regimes: each forked cell produces the same Result as a cold run (restore
-// equals reset — the checkpoint property tests assert it per cell), and
-// Summary.Add is commutative, so the bucket-major cell order cannot show in
-// the totals.
-func (a *Arena) RunSummariesBatched(p *BatchPlan) ([]RegimeSummary, error) {
-	out := make([]RegimeSummary, len(p.Regimes))
-	for i, enf := range p.Regimes {
-		out[i].Regime = enf
-	}
-	for _, bucket := range p.buckets {
-		if len(bucket) == 1 {
-			sc := p.Scenarios[bucket[0]]
-			for i, enf := range p.Regimes {
-				r, err := a.Run(sc, enf)
-				if err != nil {
-					return nil, err
-				}
-				out[i].Summary.Add(r)
-			}
-			continue
-		}
-		for i, enf := range p.Regimes {
-			// Shared prefix: every scenario in the bucket carries the same
-			// Setup (PlanBatches groups by prefix key, and the campaign
-			// compiler keys on the setup identity), so the first scenario's
-			// prefix stands in for all of them.
-			if err := a.resetForRegime(enf); err != nil {
-				return nil, err
-			}
-			if err := a.h.runSetup(a.car, p.Scenarios[bucket[0]]); err != nil {
-				return nil, err
-			}
-			if err := a.capture(&a.ckpt, enf); err != nil {
-				return nil, err
-			}
-			for ci, idx := range bucket {
-				if ci > 0 {
-					if err := a.restore(&a.ckpt, enf); err != nil {
-						return nil, err
-					}
-				}
-				r, err := a.h.executeTail(a.car, p.Scenarios[idx], enf, &a.inj)
-				if err != nil {
-					return nil, err
-				}
-				out[i].Summary.Add(r)
-			}
-		}
-	}
-	return out, nil
-}
-
 // RunMatrix executes every scenario under every requested regime on the
 // pooled vehicle: Harness.RunMatrix without the per-cell reconstruction.
 func (a *Arena) RunMatrix(scenarios []Scenario, regimes ...Enforcement) (Matrix, error) {

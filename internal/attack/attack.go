@@ -233,7 +233,9 @@ type Harness struct {
 	Enforcer ir.Enforcer
 	// Cycles is the HPE cycle model.
 	Cycles hpe.CycleModel
-	// Seed feeds bus error injection (0 disables errors entirely).
+	// Seed seeds each fresh car's bus error-injection RNG. Attack cars run
+	// with ErrorRate zero, so no cell result depends on it; only ErrorRate
+	// zero disables bus errors (sim.NewRNG remaps seed 0 to a fixed state).
 	Seed uint64
 }
 

@@ -2,8 +2,8 @@ package attack
 
 // This file implements the planning half of prefix-checkpointed batching:
 // grouping a scenario set's cells into buckets that share an identical
-// pre-attack prefix, so Arena.RunSummariesBatched can replay each prefix once
-// per enforcement regime and fork the bucket's cells from a checkpoint.
+// pre-attack prefix, so a BatchRun can replay each prefix once per
+// enforcement regime and fork the bucket's cells from a checkpoint.
 //
 // Bucketing is grouping, not reordering of work the caller can observe: the
 // batched executor only produces per-regime aggregates, every fold into them
@@ -43,7 +43,7 @@ func (p *BatchPlan) SharedCells() int {
 	return n
 }
 
-// PlanBatches buckets scenarios by PrefixKey for Arena.RunSummariesBatched.
+// PlanBatches buckets scenarios by PrefixKey for Arena.NewBatchRun.
 // Scenarios with equal non-zero keys share a bucket (they promise an
 // identical prefix: same Setup func or none); a zero key opts a scenario out
 // of sharing and yields a singleton bucket. Buckets keep first-appearance

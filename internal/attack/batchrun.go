@@ -6,14 +6,22 @@ import (
 	"repro/internal/car"
 )
 
-// This file implements the supervised counterpart of RunSummariesBatched: a
-// BatchRun walks the same bucket-major (bucket, regime, cell) order one cell
-// at a time, so the fleet engine's sweep supervisor can wrap every cell in
-// panic recovery, bounded retry and demotion without re-implementing the
-// prefix-checkpoint machinery. Each restore is guarded by a cheap integrity
-// checksum of the arena's externally observable state — a corrupted
-// checkpoint surfaces as a typed ErrIntegrity before the forked cell runs,
-// instead of silently poisoning every remaining cell of the bucket.
+// This file implements prefix-checkpointed batched execution. A BatchRun
+// walks a BatchPlan in bucket-major (bucket, regime, cell) order one cell at
+// a time, so the fleet engine's sweep supervisor can wrap every cell in
+// panic recovery, bounded retry and demotion. For every bucket of scenarios
+// sharing a prefix it replays the prefix once per regime, checkpoints the
+// quiescent vehicle, and forks each cell from the checkpoint instead of
+// paying a full reset + regime provisioning + setup replay; singleton
+// buckets run the plain per-cell path. Per-regime aggregates folded from a
+// drained cursor equal RunSummaries on the same scenarios and regimes: each
+// forked cell produces the same Result as a cold run (restore equals reset),
+// and Summary.Add is commutative, so the bucket-major order cannot show.
+//
+// Each restore is guarded by a cheap integrity checksum of the arena's
+// externally observable state — a corrupted checkpoint surfaces as a typed
+// ErrIntegrity before the forked cell runs, instead of silently poisoning
+// every remaining cell of the bucket.
 
 // BatchRun is a resumable cursor over one BatchPlan's cells on one arena.
 // Next advances the cursor, Run executes the current cell through the
@@ -34,10 +42,9 @@ type BatchRun struct {
 // NewBatchRun positions a fresh cursor before the plan's first cell.
 func (a *Arena) NewBatchRun(p *BatchPlan) *BatchRun { return &BatchRun{a: a, p: p} }
 
-// Next advances to the next cell in bucket-major, regime-minor order —
-// exactly RunSummariesBatched's execution order — and reports whether one
-// exists. Crossing a regime or bucket boundary invalidates the checkpoint,
-// as each (bucket, regime) pair primes its own.
+// Next advances to the next cell in bucket-major, regime-minor order and
+// reports whether one exists. Crossing a regime or bucket boundary
+// invalidates the checkpoint, as each (bucket, regime) pair primes its own.
 func (b *BatchRun) Next() bool {
 	if !b.started {
 		b.started = true

@@ -99,9 +99,9 @@ func TestCheckpointRestoreMatchesReset(t *testing.T) {
 	}
 }
 
-// TestRunSummariesBatchedMatchesOracle requires the bucketed executor to
-// aggregate byte-identically to the scenario-major oracle when every
-// scenario shares one prefix bucket, when buckets are interleaved (the order
+// TestRunSummariesBatchedMatchesOracle requires a drained BatchRun cursor to
+// aggregate byte-identically to the scenario-major RunSummaries oracle when
+// scenarios share a prefix bucket, when buckets are interleaved (the order
 // the campaign compiler's pick shuffle produces), and when keys are absent
 // (all-singleton degenerate plan).
 func TestRunSummariesBatchedMatchesOracle(t *testing.T) {
@@ -170,10 +170,7 @@ func TestRunSummariesBatchedMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s oracle: %v", name, err)
 		}
-		got, err := a.RunSummariesBatched(PlanBatches(scs, allRegimes...))
-		if err != nil {
-			t.Fatalf("%s batched: %v", name, err)
-		}
+		got := drainBatchRun(t, a, PlanBatches(scs, allRegimes...))
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: batched summaries diverged\noracle:  %+v\nbatched: %+v", name, want, got)
 		}

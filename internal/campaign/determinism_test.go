@@ -116,7 +116,7 @@ func TestSweepSeedsDecorrelate(t *testing.T) {
 
 // TestSweepMatchesFamilyMajorReference re-derives every family's outcome the
 // way the retired family-major executor did — one engine run per family with
-// that family's derived fleet root, live phase on the first only — and
+// that family's derived fleet root, each running its own live phase — and
 // requires the vehicle-major Sweep to match it family for family. Family
 // roots are positional (VehicleSeed(root^famSeed, index)), so family-order
 // permutation invariance is asserted at the engine layer
@@ -136,13 +136,14 @@ func TestSweepMatchesFamilyMajorReference(t *testing.T) {
 	for fi := range plan.Families {
 		fam := &plan.Families[fi]
 		fr, err := engine.Run(engine.Config{
-			Fleet:          fleet,
-			RootSeed:       engine.VehicleSeed(root^fam.Seed, fi),
-			Scenarios:      fam.Scenarios,
-			Regimes:        fam.Regimes,
+			Fleet: fleet,
+			Groups: []engine.ScenarioGroup{{
+				Scenarios: fam.Scenarios,
+				Regimes:   fam.Regimes,
+				RootSeed:  engine.VehicleSeed(root^fam.Seed, fi),
+			}},
 			TrafficHorizon: 10 * time.Millisecond,
 			Harness:        h,
-			SkipLive:       fi != 0,
 			SkipMAC:        true,
 		})
 		if err != nil {

@@ -21,13 +21,14 @@
 //
 // # Vehicle-major scenario groups
 //
-// A run may carry multiple ScenarioGroups (a compiled campaign's families):
-// the sweep then visits each vehicle once — live background phase, then
-// every group's scenario×regime cells back to back on the same warm arena —
-// instead of one barriered pass per family. Each group carries its own
-// fleet root, so every (group, vehicle) block stays a pure function of its
-// seeds; cross-group isolation rests on the arena's reset-equals-fresh
-// contract (each cell resets the vehicle).
+// A run sweeps one or more ScenarioGroups: a compiled campaign's families,
+// or the single Table I group of carsim's fleet mode. The sweep visits each
+// vehicle once — live background phase, then every group's scenario×regime
+// cells back to back on the same warm arena — instead of one barriered pass
+// per group. Each group carries its own fleet root, so every (group,
+// vehicle) block stays a pure function of its seeds; cross-group isolation
+// rests on the arena's reset-equals-fresh contract (each cell resets the
+// vehicle).
 //
 // # Batched evaluation
 //
@@ -117,8 +118,6 @@ type Config struct {
 	Fleet int
 	// Workers bounds the worker pool (default runtime.GOMAXPROCS(0)).
 	Workers int
-	// RootSeed feeds per-vehicle seed derivation.
-	RootSeed uint64
 	// IndexOffset shifts this run's vehicle indices into the global fleet
 	// index space: the run simulates global vehicles [IndexOffset,
 	// IndexOffset+Fleet). Seeds, VINs, and every supervision coordinate
@@ -127,42 +126,23 @@ type Config struct {
 	// vehicle exactly the trajectory the unsharded run would, whatever the
 	// shard layout. Zero (the default) is the unsharded whole-fleet run.
 	IndexOffset int
-	// Scenarios is the attack matrix swept per vehicle
-	// (default attack.Scenarios(), the full Table I set).
-	Scenarios []attack.Scenario
-	// Regimes are the enforcement configurations swept per vehicle
-	// (default none + hpe, the paper's baseline-vs-defence comparison).
-	Regimes []attack.Enforcement
-	// Groups optionally supplies multiple scenario groups swept per vehicle
-	// visit (the vehicle-major campaign executor). When set, Scenarios,
-	// Regimes and RootSeed are ignored for the attack sweeps — each group
-	// carries its own — and the live background phase derives its seed from
-	// the first group's root. When empty, the run is the single-group legacy
-	// shape built from Scenarios/Regimes/RootSeed.
+	// Groups are the scenario groups swept per vehicle visit (at least one;
+	// an empty Groups is an error). Each group carries its own scenarios,
+	// regimes and root seed. The first group's root also seeds the live
+	// background phase and the verify sampler, and the report header echoes
+	// it. The Table I sweep is one group of attack.Scenarios().
 	Groups []ScenarioGroup
-	// TrafficPeriod is the legitimate-traffic period of the live background
-	// simulation (default 1ms).
-	TrafficPeriod time.Duration
 	// TrafficHorizon is the virtual span of the live background simulation
 	// (default 50ms).
 	TrafficHorizon time.Duration
-	// Speed is the simulated vehicle speed for legitimate traffic.
-	Speed uint16
 	// ErrorRate enables bus error injection in the background simulation.
 	ErrorRate float64
-	// Harness optionally supplies a pre-built attack harness (compiled
-	// policy + cycle model) the run reuses instead of deriving its own —
-	// campaign sweeps call Run once per scenario family and share one
-	// harness across all of them.
+	// Harness supplies the attack harness (compiled policy, enforcement
+	// backend and cycle model) every vehicle enforces with; nil means
+	// attack.NewHarness(), the table backend. A caller that sweeps several
+	// runs with one policy — shard.Run, the rollout gate — builds the
+	// harness once and shares it.
 	Harness *attack.Harness
-	// PolicyBackend names the policy backend vehicles enforce with ("table",
-	// "expr", "closure"; empty = table). Ignored when Harness is supplied —
-	// the harness already carries its backend.
-	PolicyBackend string
-	// SkipLive skips the per-vehicle live background simulation phase (its
-	// bus counters and utilisation report as zero). Campaign sweeps enable
-	// it for every family after the first.
-	SkipLive bool
 	// SkipMAC skips the per-vehicle MAC least-privilege probe (and the MAC
 	// module derivation entirely).
 	SkipMAC bool
@@ -193,11 +173,6 @@ type Config struct {
 	// cell gets MaxRetries batched retries, then (demoted) MaxRetries oracle
 	// retries; a crashing vehicle visit gets MaxRetries re-runs. Default 2.
 	MaxRetries int
-	// CellTimeBudget is the virtual-clock watchdog: a cell that leaves the
-	// simulated clock past this budget is quarantined as a deadline overrun.
-	// Virtual time, not wall time — healthy cells finish in simulated
-	// milliseconds. Default 1 minute.
-	CellTimeBudget time.Duration
 	// OnVehicle, when non-nil, is invoked once per completed vehicle
 	// report in ascending vehicle-index order, as soon as every
 	// lower-indexed vehicle has also completed — the streaming emit hook
@@ -212,6 +187,14 @@ type Config struct {
 	OnVehicle func(*VehicleReport)
 }
 
+// The live background simulation's legitimate traffic (car.StartTraffic):
+// one tick of periodic frames per trafficPeriod of virtual time, reporting
+// trafficSpeed as the vehicle speed. No caller has ever varied either.
+const (
+	trafficPeriod = time.Millisecond
+	trafficSpeed  = 88
+)
+
 func (c *Config) applyDefaults() error {
 	if c.Fleet <= 0 {
 		c.Fleet = 1
@@ -223,16 +206,7 @@ func (c *Config) applyDefaults() error {
 		c.Workers = c.Fleet
 	}
 	if len(c.Groups) == 0 {
-		// Legacy single-group shape: the defaulted Scenarios/Regimes swept
-		// under the run's root seed. With explicit Groups these fields are
-		// ignored, so their defaults are not even built.
-		if len(c.Scenarios) == 0 {
-			c.Scenarios = attack.Scenarios()
-		}
-		if len(c.Regimes) == 0 {
-			c.Regimes = []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE}
-		}
-		c.Groups = []ScenarioGroup{{Scenarios: c.Scenarios, Regimes: c.Regimes, RootSeed: c.RootSeed}}
+		return errors.New("engine: no scenario groups")
 	}
 	for i := range c.Groups {
 		if len(c.Groups[i].Scenarios) == 0 {
@@ -242,14 +216,8 @@ func (c *Config) applyDefaults() error {
 			return fmt.Errorf("engine: group %d (%q) has no regimes", i, c.Groups[i].Name)
 		}
 	}
-	if c.TrafficPeriod <= 0 {
-		c.TrafficPeriod = time.Millisecond
-	}
 	if c.TrafficHorizon <= 0 {
 		c.TrafficHorizon = 50 * time.Millisecond
-	}
-	if c.Speed == 0 {
-		c.Speed = 88
 	}
 	return nil
 }
@@ -298,7 +266,7 @@ type shared struct {
 	// Config.NoBatch): plans are immutable, so all workers share them.
 	plans []*attack.BatchPlan
 	// sup is the resolved supervision configuration (chaos plan, verify
-	// sampling, retry budget, deadline budget) every worker consults.
+	// sampling, retry budget) every worker consults.
 	sup supervisorCfg
 	// stamp is the run's seed-invariant result: set before the worker pool
 	// starts, read-only afterwards, nil when every vehicle executes.
@@ -317,7 +285,7 @@ type shared struct {
 type stamp struct {
 	first VehicleReport
 	// live reports that the live phase is seed-invariant too (ErrorRate
-	// zero, or the phase skipped): stamped vehicles then execute nothing.
+	// zero): stamped vehicles then execute nothing.
 	live bool
 }
 
@@ -353,11 +321,10 @@ func buildProbes(sh *shared) {
 }
 
 // Run executes the fleet sweep and merges per-vehicle outcomes in vehicle
-// order. With Config.Groups set, the sweep is vehicle-major: each claimed
-// vehicle runs its live background phase once and then every group's
-// scenario×regime cells back to back on the same warm arena — one pass over
-// the fleet, no per-group barrier, no per-group worker-pool or arena
-// rebuild.
+// order. The sweep is vehicle-major: each claimed vehicle runs its live
+// background phase once and then every group's scenario×regime cells back
+// to back on the same warm arena — one pass over the fleet, no per-group
+// barrier, no per-group worker-pool or arena rebuild.
 func Run(cfg Config) (*FleetReport, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -365,7 +332,7 @@ func Run(cfg Config) (*FleetReport, error) {
 	h := cfg.Harness
 	if h == nil {
 		var err error
-		if h, err = attack.NewHarnessBackend(cfg.PolicyBackend); err != nil {
+		if h, err = attack.NewHarness(); err != nil {
 			return nil, err
 		}
 	}
@@ -373,15 +340,11 @@ func Run(cfg Config) (*FleetReport, error) {
 	sh.sup = supervisorCfg{
 		plan:       cfg.Chaos,
 		verify:     cfg.VerifySample,
-		verifySeed: cfg.RootSeed,
+		verifySeed: cfg.Groups[0].RootSeed,
 		maxRetries: cfg.MaxRetries,
-		timeBudget: cfg.CellTimeBudget,
 	}
 	if sh.sup.maxRetries <= 0 {
 		sh.sup.maxRetries = defaultMaxRetries
-	}
-	if sh.sup.timeBudget <= 0 {
-		sh.sup.timeBudget = defaultTimeBudget
 	}
 	if !cfg.NoBatch {
 		sh.plans = make([]*attack.BatchPlan, len(cfg.Groups))
@@ -425,7 +388,7 @@ func Run(cfg Config) (*FleetReport, error) {
 			next.Add(1)
 			reports[0], errs[0] = sh.runVehicle(s, cfg.IndexOffset)
 			if errs[0] == nil {
-				sh.stamp = &stamp{first: reports[0], live: cfg.ErrorRate == 0 || cfg.SkipLive}
+				sh.stamp = &stamp{first: reports[0], live: cfg.ErrorRate == 0}
 			}
 			if emit != nil {
 				emit.complete(0)
@@ -618,21 +581,18 @@ func (sh *shared) runVehicle(s stack, index int) (VehicleReport, error) {
 }
 
 // visitLive is one attempt of a visit's opening phase: the vehicle's
-// identity and, unless skipped, its live background simulation — its own
-// seeded traffic over the configured horizon on a reset vehicle with
-// provisioned policy engines.
+// identity and its live background simulation — its own seeded traffic
+// over the configured horizon on a reset vehicle with provisioned policy
+// engines.
 func (sh *shared) visitLive(s stack, index int) (rep VehicleReport, err error) {
 	defer contain(index, &err)
 	seed := VehicleSeed(sh.cfg.Groups[0].RootSeed, index)
 	rep = VehicleReport{Index: index, VIN: VIN(index), Seed: seed}
-	if sh.cfg.SkipLive {
-		return rep, nil
-	}
 	c, err := s.startLive(sh, car.Config{Seed: seed, ErrorRate: sh.cfg.ErrorRate})
 	if err != nil {
 		return rep, err
 	}
-	c.StartTraffic(sh.cfg.TrafficPeriod, sh.cfg.TrafficHorizon, sh.cfg.Speed)
+	c.StartTraffic(trafficPeriod, sh.cfg.TrafficHorizon, trafficSpeed)
 	c.Scheduler().Run()
 	collectLive(&rep, c)
 	return rep, nil
@@ -686,10 +646,9 @@ func contain(index int, err *error) {
 
 // foldGroups flattens per-group regime summaries into one aggregate per
 // regime, keyed by first appearance across groups. A single-group run folds
-// to exactly its group's summaries, preserving the legacy report shape. The
-// result is always freshly allocated — the legacy Attacks view must never
-// alias a group's own slice, or a caller folding into one would corrupt
-// the other.
+// to exactly its group's summaries. The result is always freshly allocated —
+// the Attacks view must never alias a group's own slice, or a caller
+// folding into one would corrupt the other.
 func foldGroups(groups [][]attack.RegimeSummary) []attack.RegimeSummary {
 	if len(groups) == 1 {
 		return append([]attack.RegimeSummary(nil), groups[0]...)
@@ -740,21 +699,6 @@ func macProbe(rep *VehicleReport, srv *mac.Server, sh *shared) {
 	if srv.Check(sh.spoof.src, sh.spoof.tgt, core.MACClassCAN, core.MACPermWrite).Allowed {
 		rep.MACAllowed++ // would indicate a broken least-privilege matrix
 	}
-}
-
-// Merge folds externally produced per-vehicle reports into one fleet report,
-// exactly as Run does for its own workers: aggregates are summed, Health
-// ledgers merged, and MeanUtilisation re-folded over the vehicle slice in
-// order — so a sharded sweep that concatenates its shards' vehicles in range
-// order renders byte-identically to the unsharded run (float summation order
-// included). cfg must describe the whole fleet (total Fleet, the unsharded
-// Workers value, zero IndexOffset); the same defaults Run applies are
-// applied here so the report header matches.
-func Merge(cfg Config, vehicles []VehicleReport) (*FleetReport, error) {
-	if err := cfg.applyDefaults(); err != nil {
-		return nil, err
-	}
-	return merge(cfg, vehicles), nil
 }
 
 // merge folds per-vehicle reports (in index order) into the fleet report:

@@ -12,16 +12,23 @@ import (
 	"repro/internal/threatmodel"
 )
 
+// tableGroup is a one-group sweep of the given Table I scenarios under the
+// paper's baseline-vs-defence regimes, the shape of carsim's fleet mode.
+func tableGroup(root uint64, scenarios []attack.Scenario) []ScenarioGroup {
+	return []ScenarioGroup{{
+		Scenarios: scenarios,
+		Regimes:   []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
+		RootSeed:  root,
+	}}
+}
+
 // quickConfig keeps unit-test runs fast: a small scenario slice and a short
 // traffic horizon.
 func quickConfig(fleetSize, workers int) Config {
 	return Config{
 		Fleet:          fleetSize,
 		Workers:        workers,
-		RootSeed:       0xC0FFEE,
-		Scenarios:      attack.Scenarios()[:3],
-		Regimes:        []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
-		TrafficPeriod:  time.Millisecond,
+		Groups:         tableGroup(0xC0FFEE, attack.Scenarios()[:3]),
 		TrafficHorizon: 10 * time.Millisecond,
 	}
 }

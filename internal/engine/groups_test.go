@@ -26,7 +26,6 @@ func groupConfig(groups []ScenarioGroup, workers int, noBatch bool) Config {
 	return Config{
 		Fleet:          6,
 		Workers:        workers,
-		RootSeed:       groups[0].RootSeed,
 		Groups:         groups,
 		TrafficHorizon: 5 * time.Millisecond,
 		ErrorRate:      0.02,
@@ -38,7 +37,9 @@ func groupConfig(groups []ScenarioGroup, workers int, noBatch bool) Config {
 // TestGroupsMatchFamilyMajorRuns is the vehicle-major executor's equivalence
 // oracle: one multi-group Run must reproduce, group for group, what the
 // retired family-major executor computed — one single-group engine run per
-// family (live phase on the first only), with a full barrier in between.
+// family, with a full barrier in between. Every family-major run executes
+// its own live phase; the multi-group run's live phase is seeded by the
+// first group's root, so its live counters must match the first run's.
 func TestGroupsMatchFamilyMajorRuns(t *testing.T) {
 	groups := testGroups()
 	multi, err := Run(groupConfig(groups, 2, false))
@@ -52,12 +53,9 @@ func TestGroupsMatchFamilyMajorRuns(t *testing.T) {
 		single, err := Run(Config{
 			Fleet:          6,
 			Workers:        2,
-			RootSeed:       g.RootSeed,
-			Scenarios:      g.Scenarios,
-			Regimes:        g.Regimes,
+			Groups:         []ScenarioGroup{g},
 			TrafficHorizon: 5 * time.Millisecond,
 			ErrorRate:      0.02,
-			SkipLive:       gi != 0,
 			SkipMAC:        true,
 		})
 		if err != nil {
@@ -143,9 +141,13 @@ func TestGroupsPooledMatchesFreshAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestGroupsValidation pins the explicit-group contract: a group without
-// scenarios or regimes is a configuration error, not a silent no-op.
+// TestGroupsValidation pins the explicit-group contract: a run without
+// groups, or a group without scenarios or regimes, is a configuration
+// error, not a silent no-op or a hidden default sweep.
 func TestGroupsValidation(t *testing.T) {
+	if _, err := Run(Config{Fleet: 1}); err == nil {
+		t.Error("run with no groups did not error")
+	}
 	if _, err := Run(Config{Groups: []ScenarioGroup{{Name: "empty"}}}); err == nil {
 		t.Error("group with no scenarios did not error")
 	}

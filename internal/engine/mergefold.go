@@ -6,13 +6,12 @@ import (
 	"repro/internal/attack"
 )
 
-// MergeFold is the incremental form of Merge: vehicle reports are folded
-// into the fleet aggregates one at a time, in arrival order, so a
-// streaming consumer (the shard driver decoding child pipes) never holds
-// more than the vehicles it has chosen to retain. Merge itself is this
-// fold applied to a slice — same statement order per vehicle, same float
-// summation order — so a stream folded in index order finishes
-// byte-identical to the batch merge of the same vehicles.
+// MergeFold folds vehicle reports into the fleet aggregates one at a time,
+// in arrival order, so a streaming consumer (shard.Run decoding child
+// pipes) never holds more than the vehicles it has chosen to retain.
+// Run's own merge is this fold applied to its report slice — same
+// statement order per vehicle, same float summation order — so a stream
+// folded in index order finishes byte-identical to the unsharded run.
 //
 // Not safe for concurrent use: the shard driver serialises Adds behind
 // its in-range-order merge loop, exactly as the batch fold serialises its
@@ -39,7 +38,7 @@ func newMergeFold(cfg Config) *MergeFold {
 	fr := &FleetReport{
 		Fleet:    cfg.Fleet,
 		Workers:  cfg.Workers,
-		RootSeed: cfg.RootSeed,
+		RootSeed: cfg.Groups[0].RootSeed,
 		Groups:   make([]GroupReport, len(cfg.Groups)),
 	}
 	for gi := range cfg.Groups {

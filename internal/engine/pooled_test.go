@@ -15,9 +15,7 @@ func pooledTestConfig(workers int) Config {
 	return Config{
 		Fleet:          10,
 		Workers:        workers,
-		RootSeed:       42,
-		Scenarios:      attack.Scenarios()[:4],
-		Regimes:        []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
+		Groups:         tableGroup(42, attack.Scenarios()[:4]),
 		TrafficHorizon: 10 * time.Millisecond,
 		ErrorRate:      0.02,
 	}

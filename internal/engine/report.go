@@ -17,8 +17,8 @@ type VehicleReport struct {
 	// the run sweeps multiple scenario groups).
 	Seed uint64
 	// Attacks holds one aggregate per enforcement regime, keyed by first
-	// appearance across the vehicle's scenario groups. For the legacy
-	// single-group run this is exactly the group's sweep-order aggregates.
+	// appearance across the vehicle's scenario groups. For a single-group
+	// run this is exactly the group's sweep-order aggregates.
 	Attacks []attack.RegimeSummary
 	// Groups holds one regime-summary block per scenario group, in group
 	// order — the per-vehicle slice the campaign executor folds from.
@@ -64,12 +64,13 @@ type FleetReport struct {
 	// Fleet and Workers echo the run configuration.
 	Fleet   int
 	Workers int
-	// RootSeed echoes the seed all vehicle seeds derive from.
+	// RootSeed echoes the first group's root, which seeds the live phase
+	// and the per-vehicle Seed column.
 	RootSeed uint64
 	// Vehicles holds every per-vehicle report, ordered by index.
 	Vehicles []VehicleReport
 	// Groups holds one fleet-merged block per scenario group, in group
-	// order (a single block for legacy single-group runs).
+	// order.
 	Groups []GroupReport
 	// Attacks holds fleet-merged attack aggregates, one per regime keyed by
 	// first appearance across groups.

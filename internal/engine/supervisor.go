@@ -46,7 +46,10 @@ var (
 
 const (
 	defaultMaxRetries = 2
-	defaultTimeBudget = time.Minute // virtual; healthy cells finish in simulated milliseconds
+	// cellTimeBudget is the virtual-clock watchdog: a cell that leaves the
+	// simulated clock past it is quarantined as a deadline overrun. Virtual
+	// time, not wall time — healthy cells finish in simulated milliseconds.
+	cellTimeBudget = time.Minute
 
 	backoffBase = time.Millisecond
 	backoffCap  = 8 * time.Millisecond
@@ -63,7 +66,6 @@ type supervisorCfg struct {
 	verify     float64
 	verifySeed uint64
 	maxRetries int
-	timeBudget time.Duration
 }
 
 // chaotic reports whether fault injection or inline verification is armed —
@@ -176,8 +178,8 @@ func (e *cellExec) attempt(sc attack.Scenario, sci, ri int, enf attack.Enforceme
 	// reachable): a healthy cell leaves the clock in simulated
 	// milliseconds, so a clock past the budget means a runaway tail.
 	if e.owner != nil {
-		if now := e.owner.att.Car().Scheduler().Now(); now > e.sup.timeBudget {
-			return r, fmt.Errorf("%w: clock at %s after the cell (budget %s)", ErrCellDeadline, now, e.sup.timeBudget)
+		if now := e.owner.att.Car().Scheduler().Now(); now > cellTimeBudget {
+			return r, fmt.Errorf("%w: clock at %s after the cell (budget %s)", ErrCellDeadline, now, cellTimeBudget)
 		}
 	}
 	return r, nil
@@ -250,10 +252,10 @@ func (e *cellExec) maybeVerify(r attack.Result, sci, ri, attempt int) (attack.Re
 }
 
 // runGroupCells executes one group's cells under supervision and folds them
-// into per-regime aggregates — the supervised equivalent of
-// RunSummariesBatched (batched backend) or runSummaries (the NoBatch
-// oracle), walking the identical cell order so a fault-free supervised
-// sweep folds byte-identical aggregates.
+// into per-regime aggregates: bucket-major over the BatchRun cursor on the
+// batched path, scenario-major cell by cell on the NoBatch oracle. Both
+// fold byte-identical aggregates, because every cell's Result is the same
+// either way and Summary.Add is commutative.
 func runGroupCells(e *cellExec, g *ScenarioGroup) ([]attack.RegimeSummary, error) {
 	out := make([]attack.RegimeSummary, len(g.Regimes))
 	for i, enf := range g.Regimes {

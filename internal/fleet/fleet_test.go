@@ -135,13 +135,13 @@ func TestRolloutToleratesFailuresBelowThreshold(t *testing.T) {
 
 func TestRolloutTinyFleet(t *testing.T) {
 	// With 3 vehicles the 1% and 10% stages are empty; everyone updates in
-	// later stages and nobody is skipped or hit twice.
-	applied := map[string]int{}
+	// later stages and nobody is skipped or hit twice. Each vehicle counts
+	// into its own slot, so parallel stage workers share no state.
+	applied := make([]int, 3)
 	var vehicles []Vehicle
-	for i := 0; i < 3; i++ {
-		id := fmt.Sprintf("V-%d", i)
-		vehicles = append(vehicles, VehicleFunc{VID: id, Fn: func(*policy.Bundle) error {
-			applied[id]++
+	for i := range applied {
+		vehicles = append(vehicles, VehicleFunc{VID: fmt.Sprintf("V-%d", i), Fn: func(*policy.Bundle) error {
+			applied[i]++
 			return nil
 		}})
 	}
@@ -152,9 +152,9 @@ func TestRolloutTinyFleet(t *testing.T) {
 	if r.Applied != 3 {
 		t.Fatalf("applied = %d", r.Applied)
 	}
-	for id, n := range applied {
+	for i, n := range applied {
 		if n != 1 {
-			t.Errorf("vehicle %s updated %d times", id, n)
+			t.Errorf("vehicle V-%d updated %d times", i, n)
 		}
 	}
 }
@@ -192,7 +192,8 @@ func TestReportString(t *testing.T) {
 }
 
 func TestRolloutDeterministicOrder(t *testing.T) {
-	// Vehicles are attempted in ID order regardless of input order.
+	// With one worker, vehicles are attempted in ID order regardless of
+	// input order.
 	var order []string
 	mk := func(id string) Vehicle {
 		return VehicleFunc{VID: id, Fn: func(*policy.Bundle) error {
@@ -201,11 +202,33 @@ func TestRolloutDeterministicOrder(t *testing.T) {
 		}}
 	}
 	vehicles := []Vehicle{mk("C"), mk("A"), mk("B")}
-	if _, err := Rollout(vehicles, testBundle(t, 1), Plan{Stages: []float64{1}, AbortThreshold: 0.1}); err != nil {
+	if _, err := Rollout(vehicles, testBundle(t, 1), Plan{Stages: []float64{1}, AbortThreshold: 0.1, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if order[0] != "A" || order[1] != "B" || order[2] != "C" {
+	if len(order) != 3 || order[0] != "A" || order[1] != "B" || order[2] != "C" {
 		t.Errorf("order = %v", order)
+	}
+
+	// With parallel workers the attempt order is unspecified, but the report
+	// folds outcomes in ID order: every vehicle fails with its own error,
+	// and the stage lists the failures A, B, C.
+	fail := func(id string) Vehicle {
+		return VehicleFunc{VID: id, Fn: func(*policy.Bundle) error { return errors.New(id) }}
+	}
+	r, err := Rollout([]Vehicle{fail("C"), fail("A"), fail("B")}, testBundle(t, 1),
+		Plan{Stages: []float64{1}, AbortThreshold: 0.1, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range r.Stages[0].Failures {
+		if f.VehicleID != f.Err.Error() {
+			t.Errorf("failure %s carries %v", f.VehicleID, f.Err)
+		}
+		got = append(got, f.VehicleID)
+	}
+	if strings.Join(got, ",") != "A,B,C" {
+		t.Errorf("failure order = %v, want [A B C]", got)
 	}
 }
 

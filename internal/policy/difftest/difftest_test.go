@@ -41,11 +41,11 @@ func TestSpecHandChecked(t *testing.T) {
 		want policy.Effect
 	}{
 		{Probe{"ecu", "normal", policy.ActRead, 0x15}, policy.Allow},
-		{Probe{"ecu", "failsafe", policy.ActRead, 0x15}, policy.Deny},  // deny overrides
-		{Probe{"ecu", "normal", policy.ActWrite, 0x15}, policy.Deny},   // wrong direction
-		{Probe{"ecu", "normal", policy.ActRead, 0x20}, policy.Deny},    // outside range
-		{Probe{"ghost", "normal", policy.ActRead, 0x15}, policy.Deny},  // unknown subject
-		{Probe{"ecu", "track", policy.ActRead, 0x15}, policy.Deny},     // unknown mode
+		{Probe{"ecu", "failsafe", policy.ActRead, 0x15}, policy.Deny},    // deny overrides
+		{Probe{"ecu", "normal", policy.ActWrite, 0x15}, policy.Deny},     // wrong direction
+		{Probe{"ecu", "normal", policy.ActRead, 0x20}, policy.Deny},      // outside range
+		{Probe{"ghost", "normal", policy.ActRead, 0x15}, policy.Deny},    // unknown subject
+		{Probe{"ecu", "track", policy.ActRead, 0x15}, policy.Deny},       // unknown mode
 		{Probe{"ecu", "normal", policy.ActReadWrite, 0x15}, policy.Deny}, // invalid act
 	}
 	for _, c := range cases {

@@ -88,7 +88,7 @@ func TestGoldenRiskView(t *testing.T) {
 		Seed:     42,
 		RootSeed: 42,
 		Threats:  []string{"CONN-1", "EVECU-3", "INFO-2"},
-	}, risk.RunConfig{Fleet: 4})
+	}, campaign.SweepConfig{Fleet: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,12 +24,12 @@ func determinismSpec() *Spec {
 // worker count. Runs under -race in CI, exercising the pooled arenas across
 // the whole synthesize → sweep → calibrate path.
 func TestProfileByteIdenticalAcrossWorkers(t *testing.T) {
-	base, err := Run(determinismSpec(), RunConfig{Fleet: 6, Workers: 1, RootSeed: 1234})
+	base, err := Run(determinismSpec(), campaign.SweepConfig{Fleet: 6, Workers: 1, RootSeed: 1234})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{4, runtime.GOMAXPROCS(0)} {
-		out, err := Run(determinismSpec(), RunConfig{Fleet: 6, Workers: w, RootSeed: 1234})
+		out, err := Run(determinismSpec(), campaign.SweepConfig{Fleet: 6, Workers: w, RootSeed: 1234})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -43,11 +43,11 @@ func TestProfileByteIdenticalAcrossWorkers(t *testing.T) {
 // TestProfilePooledMatchesFresh requires the pooled batched default and the
 // fresh-stack NoBatch oracle to calibrate byte-identical profiles.
 func TestProfilePooledMatchesFresh(t *testing.T) {
-	pooled, err := Run(determinismSpec(), RunConfig{Fleet: 5, RootSeed: 77})
+	pooled, err := Run(determinismSpec(), campaign.SweepConfig{Fleet: 5, RootSeed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Run(determinismSpec(), RunConfig{Fleet: 5, RootSeed: 77, NoBatch: true})
+	fresh, err := Run(determinismSpec(), campaign.SweepConfig{Fleet: 5, RootSeed: 77, NoBatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +61,11 @@ func TestProfilePooledMatchesFresh(t *testing.T) {
 // drives family sub-seed derivation, the root seed the per-vehicle
 // derivation — changing either must change the swept report.
 func TestProfileSeedsReachSweep(t *testing.T) {
-	base, err := Run(determinismSpec(), RunConfig{Fleet: 2, RootSeed: 1})
+	base, err := Run(determinismSpec(), campaign.SweepConfig{Fleet: 2, RootSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reseeded, err := Run(determinismSpec(), RunConfig{Fleet: 2, RootSeed: 2})
+	reseeded, err := Run(determinismSpec(), campaign.SweepConfig{Fleet: 2, RootSeed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestProfileSeedsReachSweep(t *testing.T) {
 	}
 	sp := determinismSpec()
 	sp.Seed = 100
-	respecced, err := Run(sp, RunConfig{Fleet: 2, RootSeed: 1})
+	respecced, err := Run(sp, campaign.SweepConfig{Fleet: 2, RootSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

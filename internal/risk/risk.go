@@ -36,11 +36,8 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/attack"
 	"repro/internal/campaign"
 	"repro/internal/car"
-	"repro/internal/chaos"
-	"repro/internal/shard"
 	"repro/internal/threatmodel"
 )
 
@@ -120,48 +117,6 @@ func Analysis(model string) (*threatmodel.Analysis, error) {
 	return fn()
 }
 
-// RunConfig parameterises the sweep half of a risk run. Fleet and RootSeed
-// are fallbacks: a spec that sets its own values wins, so a shipped spec
-// yields one well-defined profile whatever flags the caller passes.
-type RunConfig struct {
-	// Fleet is the vehicle population when the spec leaves it unset
-	// (default 1).
-	Fleet int
-	// Workers bounds the fleet engine's worker pool (default GOMAXPROCS).
-	Workers int
-	// RootSeed feeds the sweep when the spec leaves it unset.
-	RootSeed uint64
-	// NoBatch selects the engine's reference oracle (fresh stacks, cell by
-	// cell) instead of the default pooled batched executor; the profile is
-	// byte-identical either way.
-	NoBatch bool
-	// Chaos arms the sweep supervisor's deterministic fault injection.
-	Chaos *chaos.Plan
-	// VerifySample cross-checks this fraction of batched cells against the
-	// cell-by-cell oracle inline.
-	VerifySample float64
-	// MaxRetries bounds the supervisor's per-rung retry budget (default 2).
-	MaxRetries int
-	// PolicyBackend names the policy backend vehicles enforce with; the
-	// profile is byte-identical across backends (decision equivalence).
-	PolicyBackend string
-	// Harness, when non-nil, overrides the backend-derived harness so the
-	// sweep enforces with exactly this compiled policy — the OTA rollout
-	// driver measures candidate bundles this way before any vehicle
-	// installs them.
-	Harness *attack.Harness
-	// Shards partitions the sweep's fleet into that many contiguous index
-	// ranges run as independent engine runs; the profile is byte-identical
-	// across shard counts (<=1: unsharded).
-	Shards int
-	// SpawnShard, when non-nil, runs each shard range out of process (see
-	// campaign.SweepConfig.SpawnShard).
-	SpawnShard shard.Spawn
-	// ShardParallelism bounds how many spawned shards run concurrently
-	// (see campaign.SweepConfig.ShardParallelism).
-	ShardParallelism int
-}
-
 // Outcome bundles every artifact of one risk run.
 type Outcome struct {
 	// Analysis is the rated threat model.
@@ -204,44 +159,30 @@ func Compile(sp *Spec) (*Outcome, error) {
 }
 
 // SweepSetup compiles the spec and resolves the sweep configuration the
-// pipeline runs under — the spec's Fleet/RootSeed win over the config's, so
-// a shipped spec yields one well-defined profile whatever flags the caller
-// passes. Exported so a subprocess shard can rebuild the exact whole-fleet
-// configuration its parent partitions (via campaign.EngineConfig) from the
-// same spec file and flags.
-func SweepSetup(sp *Spec, rc RunConfig) (*Outcome, campaign.SweepConfig, error) {
+// pipeline runs under: cfg, with the spec's Fleet/RootSeed winning over
+// cfg's, so a shipped spec yields one well-defined profile whatever flags
+// the caller passes. Exported so a subprocess shard can rebuild the exact
+// whole-fleet configuration its parent partitions (via
+// campaign.EngineConfig) from the same spec file and flags.
+func SweepSetup(sp *Spec, cfg campaign.SweepConfig) (*Outcome, campaign.SweepConfig, error) {
 	out, err := Compile(sp)
 	if err != nil {
 		return nil, campaign.SweepConfig{}, err
 	}
-	fleet := rc.Fleet
 	if sp.Fleet > 0 {
-		fleet = sp.Fleet
+		cfg.Fleet = sp.Fleet
 	}
-	root := rc.RootSeed
 	if sp.RootSeed != 0 {
-		root = sp.RootSeed
+		cfg.RootSeed = sp.RootSeed
 	}
-	return out, campaign.SweepConfig{
-		Fleet:            fleet,
-		Workers:          rc.Workers,
-		RootSeed:         root,
-		NoBatch:          rc.NoBatch,
-		Chaos:            rc.Chaos,
-		VerifySample:     rc.VerifySample,
-		MaxRetries:       rc.MaxRetries,
-		PolicyBackend:    rc.PolicyBackend,
-		Harness:          rc.Harness,
-		Shards:           rc.Shards,
-		SpawnShard:       rc.SpawnShard,
-		ShardParallelism: rc.ShardParallelism,
-	}, nil
+	return out, cfg, nil
 }
 
 // Run executes the full pipeline: analyse the model, synthesize the
-// campaign, sweep it on the fleet engine, and calibrate the profile.
-func Run(sp *Spec, rc RunConfig) (*Outcome, error) {
-	out, scfg, err := SweepSetup(sp, rc)
+// campaign, sweep it on the fleet engine under cfg (see SweepSetup for the
+// spec's overrides), and calibrate the profile.
+func Run(sp *Spec, cfg campaign.SweepConfig) (*Outcome, error) {
+	out, scfg, err := SweepSetup(sp, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -110,7 +110,7 @@ func TestSynthesizeRejectsUnknownGoal(t *testing.T) {
 // adjustments, every covered threat reconciles rubric vs measured, and the
 // defended block rates land where the paper's Table I evaluation puts them.
 func TestCalibrateExampleModel(t *testing.T) {
-	out, err := Run(&Spec{Model: "connected-car", Seed: 42, RootSeed: 42}, RunConfig{Fleet: 3})
+	out, err := Run(&Spec{Model: "connected-car", Seed: 42, RootSeed: 42}, campaign.SweepConfig{Fleet: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestParseSpec(t *testing.T) {
 // caller's values only fill gaps.
 func TestRunSpecOverrides(t *testing.T) {
 	sp := &Spec{Model: "connected-car", Threats: []string{car.ThreatInfoStatusMod}, Fleet: 2, RootSeed: 7}
-	out, err := Run(sp, RunConfig{Fleet: 9, RootSeed: 99})
+	out, err := Run(sp, campaign.SweepConfig{Fleet: 9, RootSeed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestRunSpecOverrides(t *testing.T) {
 		t.Errorf("spec values lost: fleet=%d root=%d", out.Report.Fleet, out.Report.RootSeed)
 	}
 	sp2 := &Spec{Model: "connected-car", Threats: []string{car.ThreatInfoStatusMod}}
-	out2, err := Run(sp2, RunConfig{Fleet: 3, RootSeed: 99})
+	out2, err := Run(sp2, campaign.SweepConfig{Fleet: 3, RootSeed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}

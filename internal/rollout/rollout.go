@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/policy"
@@ -178,7 +179,7 @@ func (g *residualGate) residual(label string, cohort int, h *attack.Harness) (fl
 	spec := *g.cfg.GateSpec
 	spec.Fleet = cohort // cohort sizing wins over the spec's own pin
 	start := time.Now()
-	out, err := risk.Run(&spec, risk.RunConfig{
+	out, err := risk.Run(&spec, campaign.SweepConfig{
 		Fleet:    cohort,
 		Workers:  g.cfg.Workers,
 		RootSeed: g.cfg.RootSeed,

@@ -23,11 +23,13 @@ import (
 func realVehicles(t *testing.T, fleet int) []engine.VehicleReport {
 	t.Helper()
 	fr, err := engine.Run(engine.Config{
-		Fleet:          fleet,
-		Workers:        2,
-		RootSeed:       0xC0FFEE,
-		Scenarios:      attack.Scenarios()[:2],
-		Regimes:        []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
+		Fleet:   fleet,
+		Workers: 2,
+		Groups: []engine.ScenarioGroup{{
+			Scenarios: attack.Scenarios()[:2],
+			Regimes:   []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
+			RootSeed:  0xC0FFEE,
+		}},
 		TrafficHorizon: 10 * time.Millisecond,
 		Chaos:          &chaos.Plan{Seed: 7, Panic: 0.2, Corrupt: 0.1},
 	})
