@@ -5,6 +5,7 @@ package repro_test
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/canbus"
 	"repro/internal/car"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/hpe"
 	"repro/internal/lifecycle"
@@ -25,6 +27,31 @@ import (
 	"repro/internal/policy"
 	"repro/internal/report"
 )
+
+// -update rewrites the goldens checked by checkGolden from the current output:
+//
+//	go test . -run 'Golden|DeterministicReplay' -update
+var update = flag.Bool("update", false, "rewrite golden files with current output")
+
+// checkGolden compares got with the golden file at path byte for byte,
+// ignoring one trailing newline on either side.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	got = strings.TrimSuffix(got, "\n")
+	if *update {
+		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got != strings.TrimSuffix(string(want), "\n") {
+		t.Errorf("output drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+	}
+}
 
 // testEntropy yields deterministic bytes for key generation.
 type testEntropy byte
@@ -389,30 +416,59 @@ func TestRiskPipelineEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFleetReportGolden drives carsim's Table I fleet mode and requires the
-// deterministic report (everything before the wall-clock throughput line)
-// to match the checked-in golden file byte for byte.
+// TestFleetReportGolden drives carsim's deterministic report modes and
+// requires each output (everything before the wall-clock throughput line,
+// where the mode prints one) to match its checked-in golden file byte for
+// byte: the Table I fleet sweep, and E1's flood of pre-scheduled frames run
+// under RunUntil.
 func TestFleetReportGolden(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "carsim")
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/carsim").CombinedOutput(); err != nil {
 		t.Fatalf("build carsim: %v\n%s", err, out)
 	}
-	args := []string{"-fleet", "8", "-workers", "2", "-seed", "42"}
-	out, err := exec.Command(bin, args...).CombinedOutput()
+	for _, tc := range []struct {
+		name       string
+		args       []string
+		golden     string
+		throughput bool // the mode ends in a wall-clock throughput line
+	}{
+		{"fleet", []string{"-fleet", "8", "-workers", "2", "-seed", "42"}, "testdata/fleet_report.golden", true},
+		{"latency", []string{"-latency"}, "testdata/latency.golden", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := exec.Command(bin, tc.args...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("carsim %v: %v\n%s", tc.args, err, out)
+			}
+			got, _, found := strings.Cut(string(out), "\nthroughput:")
+			if found != tc.throughput {
+				t.Fatalf("throughput line present=%v, want %v:\n%s", found, tc.throughput, out)
+			}
+			checkGolden(t, tc.golden, got)
+		})
+	}
+}
+
+// TestNoisyFleetGolden pins the live phase vehicle by vehicle: engine.Run
+// over 8 Table I vehicles with 2% bus errors and a 250 ms traffic horizon.
+// Each vehicle's seed drives its own error injections, so the rendered
+// delivered, util and steps columns fix the event order of every live run.
+func TestNoisyFleetGolden(t *testing.T) {
+	rep, err := engine.Run(engine.Config{
+		Fleet:   8,
+		Workers: 2,
+		Groups: []engine.ScenarioGroup{{
+			Scenarios: attack.Scenarios(),
+			Regimes:   []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
+			RootSeed:  42,
+		}},
+		TrafficHorizon: 250 * time.Millisecond,
+		ErrorRate:      0.02,
+	})
 	if err != nil {
-		t.Fatalf("carsim %v: %v\n%s", args, err, out)
+		t.Fatal(err)
 	}
-	got, _, found := strings.Cut(string(out), "\nthroughput:")
-	if !found {
-		t.Fatalf("no throughput line in output:\n%s", out)
-	}
-	want, err := os.ReadFile("testdata/fleet_report.golden")
-	if err != nil {
-		t.Fatalf("%v (regenerate with: go run ./cmd/carsim %s, dropping the throughput line)", err, strings.Join(args, " "))
-	}
-	if got != strings.TrimSuffix(string(want), "\n") {
-		t.Errorf("fleet report drifted from testdata/fleet_report.golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "testdata/noisy_fleet.golden", rep.String())
 }
 
 // TestChaosSupervisorEndToEnd drives carsim's fault-injection surface: a
@@ -609,7 +665,9 @@ func TestCLIDifferential(t *testing.T) {
 }
 
 // TestDeterministicReplay: two identical simulations produce identical
-// traces — the property every experiment in EXPERIMENTS.md relies on.
+// traces — the property every experiment in EXPERIMENTS.md relies on — and
+// that trace, error injections and retransmissions included, matches
+// testdata/bus_trace.golden byte for byte.
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []string {
 		c := car.MustNew(car.Config{ErrorRate: 0.05, Seed: 99})
@@ -634,4 +692,5 @@ func TestDeterministicReplay(t *testing.T) {
 			t.Fatalf("traces diverge at %d:\n%s\n%s", i, a[i], b[i])
 		}
 	}
+	checkGolden(t, "testdata/bus_trace.golden", strings.Join(a, "\n"))
 }

@@ -51,23 +51,75 @@ func TestSchedulerResetEquivalence(t *testing.T) {
 }
 
 // TestSchedulerResetAllocationFree checks that the schedule/reset cycle
-// reuses the recycled items instead of allocating.
+// reuses the recycled items instead of allocating, whether Reset finds the
+// events queued in the lane only (ascending times, nothing run) or in both
+// queues (a train of pre-scheduled ticks stopped mid-run, with per-tick
+// events in the heap).
 func TestSchedulerResetAllocationFree(t *testing.T) {
-	s := &Scheduler{}
 	fn := Event(func(time.Duration) {})
-	// Warm the free list and the heap's backing array.
-	for i := 0; i < 64; i++ {
-		s.After(time.Duration(i)*time.Microsecond, fn)
+	for _, tc := range []struct {
+		name string
+		// load returns one cycle's work before Reset, its closures built once.
+		load func(s *Scheduler) func()
+	}{
+		{"ascending", func(s *Scheduler) func() {
+			return func() {
+				for i := 0; i < 64; i++ {
+					s.After(time.Duration(i)*time.Microsecond, fn)
+				}
+			}
+		}},
+		{"train", func(s *Scheduler) func() {
+			tick := trainTick(s)
+			return func() {
+				scheduleTrain(s, 64, tick)
+				s.RunSteps(100)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := &Scheduler{}
+			cycle := tc.load(s)
+			// Warm the free list and the queues' backing arrays.
+			cycle()
+			s.Reset()
+			allocs := testing.AllocsPerRun(100, func() {
+				cycle()
+				s.Reset()
+			})
+			if allocs != 0 {
+				t.Errorf("schedule/reset cycle allocated %.1f objects per run, want 0", allocs)
+			}
+			if s.Pending() != 0 || s.Now() != 0 || s.Steps() != 0 || len(s.free) != len(s.slots) {
+				t.Errorf("reset state: pending=%d now=%v steps=%d, %d of %d slots free",
+					s.Pending(), s.Now(), s.Steps(), len(s.free), len(s.slots))
+			}
+		})
 	}
-	s.Reset()
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 64; i++ {
-			s.After(time.Duration(i)*time.Microsecond, fn)
+}
+
+// TestSchedulerLaneBounded runs two interleaved self-rescheduling chains —
+// the lane never empties, and every event lands in it — and checks the lane
+// is recycled as a ring: its capacity stays within twice its peak length
+// instead of growing with the number of events fired.
+func TestSchedulerLaneBounded(t *testing.T) {
+	var s Scheduler
+	var chain func(time.Duration)
+	chain = func(time.Duration) { s.After(2*time.Microsecond, chain) }
+	s.At(0, chain)
+	s.At(time.Microsecond, chain)
+	peak := 0
+	for i := 0; i < 200_000; i++ {
+		peak = max(peak, s.laneLen)
+		if !s.Step() {
+			t.Fatal("chains drained")
 		}
-		s.Reset()
-	})
-	if allocs != 0 {
-		t.Errorf("schedule/reset cycle allocated %.1f objects per run, want 0", allocs)
+	}
+	if len(s.heap) != 0 {
+		t.Errorf("in-order chains put %d events on the heap", len(s.heap))
+	}
+	if c := cap(s.lane); c > 2*peak {
+		t.Errorf("lane capacity %d after 200000 steps, peak lane length %d: want <= %d", c, peak, 2*peak)
 	}
 }
 

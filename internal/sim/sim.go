@@ -1,10 +1,12 @@
 // Package sim provides a deterministic discrete-event simulation kernel used
 // by the CAN bus substrate and the attack harness.
 //
-// A Scheduler owns a virtual clock and a priority queue of timed events.
-// Events scheduled for the same instant fire in the order they were
-// scheduled, which keeps simulations fully deterministic: two runs with the
-// same seed and the same schedule produce identical traces.
+// A Scheduler owns a virtual clock and two queues of timed events: a sorted
+// FIFO, the lane, for events scheduled in time order, and a 4-ary heap for
+// the rest. Events fire in (time, schedule order) whichever queue holds
+// them, so events scheduled for the same instant fire in the order they
+// were scheduled, which keeps simulations fully deterministic: two runs
+// with the same seed and the same schedule produce identical traces.
 //
 // Schedulers are built for reuse: event slots recycle through a free list,
 // and Reset restores a dirty scheduler to its zero state without releasing
@@ -31,7 +33,7 @@ type slot struct {
 	gen  uint64 // incremented on recycle; Handles from prior lives no-op
 }
 
-// entry is one heap element: the ordering key plus the index of its slot.
+// entry is one queued event: the ordering key plus the index of its slot.
 // Entries carry no pointers, so sifting them up and down the heap moves plain
 // words — no interface boxing, no method-table dispatch, and no GC write
 // barriers on the simulation's single hottest path.
@@ -41,7 +43,7 @@ type entry struct {
 	slot int32
 }
 
-// before reports heap ordering: earliest timestamp first, schedule order
+// before reports firing order: earliest timestamp first, schedule order
 // breaking ties.
 func (e entry) before(o entry) bool {
 	if e.at != o.at {
@@ -68,13 +70,25 @@ func (h Handle) Cancel() {
 
 // Scheduler is a discrete-event scheduler with a virtual clock.
 // The zero value is ready to use.
+//
+// Most events arrive in time order: a simulation pre-schedules its periodic
+// traffic and injection trains up front, each later than the last. Those go
+// to the lane, a ring buffer kept sorted by construction, where scheduling
+// and firing cost O(1). Only an event earlier than the lane's last entry —
+// the bus's arbitration and completion events between two pre-scheduled
+// ticks — goes to the heap, which therefore stays a few entries deep. Every
+// pop takes the earlier of the two heads by (time, sequence), the same total
+// order the heap alone kept.
 type Scheduler struct {
-	now   time.Duration
-	seq   uint64
-	heap  []entry
-	slots []slot  // arena indexed by entry.slot / Handle.slot
-	free  []int32 // recycled slot indices
-	steps uint64
+	now      time.Duration
+	seq      uint64
+	heap     []entry // events scheduled out of time order
+	lane     []entry // ring of in-order events; len is 0 or a power of two
+	laneHead int     // ring index of the lane's earliest entry
+	laneLen  int     // entries queued in the lane
+	slots    []slot  // arena indexed by entry.slot / Handle.slot
+	free     []int32 // recycled slot indices
+	steps    uint64
 }
 
 // ErrPast is returned when an event is scheduled before the current virtual time.
@@ -85,17 +99,15 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 
 // Pending returns the number of events still queued (including cancelled
 // events that have not yet been discarded).
-func (s *Scheduler) Pending() int { return len(s.heap) }
+func (s *Scheduler) Pending() int { return len(s.heap) + s.laneLen }
 
 // NextAt returns the timestamp of the earliest queued event (cancelled
 // events included) and whether the queue is non-empty. Callers use it to
 // prove no further event can fire at the current instant — the bus's
 // arbitration kick elides its zero-delay hop on that proof.
 func (s *Scheduler) NextAt() (time.Duration, bool) {
-	if len(s.heap) == 0 {
-		return 0, false
-	}
-	return s.heap[0].at, true
+	e, _, ok := s.peek()
+	return e.at, ok
 }
 
 // Steps returns the number of events executed so far.
@@ -122,10 +134,9 @@ func (s *Scheduler) recycle(idx int32) {
 	s.free = append(s.free, idx)
 }
 
-// The queue is a 4-ary heap: half the depth of a binary heap, so pops touch
-// fewer cache lines, and the four children of a node sit in adjacent entries
-// of one or two cache lines. Event queues here are shallow (tens of events),
-// making depth the dominant cost.
+// The out-of-order queue is a 4-ary heap: half the depth of a binary heap, so
+// pops touch fewer cache lines, and the four children of a node sit in
+// adjacent entries of one or two cache lines.
 const heapArity = 4
 
 // siftUp restores the heap property after appending at index i, walking the
@@ -175,8 +186,8 @@ func (s *Scheduler) siftDown(i int) {
 	h[i] = e
 }
 
-// pop removes and returns the earliest entry. The caller guarantees the heap
-// is non-empty.
+// pop removes and returns the heap's earliest entry. The caller guarantees
+// the heap is non-empty.
 func (s *Scheduler) pop() entry {
 	h := s.heap
 	e := h[0]
@@ -189,6 +200,50 @@ func (s *Scheduler) pop() entry {
 	return e
 }
 
+// laneAt returns the lane entry i places after its head.
+func (s *Scheduler) laneAt(i int) entry {
+	return s.lane[(s.laneHead+i)&(len(s.lane)-1)]
+}
+
+// pushLane appends e to the lane, doubling the ring when it is full, so the
+// ring never holds more than twice the lane's peak length.
+func (s *Scheduler) pushLane(e entry) {
+	if s.laneLen == len(s.lane) {
+		grown := make([]entry, max(2*len(s.lane), 1))
+		n := copy(grown, s.lane[s.laneHead:])
+		copy(grown[n:], s.lane[:s.laneHead])
+		s.lane, s.laneHead = grown, 0
+	}
+	s.lane[(s.laneHead+s.laneLen)&(len(s.lane)-1)] = e
+	s.laneLen++
+}
+
+// peek returns the earliest queued entry and whether it heads the lane (as
+// opposed to the heap); ok is false when both queues are empty.
+func (s *Scheduler) peek() (e entry, inLane, ok bool) {
+	if s.laneLen > 0 {
+		e, inLane = s.lane[s.laneHead], true
+		if len(s.heap) > 0 && s.heap[0].before(e) {
+			e, inLane = s.heap[0], false
+		}
+		return e, inLane, true
+	}
+	if len(s.heap) > 0 {
+		return s.heap[0], false, true
+	}
+	return entry{}, false, false
+}
+
+// drop removes the entry peek just returned.
+func (s *Scheduler) drop(inLane bool) {
+	if !inLane {
+		s.pop()
+		return
+	}
+	s.laneHead = (s.laneHead + 1) & (len(s.lane) - 1)
+	s.laneLen--
+}
+
 // At schedules fn to run at absolute virtual time at.
 // It panics with ErrPast if at precedes the current time.
 func (s *Scheduler) At(at time.Duration, fn Event) Handle {
@@ -197,9 +252,16 @@ func (s *Scheduler) At(at time.Duration, fn Event) Handle {
 	}
 	idx := s.alloc()
 	s.slots[idx].fn = fn
-	s.heap = append(s.heap, entry{at: at, seq: s.seq, slot: idx})
+	e := entry{at: at, seq: s.seq, slot: idx}
 	s.seq++
-	s.siftUp(len(s.heap) - 1)
+	// seq only grows, so an event no earlier than the lane's last entry
+	// keeps the lane sorted by (time, sequence).
+	if s.laneLen == 0 || at >= s.laneAt(s.laneLen-1).at {
+		s.pushLane(e)
+	} else {
+		s.heap = append(s.heap, e)
+		s.siftUp(len(s.heap) - 1)
+	}
 	return Handle{s: s, slot: idx, gen: s.slots[idx].gen}
 }
 
@@ -214,8 +276,12 @@ func (s *Scheduler) After(d time.Duration, fn Event) Handle {
 // Step executes the single next event, advancing the clock to its timestamp.
 // It returns false when no runnable events remain.
 func (s *Scheduler) Step() bool {
-	for len(s.heap) > 0 {
-		e := s.pop()
+	for {
+		e, inLane, ok := s.peek()
+		if !ok {
+			return false
+		}
+		s.drop(inLane)
 		sl := &s.slots[e.slot]
 		if sl.dead {
 			s.recycle(e.slot)
@@ -228,7 +294,6 @@ func (s *Scheduler) Step() bool {
 		fn(s.now)
 		return true
 	}
-	return false
 }
 
 // Run executes events until the queue drains.
@@ -240,11 +305,14 @@ func (s *Scheduler) Run() {
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to deadline. Events scheduled beyond the deadline remain queued.
 func (s *Scheduler) RunUntil(deadline time.Duration) {
-	for len(s.heap) > 0 {
-		// Peek without popping.
-		next := s.heap[0]
+	for {
+		next, inLane, ok := s.peek()
+		if !ok {
+			break
+		}
 		if s.slots[next.slot].dead {
-			s.recycle(s.pop().slot)
+			s.drop(inLane)
+			s.recycle(next.slot)
 			continue
 		}
 		if next.at > deadline {
@@ -268,8 +336,8 @@ func (s *Scheduler) RunSteps(n int) int {
 
 // SchedulerSnapshot captures a quiescent scheduler's counters: the virtual
 // clock, the schedule-order sequence and the executed-step count. A
-// quiescent scheduler (empty queue) has no other state, so the snapshot is
-// three words — no heap capture, no slot arena copy.
+// quiescent scheduler (both queues empty) has no other state, so the
+// snapshot is three words — no queue capture, no slot arena copy.
 type SchedulerSnapshot struct {
 	// Now is the captured virtual time.
 	Now time.Duration
@@ -282,14 +350,14 @@ type SchedulerSnapshot struct {
 // Quiescent reports whether the scheduler is at a checkpointable instant:
 // every queued event drained (Run returned). It is the cheap probe callers
 // use to turn the Snapshot panic below into a recoverable error.
-func (s *Scheduler) Quiescent() bool { return len(s.heap) == 0 }
+func (s *Scheduler) Quiescent() bool { return s.Pending() == 0 }
 
 // Snapshot captures the scheduler's counters for a later RestoreFrom. The
 // scheduler must be quiescent — every queued event drained (Run returned) —
-// because a checkpoint taken mid-schedule would need the heap and slot arena
-// too; it panics otherwise rather than silently dropping queued events.
+// because a checkpoint taken mid-schedule would need the queues and slot
+// arena too; it panics otherwise rather than silently dropping queued events.
 func (s *Scheduler) Snapshot() SchedulerSnapshot {
-	if len(s.heap) != 0 {
+	if !s.Quiescent() {
 		panic("sim: Snapshot of a non-quiescent scheduler (events still queued)")
 	}
 	return SchedulerSnapshot{Now: s.now, Seq: s.seq, Steps: s.steps}
@@ -305,6 +373,10 @@ func (s *Scheduler) RestoreFrom(snap SchedulerSnapshot) {
 		s.recycle(e.slot)
 	}
 	s.heap = s.heap[:0]
+	for i := 0; i < s.laneLen; i++ {
+		s.recycle(s.laneAt(i).slot)
+	}
+	s.laneHead, s.laneLen = 0, 0
 	s.now, s.seq, s.steps = snap.Now, snap.Seq, snap.Steps
 }
 
@@ -315,9 +387,5 @@ func (s *Scheduler) RestoreFrom(snap SchedulerSnapshot) {
 // invalidated (their Cancel becomes a no-op), exactly as if their events had
 // already fired.
 func (s *Scheduler) Reset() {
-	for _, e := range s.heap {
-		s.recycle(e.slot)
-	}
-	s.heap = s.heap[:0]
-	s.now, s.seq, s.steps = 0, 0, 0
+	s.RestoreFrom(SchedulerSnapshot{})
 }
