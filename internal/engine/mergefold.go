@@ -25,12 +25,15 @@ type MergeFold struct {
 // NewMergeFold starts an incremental fleet merge. cfg must describe the
 // whole fleet (total Fleet, the unsharded Workers value, zero
 // IndexOffset); the same defaults Run applies are applied here so the
-// report header matches.
+// report header matches. The vehicle slice is sized for the whole fleet
+// up front, so Add never regrows it.
 func NewMergeFold(cfg Config) (*MergeFold, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	return newMergeFold(cfg), nil
+	m := newMergeFold(cfg)
+	m.fr.Vehicles = make([]VehicleReport, 0, cfg.Fleet)
+	return m, nil
 }
 
 // newMergeFold builds the fold over an already-defaulted config.

@@ -25,8 +25,9 @@ type VehicleReport struct {
 	//
 	// Groups and Attacks are read-only: on the batched path every vehicle
 	// after a run's first shares the first vehicle's slices (the run-level
-	// stamp) instead of owning a copy, so writing through one vehicle's
-	// slice would change every vehicle's.
+	// stamp) instead of owning a copy, and vehicles decoded from a shard
+	// stream share one decoded copy of each matrix the stream repeats, so
+	// writing through one vehicle's slice would change every vehicle's.
 	Groups [][]attack.RegimeSummary
 	// FramesDelivered, BusErrors, WriteBlocked, ReadBlocked and AbortedTx
 	// are the background simulation's bus counters.

@@ -19,8 +19,12 @@
 // protocol in the nested wire package — compact, CRC-guarded, streamed
 // frame by frame as the child's vehicles complete — and the driver folds
 // it as it is decoded, so the parent never buffers a spawned shard's
-// report set. The unsharded engine.Run is the differential oracle every
-// shard layout, transport and parallelism level is tested against.
+// report set. A stamped child's vehicles all carry its first vehicle's
+// attack matrix; the wire sends that matrix once per stream and the
+// decoded vehicles share one read-only copy of it, as the vehicles of an
+// in-process run share the stamp's. The unsharded engine.Run is the
+// differential oracle every shard layout, transport and parallelism level
+// is tested against.
 //
 // In-process shards run sequentially — each shard's engine.Run is itself
 // parallel across Config.Workers, and on a single machine stacking two
@@ -129,7 +133,9 @@ func Ranges(total, n int) []Range {
 // on success); Close releases transport resources (for a subprocess
 // shard, reaps the child). The binary wire stream implements it, and the
 // concurrent fan-out's reorder slots re-expose it, so the driver validates
-// sequential and concurrent shards identically.
+// sequential and concurrent shards identically. A report Next returns
+// must stay unchanged after later calls: the fan-out parks up to Window of
+// them by pointer.
 type Stream interface {
 	Next() (*engine.VehicleReport, error)
 	Trailer() (r Range, errText string, err error)
@@ -250,9 +256,12 @@ type Config struct {
 	// Engine.Workers.
 	Parallelism int
 	// Window bounds each in-flight shard's decoded-but-unmerged vehicle
-	// reports under concurrent fan-out (default 256). Total parent-side
-	// reorder memory is ≤ Parallelism × Window reports beyond the merged
-	// report itself.
+	// reports under concurrent fan-out (default 256). The slots hold the
+	// decoded reports by pointer, so total parent-side reorder memory is
+	// ≤ Parallelism × Window decoded reports beyond the merged report
+	// itself — each a report and its VIN when its stream repeats the
+	// previous vehicle's matrix, whose one decoded copy the stream's
+	// vehicles share.
 	Window int
 }
 
@@ -350,7 +359,7 @@ func drainShard(fold *engine.MergeFold, st Stream, r Range) []error {
 // the drain loop observes the close, so the close is the happens-before
 // edge.
 type slot struct {
-	ch        chan engine.VehicleReport
+	ch        chan *engine.VehicleReport
 	streamErr error // spawn or stream failure; surfaces after buffered vehicles
 	trailer   Range
 	errText   string
@@ -370,7 +379,7 @@ func (c *chanStream) Next() (*engine.VehicleReport, error) {
 		}
 		return nil, io.EOF
 	}
-	return &v, nil
+	return v, nil
 }
 
 func (c *chanStream) Trailer() (Range, string, error) {
@@ -403,7 +412,7 @@ func runParallel(ranges []Range, cfg Config, fold *engine.MergeFold) []error {
 		if r.Count < buf {
 			buf = r.Count
 		}
-		slots[i] = &slot{ch: make(chan engine.VehicleReport, buf)}
+		slots[i] = &slot{ch: make(chan *engine.VehicleReport, buf)}
 	}
 	sem := make(chan struct{}, par)
 	var next atomic.Int64
@@ -446,7 +455,7 @@ func produce(s *slot, r Range, spawn Spawn) {
 			s.closeErr = st.Close()
 			return
 		}
-		s.ch <- *v
+		s.ch <- v
 	}
 	s.trailer, s.errText, s.trailerEr = st.Trailer()
 	s.closeErr = st.Close()

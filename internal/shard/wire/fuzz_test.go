@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/attack"
 	"repro/internal/campaign"
 	"repro/internal/engine"
 	"repro/internal/shard/wire"
@@ -50,11 +51,14 @@ func quickstartVehicles(f *testing.F) []engine.VehicleReport {
 //     under a further decode/encode round trip. (data itself need not be
 //     canonical — uvarints admit non-minimal forms — which is why the
 //     identity is asserted on enc1/enc2, not on data.)
-//  3. Framed round trip — a decoded vehicle written through the real
-//     Writer must come back structurally intact with its trailer.
+//  3. Framed round trip — a decoded vehicle written twice through the real
+//     Writer (inline, then as a matrix back-reference) must come back
+//     structurally intact, both copies, with its trailer.
 //
 // The corpus is seeded from a real quickstart campaign sweep so the
-// mutator starts from production-shaped payloads.
+// mutator starts from production-shaped payloads, plus a stream whose
+// matrix changes and a stream whose only vehicle frame back-references a
+// matrix it never sent.
 func FuzzWireCodec(f *testing.F) {
 	vs := quickstartVehicles(f)
 	for i := range vs {
@@ -74,6 +78,11 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("CSW\x01"))
+	a := stampedVehicles(f, 3, attack.EnforceNone, attack.EnforceHPE)
+	b := stampedVehicles(f, 2, attack.EnforceHPE)
+	f.Add(encodeStream(f, []engine.VehicleReport{a[0], a[1], b[0], b[1], a[2]}, wire.Trailer{Count: 5}))
+	frames := splitFrames(f, encodeStream(f, a[:2], wire.Trailer{Count: 2}))
+	f.Add(joinFrames(frames[1], frames[2]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// 1. Stream decode: drain until EOF or error; must not panic.
@@ -100,23 +109,28 @@ func FuzzWireCodec(f *testing.F) {
 			t.Fatalf("encode∘decode not a fixed point:\nenc1 %x\nenc2 %x", enc1, enc2)
 		}
 
-		// 3. Framed round trip through the real Writer/Reader.
+		// 3. Framed round trip through the real Writer/Reader; the second
+		// copy's matrix travels as a back-reference.
 		var stream bytes.Buffer
 		sw := wire.NewWriter(&stream)
-		if err := sw.WriteVehicle(v); err != nil {
-			t.Fatalf("WriteVehicle: %v", err)
+		for range 2 {
+			if err := sw.WriteVehicle(v); err != nil {
+				t.Fatalf("WriteVehicle: %v", err)
+			}
 		}
-		want := wire.Trailer{Start: v.Index, Count: 1, Err: "fuzz"}
+		want := wire.Trailer{Start: v.Index, Count: 2, Err: "fuzz"}
 		if err := sw.WriteTrailer(want); err != nil {
 			t.Fatalf("WriteTrailer: %v", err)
 		}
 		sr := wire.NewReader(bytes.NewReader(stream.Bytes()))
-		got, err := sr.Next()
-		if err != nil {
-			t.Fatalf("framed decode: %v", err)
-		}
-		if enc3 := wire.AppendVehicle(nil, got); !bytes.Equal(enc1, enc3) {
-			t.Fatal("framed round trip changed the vehicle payload")
+		for i := range 2 {
+			got, err := sr.Next()
+			if err != nil {
+				t.Fatalf("framed decode of copy %d: %v", i, err)
+			}
+			if enc3 := wire.AppendVehicle(nil, got); !bytes.Equal(enc1, enc3) {
+				t.Fatalf("framed round trip changed copy %d's vehicle payload", i)
+			}
 		}
 		if _, err := sr.Next(); err != io.EOF {
 			t.Fatalf("expected EOF after trailer, got %v", err)

@@ -3,17 +3,12 @@
 // terminated by a trailer frame that echoes the shard's range and error
 // text.
 //
-// The JSON wire format PR 9 shipped proves the sharding contract but pays
-// for it: at fleet=10^6 each child JSON-encodes ~250k vehicle reports
-// (~1GB across the pipe) and the parent buffers every child's entire
-// stdout before decoding. This codec replaces the document with a stream —
-// frames are written as vehicles complete and decoded as they arrive, so
-// neither side ever holds a whole shard's report set — and replaces JSON
-// text with a structural binary encoding: zigzag varints for ints,
-// unsigned varints for uint64s and lengths, raw IEEE-754 bits for
-// float64s, length-prefixed UTF-8 for strings, nested structs
-// (attack.RegimeSummary, Groups, Health) encoded field by field in
-// declaration order.
+// Frames are written as vehicles complete and decoded as they arrive, so
+// neither side ever holds a whole shard's report set. The encoding is
+// structural binary: zigzag varints for ints, unsigned varints for uint64s
+// and lengths, raw IEEE-754 bits for float64s, length-prefixed UTF-8 for
+// strings, nested structs (attack.RegimeSummary, Groups, Health) encoded
+// field by field in declaration order.
 //
 // # Stream grammar
 //
@@ -22,6 +17,23 @@
 //	frame   := length(uvarint) payload(length) crc32(4, LE, IEEE of payload)
 //	payload := kind(1) body
 //	kind    := 0x01 (vehicle) | 0x02 (trailer)
+//	body    := Index VIN Seed matrix FramesDelivered … Health (vehicle)
+//	         | Start Count Err                              (trailer)
+//	matrix  := 0x00 Attacks Groups (inline)
+//	         | 0x01                (back-reference)
+//
+// A back-reference means the vehicle's Attacks and Groups equal the last
+// inline matrix of the same stream. The Writer sends one whenever a
+// vehicle's encoded matrix bytes equal the last matrix it sent inline —
+// a decision by content, so it holds whether or not the caller's slices
+// are shared — and the Reader decodes an inline matrix once and hands
+// every back-referencing vehicle the same read-only slices. A stamped
+// run's vehicles all carry its first vehicle's matrix, so a shard stream
+// of one sends it once. A stream's first vehicle frame is always inline;
+// a back-reference before any inline matrix, or any other tag value, is
+// corruption. The standalone payload (AppendVehicle,
+// DecodeVehiclePayload) has no stream to refer back to and is always
+// inline.
 //
 // Every frame carries a CRC32 of its payload, verified before any
 // structural decode: a corrupted pipe surfaces as a typed
@@ -41,10 +53,15 @@
 // pins its protocol version in its handshake). Fields are not tagged — the
 // encoding is positional, which is what makes it ~10x smaller than JSON —
 // so schema evolution always bumps the version.
+//
+//   - v1: one complete vehicle report per vehicle frame.
+//   - v2: the matrix tag after Seed; repeated matrices travel as
+//     back-references.
 package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -59,7 +76,7 @@ import (
 
 // Version is the protocol version this package speaks. Bumped on any
 // change to the stream grammar or payload layout.
-const Version = 1
+const Version = 2
 
 // schemas pins, per protocol version, a fingerprint of the struct layout
 // that version encodes positionally: the field names, types and order of
@@ -68,6 +85,7 @@ const Version = 1
 // until Version is bumped and the new fingerprint pinned under it.
 var schemas = map[int]string{
 	1: "ed64c7a3270cb79aa0383e4a95266ae2dfe66870ea1877f860c63bc02bfbb731",
+	2: "ed64c7a3270cb79aa0383e4a95266ae2dfe66870ea1877f860c63bc02bfbb731",
 }
 
 // magic opens every stream: "CSW1" (carsim shard wire). Distinguishes a
@@ -78,6 +96,12 @@ var magic = [4]byte{'C', 'S', 'W', 0x01}
 const (
 	kindVehicle = 0x01
 	kindTrailer = 0x02
+)
+
+// Matrix tags: the byte after a vehicle payload's Seed.
+const (
+	matrixInline = 0x00 // Attacks and Groups follow
+	matrixRepeat = 0x01 // Attacks and Groups equal the stream's last inline matrix
 )
 
 // maxFrame bounds a frame's declared payload length (64 MiB). A real
@@ -123,6 +147,10 @@ type Writer struct {
 	wrote  bool
 	buf    []byte // frame payload scratch, reused across frames
 	prefix []byte // length-prefix scratch
+	// mat is the current vehicle's inline-tagged matrix encoding; last is
+	// the one the stream last sent inline. The two buffers swap when a
+	// matrix goes inline, so neither is reallocated once warm.
+	mat, last []byte
 }
 
 // NewWriter returns a Writer emitting the stream to out.
@@ -145,7 +173,8 @@ func (w *Writer) header() error {
 }
 
 // frame writes one length-prefixed, CRC-trailed frame around the payload
-// currently in w.buf.
+// currently in w.buf. The CRC is appended to w.buf: a local array would
+// escape through the buffered writer and cost an allocation per frame.
 func (w *Writer) frame() error {
 	if err := w.header(); err != nil {
 		return err
@@ -154,19 +183,23 @@ func (w *Writer) frame() error {
 	if _, err := w.w.Write(w.prefix); err != nil {
 		return err
 	}
-	if _, err := w.w.Write(w.buf); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(w.buf))
-	_, err := w.w.Write(crc[:])
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(w.buf))
+	_, err := w.w.Write(w.buf)
 	return err
 }
 
-// WriteVehicle emits one vehicle frame.
+// WriteVehicle emits one vehicle frame. Its matrix goes as a
+// back-reference when its encoding equals the last one this stream sent
+// inline. An encoded matrix is never empty, so the first goes inline.
 func (w *Writer) WriteVehicle(v *engine.VehicleReport) error {
-	w.buf = append(w.buf[:0], kindVehicle)
-	w.buf = appendVehicle(w.buf, v)
+	w.mat = appendMatrix(append(w.mat[:0], matrixInline), v)
+	mat := w.mat
+	if bytes.Equal(mat, w.last) {
+		mat = []byte{matrixRepeat}
+	} else {
+		w.last, w.mat = w.mat, w.last
+	}
+	w.buf = appendVehicle(append(w.buf[:0], kindVehicle), v, mat)
 	return w.frame()
 }
 
@@ -194,6 +227,7 @@ type Reader struct {
 	trailer Trailer
 	err     error
 	buf     []byte // frame payload scratch, reused across frames
+	last    matrix // the stream's last inline matrix
 }
 
 // NewReader returns a Reader decoding the stream from in.
@@ -237,18 +271,21 @@ func (r *Reader) readFrame() error {
 	if n == 0 || n > maxFrame {
 		return fmt.Errorf("%w: frame length %d out of range", ErrFrameChecksum, n)
 	}
-	if cap(r.buf) < int(n) {
-		r.buf = make([]byte, n)
+	// The CRC is read into the scratch buffer's tail: a local array would
+	// escape through io.ReadFull and cost an allocation per frame.
+	if cap(r.buf) < int(n)+4 {
+		r.buf = make([]byte, n+4)
 	}
-	r.buf = r.buf[:n]
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
+	r.buf = r.buf[:n+4]
+	crc := r.buf[n:]
+	if _, err := io.ReadFull(r.r, r.buf[:n]); err != nil {
 		return fmt.Errorf("%w: frame payload: %v", ErrFrameChecksum, err)
 	}
-	var crc [4]byte
-	if _, err := io.ReadFull(r.r, crc[:]); err != nil {
+	if _, err := io.ReadFull(r.r, crc); err != nil {
 		return fmt.Errorf("%w: frame crc: %v", ErrFrameChecksum, err)
 	}
-	if got, want := crc32.ChecksumIEEE(r.buf), binary.LittleEndian.Uint32(crc[:]); got != want {
+	r.buf = r.buf[:n]
+	if got, want := crc32.ChecksumIEEE(r.buf), binary.LittleEndian.Uint32(crc); got != want {
 		return fmt.Errorf("%w: crc %08x, frame claims %08x", ErrFrameChecksum, got, want)
 	}
 	return nil
@@ -281,7 +318,7 @@ func (r *Reader) Next() (*engine.VehicleReport, error) {
 	switch kind {
 	case kindVehicle:
 		var v engine.VehicleReport
-		decodeVehicle(&d, &v)
+		decodeVehicle(&d, &v, &r.last)
 		if d.err != nil || len(d.b) != 0 {
 			r.err = fmt.Errorf("%w: malformed vehicle payload", ErrFrameChecksum)
 			return nil, r.err
@@ -511,15 +548,44 @@ func decodeHealth(d *dec, h *engine.Health) {
 	h.Unrecoverable = d.int()
 }
 
-func appendVehicle(b []byte, v *engine.VehicleReport) []byte {
-	b = appendInt(b, v.Index)
-	b = appendString(b, v.VIN)
-	b = appendUint(b, v.Seed)
+// appendMatrix encodes a vehicle's Attacks and Groups: the section a
+// back-reference stands in for.
+func appendMatrix(b []byte, v *engine.VehicleReport) []byte {
 	b = appendRegimes(b, v.Attacks)
 	b = appendUint(b, uint64(len(v.Groups)))
 	for _, g := range v.Groups {
 		b = appendRegimes(b, g)
 	}
+	return b
+}
+
+// matrix is a decoded Attacks and Groups pair. A Reader keeps its stream's
+// last inline one and gives the same slices to every vehicle that
+// back-references it.
+type matrix struct {
+	attacks []attack.RegimeSummary
+	groups  [][]attack.RegimeSummary
+	seen    bool
+}
+
+func decodeMatrix(d *dec) matrix {
+	m := matrix{attacks: decodeRegimes(d), seen: true}
+	if n := d.sliceLen(1); d.err == nil && n > 0 {
+		m.groups = make([][]attack.RegimeSummary, n)
+		for i := range m.groups {
+			m.groups[i] = decodeRegimes(d)
+		}
+	}
+	return m
+}
+
+// appendVehicle encodes one vehicle payload around mat, its matrix
+// section: the tag and, when inline, the appendMatrix encoding.
+func appendVehicle(b []byte, v *engine.VehicleReport, mat []byte) []byte {
+	b = appendInt(b, v.Index)
+	b = appendString(b, v.VIN)
+	b = appendUint(b, v.Seed)
+	b = append(b, mat...)
 	b = appendUint(b, v.FramesDelivered)
 	b = appendUint(b, v.BusErrors)
 	b = appendUint(b, v.WriteBlocked)
@@ -533,16 +599,24 @@ func appendVehicle(b []byte, v *engine.VehicleReport) []byte {
 	return b
 }
 
-func decodeVehicle(d *dec, v *engine.VehicleReport) {
+// decodeVehicle decodes one vehicle payload. last is the stream's last
+// inline matrix, which an inline matrix replaces; a standalone payload
+// passes nil and may not back-reference.
+func decodeVehicle(d *dec, v *engine.VehicleReport, last *matrix) {
 	v.Index = d.int()
 	v.VIN = d.string()
 	v.Seed = d.uint()
-	v.Attacks = decodeRegimes(d)
-	if n := d.sliceLen(1); d.err == nil && n > 0 {
-		v.Groups = make([][]attack.RegimeSummary, n)
-		for i := range v.Groups {
-			v.Groups[i] = decodeRegimes(d)
+	switch tag := d.byte(); {
+	case tag == matrixInline:
+		m := decodeMatrix(d)
+		if last != nil {
+			*last = m
 		}
+		v.Attacks, v.Groups = m.attacks, m.groups
+	case tag == matrixRepeat && last != nil && last.seen:
+		v.Attacks, v.Groups = last.attacks, last.groups
+	default: // d.byte succeeded: a failed read returns 0, inline
+		d.err = fmt.Errorf("wire: bad matrix tag %#x (want inline 0x00, or 0x01 after an inline matrix)", tag)
 	}
 	v.FramesDelivered = d.uint()
 	v.BusErrors = d.uint()
@@ -557,15 +631,18 @@ func decodeVehicle(d *dec, v *engine.VehicleReport) {
 }
 
 // AppendVehicle encodes one vehicle report payload (no frame, no CRC) into
-// b — the bench and fuzz harnesses' view of the raw encoding.
-func AppendVehicle(b []byte, v *engine.VehicleReport) []byte { return appendVehicle(b, v) }
+// b — the bench and fuzz harnesses' view of the raw encoding. Its matrix
+// is always inline: a lone payload has no stream to refer back to.
+func AppendVehicle(b []byte, v *engine.VehicleReport) []byte {
+	return appendVehicle(b, v, appendMatrix([]byte{matrixInline}, v))
+}
 
 // DecodeVehiclePayload decodes one raw vehicle payload produced by
-// AppendVehicle, rejecting trailing bytes.
+// AppendVehicle, rejecting trailing bytes and matrix back-references.
 func DecodeVehiclePayload(b []byte) (*engine.VehicleReport, error) {
 	d := dec{b: b}
 	var v engine.VehicleReport
-	decodeVehicle(&d, &v)
+	decodeVehicle(&d, &v, nil)
 	if d.err != nil {
 		return nil, d.err
 	}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -44,8 +45,29 @@ func realVehicles(t *testing.T, fleet int) []engine.VehicleReport {
 	return fr.Vehicles
 }
 
+// stampedVehicles runs a small unsupervised fleet over the first two Table
+// I scenarios under regimes: every vehicle after the first carries the
+// first vehicle's matrix in shared slices (the run-level stamp).
+func stampedVehicles(t testing.TB, fleet int, regimes ...attack.Enforcement) []engine.VehicleReport {
+	t.Helper()
+	fr, err := engine.Run(engine.Config{
+		Fleet:   fleet,
+		Workers: 2,
+		Groups: []engine.ScenarioGroup{{
+			Scenarios: attack.Scenarios()[:2],
+			Regimes:   regimes,
+			RootSeed:  0xC0FFEE,
+		}},
+		TrafficHorizon: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fr.Vehicles
+}
+
 // encodeStream renders vehicles + trailer into one complete wire stream.
-func encodeStream(t *testing.T, vs []engine.VehicleReport, tr wire.Trailer) []byte {
+func encodeStream(t testing.TB, vs []engine.VehicleReport, tr wire.Trailer) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf)
@@ -76,6 +98,64 @@ func drainStream(b []byte) ([]*engine.VehicleReport, wire.Trailer, error) {
 		}
 		vs = append(vs, v)
 	}
+}
+
+// splitFrames returns the payloads of a well-framed stream's frames, the
+// trailer's included.
+func splitFrames(t testing.TB, stream []byte) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for b := stream[headerLen:]; len(b) > 0; {
+		n, k := binary.Uvarint(b)
+		if k <= 0 || uint64(len(b)-k) < n+4 {
+			t.Fatalf("malformed frame at stream byte %d", len(stream)-len(b))
+		}
+		out = append(out, b[k:k+int(n)])
+		b = b[k+int(n)+4:]
+	}
+	return out
+}
+
+// joinFrames builds a stream of payloads behind a valid header, each with
+// a valid length prefix and CRC.
+func joinFrames(payloads ...[]byte) []byte {
+	var buf bytes.Buffer
+	buf.WriteString("CSW\x01")
+	buf.Write(binary.AppendUvarint(nil, wire.Version))
+	for _, p := range payloads {
+		buf.Write(binary.AppendUvarint(nil, uint64(len(p))))
+		buf.Write(p)
+		buf.Write(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(p)))
+	}
+	return buf.Bytes()
+}
+
+// tagAt returns the offset of a vehicle frame payload's matrix tag: after
+// the kind byte, Index, VIN and Seed.
+func tagAt(t testing.TB, payload []byte) int {
+	t.Helper()
+	if len(payload) == 0 || payload[0] != 0x01 {
+		t.Fatal("not a vehicle frame")
+	}
+	off := 1
+	_, n := binary.Varint(payload[off:]) // Index
+	off += n
+	vin, n := binary.Uvarint(payload[off:])
+	off += n + int(vin)
+	_, n = binary.Uvarint(payload[off:]) // Seed
+	return off + n
+}
+
+// matrixTags returns the matrix tag of every vehicle frame of a stream, in
+// order: 0 inline, 1 back-reference.
+func matrixTags(t testing.TB, stream []byte) []byte {
+	t.Helper()
+	frames := splitFrames(t, stream)
+	var tags []byte
+	for _, p := range frames[:len(frames)-1] {
+		tags = append(tags, p[tagAt(t, p)])
+	}
+	return tags
 }
 
 // TestStreamRoundTrip pins the codec's core contract: Writer→Reader
@@ -143,8 +223,8 @@ func TestDecodeVehiclePayloadRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
-// headerLen is the wire header size for Version 1: 4 magic bytes + a
-// single-byte uvarint version.
+// headerLen is the wire header size: 4 magic bytes + a single-byte uvarint
+// version.
 const headerLen = 5
 
 // TestFlipAnyByteErrors is the corruption property the shard driver's
@@ -155,6 +235,9 @@ const headerLen = 5
 func TestFlipAnyByteErrors(t *testing.T) {
 	vs := realVehicles(t, 3)
 	stream := encodeStream(t, vs, wire.Trailer{Start: 0, Count: 3})
+	if tags := matrixTags(t, stream); !bytes.Equal(tags, []byte{0, 1, 1}) {
+		t.Fatalf("matrix tags %v, want [0 1 1]: the flips must cover back-references", tags)
+	}
 	for i := range stream {
 		for _, bit := range []byte{0x01, 0x80} {
 			mut := bytes.Clone(stream)
@@ -187,6 +270,9 @@ func TestFlipAnyByteErrors(t *testing.T) {
 func TestTruncationErrors(t *testing.T) {
 	vs := realVehicles(t, 2)
 	stream := encodeStream(t, vs, wire.Trailer{Start: 0, Count: 2})
+	if tags := matrixTags(t, stream); !bytes.Equal(tags, []byte{0, 1}) {
+		t.Fatalf("matrix tags %v, want [0 1]: the prefixes must cover a back-reference", tags)
+	}
 	for n := 0; n < len(stream); n++ {
 		_, _, err := drainStream(stream[:n])
 		if err == nil {
@@ -217,31 +303,25 @@ func TestBadMagicOnJSON(t *testing.T) {
 	}
 }
 
-// TestUnsupportedVersionRejected: a stream speaking a future protocol
-// version is refused outright — the encoding is positional, so there is no
-// safe partial decode.
+// TestUnsupportedVersionRejected: a stream speaking an earlier or a future
+// protocol version is refused outright — the encoding is positional, so
+// there is no safe partial decode.
 func TestUnsupportedVersionRejected(t *testing.T) {
 	stream := encodeStream(t, nil, wire.Trailer{})
-	mut := bytes.Clone(stream)
-	mut[4] = wire.Version + 1 // version uvarint is one byte for small versions
-	_, _, err := drainStream(mut)
-	if !errors.Is(err, wire.ErrVersion) {
-		t.Errorf("err = %v, want ErrVersion", err)
+	for _, v := range []byte{wire.Version - 1, wire.Version + 1} {
+		mut := bytes.Clone(stream)
+		mut[4] = v // version uvarint is one byte for small versions
+		_, _, err := drainStream(mut)
+		if !errors.Is(err, wire.ErrVersion) {
+			t.Errorf("v%d: err = %v, want ErrVersion", v, err)
+		}
 	}
 }
 
 // TestUnknownFrameKindRejected: a well-framed payload (valid length, valid
 // CRC) with an unknown kind byte is still corruption.
 func TestUnknownFrameKindRejected(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write(encodeStream(t, nil, wire.Trailer{})[:headerLen]) // header only
-	payload := []byte{0x7F}                                     // unknown kind
-	buf.Write(binary.AppendUvarint(nil, uint64(len(payload))))
-	buf.Write(payload)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	buf.Write(crc[:])
-	_, _, err := drainStream(buf.Bytes())
+	_, _, err := drainStream(joinFrames([]byte{0x7F})) // unknown kind
 	if !errors.Is(err, wire.ErrFrameChecksum) {
 		t.Errorf("err = %v, want ErrFrameChecksum", err)
 	}
@@ -283,5 +363,134 @@ func TestReaderErrorsAreSticky(t *testing.T) {
 	}
 	if _, err := r.Trailer(); !errors.Is(err, wire.ErrFrameChecksum) {
 		t.Errorf("Trailer after error = %v, want sticky ErrFrameChecksum", err)
+	}
+}
+
+// TestBadMatrixTagRejected: a well-framed vehicle frame (valid length,
+// valid CRC) whose matrix tag is a back-reference with no earlier inline
+// matrix in the stream, or any tag other than inline or back-reference, is
+// corruption, and the Reader stays failed.
+func TestBadMatrixTagRejected(t *testing.T) {
+	frames := splitFrames(t, encodeStream(t, stampedVehicles(t, 2, attack.EnforceHPE), wire.Trailer{Count: 2}))
+	inline, repeat, trailer := frames[0], frames[1], frames[2]
+	retag := func(p []byte, tag byte) []byte {
+		p = bytes.Clone(p)
+		p[tagAt(t, p)] = tag
+		return p
+	}
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+	}{
+		{"back-reference first", joinFrames(repeat, trailer)},
+		{"tag 0x02 first", joinFrames(retag(inline, 0x02), trailer)},
+		{"tag 0xff after inline", joinFrames(inline, retag(repeat, 0xFF), trailer)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := wire.NewReader(bytes.NewReader(tc.stream))
+			var err error
+			for err == nil {
+				_, err = r.Next()
+			}
+			if !errors.Is(err, wire.ErrFrameChecksum) {
+				t.Fatalf("err = %v, want ErrFrameChecksum", err)
+			}
+			if _, err := r.Next(); !errors.Is(err, wire.ErrFrameChecksum) {
+				t.Errorf("Next after error = %v, want sticky ErrFrameChecksum", err)
+			}
+			if _, err := r.Trailer(); !errors.Is(err, wire.ErrFrameChecksum) {
+				t.Errorf("Trailer after error = %v, want sticky ErrFrameChecksum", err)
+			}
+		})
+	}
+}
+
+// TestDecodeVehiclePayloadRejectsBackReference: a lone payload has no
+// stream to refer back to, so a back-referencing one is rejected.
+func TestDecodeVehiclePayloadRejectsBackReference(t *testing.T) {
+	frames := splitFrames(t, encodeStream(t, stampedVehicles(t, 2, attack.EnforceHPE), wire.Trailer{Count: 2}))
+	if _, err := wire.DecodeVehiclePayload(frames[1][1:]); err == nil {
+		t.Error("back-reference payload accepted")
+	}
+}
+
+// TestHeterogeneousMatrixStream: a stream whose matrix changes sends it
+// inline at every change and as a back-reference at every repeat, and the
+// decoded repeats share their predecessor's slices.
+func TestHeterogeneousMatrixStream(t *testing.T) {
+	a := stampedVehicles(t, 3, attack.EnforceNone, attack.EnforceHPE)
+	b := stampedVehicles(t, 2, attack.EnforceHPE)
+	vs := []engine.VehicleReport{a[0], a[1], b[0], b[1], a[2]}
+	for i := range vs {
+		vs[i].Index = i
+	}
+	stream := encodeStream(t, vs, wire.Trailer{Count: len(vs)})
+	if tags := matrixTags(t, stream); !bytes.Equal(tags, []byte{0, 1, 0, 1, 0}) {
+		t.Errorf("matrix tags %v, want [0 1 0 1 0]", tags)
+	}
+	got, _, err := drainStream(stream)
+	if err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	for i := range vs {
+		if !reflect.DeepEqual(*got[i], vs[i]) {
+			t.Errorf("vehicle %d diverged:\n got %+v\nwant %+v", i, *got[i], vs[i])
+		}
+	}
+	for _, i := range []int{1, 3} {
+		if &got[i].Attacks[0] != &got[i-1].Attacks[0] || &got[i].Groups[0] != &got[i-1].Groups[0] {
+			t.Errorf("vehicle %d does not share vehicle %d's decoded matrix", i, i-1)
+		}
+	}
+}
+
+// TestEqualMatricesBackReferenceByContent: the Writer compares encoded
+// matrices, not slice identity, so equal matrices in distinct slices still
+// travel as inline + back-reference.
+func TestEqualMatricesBackReferenceByContent(t *testing.T) {
+	vs := stampedVehicles(t, 2, attack.EnforceNone, attack.EnforceHPE)
+	vs[1].Attacks = slices.Clone(vs[1].Attacks)
+	vs[1].Groups = slices.Clone(vs[1].Groups)
+	for gi := range vs[1].Groups {
+		vs[1].Groups[gi] = slices.Clone(vs[1].Groups[gi])
+	}
+	stream := encodeStream(t, vs, wire.Trailer{Count: 2})
+	if tags := matrixTags(t, stream); !bytes.Equal(tags, []byte{0, 1}) {
+		t.Errorf("matrix tags %v, want [0 1]", tags)
+	}
+	got, _, err := drainStream(stream)
+	if err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if !reflect.DeepEqual(*got[1], vs[1]) {
+		t.Errorf("back-referenced vehicle diverged:\n got %+v\nwant %+v", *got[1], vs[1])
+	}
+}
+
+// TestBackReferenceDecodeAllocs guards the back-reference's point: a
+// vehicle that repeats its stream's matrix decodes into the report and its
+// VIN, and nothing of the matrix is decoded or allocated again.
+func TestBackReferenceDecodeAllocs(t *testing.T) {
+	const fleet = 64
+	stream := encodeStream(t, stampedVehicles(t, fleet, attack.EnforceNone, attack.EnforceHPE), wire.Trailer{Count: fleet})
+	r := wire.NewReader(bytes.NewReader(stream))
+	if _, err := r.Next(); err != nil { // the inline first vehicle
+		t.Fatal(err)
+	}
+	var err error
+	n := 0
+	// AllocsPerRun calls the function once to warm up, then runs times:
+	// one call per back-referencing vehicle.
+	allocs := testing.AllocsPerRun(fleet-2, func() {
+		if err == nil {
+			_, err = r.Next()
+			n++
+		}
+	})
+	if err != nil || n != fleet-1 {
+		t.Fatalf("decoded %d back-references, err %v; want %d", n, err, fleet-1)
+	}
+	if allocs > 2 {
+		t.Errorf("%.1f allocations per back-referencing vehicle, want ≤ 2 (the report and its VIN)", allocs)
 	}
 }
