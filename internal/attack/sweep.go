@@ -66,6 +66,21 @@ func (s *Summary) Merge(o Summary) {
 	s.StagesHalted += o.StagesHalted
 }
 
+// MergeScaled folds n copies of o into the summary: Merge(o) applied n
+// times, for n >= 0. Every field is an integer, so the product equals the
+// repeated sum exactly, wraparound included.
+func (s *Summary) MergeScaled(o Summary, n int) {
+	s.Runs += o.Runs * n
+	s.Succeeded += o.Succeeded * n
+	s.Blocked += o.Blocked * n
+	s.FalsePositives += o.FalsePositives * n
+	s.Injected += o.Injected * n
+	s.WriteBlocked += o.WriteBlocked * uint64(n)
+	s.ReadBlocked += o.ReadBlocked * uint64(n)
+	s.StageRuns += o.StageRuns * n
+	s.StagesHalted += o.StagesHalted * n
+}
+
 // SuccessRate returns attacks succeeded over runs (0 for no runs).
 func (s Summary) SuccessRate() float64 {
 	if s.Runs == 0 {

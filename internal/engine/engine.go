@@ -42,8 +42,15 @@
 // aggregates and MAC probe counts always, live counters too when ErrorRate
 // is zero (a stamped vehicle then executes nothing; otherwise only its live
 // phase runs). The stamp is built once and shared read-only — stamped
-// reports point at its slices instead of copying them. If the first
-// vehicle's visit fails, nothing is stamped and every vehicle executes.
+// reports point at its slices instead of copying them. When nothing is left
+// to execute, workers claim the remaining indices off the cursor in
+// contiguous chunks and write each replayed report straight into its slot,
+// so they share no cache line but the cursor's, touched once per chunk; the
+// merge folds the shared matrix once per run of vehicles carrying it (see
+// MergeFold). Vehicles that execute anything — every live phase under bus
+// errors, every vehicle of an unstamped run — are claimed one at a time. If
+// the first vehicle's visit fails, nothing is stamped and every vehicle
+// executes.
 // Config.NoBatch selects the reference oracle instead: no pooling, no
 // checkpoints, no stamping — every vehicle phase and every cell runs on a
 // freshly constructed stack, cell by cell. Both render byte-identical
@@ -81,7 +88,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,7 +189,8 @@ type Config struct {
 	// Run merges partial reports into the fleet result. Because vehicles
 	// are claimed in index order off an atomic cursor, completion order
 	// tracks index order and the emitter's reorder window stays near the
-	// worker count.
+	// worker count — up to workers × 256 reports on a fully stamped run,
+	// whose workers claim and complete 256 indices at a time.
 	OnVehicle func(*VehicleReport)
 }
 
@@ -233,17 +240,20 @@ func VehicleSeed(root uint64, index int) uint64 {
 
 // VIN formats the deterministic vehicle identifier for an index, "VIN-"
 // and the index zero-padded to six digits — the fmt form "VIN-%06d", built
-// without fmt because every stamped vehicle pays for it.
+// without fmt or strconv because every stamped vehicle pays for it: the
+// digits go backwards into a fixed array, the prefix in front of them.
 func VIN(index int) string {
 	if index < 0 {
 		return fmt.Sprintf("VIN-%06d", index)
 	}
-	var digits [20]byte
-	d := strconv.AppendInt(digits[:0], int64(index), 10)
-	var buf [32]byte
-	b := append(buf[:0], "VIN-"...)
-	b = append(b, "000000"[min(len(d), 6):]...)
-	return string(append(b, d...))
+	var b [len("VIN-") + 19]byte // 19 digits hold any non-negative int
+	i := len(b)
+	for u := uint(index); u > 0 || i > len(b)-6; u /= 10 {
+		i--
+		b[i] = byte('0' + u%10)
+	}
+	i -= copy(b[i-len("VIN-"):], "VIN-")
+	return string(b[i:])
 }
 
 // macCheck is one precomputed least-privilege probe: the security contexts
@@ -283,18 +293,47 @@ type shared struct {
 // when Config.ErrorRate is non-zero. Stamped reports share first's Groups
 // and Attacks slices, so no consumer may write through them.
 type stamp struct {
+	// first is the first vehicle's report with its Health cleared: a
+	// stamped vehicle contains nothing.
 	first VehicleReport
 	// live reports that the live phase is seed-invariant too (ErrorRate
 	// zero): stamped vehicles then execute nothing.
 	live bool
 }
 
-// replay is vehicle index's report when nothing about it executes: first's
-// report under the vehicle's own identity, with nothing contained.
-func (st *stamp) replay(root uint64, index int) VehicleReport {
-	rep := st.first
-	rep.Index, rep.VIN, rep.Seed, rep.Health = index, VIN(index), VehicleSeed(root, index), Health{}
-	return rep
+// replayChunk is how many consecutive indices a worker claims off the
+// cursor at a time on a fully stamped run. A replayed vehicle is one report
+// copy and its VIN, so with a claim per vehicle the cursor's cache line,
+// bouncing between workers, held a fifth of a two-worker sweep's CPU
+// (EXPERIMENTS.md §16); 256 reports are a 64 KiB block one worker writes.
+const replayChunk = 256
+
+// replay writes vehicle index's report when nothing about it executes —
+// first's report under the vehicle's own identity — in place, so the
+// report is copied once.
+func (st *stamp) replay(dst *VehicleReport, root uint64, index int) {
+	*dst = st.first
+	dst.Index, dst.VIN, dst.Seed = index, VIN(index), VehicleSeed(root, index)
+}
+
+// replayChunks is a worker's loop on a fully stamped run: it claims
+// replayChunk indices at a time off the cursor, replays each into its
+// report slot and emits the chunk in one completion.
+func (sh *shared) replayChunks(next *atomic.Int64, reports []VehicleReport, emit *orderedEmit) {
+	st, root, off := sh.stamp, sh.cfg.Groups[0].RootSeed, sh.cfg.IndexOffset
+	for {
+		lo := int(next.Add(replayChunk)) - replayChunk
+		if lo >= len(reports) {
+			return
+		}
+		hi := min(lo+replayChunk, len(reports))
+		for i := lo; i < hi; i++ {
+			st.replay(&reports[i], root, i+off)
+		}
+		if emit != nil {
+			emit.complete(lo, hi)
+		}
+	}
 }
 
 // onto stamps the seed-invariant sections — MAC probe counts and attack
@@ -370,7 +409,9 @@ func Run(cfg Config) (*FleetReport, error) {
 	// unbuffered-channel dispatcher made the feeding goroutine a
 	// serialization point at fleet=1000 (one rendezvous per vehicle).
 	// Claiming indices with a fetch-add keeps vehicle order deterministic
-	// (reports are slotted by index) with zero coordination cost.
+	// (reports are slotted by index); vehicles that execute are claimed one
+	// at a time, so the workers stay balanced, and replayed ones a chunk at
+	// a time (replayChunks).
 	reports := make([]VehicleReport, cfg.Fleet)
 	errs := make([]error, cfg.Fleet)
 	var emit *orderedEmit
@@ -389,20 +430,25 @@ func Run(cfg Config) (*FleetReport, error) {
 			reports[0], errs[0] = sh.runVehicle(s, cfg.IndexOffset)
 			if errs[0] == nil {
 				sh.stamp = &stamp{first: reports[0], live: cfg.ErrorRate == 0}
+				sh.stamp.first.Health = Health{}
 			}
 			if emit != nil {
-				emit.complete(0)
+				emit.complete(0, 1)
 			}
 		}
 	}
 	// With a full stamp no later vehicle executes, so no worker needs a
 	// stack of its own.
-	needStack := sh.stamp == nil || !sh.stamp.live
+	replayAll := sh.stamp != nil && sh.stamp.live
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if replayAll {
+				sh.replayChunks(&next, reports, emit)
+				return
+			}
 			var s stack
 			var serr error
 			reported := false
@@ -416,7 +462,7 @@ func Run(cfg Config) (*FleetReport, error) {
 				// stack to a worker instead measured ~20% slower live phases
 				// with two workers executing every live phase (the
 				// benchmark's noisy-live workload).
-				if s == nil && serr == nil && needStack {
+				if s == nil && serr == nil {
 					s, serr = newStack(sh)
 				}
 				switch {
@@ -434,7 +480,7 @@ func Run(cfg Config) (*FleetReport, error) {
 					reports[i], errs[i] = sh.runVehicle(s, i+cfg.IndexOffset)
 				}
 				if emit != nil {
-					emit.complete(i)
+					emit.complete(i, i+1)
 				}
 			}
 		}()
@@ -559,14 +605,11 @@ func (fresh) rebuild(*shared) error { return nil }
 // runVehicle produces one vehicle's report on stack s. Without a stamp the
 // whole visit executes under the visit supervisor, which re-runs it on a
 // rebuilt stack after a crash (injected or organic panic at visit scope).
-// With a stamp, only a seed-dependent live phase executes — supervised the
-// same way — and the stamp supplies the rest; with a fully seed-invariant
-// stamp nothing executes at all.
+// With a stamp, only the seed-dependent live phase executes — supervised
+// the same way — and the stamp supplies the rest. A fully seed-invariant
+// stamp never gets here: replayChunks writes those vehicles.
 func (sh *shared) runVehicle(s stack, index int) (VehicleReport, error) {
 	st := sh.stamp
-	if st != nil && st.live {
-		return st.replay(sh.cfg.Groups[0].RootSeed, index), nil
-	}
 	visit := func(attempt int, h *Health) (VehicleReport, error) {
 		if st == nil {
 			return sh.visit(s, index, attempt, h)

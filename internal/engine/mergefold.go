@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/attack"
@@ -13,6 +15,17 @@ import (
 // statement order per vehicle, same float summation order — so a stream
 // folded in index order finishes byte-identical to the unsharded run.
 //
+// A run of consecutive vehicles whose Groups is the same slice — the
+// run-level stamp's, or the one matrix a shard stream's back-references
+// decode to — folds its matrix once: the first vehicle merges it on
+// arrival, the repeats merge it as one integer product at the next break
+// or in Finish. Every attack.Summary field is an integer, so the product
+// equals the repeated sum exactly. The bus counters, Health and the
+// utilisation sum still fold per vehicle, in index order. The fold relies
+// on VehicleReport.Groups being read-only and checks it: a run copies its
+// matrix when its second vehicle arrives and panics at the flush if the
+// shared slice's content has changed since.
+//
 // Not safe for concurrent use: the shard driver serialises Adds behind
 // its in-range-order merge loop, exactly as the batch fold serialises its
 // slice walk.
@@ -20,6 +33,12 @@ type MergeFold struct {
 	cfg     Config
 	fr      *FleetReport
 	utilSum float64
+	// run is the Groups slice of the last vehicle folded. reps counts the
+	// vehicles after it that carried the same slice, not merged yet, and
+	// snap is run's content when the first of them arrived.
+	run  [][]attack.RegimeSummary
+	reps int
+	snap [][]attack.RegimeSummary
 }
 
 // NewMergeFold starts an incremental fleet merge. cfg must describe the
@@ -79,6 +98,18 @@ func (m *MergeFold) fold(v *VehicleReport) {
 	fr.MACChecks += v.MACChecks
 	fr.MACAllowed += v.MACAllowed
 	m.utilSum += v.Utilisation
+	if len(v.Groups) > 0 && len(v.Groups) == len(m.run) && &v.Groups[0] == &m.run[0] {
+		if m.reps == 0 {
+			m.snap = make([][]attack.RegimeSummary, len(v.Groups))
+			for gi, g := range v.Groups {
+				m.snap[gi] = slices.Clone(g)
+			}
+		}
+		m.reps++
+		return
+	}
+	m.flush()
+	m.run = v.Groups
 	for gi := range v.Groups {
 		for ri := range v.Groups[gi] {
 			fr.Groups[gi].Regimes[ri].Summary.Merge(v.Groups[gi][ri].Summary)
@@ -86,11 +117,29 @@ func (m *MergeFold) fold(v *VehicleReport) {
 	}
 }
 
+// flush merges the pending repeats, after checking that the matrix they
+// share still holds what it held when the first of them arrived.
+func (m *MergeFold) flush() {
+	if m.reps == 0 {
+		return
+	}
+	if !slices.EqualFunc(m.run, m.snap, slices.Equal[[]attack.RegimeSummary]) {
+		panic(fmt.Sprintf("engine: MergeFold: the Groups matrix %d consecutive vehicles share changed while they were folded; VehicleReport.Groups is read-only", m.reps+1))
+	}
+	for gi := range m.run {
+		for ri := range m.run[gi] {
+			m.fr.Groups[gi].Regimes[ri].Summary.MergeScaled(m.run[gi][ri].Summary, m.reps)
+		}
+	}
+	m.reps = 0
+}
+
 // Finish closes the fold and returns the fleet report. The MergeFold must
 // not be used afterwards.
 func (m *MergeFold) Finish() *FleetReport { return m.finish() }
 
 func (m *MergeFold) finish() *FleetReport {
+	m.flush()
 	fr := m.fr
 	groupRegimes := make([][]attack.RegimeSummary, len(fr.Groups))
 	for gi := range fr.Groups {
@@ -106,7 +155,9 @@ func (m *MergeFold) finish() *FleetReport {
 // orderedEmit sequences Config.OnVehicle callbacks: workers complete
 // vehicles out of order, the emitter releases them strictly by index.
 // Vehicles are claimed off an atomic cursor, so completion order tracks
-// index order closely and the pending window stays near the worker count.
+// index order closely and the pending window stays near the worker count —
+// up to workers × replayChunk on a fully stamped run, whose workers
+// complete a chunk at a time.
 type orderedEmit struct {
 	mu      sync.Mutex
 	fn      func(*VehicleReport)
@@ -119,13 +170,15 @@ func newOrderedEmit(fn func(*VehicleReport), reports []VehicleReport) *orderedEm
 	return &orderedEmit{fn: fn, reports: reports, done: make([]bool, len(reports))}
 }
 
-// complete marks slot i finished and emits every report that is now
-// contiguous from the emission cursor. Callbacks run under the lock —
+// complete marks slots [lo, hi) finished and emits every report that is
+// now contiguous from the emission cursor. Callbacks run under the lock —
 // never concurrently, always in ascending index order.
-func (e *orderedEmit) complete(i int) {
+func (e *orderedEmit) complete(lo, hi int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.done[i] = true
+	for i := lo; i < hi; i++ {
+		e.done[i] = true
+	}
 	for e.next < len(e.done) && e.done[e.next] {
 		e.fn(&e.reports[e.next])
 		e.next++

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,7 +16,7 @@ import (
 )
 
 func TestVINMatchesFmt(t *testing.T) {
-	for _, i := range []int{0, 7, 999999, 1000000, 123456789} {
+	for _, i := range []int{0, 7, 99999, 100000, 999999, 1000000, 9999999, 123456789} {
 		if got, want := engine.VIN(i), fmt.Sprintf("VIN-%06d", i); got != want {
 			t.Errorf("VIN(%d) = %q, want %q", i, got, want)
 		}
@@ -77,6 +79,104 @@ func TestStampedVehiclesMatchOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestReplayChunkBoundaries covers a fully stamped run's chunked claims at
+// the chunk's edges: whatever the fleet size around the chunk constant C,
+// the worker count and the shard offset, every report equals the
+// one-worker run's, OnVehicle fires once per index in ascending order, and
+// vehicles at the chunk boundaries equal their one-vehicle oracle.
+func TestReplayChunkBoundaries(t *testing.T) {
+	c := engine.ReplayChunk
+	for _, offset := range []int{0, 37} {
+		for _, fleet := range []int{1, c - 1, c, c + 1, 2*c + 3} {
+			var want *engine.FleetReport
+			for _, workers := range []int{1, 2, 3} {
+				name := fmt.Sprintf("fleet=%d workers=%d offset=%d", fleet, workers, offset)
+				cfg := stampConfig(workers, offset, 0)
+				cfg.Fleet = fleet
+				var emitted []int
+				cfg.OnVehicle = func(v *engine.VehicleReport) { emitted = append(emitted, v.Index) }
+				fr, err := engine.Run(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for i, idx := range emitted {
+					if idx != offset+i {
+						t.Fatalf("%s: emit %d carried index %d, want %d", name, i, idx, offset+i)
+					}
+				}
+				if len(emitted) != fleet {
+					t.Fatalf("%s: OnVehicle fired %d times, want %d", name, len(emitted), fleet)
+				}
+				if want == nil {
+					want = fr
+					continue
+				}
+				if !reflect.DeepEqual(fr.Vehicles, want.Vehicles) || !reflect.DeepEqual(fr.Groups, want.Groups) {
+					t.Errorf("%s: reports differ from the one-worker run", name)
+				}
+			}
+			// Chunks start at local index 1: the first vehicle executes alone.
+			for _, i := range slices.Compact([]int{c, c + 1, 2 * c, fleet - 1}) {
+				if i < 1 || i >= fleet {
+					continue
+				}
+				one := stampConfig(1, offset+i, 0)
+				one.Fleet, one.NoBatch = 1, true
+				oracle, err := engine.Run(one)
+				if err != nil {
+					t.Fatalf("fleet=%d offset=%d vehicle=%d: oracle: %v", fleet, offset, i, err)
+				}
+				if !reflect.DeepEqual(want.Vehicles[i], oracle.Vehicles[0]) {
+					t.Errorf("fleet=%d offset=%d vehicle=%d: replayed report differs from its oracle re-execution:\nreplayed: %+v\noracle:   %+v",
+						fleet, offset, i, want.Vehicles[i], oracle.Vehicles[0])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkStampedReplay is the replay layer on its own: a fleet of
+// 100,000 on one Table I group with a full stamp (ErrorRate 0), so the
+// first vehicle executes and every other is replayed and merged. It
+// reports time and allocations per vehicle.
+func BenchmarkStampedReplay(b *testing.B) {
+	const fleet = 100000
+	h, err := attack.NewHarness()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := engine.Config{
+				Fleet:   fleet,
+				Workers: workers,
+				Groups: []engine.ScenarioGroup{{
+					Name:      "table-i",
+					Scenarios: attack.Scenarios(),
+					Regimes:   []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
+					RootSeed:  42,
+				}},
+				TrafficHorizon: 10 * time.Millisecond,
+				Harness:        h,
+				SkipMAC:        true,
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := engine.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(b.N) * fleet
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/vehicle")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/vehicle")
+		})
 	}
 }
 
