@@ -276,8 +276,8 @@ func BenchmarkAblationHPELookup(b *testing.B) {
 // BenchmarkHPELookup is the backend ablation (DESIGN.md §12): the same
 // allow-range policy compiled through every registered enforcement backend,
 // measured on the engine's Decide hot path with the worst-case identifier.
-// The table rows go through InstallEnforcer's unwrap onto the legacy atomic
-// table path, so they double as a regression guard for the re-homing.
+// Every backend installs its approved lists into the same engine table, so
+// the rows differ only in the lookup behind each list.
 func BenchmarkHPELookup(b *testing.B) {
 	for _, backend := range ir.Names() {
 		for _, size := range []uint32{16, 256, 2048} {

@@ -14,12 +14,16 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'FleetSweep|Fig2|CampaignSweep|RiskCalibrate' -benchmem -benchtime 20x . \
-//	  | benchgate -snapshot BENCH_6.json
+//	go test -run '^$' -bench 'FleetSweep|Fig2|CampaignSweep|RiskCalibrate' -benchmem -benchtime 100x -count 5 . \
+//	  | benchgate -snapshot BENCH_9.json
 //
 // The tool reads benchmark output on stdin. Sub-benchmark names are matched
 // after stripping the trailing -<GOMAXPROCS> suffix; benchmarks missing from
-// the snapshot are ignored, but at least one must match. After the verdicts
+// the snapshot are ignored, but at least one must match. When the input
+// carries several runs of a benchmark (-count N), each gated quantity is
+// the median of those runs, the statistic the snapshot records: one run
+// preempted on a shared host moves a median of five no further than a
+// quiet one does, while a real regression moves every run. After the verdicts
 // it prints a benchstat-style delta summary (snapshot vs measured, signed
 // percentages) so the CI log shows how far each hot path moved, not just
 // whether it crossed the failure factor.
@@ -154,8 +158,11 @@ func main() {
 		fatal("parse snapshot %s: %v", *snapPath, err)
 	}
 
-	matched, failed := 0, 0
-	var deltas []deltaRow
+	// Collect every run of every snapshot row first: with -count N the
+	// input carries N lines per row, and the row is gated on their median,
+	// the statistic the snapshot records.
+	runs := map[string][]string{}
+	var order []string
 	sc := bufio.NewScanner(os.Stdin)
 	for sc.Scan() {
 		line := sc.Text()
@@ -165,15 +172,30 @@ func main() {
 			continue
 		}
 		name := m[1]
-		entry, ok := snap.Benchmarks[name]
-		if !ok || entry.NsPerOp <= 0 {
+		if entry, ok := snap.Benchmarks[name]; !ok || entry.NsPerOp <= 0 {
 			continue
 		}
-		measured, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			continue
+		if runs[name] == nil {
+			order = append(order, name)
 		}
-		matched++
+		runs[name] = append(runs[name], line)
+	}
+	if err := sc.Err(); err != nil {
+		fatal("read stdin: %v", err)
+	}
+
+	failed := 0
+	var deltas []deltaRow
+	for _, name := range order {
+		entry, lines := snap.Benchmarks[name], runs[name]
+		label := name
+		if len(lines) > 1 {
+			label = fmt.Sprintf("%s (median of %d)", name, len(lines))
+		}
+		measured, _ := medianOf(lines, func(line string) (float64, bool) {
+			v, err := strconv.ParseFloat(benchLine.FindStringSubmatch(line)[2], 64)
+			return v, err == nil
+		})
 		ratio := measured / entry.NsPerOp
 		verdict := "ok"
 		if ratio > *factor {
@@ -181,25 +203,30 @@ func main() {
 			failed++
 		}
 		fmt.Printf("benchgate: %-40s %12.0f ns/op vs snapshot %12.0f (%.2fx) %s\n",
-			name, measured, entry.NsPerOp, ratio, verdict)
+			label, measured, entry.NsPerOp, ratio, verdict)
 		row := deltaRow{name: name, oldNs: entry.NsPerOp, newNs: measured, oldAllocs: -1, nAllocs: -1}
 
 		// Allocation gate: only when both sides carry the data. A pooled
 		// substrate's allocs/op is nearly exact, so >allocFactor means a
 		// hot path started allocating, not that the machine is slow.
-		am := allocsField.FindStringSubmatch(line)
-		if am != nil && entry.AllocsPerOp > 0 {
-			if allocs, err := strconv.ParseFloat(am[1], 64); err == nil {
-				row.oldAllocs, row.nAllocs = entry.AllocsPerOp, allocs
-				aratio := allocs / entry.AllocsPerOp
-				verdict = "ok"
-				if aratio > *allocFactor {
-					verdict = "ALLOC REGRESSION"
-					failed++
-				}
-				fmt.Printf("benchgate: %-40s %12.0f allocs/op vs snapshot %12.0f (%.2fx) %s\n",
-					name, allocs, entry.AllocsPerOp, aratio, verdict)
+		allocs, ok := medianOf(lines, func(line string) (float64, bool) {
+			am := allocsField.FindStringSubmatch(line)
+			if am == nil {
+				return 0, false
 			}
+			v, err := strconv.ParseFloat(am[1], 64)
+			return v, err == nil
+		})
+		if ok && entry.AllocsPerOp > 0 {
+			row.oldAllocs, row.nAllocs = entry.AllocsPerOp, allocs
+			aratio := allocs / entry.AllocsPerOp
+			verdict = "ok"
+			if aratio > *allocFactor {
+				verdict = "ALLOC REGRESSION"
+				failed++
+			}
+			fmt.Printf("benchgate: %-40s %12.0f allocs/op vs snapshot %12.0f (%.2fx) %s\n",
+				label, allocs, entry.AllocsPerOp, aratio, verdict)
 		}
 
 		// Rate gate: custom per-second metrics (vehicles/s, cells/s) are
@@ -216,14 +243,14 @@ func main() {
 			if snapV <= 0 {
 				continue
 			}
-			measuredV, ok := metricValue(line, unit)
+			measuredV, ok := medianOf(lines, func(line string) (float64, bool) { return metricValue(line, unit) })
 			if !ok {
 				continue
 			}
 			rratio := measuredV / snapV
 			if !strings.HasSuffix(unit, "/s") {
 				fmt.Printf("benchgate: %-40s %12.0f %s vs snapshot %12.0f (%.2fx) info\n",
-					name, measuredV, unit, snapV, rratio)
+					label, measuredV, unit, snapV, rratio)
 				continue
 			}
 			verdict = "ok"
@@ -232,13 +259,11 @@ func main() {
 				failed++
 			}
 			fmt.Printf("benchgate: %-40s %12.0f %s vs snapshot %12.0f (%.2fx) %s\n",
-				name, measuredV, unit, snapV, rratio, verdict)
+				label, measuredV, unit, snapV, rratio, verdict)
 		}
 		deltas = append(deltas, row)
 	}
-	if err := sc.Err(); err != nil {
-		fatal("read stdin: %v", err)
-	}
+	matched := len(order)
 	if matched == 0 {
 		fatal("no benchmark in the input matched the snapshot %s", *snapPath)
 	}
@@ -249,6 +274,25 @@ func main() {
 	}
 	fmt.Printf("benchgate: %d benchmark(s) within %.1fx ns/op+rates and %.1fx allocs/op of %s\n",
 		matched, *factor, *allocFactor, *snapPath)
+}
+
+// medianOf is the median of the values value extracts from lines; ok is
+// false when no line carries one.
+func medianOf(lines []string, value func(string) (float64, bool)) (float64, bool) {
+	var vs []float64
+	for _, line := range lines {
+		if v, ok := value(line); ok {
+			vs = append(vs, v)
+		}
+	}
+	if len(vs) == 0 {
+		return 0, false
+	}
+	sort.Float64s(vs)
+	if n := len(vs); n%2 == 0 {
+		return (vs[n/2-1] + vs[n/2]) / 2, true
+	}
+	return vs[len(vs)/2], true
 }
 
 func fatal(format string, args ...any) {

@@ -48,7 +48,7 @@ func (h *Harness) NewArena() (*Arena, error) {
 	for i, name := range car.AllNodes {
 		eng := hpe.New(name, c, h.Cycles)
 		eng.SetSingleOwner(true)
-		if err := h.installEngine(eng); err != nil {
+		if err := eng.InstallEnforcer(h.Enforcer); err != nil {
 			return nil, err
 		}
 		engines[i] = eng
@@ -67,12 +67,12 @@ func (a *Arena) Car() *car.Car { return a.car }
 func (a *Arena) SetSeed(seed uint64) { a.seed = seed }
 
 // deployEngines resets every pooled engine's counters, reinstalls the
-// compiled policy (a table reuse, not a recompilation) and attaches each
+// harness's enforcer (a table reuse, not a recompilation) and attaches each
 // engine as its node's inline filter — the pooled equivalent of hpe.Deploy.
 func (a *Arena) deployEngines() error {
 	for i, n := range a.nodes {
 		a.engines[i].Reset()
-		if err := a.h.reinstallEngine(a.engines[i]); err != nil {
+		if err := a.engines[i].ReinstallEnforcer(a.h.Enforcer); err != nil {
 			return err
 		}
 		n.SetInlineFilter(a.engines[i])
@@ -198,13 +198,4 @@ func (a *Arena) restore(ck *checkpoint, enf Enforcement) error {
 // pooled vehicle: Harness.RunMatrix without the per-cell reconstruction.
 func (a *Arena) RunMatrix(scenarios []Scenario, regimes ...Enforcement) (Matrix, error) {
 	return runMatrix(scenarios, regimes, a.Run)
-}
-
-// RunSummaries is the pooled counterpart of Harness.RunSummaries: the full
-// scenario×regime sweep reduced to per-regime aggregates, with neither the
-// per-cell reconstruction nor the raw-result collection. The fleet engine
-// runs every scenario group of a vehicle visit through this path, reusing
-// the same warm arena across campaign-family boundaries.
-func (a *Arena) RunSummaries(scenarios []Scenario, regimes ...Enforcement) ([]RegimeSummary, error) {
-	return runSummaries(scenarios, regimes, a.Run)
 }

@@ -220,16 +220,13 @@ func (r Result) String() string {
 
 // Harness runs scenarios against fresh cars.
 type Harness struct {
-	// Compiled is the policy loaded into HPEs under EnforceHPE. It is always
-	// populated — report views render approved lists from it — even when a
-	// non-table backend enforces.
+	// Compiled is the policy's table form. It is always populated — report
+	// views render approved lists from it — even when a non-table backend
+	// enforces.
 	Compiled *policy.Compiled
-	// Backend names the policy backend engines decide with; "" means the
-	// default table interpreter.
-	Backend string
-	// Enforcer is the compiled enforcer for non-table backends. It is nil on
-	// the table path, which keeps every legacy install/deploy literally
-	// unchanged (and default-backend sweeps byte-identical).
+	// Enforcer is the compiled policy the HPEs install under EnforceHPE:
+	// Compiled itself on the table backend (ir.WrapCompiled, so nothing
+	// compiles twice), the named backend's enforcer otherwise.
 	Enforcer ir.Enforcer
 	// Cycles is the HPE cycle model.
 	Cycles hpe.CycleModel
@@ -275,7 +272,7 @@ func NewHarnessFromSet(set *policy.Set, backend string) (*Harness, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &Harness{Compiled: compiled, Backend: backend, Cycles: hpe.DefaultCycleModel()}
+	h := &Harness{Compiled: compiled, Enforcer: ir.WrapCompiled(compiled), Cycles: hpe.DefaultCycleModel()}
 	if backend != "" && backend != ir.DefaultBackend {
 		opts.Backend = backend
 		if h.Enforcer, err = ir.Build(set, opts); err != nil {
@@ -285,29 +282,10 @@ func NewHarnessFromSet(set *policy.Set, backend string) (*Harness, error) {
 	return h, nil
 }
 
-// DeployEngines attaches policy engines running the harness's backend to
-// the named bus nodes: hpe.Deploy or hpe.DeployEnforcer as appropriate.
+// DeployEngines attaches policy engines running the harness's enforcer to
+// the named bus nodes.
 func (h *Harness) DeployEngines(bus *canbus.Bus, modes hpe.ModeSource, nodeNames ...string) (map[string]*hpe.Engine, error) {
-	if h.Enforcer != nil {
-		return hpe.DeployEnforcer(bus, h.Enforcer, modes, h.Cycles, nodeNames...)
-	}
-	return hpe.Deploy(bus, h.Compiled, modes, h.Cycles, nodeNames...)
-}
-
-// installEngine and reinstallEngine are the pooled-arena install paths,
-// routed through the harness's backend.
-func (h *Harness) installEngine(e *hpe.Engine) error {
-	if h.Enforcer != nil {
-		return e.InstallEnforcer(h.Enforcer)
-	}
-	return e.Install(h.Compiled)
-}
-
-func (h *Harness) reinstallEngine(e *hpe.Engine) error {
-	if h.Enforcer != nil {
-		return e.ReinstallEnforcer(h.Enforcer)
-	}
-	return e.Reinstall(h.Compiled)
+	return hpe.DeployEnforcer(bus, h.Enforcer, modes, h.Cycles, nodeNames...)
 }
 
 // stepTime spaces injected frames apart on the virtual clock.

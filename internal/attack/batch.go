@@ -13,7 +13,7 @@ package attack
 // siblings ended up scattered by the campaign compiler's sample shuffle.
 
 // BatchPlan is one scenario group's cells organised for prefix-checkpointed
-// execution: the scenarios and regimes of a plain RunSummaries call, plus the
+// execution: the scenarios and regimes of a plain RunMatrix call, plus the
 // prefix buckets PlanBatches derived from the scenarios' PrefixKeys. Plans
 // are immutable after construction and hold no vehicle state, so one plan is
 // shared by every worker (and every vehicle) of a fleet sweep.
@@ -30,18 +30,6 @@ type BatchPlan struct {
 
 // Cells returns the total number of scenario×regime cells the plan covers.
 func (p *BatchPlan) Cells() int { return len(p.Scenarios) * len(p.Regimes) }
-
-// SharedCells returns the number of cells that fork from a checkpoint
-// instead of paying a full reset — the quantity sweep throughput scales with.
-func (p *BatchPlan) SharedCells() int {
-	n := 0
-	for _, b := range p.buckets {
-		if len(b) > 1 {
-			n += (len(b) - 1) * len(p.Regimes)
-		}
-	}
-	return n
-}
 
 // PlanBatches buckets scenarios by PrefixKey for Arena.NewBatchRun.
 // Scenarios with equal non-zero keys share a bucket (they promise an

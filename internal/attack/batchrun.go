@@ -14,7 +14,7 @@ import (
 // quiescent vehicle, and forks each cell from the checkpoint instead of
 // paying a full reset + regime provisioning + setup replay; singleton
 // buckets run the plain per-cell path. Per-regime aggregates folded from a
-// drained cursor equal RunSummaries on the same scenarios and regimes: each
+// drained cursor equal RunMatrix's on the same scenarios and regimes: each
 // forked cell produces the same Result as a cold run (restore equals reset),
 // and Summary.Add is commutative, so the bucket-major order cannot show.
 //

@@ -100,7 +100,7 @@ func TestCheckpointRestoreMatchesReset(t *testing.T) {
 }
 
 // TestRunSummariesBatchedMatchesOracle requires a drained BatchRun cursor to
-// aggregate byte-identically to the scenario-major RunSummaries oracle when
+// aggregate byte-identically to the scenario-major RunMatrix oracle when
 // scenarios share a prefix bucket, when buckets are interleaved (the order
 // the campaign compiler's pick shuffle produces), and when keys are absent
 // (all-singleton degenerate plan).
@@ -166,10 +166,11 @@ func TestRunSummariesBatchedMatchesOracle(t *testing.T) {
 	}
 	for name, build := range cases {
 		scs := build(append([]Scenario(nil), base...))
-		want, err := a.RunSummaries(scs, allRegimes...)
+		oracle, err := a.RunMatrix(scs, allRegimes...)
 		if err != nil {
 			t.Fatalf("%s oracle: %v", name, err)
 		}
+		want := oracle.Regimes
 		got := drainBatchRun(t, a, PlanBatches(scs, allRegimes...))
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: batched summaries diverged\noracle:  %+v\nbatched: %+v", name, want, got)

@@ -470,8 +470,3 @@ func (n *Node) revive() {
 func (n *Node) noteArbitrationLoss() {
 	n.stats.ArbitrationLosses++
 }
-
-// QueueLen returns the number of frames waiting to transmit.
-func (n *Node) QueueLen() int {
-	return len(n.txq)
-}

@@ -145,3 +145,33 @@ func TestDeployEnforcer(t *testing.T) {
 		t.Error("unknown node: want error")
 	}
 }
+
+// TestDecideAllocFree pins the per-frame cost every backend shares: Decide
+// allocates nothing on the table, expr or closure backend, single-owner or
+// concurrent, in a known mode, an unknown mode and for a subject the policy
+// does not know.
+func TestDecideAllocFree(t *testing.T) {
+	for _, backend := range ir.Names() {
+		for _, single := range []bool{false, true} {
+			for _, c := range []struct {
+				subject string
+				mode    policy.Mode
+			}{{"ecu", "Normal"}, {"ecu", "Limp"}, {"ghost", "Normal"}} {
+				e := New(c.subject, FixedMode(c.mode), DefaultCycleModel())
+				e.SetSingleOwner(single)
+				if err := e.InstallEnforcer(buildEnforcer(t, backend)); err != nil {
+					t.Fatal(err)
+				}
+				allocs := testing.AllocsPerRun(1000, func() {
+					e.Decide(canbus.Read, frame(0x100))
+					e.Decide(canbus.Write, frame(0x200))
+					e.Decide(canbus.Read, frame(0x123))
+				})
+				if allocs != 0 {
+					t.Errorf("%s (single=%v) %s/%s: Decide allocates %.1f/op, want 0",
+						backend, single, c.subject, c.mode, allocs)
+				}
+			}
+		}
+	}
+}

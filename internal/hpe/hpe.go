@@ -7,12 +7,18 @@
 //
 //   - Transparency: the engine implements canbus.InlineFilter and is invisible
 //     to node software; nothing in the node's firmware path can mutate it.
-//     Table swaps happen only through Install, which the secure policy-update
-//     path (policy.Store) drives.
+//     Table swaps happen only through Install/InstallEnforcer, which the
+//     secure policy-update path (policy.Store) and the attack harness drive.
 //   - Robustness to firmware compromise: compromising the CAN controller
 //     (Controller.CompromiseFilters) bypasses software acceptance filters but
 //     leaves the engine's filtering intact, because it is a separate hardware
 //     entity.
+//
+// Every policy backend (internal/policy/ir) compiles to those two lists:
+// an engine installs the node's policy.NodeTable from ir.Enforcer.Node,
+// whichever backend built it, and Decide queries the current mode's lists.
+// There is one decision path; backends differ only in the policy.IDLookup
+// behind each list.
 //
 // Because a real HPE is an RTL block, the simulation also carries a cycle
 // cost model so benchmarks can report decision latency in hardware terms.
@@ -107,15 +113,10 @@ type Engine struct {
 	perDecision uint64
 	single      bool // single-owner mode: skip the stats mutex
 
-	table  atomic.Pointer[policy.NodeTable]
-	source *policy.Compiled // the compiled policy the table came from
-
-	// gen holds the generic install for non-table policy backends (expr,
-	// closure): the enforcer and the node's resolved decider. Exactly one of
-	// table/gen is non-nil after an install; the table backend keeps its
-	// historical atomic-NodeTable fast path and never touches gen.
-	gen     atomic.Pointer[genInstall]
-	backend string // active backend name ("" before any install)
+	// table is the node's approved lists, swapped whole on every install.
+	table   atomic.Pointer[policy.NodeTable]
+	source  ir.Enforcer // the enforcer the table came from
+	backend string      // its backend name ("" before any install)
 
 	// Resolved mode-table cache, maintained only in single-owner mode: it
 	// skips the per-decision map lookup NodeTable.Table performs. The
@@ -124,22 +125,9 @@ type Engine struct {
 	cacheMode  policy.Mode
 	cacheMT    policy.ModeTable
 
-	// The same cache for the generic path: one ModeDecider resolution per
-	// (install, mode) change instead of per decision.
-	cacheGen   *genInstall
-	cacheGMode policy.Mode
-	cacheMD    ir.ModeDecider
-
 	mu      sync.Mutex
 	stats   Stats
 	auditor *Auditor
-}
-
-// genInstall is one generic (non-table) backend install: swapped atomically
-// as a unit, like the NodeTable pointer on the table path.
-type genInstall struct {
-	enf  ir.Enforcer
-	node ir.NodeDecider
 }
 
 var _ canbus.InlineFilter = (*Engine)(nil)
@@ -176,39 +164,26 @@ func (e *Engine) unlock() {
 	}
 }
 
-// Install loads the node's table from a compiled policy. It is the only
-// mutation path, used by the secure update mechanism; the swap is atomic
-// with respect to concurrent decisions.
+// Install loads the node's table from a compiled policy: InstallEnforcer
+// on the table backend.
 func (e *Engine) Install(c *policy.Compiled) error {
 	if c == nil {
 		return fmt.Errorf("hpe: nil compiled policy")
 	}
-	e.gen.Store(nil)
-	e.table.Store(c.Node(e.subject))
-	e.lock()
-	e.source = c
-	e.backend = ir.DefaultBackend
-	e.stats.Installs++
-	e.unlock()
-	return nil
+	return e.InstallEnforcer(ir.WrapCompiled(c))
 }
 
-// InstallEnforcer loads the node's decision logic from a compiled enforcer.
-// The table backend routes through the historical Install path (atomic
-// NodeTable swap, untouched hot path); every other backend installs its
-// NodeDecider on the generic path. Like Install, the swap is atomic with
-// respect to concurrent decisions.
+// InstallEnforcer loads the node's approved lists from a compiled enforcer,
+// whatever its backend. It is the only mutation path, used by the secure
+// update mechanism; the swap is atomic with respect to concurrent
+// decisions.
 func (e *Engine) InstallEnforcer(enf ir.Enforcer) error {
 	if enf == nil {
 		return fmt.Errorf("hpe: nil enforcer")
 	}
-	if te, ok := enf.(*ir.TableEnforcer); ok {
-		return e.Install(te.Compiled())
-	}
-	e.table.Store(nil)
-	e.gen.Store(&genInstall{enf: enf, node: enf.Node(e.subject)})
+	e.table.Store(enf.Node(e.subject))
 	e.lock()
-	e.source = nil
+	e.source = enf
 	e.backend = enf.Backend()
 	e.stats.Installs++
 	e.unlock()
@@ -216,38 +191,13 @@ func (e *Engine) InstallEnforcer(enf ir.Enforcer) error {
 }
 
 // ReinstallEnforcer is InstallEnforcer specialised for re-provisioning a
-// pooled engine, mirroring Reinstall: when the enforcer is the one already
-// installed, the resolved decider is reused.
+// pooled engine: when enf is the enforcer already installed, the installed
+// table is kept instead of being looked up again (a table enforcer builds
+// a fresh deny-all table per lookup of an unknown subject). A different
+// enforcer falls back to a full InstallEnforcer.
 func (e *Engine) ReinstallEnforcer(enf ir.Enforcer) error {
-	if enf == nil {
-		return fmt.Errorf("hpe: nil enforcer")
-	}
-	if te, ok := enf.(*ir.TableEnforcer); ok {
-		return e.Reinstall(te.Compiled())
-	}
-	g := e.gen.Load()
-	same := g != nil && g.enf == enf
-	if same {
-		e.lock()
-		e.stats.Installs++
-		e.unlock()
-		return nil
-	}
-	return e.InstallEnforcer(enf)
-}
-
-// Reinstall is Install specialised for re-provisioning a pooled engine: when
-// the compiled policy is the one already installed, the resolved lookup
-// tables are reused instead of being re-derived (Compiled.Node allocates a
-// fresh deny-all table for unknown subjects on every call, and even the
-// known-subject path pays a map lookup). A different compiled policy falls
-// back to a full Install.
-func (e *Engine) Reinstall(c *policy.Compiled) error {
-	if c == nil {
-		return fmt.Errorf("hpe: nil compiled policy")
-	}
 	e.lock()
-	same := e.source == c && e.table.Load() != nil
+	same := enf != nil && e.source == enf
 	if same {
 		e.stats.Installs++
 	}
@@ -255,12 +205,11 @@ func (e *Engine) Reinstall(c *policy.Compiled) error {
 	if same {
 		return nil
 	}
-	return e.Install(c)
+	return e.InstallEnforcer(enf)
 }
 
-// Installed reports whether decision logic has been loaded (a policy table
-// or a generic enforcer).
-func (e *Engine) Installed() bool { return e.table.Load() != nil || e.gen.Load() != nil }
+// Installed reports whether a policy table has been loaded.
+func (e *Engine) Installed() bool { return e.table.Load() != nil }
 
 // Backend returns the name of the active policy backend, or "" before any
 // install.
@@ -268,15 +217,6 @@ func (e *Engine) Backend() string {
 	e.lock()
 	defer e.unlock()
 	return e.backend
-}
-
-// Enforcer returns the generic enforcer installed via InstallEnforcer, or
-// nil when the engine runs the table path.
-func (e *Engine) Enforcer() ir.Enforcer {
-	if g := e.gen.Load(); g != nil {
-		return g.enf
-	}
-	return nil
 }
 
 // Reset zeroes the engine's counters, returning it to the statistical state
@@ -292,7 +232,7 @@ func (e *Engine) Reset() {
 // Snapshot captures an engine's mutable decision state — the statistics and
 // the single-owner resolved-table cache — for the attack arena's prefix
 // checkpointing. The installed table and its source are deliberately not
-// captured: Install/Reinstall never runs inside a checkpoint window (regime
+// captured: no install runs inside a checkpoint window (regime
 // provisioning happens before the capture), so they are invariant across
 // every restore, and the cache fields re-resolve against the same table.
 type Snapshot struct {
@@ -301,9 +241,6 @@ type Snapshot struct {
 	cacheTable *policy.NodeTable
 	cacheMode  policy.Mode
 	cacheMT    policy.ModeTable
-	cacheGen   *genInstall
-	cacheGMode policy.Mode
-	cacheMD    ir.ModeDecider
 }
 
 // Backend returns the policy backend that was active at capture time.
@@ -323,14 +260,11 @@ func (e *Engine) Snapshot(dst *Snapshot) {
 	dst.cacheTable = e.cacheTable
 	dst.cacheMode = e.cacheMode
 	dst.cacheMT = e.cacheMT
-	dst.cacheGen = e.cacheGen
-	dst.cacheGMode = e.cacheGMode
-	dst.cacheMD = e.cacheMD
 }
 
 // RestoreFrom rewinds the engine to a state captured by Snapshot. A restored
 // engine decides and counts byte-identically to one that replayed the
-// captured prefix after a Reset + Reinstall. The snapshot carries the
+// captured prefix after a Reset + ReinstallEnforcer. The snapshot carries the
 // identity of the backend that was active at capture time; restoring it
 // onto an engine running a different backend returns ErrBackendMismatch.
 func (e *Engine) RestoreFrom(src *Snapshot) error {
@@ -346,9 +280,6 @@ func (e *Engine) RestoreFrom(src *Snapshot) error {
 	e.cacheTable = src.cacheTable
 	e.cacheMode = src.cacheMode
 	e.cacheMT = src.cacheMT
-	e.cacheGen = src.cacheGen
-	e.cacheGMode = src.cacheGMode
-	e.cacheMD = src.cacheMD
 	return nil
 }
 
@@ -367,8 +298,7 @@ func (e *Engine) CycleModel() CycleModel { return e.cycles }
 // frames, granting only identifiers present for the current mode.
 func (e *Engine) Decide(dir canbus.Direction, f canbus.Frame) canbus.Verdict {
 	verdict := canbus.Block
-	t := e.table.Load()
-	if t != nil {
+	if t := e.table.Load(); t != nil {
 		var mt policy.ModeTable
 		mode := e.modes.Mode()
 		if e.single && t == e.cacheTable && mode == e.cacheMode {
@@ -386,29 +316,6 @@ func (e *Engine) Decide(dir canbus.Direction, f canbus.Frame) canbus.Verdict {
 			}
 		case canbus.Write:
 			if mt.Writes != nil && mt.Writes.Contains(f.ID) {
-				verdict = canbus.Grant
-			}
-		}
-	} else if g := e.gen.Load(); g != nil {
-		// Generic backend path, mirroring the table path's single-owner
-		// resolved-decider cache: one Resolve per (install, mode) change.
-		var md ir.ModeDecider
-		mode := e.modes.Mode()
-		if e.single && g == e.cacheGen && mode == e.cacheGMode {
-			md = e.cacheMD
-		} else {
-			md = g.node.Resolve(mode)
-			if e.single {
-				e.cacheGen, e.cacheGMode, e.cacheMD = g, mode, md
-			}
-		}
-		switch dir {
-		case canbus.Read:
-			if md.Allow(policy.ActRead, f.ID) {
-				verdict = canbus.Grant
-			}
-		case canbus.Write:
-			if md.Allow(policy.ActWrite, f.ID) {
 				verdict = canbus.Grant
 			}
 		}
@@ -442,26 +349,17 @@ func (e *Engine) Decide(dir canbus.Direction, f canbus.Frame) canbus.Verdict {
 }
 
 // Deploy attaches engines to every listed node of a bus and installs the
-// compiled policy into each. It returns the engines keyed by node name.
+// compiled policy into each: DeployEnforcer on the table backend.
 func Deploy(bus *canbus.Bus, compiled *policy.Compiled, modes ModeSource, cycles CycleModel, nodeNames ...string) (map[string]*Engine, error) {
-	engines := make(map[string]*Engine, len(nodeNames))
-	for _, name := range nodeNames {
-		node, ok := bus.Node(name)
-		if !ok {
-			return nil, fmt.Errorf("hpe: node %q not attached to bus", name)
-		}
-		eng := New(name, modes, cycles)
-		if err := eng.Install(compiled); err != nil {
-			return nil, err
-		}
-		node.SetInlineFilter(eng)
-		engines[name] = eng
+	if compiled == nil {
+		return nil, fmt.Errorf("hpe: nil compiled policy")
 	}
-	return engines, nil
+	return DeployEnforcer(bus, ir.WrapCompiled(compiled), modes, cycles, nodeNames...)
 }
 
-// DeployEnforcer is Deploy for a compiled enforcer: same attachment, with
-// the backend-appropriate install path per engine.
+// DeployEnforcer attaches engines to every listed node of a bus and
+// installs the enforcer's approved lists into each. It returns the engines
+// keyed by node name.
 func DeployEnforcer(bus *canbus.Bus, enf ir.Enforcer, modes ModeSource, cycles CycleModel, nodeNames ...string) (map[string]*Engine, error) {
 	engines := make(map[string]*Engine, len(nodeNames))
 	for _, name := range nodeNames {

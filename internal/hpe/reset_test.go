@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/canbus"
 	"repro/internal/policy"
+	"repro/internal/policy/ir"
 )
 
 // reinstallPolicy builds a small compiled policy for the reuse tests.
@@ -53,19 +54,23 @@ func TestEngineReset(t *testing.T) {
 	}
 }
 
-// TestEngineReinstall checks Reinstall reuses the resolved table for the
-// same compiled policy and swaps for a different one.
+// TestEngineReinstall checks ReinstallEnforcer keeps the installed table
+// for the enforcer already installed and swaps for a different one.
 func TestEngineReinstall(t *testing.T) {
-	c1 := reinstallPolicy(t, 1)
+	c1 := ir.WrapCompiled(reinstallPolicy(t, 1))
 	e := New("ecu", FixedMode("Normal"), DefaultCycleModel())
-	if err := e.Install(c1); err != nil {
+	if err := e.InstallEnforcer(c1); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Reinstall(c1); err != nil {
+	before := e.table.Load()
+	if err := e.ReinstallEnforcer(c1); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Stats().Installs; got != 2 {
 		t.Errorf("Installs = %d after Install+Reinstall, want 2", got)
+	}
+	if e.table.Load() != before {
+		t.Error("same-enforcer Reinstall looked the table up again")
 	}
 	if e.Decide(canbus.Read, canbus.MustDataFrame(0x100, nil)) != canbus.Grant {
 		t.Error("table lost across same-policy Reinstall")
@@ -81,7 +86,7 @@ func TestEngineReinstall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Reinstall(c2); err != nil {
+	if err := e.ReinstallEnforcer(ir.WrapCompiled(c2)); err != nil {
 		t.Fatal(err)
 	}
 	if e.Decide(canbus.Read, canbus.MustDataFrame(0x200, nil)) != canbus.Grant {

@@ -44,15 +44,6 @@ func ParseContext(s string) (Context, error) {
 	return Context{User: parts[0], Role: parts[1], Type: parts[2]}, nil
 }
 
-// MustParseContext is ParseContext that panics on error, for static tables.
-func MustParseContext(s string) Context {
-	c, err := ParseContext(s)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // String renders "user:role:type".
 func (c Context) String() string { return c.User + ":" + c.Role + ":" + c.Type }
 

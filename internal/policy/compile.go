@@ -50,7 +50,9 @@ func (k LookupKind) String() string {
 	}
 }
 
-// IDLookup answers membership queries over a fixed identifier set.
+// IDLookup answers membership queries over a fixed identifier set. Every
+// enforcement backend implements its approved lists as IDLookups, and the
+// HPE calls Contains once per frame, so Contains must not allocate.
 type IDLookup interface {
 	// Contains reports whether id is in the set.
 	Contains(id uint32) bool
@@ -167,7 +169,8 @@ type ModeTable struct {
 	Writes IDLookup
 }
 
-// NodeTable holds a node's compiled tables for every operating mode.
+// NodeTable holds a node's compiled tables for every operating mode: the
+// form the HPE installs, whichever enforcement backend built it.
 type NodeTable struct {
 	// Subject is the node the table belongs to.
 	Subject string

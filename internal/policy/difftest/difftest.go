@@ -11,8 +11,9 @@
 //     identifier-range boundary (lo-1, lo, hi, hi+1) plus an identifier far
 //     outside the universe.
 //   - Check compiles the policy with every registered backend and compares
-//     each decision — through both Enforcer.Decide and the hot-path
-//     Node/Resolve/Allow route — against the specification.
+//     each decision — through both Enforcer.Decide and the approved lists
+//     of Enforcer.Node, read as the HPE reads them — against the
+//     specification.
 //   - GenPolicy decodes an arbitrary byte string into a structurally valid
 //     policy set and device model, so the FuzzBackendEquivalence target and
 //     the seeded property tests explore policy space far beyond the
@@ -120,7 +121,7 @@ func Universe(set *policy.Set, opts policy.CompileOptions) []Probe {
 
 // Check compiles the policy with every registered backend and verifies each
 // probe decision against Spec, through both the Decide entry point and the
-// hot-path decider route. The first divergence is returned with its full
+// hot path (hotPath). The first divergence is returned with its full
 // coordinates; nil means all backends agree with the specification (and
 // therefore with each other) on every probe.
 func Check(set *policy.Set, opts policy.CompileOptions) error {
@@ -139,14 +140,28 @@ func Check(set *policy.Set, opts policy.CompileOptions) error {
 				return fmt.Errorf("difftest: backend %s Decide(%q, %s, %v, 0x%X) = %v, spec says %v\npolicy:\n%s",
 					name, p.Subject, p.Mode, p.Act, p.ID, got.Effect, want, set)
 			}
-			hot := enf.Node(p.Subject).Resolve(p.Mode).Allow(p.Act, p.ID)
-			if hot != (want == policy.Allow) {
+			if hot := hotPath(enf.Node(p.Subject), p); hot != (want == policy.Allow) {
 				return fmt.Errorf("difftest: backend %s hot path diverges at (%q, %s, %v, 0x%X): allow=%v, spec says %v\npolicy:\n%s",
 					name, p.Subject, p.Mode, p.Act, p.ID, hot, want, set)
 			}
 		}
 	}
 	return nil
+}
+
+// hotPath reads a probe's decision off a subject's approved lists exactly
+// as the HPE does: the mode's table, then the list of the probe's
+// direction. The HPE decides only reads and writes, so any other action
+// has no list and denies.
+func hotPath(n *policy.NodeTable, p Probe) bool {
+	mt := n.Table(p.Mode)
+	switch p.Act {
+	case policy.ActRead:
+		return mt.Reads.Contains(p.ID)
+	case policy.ActWrite:
+		return mt.Writes.Contains(p.ID)
+	}
+	return false
 }
 
 // CheckCompileError verifies the uniform-failure contract: if any backend

@@ -125,7 +125,7 @@ func TestTableIMatrixConcurrent(t *testing.T) {
 						errs <- &divergence{name, p, got.Effect, want}
 						return
 					}
-					if hot := node.Resolve(p.Mode).Allow(p.Act, p.ID); hot != (want == policy.Allow) {
+					if hot := hotPath(node, p); hot != (want == policy.Allow) {
 						errs <- &divergence{name, p, policy.Effect(0), want}
 						return
 					}

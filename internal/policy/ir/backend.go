@@ -29,22 +29,6 @@ type Decision struct {
 // Allowed reports whether the decision grants the access.
 func (d Decision) Allowed() bool { return d.Effect == policy.Allow }
 
-// ModeDecider answers allow/deny for one (subject, mode) pair — the
-// innermost hot-path object. Allow must be allocation-free: the HPE calls
-// it once per frame delivery across the whole fleet.
-type ModeDecider interface {
-	// Allow reports whether the single-direction action on id is granted.
-	// Actions other than ActRead/ActWrite deny.
-	Allow(act policy.Action, id uint32) bool
-}
-
-// NodeDecider is one subject's compiled decision logic across modes.
-type NodeDecider interface {
-	// Resolve returns the decider for one operating mode; unknown modes
-	// resolve to a deny-all decider, never nil.
-	Resolve(mode policy.Mode) ModeDecider
-}
-
 // Enforcer is a fully compiled policy ready to decide accesses.
 type Enforcer interface {
 	// Backend names the backend that compiled this enforcer.
@@ -53,9 +37,68 @@ type Enforcer interface {
 	Policy() (name string, version uint64)
 	// Decide evaluates one access under the closed-world contract.
 	Decide(subject string, object uint32, act policy.Action, ctx Context) Decision
-	// Node returns the subject's decider; unknown subjects get a deny-all
-	// decider, never nil.
-	Node(subject string) NodeDecider
+	// Node returns the subject's approved reading and writing lists per
+	// operating mode: the Fig. 4 table the HPE installs, whichever form
+	// the backend compiled the lists into. Unknown subjects get a deny-all
+	// table, never nil. Contains on every list must be allocation-free:
+	// the HPE calls it once per frame delivery across the whole fleet.
+	Node(subject string) *policy.NodeTable
+}
+
+// decide is every backend's Decide: the subject's approved list for the
+// mode and direction, queried for the object. Actions other than ActRead
+// and ActWrite have no list and deny.
+func decide(n *policy.NodeTable, object uint32, act policy.Action, ctx Context) Decision {
+	mt := n.Table(ctx.Mode)
+	allowed := false
+	switch act {
+	case policy.ActRead:
+		allowed = mt.Reads.Contains(object)
+	case policy.ActWrite:
+		allowed = mt.Writes.Contains(object)
+	}
+	if allowed {
+		return Decision{Effect: policy.Allow}
+	}
+	return Decision{Effect: policy.Deny}
+}
+
+// irEnforcer is the Enforcer of the backends that compile straight from the
+// IR (expr, closure): one NodeTable per interned subject.
+type irEnforcer struct {
+	backend string
+	p       *Policy
+	nodes   []policy.NodeTable
+}
+
+// compileNodes builds an irEnforcer whose approved list for each interned
+// subject, mode and direction is the one list returns.
+func compileNodes(backend string, p *Policy, list func(si, mi int, act policy.Action) policy.IDLookup) *irEnforcer {
+	e := &irEnforcer{backend: backend, p: p, nodes: make([]policy.NodeTable, len(p.Subjects))}
+	for si, subj := range p.Subjects {
+		nt := policy.NodeTable{Subject: subj, PerMode: make(map[policy.Mode]policy.ModeTable, len(p.Modes))}
+		for mi, mode := range p.Modes {
+			nt.PerMode[mode] = policy.ModeTable{Reads: list(si, mi, policy.ActRead), Writes: list(si, mi, policy.ActWrite)}
+		}
+		e.nodes[si] = nt
+	}
+	return e
+}
+
+func (e *irEnforcer) Backend() string { return e.backend }
+
+func (e *irEnforcer) Policy() (string, uint64) { return e.p.Name, e.p.Version }
+
+func (e *irEnforcer) Decide(subject string, object uint32, act policy.Action, ctx Context) Decision {
+	return decide(e.Node(subject), object, act, ctx)
+}
+
+func (e *irEnforcer) Node(subject string) *policy.NodeTable {
+	si, ok := e.p.SubjectIndex(subject)
+	if !ok {
+		return &policy.NodeTable{Subject: subject}
+	}
+	return &e.nodes[si]
 }
 
 // Backend compiles lowered policy IR into an Enforcer.
@@ -144,17 +187,3 @@ func Build(set *policy.Set, opts policy.CompileOptions) (Enforcer, error) {
 	}
 	return b.Compile(p)
 }
-
-// denyAllMode is the shared deny-everything ModeDecider every backend hands
-// out for unknown subjects and modes.
-type denyAllMode struct{}
-
-func (denyAllMode) Allow(policy.Action, uint32) bool { return false }
-
-// denyAllNode resolves every mode to the deny-all decider.
-type denyAllNode struct{}
-
-func (denyAllNode) Resolve(policy.Mode) ModeDecider { return denyAllMode{} }
-
-// DenyAllNode returns the shared deny-everything NodeDecider.
-func DenyAllNode() NodeDecider { return denyAllNode{} }

@@ -2,15 +2,14 @@ package ir
 
 // closureBackend is the fully pre-compiled backend: it memoises the IR's
 // reference evaluator into direct-mapped jump tables at compile time, one
-// per (subject, mode, direction), specialised for the vehicle model. The
-// hot path is a single bit test on a flat [32]uint64 — no rule walk, no
-// mode-table map lookup, no IDLookup interface dispatch. This is the
-// closest software analogue of burning the policy into the CAM of a real
-// policy engine, and the backend the ablation expects to win.
+// per (subject, mode, direction), specialised for the vehicle model. Each
+// table is an approved list the HPE queries like any other: a bit test on
+// a flat [32]uint64, with no rule walk. This is the closest software
+// analogue of burning the policy into the CAM of a real policy engine.
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 	"strings"
 
 	"repro/internal/policy"
@@ -27,67 +26,19 @@ func (closureBackend) Compile(p *Policy) (Enforcer, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &closureEnforcer{p: p, nodes: make([]closureNode, len(p.Subjects))}
-	for si := range p.Subjects {
-		n := closureNode{p: p, modes: make([]closureMode, len(p.Modes))}
-		for mi := range p.Modes {
-			m := &n.modes[mi]
-			for _, id := range ids {
-				if p.evalIndexed(si, id, policy.ActRead, mi) == policy.Allow {
-					m.read.set(id)
-				}
-				if p.evalIndexed(si, id, policy.ActWrite, mi) == policy.Allow {
-					m.write.set(id)
-				}
+	return &closureEnforcer{compileNodes("closure", p, func(si, mi int, act policy.Action) policy.IDLookup {
+		s := &closureSlot{}
+		for _, id := range ids { // ascending, so the spill list is sorted
+			if p.evalIndexed(si, id, act, mi) == policy.Allow {
+				s.set(id)
 			}
-			sort.Slice(m.read.ext, func(a, b int) bool { return m.read.ext[a] < m.read.ext[b] })
-			sort.Slice(m.write.ext, func(a, b int) bool { return m.write.ext[a] < m.write.ext[b] })
 		}
-		e.nodes[si] = n
-	}
-	return e, nil
+		return s
+	})}, nil
 }
 
-type closureEnforcer struct {
-	p     *Policy
-	nodes []closureNode
-}
-
-func (e *closureEnforcer) Backend() string { return "closure" }
-
-func (e *closureEnforcer) Policy() (string, uint64) { return e.p.Name, e.p.Version }
-
-func (e *closureEnforcer) Decide(subject string, object uint32, act policy.Action, ctx Context) Decision {
-	if e.Node(subject).Resolve(ctx.Mode).Allow(act, object) {
-		return Decision{Effect: policy.Allow}
-	}
-	return Decision{Effect: policy.Deny}
-}
-
-func (e *closureEnforcer) Node(subject string) NodeDecider {
-	si, ok := e.p.SubjectIndex(subject)
-	if !ok {
-		return denyAllNode{}
-	}
-	return &e.nodes[si]
-}
-
-type closureNode struct {
-	p     *Policy
-	modes []closureMode
-}
-
-func (n *closureNode) Resolve(mode policy.Mode) ModeDecider {
-	// Linear scan instead of the interning map: vehicle models have a
-	// handful of modes, and one string compare beats a map hash — this is
-	// the per-frame path when the engine runs without the resolved cache.
-	for mi := range n.p.Modes {
-		if n.p.Modes[mi] == mode {
-			return &n.modes[mi]
-		}
-	}
-	return denyAllMode{}
-}
+// closureEnforcer adds the jump-table dump to the IR enforcer.
+type closureEnforcer struct{ *irEnforcer }
 
 // closureSlot is one direction's pre-computed decision table: a 2048-bit
 // direct map over the standard 11-bit identifier space plus a sorted spill
@@ -105,7 +56,8 @@ func (s *closureSlot) set(id uint32) {
 	s.ext = append(s.ext, id)
 }
 
-func (s *closureSlot) contains(id uint32) bool {
+// Contains implements policy.IDLookup.
+func (s *closureSlot) Contains(id uint32) bool {
 	if id <= policy.MaxStandardID {
 		return s.bits[id>>6]&(1<<(id&63)) != 0
 	}
@@ -121,38 +73,25 @@ func (s *closureSlot) contains(id uint32) bool {
 	return lo < len(s.ext) && s.ext[lo] == id
 }
 
-// ids reconstructs the slot's allowed identifiers as merged ranges for the
-// jump-table dump.
-func (s *closureSlot) ids() policy.IDSet {
-	var out policy.IDSet
+// Len implements policy.IDLookup.
+func (s *closureSlot) Len() int {
+	n := len(s.ext)
+	for _, w := range s.bits {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// IDs implements policy.IDLookup: the direct-mapped identifiers, then the
+// (larger, sorted) extended ones.
+func (s *closureSlot) IDs() []uint32 {
+	out := make([]uint32, 0, s.Len())
 	for id := uint32(0); id <= policy.MaxStandardID; id++ {
 		if s.bits[id>>6]&(1<<(id&63)) != 0 {
-			out = append(out, policy.IDRange{Lo: id, Hi: id})
+			out = append(out, id)
 		}
 	}
-	for _, id := range s.ext {
-		out = append(out, policy.IDRange{Lo: id, Hi: id})
-	}
-	norm, err := out.Normalize()
-	if err != nil {
-		return out // unreachable: singletons never invert
-	}
-	return norm
-}
-
-type closureMode struct {
-	read, write closureSlot
-}
-
-func (m *closureMode) Allow(act policy.Action, id uint32) bool {
-	switch act {
-	case policy.ActRead:
-		return m.read.contains(id)
-	case policy.ActWrite:
-		return m.write.contains(id)
-	default:
-		return false
-	}
+	return append(out, s.ext...)
 }
 
 // Dump renders the compiled jump tables as deterministic text: every
@@ -165,12 +104,26 @@ func (e *closureEnforcer) Dump() string {
 		len(e.p.Modes), len(e.p.Subjects), len(e.p.Rules), e.p.Dropped)
 	for si, subj := range e.p.Subjects {
 		fmt.Fprintf(&b, "subject %q\n", subj)
-		for mi, mode := range e.p.Modes {
-			m := &e.nodes[si].modes[mi]
+		for _, mode := range e.p.Modes {
+			mt := e.nodes[si].PerMode[mode]
 			fmt.Fprintf(&b, "  mode %s\n", mode)
-			fmt.Fprintf(&b, "    R %s\n", m.read.ids())
-			fmt.Fprintf(&b, "    W %s\n", m.write.ids())
+			fmt.Fprintf(&b, "    R %s\n", ranges(mt.Reads.IDs()))
+			fmt.Fprintf(&b, "    W %s\n", ranges(mt.Writes.IDs()))
 		}
 	}
 	return b.String()
+}
+
+// ranges merges ascending identifiers into the normalised range set the
+// jump-table dump prints.
+func ranges(ids []uint32) policy.IDSet {
+	var out policy.IDSet
+	for _, id := range ids {
+		if n := len(out); n > 0 && out[n-1].Hi+1 == id {
+			out[n-1].Hi = id
+			continue
+		}
+		out = append(out, policy.IDRange{Lo: id, Hi: id})
+	}
+	return out
 }

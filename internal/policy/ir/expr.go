@@ -7,10 +7,10 @@ package ir
 // source (transpile.go renders the same rule list it walks), so what the
 // textual exports say is literally what this backend executes.
 //
-// Compilation prefilters the rule list per (subject, mode) pair into index
-// slices so the hot-path walk touches only rules that can match; the
-// deciders themselves are built once at compile time and Resolve/Allow
-// never allocate.
+// Compilation prefilters the rule list per (subject, mode, direction) into
+// one approved list each, so the hot-path walk touches only rules that can
+// match; the lists are built once at compile time and Contains never
+// allocates.
 
 import (
 	"repro/internal/policy"
@@ -23,81 +23,35 @@ func init() { Register(exprBackend{}) }
 func (exprBackend) Name() string { return "expr" }
 
 func (exprBackend) Compile(p *Policy) (Enforcer, error) {
-	e := &exprEnforcer{p: p, nodes: make([]exprNode, len(p.Subjects))}
-	for si := range p.Subjects {
-		n := exprNode{p: p, modes: make([]exprMode, len(p.Modes))}
-		for mi := range p.Modes {
-			var idx []int32
-			for ri := range p.Rules {
-				r := &p.Rules[ri]
-				if r.Subject != Wildcard && r.Subject != si {
-					continue
-				}
-				if r.Modes&(1<<mi) == 0 {
-					continue
-				}
-				idx = append(idx, int32(ri))
-			}
-			n.modes[mi] = exprMode{p: p, rules: idx}
+	return compileNodes("expr", p, func(si, mi int, act policy.Action) policy.IDLookup {
+		return newExprList(p, si, mi, act)
+	}), nil
+}
+
+// exprList is one (subject, mode, direction)'s approved list as a rule
+// walk. The subject, mode and action predicates were discharged at compile
+// time; only identifier membership remains.
+type exprList struct {
+	p     *Policy
+	rules []*Rule
+}
+
+func newExprList(p *Policy, si, mi int, act policy.Action) *exprList {
+	l := &exprList{p: p}
+	for ri := range p.Rules {
+		r := &p.Rules[ri]
+		if (r.Subject == Wildcard || r.Subject == si) && r.Modes&(1<<mi) != 0 && r.Action.Has(act) {
+			l.rules = append(l.rules, r)
 		}
-		e.nodes[si] = n
 	}
-	return e, nil
+	return l
 }
 
-type exprEnforcer struct {
-	p     *Policy
-	nodes []exprNode
-}
-
-func (e *exprEnforcer) Backend() string { return "expr" }
-
-func (e *exprEnforcer) Policy() (string, uint64) { return e.p.Name, e.p.Version }
-
-func (e *exprEnforcer) Decide(subject string, object uint32, act policy.Action, ctx Context) Decision {
-	if e.Node(subject).Resolve(ctx.Mode).Allow(act, object) {
-		return Decision{Effect: policy.Allow}
-	}
-	return Decision{Effect: policy.Deny}
-}
-
-func (e *exprEnforcer) Node(subject string) NodeDecider {
-	si, ok := e.p.SubjectIndex(subject)
-	if !ok {
-		return denyAllNode{}
-	}
-	return &e.nodes[si]
-}
-
-type exprNode struct {
-	p     *Policy
-	modes []exprMode
-}
-
-func (n *exprNode) Resolve(mode policy.Mode) ModeDecider {
-	mi, ok := n.p.ModeIndex(mode)
-	if !ok {
-		return denyAllMode{}
-	}
-	return &n.modes[mi]
-}
-
-// exprMode walks the prefiltered rule list: deny overrides allow, default
-// deny. The subject and mode predicates were discharged at compile time;
-// only action and identifier membership remain.
-type exprMode struct {
-	p     *Policy
-	rules []int32
-}
-
-func (m *exprMode) Allow(act policy.Action, id uint32) bool {
-	if act != policy.ActRead && act != policy.ActWrite {
-		return false
-	}
+// Contains implements policy.IDLookup: deny overrides allow, default deny.
+func (l *exprList) Contains(id uint32) bool {
 	allowed := false
-	for _, ri := range m.rules {
-		r := &m.p.Rules[ri]
-		if !r.Action.Has(act) || !r.IDs.Contains(id) {
+	for _, r := range l.rules {
+		if !r.IDs.Contains(id) {
 			continue
 		}
 		if r.Effect == policy.Deny {
@@ -107,3 +61,19 @@ func (m *exprMode) Allow(act policy.Action, id uint32) bool {
 	}
 	return allowed
 }
+
+// IDs implements policy.IDLookup: the rule universe filtered by Contains.
+func (l *exprList) IDs() []uint32 {
+	// Lower enumerated the universe under the same cap, so this cannot fail.
+	ids, _ := l.p.Universe.Enumerate(l.p.Limit)
+	out := ids[:0]
+	for _, id := range ids {
+		if l.Contains(id) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// Len implements policy.IDLookup.
+func (l *exprList) Len() int { return len(l.IDs()) }

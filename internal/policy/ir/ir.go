@@ -24,6 +24,12 @@
 //     for the rego/CEL-style textual exports), and "closure" pre-compiles
 //     every (subject, mode, direction) decision into direct-mapped jump
 //     tables specialised for the vehicle model.
+//   - Every backend compiles to the same runtime shape, the Fig. 4 table:
+//     Enforcer.Node returns a subject's approved reading and writing lists
+//     per mode as a *policy.NodeTable, and only the policy.IDLookup behind
+//     each list differs (bitmap or hash, jump table, prefiltered rule
+//     walk). The HPE installs that table whatever the backend, so it has
+//     one decision path, and Enforcer.Decide is one lookup in it.
 //
 // # Decision semantics
 //

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -201,10 +202,27 @@ func TestBackendsMatchEval(t *testing.T) {
 		subjects := append(append([]string{}, opts.Subjects...), "absent")
 		modes := append(append([]policy.Mode{}, opts.Modes...), "track-day")
 		acts := []policy.Action{policy.ActRead, policy.ActWrite, policy.ActReadWrite, 0}
+		universe, err := p.Universe.Enumerate(0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, subj := range subjects {
 			node := enf.Node(subj)
 			for _, mode := range modes {
-				md := node.Resolve(mode)
+				mt := node.Table(mode)
+				// Each list enumerates the universe identifiers the
+				// reference evaluator allows in its direction.
+				for act, l := range map[policy.Action]policy.IDLookup{policy.ActRead: mt.Reads, policy.ActWrite: mt.Writes} {
+					var want []uint32
+					for _, id := range universe {
+						if p.Eval(subj, id, act, mode) == policy.Allow {
+							want = append(want, id)
+						}
+					}
+					if got := l.IDs(); !slices.Equal(got, want) || l.Len() != len(want) {
+						t.Fatalf("%s (%s,%s,%v) list IDs = %v (Len %d), want %v", name, subj, mode, act, got, l.Len(), want)
+					}
+				}
 				for _, act := range acts {
 					for id := uint32(0x0FF); id <= 0x401; id++ {
 						want := p.Eval(subj, id, act, mode)
@@ -212,14 +230,26 @@ func TestBackendsMatchEval(t *testing.T) {
 						if got.Effect != want {
 							t.Fatalf("%s.Decide(%s,%s,%v,0x%X) = %v, want %v", name, subj, mode, act, id, got.Effect, want)
 						}
-						if md.Allow(act, id) != (want == policy.Allow) {
-							t.Fatalf("%s node decider diverges from Decide at (%s,%s,%v,0x%X)", name, subj, mode, act, id)
+						if lookup(mt, act, id) != (want == policy.Allow) {
+							t.Fatalf("%s approved lists diverge from Decide at (%s,%s,%v,0x%X)", name, subj, mode, act, id)
 						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// lookup reads a decision off one mode's approved lists, as the HPE does:
+// only the two single directions have a list.
+func lookup(mt policy.ModeTable, act policy.Action, id uint32) bool {
+	switch act {
+	case policy.ActRead:
+		return mt.Reads.Contains(id)
+	case policy.ActWrite:
+		return mt.Writes.Contains(id)
+	}
+	return false
 }
 
 func TestBuildAndRegistry(t *testing.T) {
@@ -257,12 +287,8 @@ func TestTableEnforcerExposesCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	te, ok := enf.(*TableEnforcer)
-	if !ok {
+	if _, ok := enf.(*TableEnforcer); !ok {
 		t.Fatalf("table backend built %T, want *TableEnforcer", enf)
-	}
-	if te.Compiled() == nil {
-		t.Fatal("TableEnforcer.Compiled() = nil")
 	}
 	direct, err := policy.Compile(set, testOpts())
 	if err != nil {
@@ -271,6 +297,10 @@ func TestTableEnforcerExposesCompiled(t *testing.T) {
 	wrapped := WrapCompiled(direct)
 	p, _ := Lower(set, testOpts())
 	for _, subj := range testOpts().Subjects {
+		// The HPE installs exactly the table policy.Compile built.
+		if wrapped.Node(subj) != direct.Node(subj) {
+			t.Fatalf("WrapCompiled.Node(%s) is not the compiled table", subj)
+		}
 		for _, mode := range testOpts().Modes {
 			for id := uint32(0x0FF); id <= 0x401; id++ {
 				for _, act := range []policy.Action{policy.ActRead, policy.ActWrite} {
@@ -291,13 +321,13 @@ func TestDecideAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build(%q): %v", name, err)
 		}
-		md := enf.Node("ecu").Resolve("normal")
+		mt := enf.Node("ecu").Table("normal")
 		allocs := testing.AllocsPerRun(1000, func() {
-			md.Allow(policy.ActWrite, 0x300)
-			md.Allow(policy.ActRead, 0x101)
+			mt.Writes.Contains(0x300)
+			mt.Reads.Contains(0x101)
 		})
 		if allocs != 0 {
-			t.Errorf("%s ModeDecider.Allow allocates %.1f/op, want 0", name, allocs)
+			t.Errorf("%s approved-list Contains allocates %.1f/op, want 0", name, allocs)
 		}
 	}
 }

@@ -249,10 +249,10 @@ type Config struct {
 	// ranges in this process, sequentially.
 	Spawn Spawn
 	// Parallelism bounds how many spawned shards run concurrently
-	// (default 1: sequential, PR 9's behaviour). The merge still consumes
-	// shards strictly in range order — a shard that finishes early parks
-	// at most Window vehicle reports until its turn. Ignored without
-	// Spawn: in-process shards are already parallel across
+	// (default 1: shard i+1 spawns once shard i has merged). The merge
+	// still consumes shards strictly in range order — a shard that
+	// finishes early parks at most Window vehicle reports until its turn.
+	// Ignored without Spawn: in-process shards are already parallel across
 	// Engine.Workers.
 	Parallelism int
 	// Window bounds each in-flight shard's decoded-but-unmerged vehicle
@@ -288,20 +288,11 @@ func Run(cfg Config) (*engine.FleetReport, error) {
 	}
 	ranges := Ranges(ec.Fleet, cfg.Shards)
 	var errs []error
-	if cfg.Spawn != nil && cfg.Parallelism > 1 && len(ranges) > 1 {
+	if cfg.Spawn != nil {
 		errs = runParallel(ranges, cfg, fold)
 	} else {
 		for _, r := range ranges {
-			if cfg.Spawn == nil {
-				errs = append(errs, runLocal(fold, ec, r)) // errors.Join drops nil
-				continue
-			}
-			st, err := cfg.Spawn(r)
-			if err != nil {
-				errs = append(errs, fmt.Errorf("shard %s: %w", r, err))
-				continue
-			}
-			errs = append(errs, drainShard(fold, st, r)...)
+			errs = append(errs, runLocal(fold, ec, r)) // errors.Join drops nil
 		}
 	}
 	return fold.Finish(), errors.Join(errs...)
@@ -397,11 +388,10 @@ func (c *chanStream) Close() error { return c.s.closeErr }
 // buffer. Claims come off an atomic cursor, so the outstanding set is
 // always the contiguous window just ahead of the merge cursor and the
 // shard the merger waits on always has a running producer (no deadlock).
+// At parallelism 1 this is the sequential layout: one producer, which
+// spawns shard i+1 only after the merger has finished shard i.
 func runParallel(ranges []Range, cfg Config, fold *engine.MergeFold) []error {
-	par := cfg.Parallelism
-	if par > len(ranges) {
-		par = len(ranges)
-	}
+	par := min(max(cfg.Parallelism, 1), len(ranges))
 	window := cfg.Window
 	if window <= 0 {
 		window = defaultWindow
