@@ -599,6 +599,9 @@ func TestCLIDifferential(t *testing.T) {
 		return append(append([]string(nil), base...), extra...)
 	}
 	quick := []string{"-campaign", "examples/campaigns/quickstart.campaign", "-fleet", "10", "-workers", "4"}
+	// Four replay chunks: unsharded, the stamped range folds as one count;
+	// in-process shards fold it vehicle by vehicle through MergeFold.Add.
+	quick1000 := []string{"-campaign", "examples/campaigns/quickstart.campaign", "-fleet", "1000", "-workers", "4"}
 	chaos := []string{"-campaign", "examples/campaigns/quickstart.campaign", "-fleet", "12",
 		"-chaos", "seed=7,panic=0.02,corrupt=0.02,deadline=0.01,crash=0.005"}
 	chaos4 := with(chaos, "-workers", "4")
@@ -617,6 +620,7 @@ func TestCLIDifferential(t *testing.T) {
 		}
 	}
 	rows = append(rows,
+		row{"fleet=1000/shards=4", quick1000, with(quick1000, "-shards", "4")},
 		row{"chaos/workers=1", chaos4, with(chaos, "-workers", "1")},
 		row{"chaos/shards=4", chaos4, with(chaos4, "-shards", "4")},
 		row{"chaos/shards=4/exec/parallelism=4", chaos4, with(chaos4, "-shards", "4", "-shard-exec", "-shard-parallelism", "4")},

@@ -114,11 +114,13 @@ type CampaignReport struct {
 // vehicle, runs the live background phase once and then sweeps *all*
 // families' scenario×regime cells on its warm arena before moving on. Sweep
 // itself is a thin planner and folder — it derives per-family fleet roots,
-// hands the engine the whole campaign, and folds the per-(family, vehicle)
-// aggregates back into a CampaignReport in deterministic family order. The
-// report is byte-identical to the retired family-major executor's (one
-// engine run per family with a barrier between), which survives as the
-// equivalence oracle in the engine's group tests.
+// hands the engine the whole campaign, and folds the fleet-merged group
+// aggregates into a CampaignReport in deterministic family order. It reads
+// no per-vehicle report, so an unsharded sweep runs engine.Aggregate, which
+// folds a fully stamped fleet without materialising one. The report is
+// byte-identical to the retired family-major executor's (one engine run
+// per family with a barrier between), which survives as the equivalence
+// oracle in the engine's group tests.
 func Sweep(plan *Plan, cfg SweepConfig) (*CampaignReport, error) {
 	if cfg.Fleet <= 0 {
 		cfg.Fleet = 1
@@ -134,7 +136,7 @@ func Sweep(plan *Plan, cfg SweepConfig) (*CampaignReport, error) {
 			Spawn: cfg.SpawnShard, Parallelism: cfg.ShardParallelism,
 		})
 	} else {
-		fr, err = engine.Run(ecfg)
+		fr, err = engine.Aggregate(ecfg)
 	}
 	if err != nil {
 		// An unrecoverable sweep still merges what completed: fold the

@@ -150,11 +150,6 @@ type FleetVehicle struct {
 	VID string
 	// Dev is the provisioned device.
 	Dev *Device
-	// AfterApply, when non-nil, runs after a successful fresh install. The
-	// fleet engine (internal/engine) uses it to drive the vehicle's live
-	// simulation so the newly installed policy takes effect on the bus
-	// before the rollout stage is scored.
-	AfterApply func()
 }
 
 // ID implements fleet.Vehicle.
@@ -165,13 +160,7 @@ func (v FleetVehicle) Apply(b *policy.Bundle) error {
 	if v.Dev.PolicyVersion() >= b.Version {
 		return nil // already current
 	}
-	if err := v.Dev.ApplyUpdate(b); err != nil {
-		return err
-	}
-	if v.AfterApply != nil {
-		v.AfterApply()
-	}
-	return nil
+	return v.Dev.ApplyUpdate(b)
 }
 
 // MACClassCAN is the object class used by the derived software module.

@@ -43,14 +43,20 @@
 // is zero (a stamped vehicle then executes nothing; otherwise only its live
 // phase runs). The stamp is built once and shared read-only — stamped
 // reports point at its slices instead of copying them. When nothing is left
-// to execute, workers claim the remaining indices off the cursor in
-// contiguous chunks and write each replayed report straight into its slot,
-// so they share no cache line but the cursor's, touched once per chunk; the
-// merge folds the shared matrix once per run of vehicles carrying it (see
-// MergeFold). Vehicles that execute anything — every live phase under bus
-// errors, every vehicle of an unstamped run — are claimed one at a time. If
-// the first vehicle's visit fails, nothing is stamped and every vehicle
-// executes.
+// to execute, the stamped vehicles fold into the fleet aggregates as one
+// count (MergeFold's count fold), and the two entry points differ only in
+// what they write besides. Run, which returns every vehicle's report, has
+// its workers claim the remaining indices off the cursor in contiguous
+// chunks and write each replayed report straight into its slot, so they
+// share no cache line but the cursor's, touched once per chunk. Aggregate,
+// which returns the aggregates alone, writes no slots and starts no
+// workers: it emits the replayed vehicles through OnVehicle, if set, from
+// one scratch report. Either way a chunk's VINs are sliced out of one
+// string. Vehicles that execute anything — every live phase under bus
+// errors, every vehicle of an unstamped run — are claimed one at a time,
+// and the merge folds their shared matrix once per run of vehicles carrying
+// it (see MergeFold). If the first vehicle's visit fails, nothing is
+// stamped and every vehicle executes.
 // Config.NoBatch selects the reference oracle instead: no pooling, no
 // checkpoints, no stamping — every vehicle phase and every cell runs on a
 // freshly constructed stack, cell by cell. Both render byte-identical
@@ -182,15 +188,18 @@ type Config struct {
 	// OnVehicle, when non-nil, is invoked once per completed vehicle
 	// report in ascending vehicle-index order, as soon as every
 	// lower-indexed vehicle has also completed — the streaming emit hook
-	// the binary shard wire writes frames from. Callbacks run serialised
-	// under an internal lock (never concurrently) on worker goroutines;
-	// the report pointer is only valid for the duration of the call.
-	// Errored vehicles still emit their (partial) report, mirroring how
-	// Run merges partial reports into the fleet result. Because vehicles
-	// are claimed in index order off an atomic cursor, completion order
-	// tracks index order and the emitter's reorder window stays near the
-	// worker count — up to workers × 256 reports on a fully stamped run,
-	// whose workers claim and complete 256 indices at a time.
+	// the binary shard wire writes frames from. Callbacks never run
+	// concurrently, and the report pointer is only valid for the duration
+	// of the call. Where vehicles execute, callbacks run serialised under
+	// an internal lock on worker goroutines. Errored vehicles still emit
+	// their (partial) report, mirroring how Run merges partial reports
+	// into the fleet result. Because vehicles are claimed in index order
+	// off an atomic cursor, completion order tracks index order and the
+	// emitter's reorder window stays near the worker count. On a fully
+	// stamped run, Run's workers claim and complete 256 indices at a time,
+	// so its window holds up to workers × 256 reports; Aggregate emits
+	// every stamped vehicle on the calling goroutine from one scratch
+	// report and holds none.
 	OnVehicle func(*VehicleReport)
 }
 
@@ -239,21 +248,56 @@ func VehicleSeed(root uint64, index int) uint64 {
 }
 
 // VIN formats the deterministic vehicle identifier for an index, "VIN-"
-// and the index zero-padded to six digits — the fmt form "VIN-%06d", built
-// without fmt or strconv because every stamped vehicle pays for it: the
-// digits go backwards into a fixed array, the prefix in front of them.
+// and the index zero-padded to six digits — the fmt form "VIN-%06d".
 func VIN(index int) string {
+	var b [len("VIN-") + 19]byte
+	return string(appendVIN(b[:0], index))
+}
+
+// appendVIN appends VIN(index) to b, without fmt or strconv for the
+// non-negative indices every stamped vehicle pays for: the digits go
+// backwards into a fixed array, the prefix in front of them.
+func appendVIN(b []byte, index int) []byte {
 	if index < 0 {
-		return fmt.Sprintf("VIN-%06d", index)
+		return fmt.Appendf(b, "VIN-%06d", index)
 	}
-	var b [len("VIN-") + 19]byte // 19 digits hold any non-negative int
-	i := len(b)
-	for u := uint(index); u > 0 || i > len(b)-6; u /= 10 {
+	var d [len("VIN-") + 19]byte // 19 digits hold any non-negative int
+	i := len(d)
+	for u := uint(index); u > 0 || i > len(d)-6; u /= 10 {
 		i--
-		b[i] = byte('0' + u%10)
+		d[i] = byte('0' + u%10)
 	}
-	i -= copy(b[i-len("VIN-"):], "VIN-")
-	return string(b[i:])
+	i -= copy(d[i-len("VIN-"):], "VIN-")
+	return append(b, d[i:]...)
+}
+
+// vinBlock holds the VINs of a chunk of consecutive indices in one string,
+// so a chunk of replayed vehicles allocates once instead of once per
+// vehicle. Each VIN is a slice of that string: a consumer that keeps one
+// keeps its chunk's string alive.
+type vinBlock struct {
+	buf  []byte
+	ends []int // ends[k] is where the k-th VIN of the chunk ends in s
+	s    string
+}
+
+// fill formats the VINs of indices [lo, hi).
+func (b *vinBlock) fill(lo, hi int) {
+	b.buf, b.ends = b.buf[:0], b.ends[:0]
+	for i := lo; i < hi; i++ {
+		b.buf = appendVIN(b.buf, i)
+		b.ends = append(b.ends, len(b.buf))
+	}
+	b.s = string(b.buf)
+}
+
+// vin returns the VIN of index lo+k of the last fill.
+func (b *vinBlock) vin(k int) string {
+	start := 0
+	if k > 0 {
+		start = b.ends[k-1]
+	}
+	return b.s[start:b.ends[k]]
 }
 
 // macCheck is one precomputed least-privilege probe: the security contexts
@@ -306,34 +350,78 @@ type stamp struct {
 // copy and its VIN, so with a claim per vehicle the cursor's cache line,
 // bouncing between workers, held a fifth of a two-worker sweep's CPU
 // (EXPERIMENTS.md §16); 256 reports are a 64 KiB block one worker writes.
+// It is also the span of one vinBlock.
 const replayChunk = 256
 
 // replay writes vehicle index's report when nothing about it executes —
 // first's report under the vehicle's own identity — in place, so the
 // report is copied once.
-func (st *stamp) replay(dst *VehicleReport, root uint64, index int) {
+func (st *stamp) replay(dst *VehicleReport, root uint64, index int, vin string) {
 	*dst = st.first
-	dst.Index, dst.VIN, dst.Seed = index, VIN(index), VehicleSeed(root, index)
+	dst.Index, dst.VIN, dst.Seed = index, vin, VehicleSeed(root, index)
 }
 
-// replayChunks is a worker's loop on a fully stamped run: it claims
+// replayChunks is a Run worker's loop on a fully stamped run: it claims
 // replayChunk indices at a time off the cursor, replays each into its
 // report slot and emits the chunk in one completion.
 func (sh *shared) replayChunks(next *atomic.Int64, reports []VehicleReport, emit *orderedEmit) {
 	st, root, off := sh.stamp, sh.cfg.Groups[0].RootSeed, sh.cfg.IndexOffset
+	var vins vinBlock
 	for {
 		lo := int(next.Add(replayChunk)) - replayChunk
 		if lo >= len(reports) {
 			return
 		}
 		hi := min(lo+replayChunk, len(reports))
+		vins.fill(lo+off, hi+off)
 		for i := lo; i < hi; i++ {
-			st.replay(&reports[i], root, i+off)
+			st.replay(&reports[i], root, i+off, vins.vin(i-lo))
 		}
 		if emit != nil {
 			emit.complete(lo, hi)
 		}
 	}
+}
+
+// foldStamp folds a fully stamped run: first as it executed, then every
+// later vehicle, which is the stamp under its own index, VIN and seed —
+// none of which the fold reads — as one count.
+func (sh *shared) foldStamp(first *VehicleReport) *FleetReport {
+	m := newMergeFold(sh.cfg)
+	m.fold(first)
+	m.foldRun(&sh.stamp.first, sh.cfg.Fleet-1)
+	return m.finish()
+}
+
+// aggregateStamped is Aggregate on a fully stamped run, once first has
+// executed: with OnVehicle set it emits every vehicle in index order, the
+// replayed ones from one scratch report with their VINs formatted a chunk
+// at a time, and it writes no report slots.
+func (sh *shared) aggregateStamped(first *VehicleReport) *FleetReport {
+	cfg := &sh.cfg
+	if fn := cfg.OnVehicle; fn != nil {
+		fn(first)
+		var rep VehicleReport
+		var vins vinBlock
+		root, off := cfg.Groups[0].RootSeed, cfg.IndexOffset
+		for lo := 1; lo < cfg.Fleet; lo += replayChunk {
+			hi := min(lo+replayChunk, cfg.Fleet)
+			vins.fill(lo+off, hi+off)
+			for i := lo; i < hi; i++ {
+				sh.stamp.replay(&rep, root, i+off, vins.vin(i-lo))
+				fn(&rep)
+			}
+		}
+	}
+	// Keep one yield per sweep, as Run's wait for its workers is. Two
+	// callers sweeping one-vehicle fleets back to back on two Ps otherwise
+	// never leave their goroutines, so a GC cycle's mark worker waits for
+	// a P until the preemption tick while write barriers stay on. Without
+	// this yield the benchmark's exec-quickstart p90 read 48% higher in 6
+	// of 6 pairs and the write barrier's share of the CPU tripled
+	// (EXPERIMENTS.md §17).
+	runtime.Gosched()
+	return sh.foldStamp(first)
 }
 
 // onto stamps the seed-invariant sections — MAC probe counts and attack
@@ -365,6 +453,31 @@ func buildProbes(sh *shared) {
 // to back on the same warm arena — one pass over the fleet, no per-group
 // barrier, no per-group worker-pool or arena rebuild.
 func Run(cfg Config) (*FleetReport, error) {
+	sh, err := newShared(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sh.sweep(true)
+}
+
+// Aggregate runs exactly the sweep Run runs and returns the same report
+// without its per-vehicle section: FleetReport.Vehicles is nil. On a fully
+// stamped run (batched, no chaos or verify sampling, ErrorRate zero) it
+// executes the first vehicle and folds the other Fleet-1 as one count,
+// with no report slots and no workers; otherwise it sweeps as Run does.
+// It is the entry point for callers that read only the fleet aggregates
+// or consume vehicles through OnVehicle: campaign sweeps and shard ranges.
+func Aggregate(cfg Config) (*FleetReport, error) {
+	sh, err := newShared(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sh.sweep(false)
+}
+
+// newShared applies cfg's defaults and builds the artifacts every vehicle
+// of the run reuses.
+func newShared(cfg Config) (*shared, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
@@ -404,6 +517,37 @@ func Run(cfg Config) (*FleetReport, error) {
 		sh.macModule = module
 		buildProbes(sh)
 	}
+	return sh, nil
+}
+
+// sweep runs the fleet and folds it; keep retains the per-vehicle reports
+// as the report's Vehicles.
+func (sh *shared) sweep(keep bool) (*FleetReport, error) {
+	cfg := &sh.cfg
+	// Stamping is off whenever supervision is armed: stamped vehicles
+	// execute no cells, which would dodge their injected faults and verify
+	// samples. Otherwise the first vehicle executes alone and its report
+	// becomes the stamp if its visit succeeds. A stack that fails to build
+	// here fails again in the workers, which report it.
+	var first VehicleReport
+	var firstErr error
+	executed := false
+	if !cfg.NoBatch && !sh.sup.chaotic() {
+		if s, err := newStack(sh); err == nil {
+			executed = true
+			first, firstErr = sh.runVehicle(s, cfg.IndexOffset)
+			if firstErr == nil {
+				sh.stamp = &stamp{first: first, live: cfg.ErrorRate == 0}
+				sh.stamp.first.Health = Health{}
+			}
+		}
+	}
+	// With a full stamp no later vehicle executes, so no worker needs a
+	// stack of its own.
+	replayAll := sh.stamp != nil && sh.stamp.live
+	if replayAll && !keep {
+		return sh.aggregateStamped(&first), nil
+	}
 
 	// Work distribution is a shared atomic cursor, not a channel: the old
 	// unbuffered-channel dispatcher made the feeding goroutine a
@@ -419,27 +563,13 @@ func Run(cfg Config) (*FleetReport, error) {
 		emit = newOrderedEmit(cfg.OnVehicle, reports)
 	}
 	var next atomic.Int64
-	// Stamping is off whenever supervision is armed: stamped vehicles
-	// execute no cells, which would dodge their injected faults and verify
-	// samples. Otherwise the first vehicle executes alone and its report
-	// becomes the stamp if its visit succeeds. A stack that fails to build
-	// here fails again in the workers, which report it.
-	if !cfg.NoBatch && !sh.sup.chaotic() {
-		if s, err := newStack(sh); err == nil {
-			next.Add(1)
-			reports[0], errs[0] = sh.runVehicle(s, cfg.IndexOffset)
-			if errs[0] == nil {
-				sh.stamp = &stamp{first: reports[0], live: cfg.ErrorRate == 0}
-				sh.stamp.first.Health = Health{}
-			}
-			if emit != nil {
-				emit.complete(0, 1)
-			}
+	if executed {
+		next.Store(1)
+		reports[0], errs[0] = first, firstErr
+		if emit != nil {
+			emit.complete(0, 1)
 		}
 	}
-	// With a full stamp no later vehicle executes, so no worker needs a
-	// stack of its own.
-	replayAll := sh.stamp != nil && sh.stamp.live
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
@@ -486,13 +616,21 @@ func Run(cfg Config) (*FleetReport, error) {
 		}()
 	}
 	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		// Unrecoverable vehicles surface as an error, but the sweep still
-		// merges what every vehicle did complete: callers flush the partial
-		// fleet report (with its Health ledger) alongside the failure.
-		return merge(cfg, reports), err
+	var fr *FleetReport
+	if replayAll {
+		// Every replayed slot holds the stamp under its own identity, which
+		// the fold does not read: fold the range as one count.
+		fr = sh.foldStamp(&reports[0])
+	} else {
+		fr = merge(*cfg, reports)
 	}
-	return merge(cfg, reports), nil
+	if keep {
+		fr.Vehicles = reports
+	}
+	// Unrecoverable vehicles surface as an error, but the sweep still
+	// merges what every vehicle did complete: callers flush the partial
+	// fleet report (with its Health ledger) alongside the failure.
+	return fr, errors.Join(errs...)
 }
 
 // stack is the vehicle stack a visit executes on: a worker's pooled arena
@@ -745,13 +883,11 @@ func macProbe(rep *VehicleReport, srv *mac.Server, sh *shared) {
 }
 
 // merge folds per-vehicle reports (in index order) into the fleet report:
-// the batch form of MergeFold — the fold walked over a slice, retaining
-// the slice itself as the report's vehicle view (no copy).
+// the batch form of MergeFold, the fold walked over a slice in place.
 func merge(cfg Config, vehicles []VehicleReport) *FleetReport {
 	m := newMergeFold(cfg)
 	for i := range vehicles {
 		m.fold(&vehicles[i])
 	}
-	m.fr.Vehicles = vehicles
 	return m.finish()
 }

@@ -5,11 +5,6 @@ import (
 	"time"
 
 	"repro/internal/attack"
-	"repro/internal/canbus"
-	"repro/internal/car"
-	"repro/internal/core"
-	"repro/internal/fleet"
-	"repro/internal/threatmodel"
 )
 
 // tableGroup is a one-group sweep of the given Table I scenarios under the
@@ -139,77 +134,4 @@ func TestRunDeterministic100Vehicles8Workers(t *testing.T) {
 	if got := a.Attacks[0].Summary.Runs; got != 100*3 {
 		t.Errorf("unenforced runs = %d, want 300", got)
 	}
-}
-
-func TestHostedFleetCanaryRollout(t *testing.T) {
-	oem, err := core.NewOEM(testEntropy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	host, err := NewHost(40, 7, oem.PublicKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	analysis, err := car.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := threatmodel.DerivePolicies(analysis, "table-i", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundle, err := oem.Issue(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	plan := fleet.DefaultPlan()
-	plan.Workers = 4
-	report, err := fleet.Rollout(host.FleetVehicles(), bundle, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Aborted {
-		t.Fatalf("clean rollout aborted: %s", report)
-	}
-	if report.Applied != host.Len() {
-		t.Errorf("applied %d of %d live vehicles", report.Applied, host.Len())
-	}
-	for i, ver := range host.PolicyVersions() {
-		if ver != 3 {
-			t.Errorf("vehicle %d runs policy v%d, want v3", i, ver)
-		}
-	}
-	// The installed policy must actually filter on the live bus: a spoofed
-	// ECU-disable from the infotainment node dies at its write filter.
-	hv := host.Vehicle(0)
-	node, ok := hv.Car.Node(car.NodeInfotainment)
-	if !ok {
-		t.Fatal("missing infotainment node")
-	}
-	before := hv.Car.Bus().Stats().WriteBlocked
-	f, err := canbus.NewDataFrame(car.IDECUCommand, []byte{car.OpDisable})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := node.Send(f); err != nil {
-		t.Fatal(err)
-	}
-	hv.Car.Scheduler().Run()
-	if got := hv.Car.Bus().Stats().WriteBlocked; got != before+1 {
-		t.Errorf("WriteBlocked = %d, want %d: live policy did not filter the spoof", got, before+1)
-	}
-	if !hv.Car.State().Propulsion {
-		t.Error("spoofed disable reached the ECU on a policy-updated live vehicle")
-	}
-}
-
-// testEntropy is a deterministic reader for test key generation.
-type testEntropy struct{}
-
-func (testEntropy) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(i*31 + 11)
-	}
-	return len(p), nil
 }

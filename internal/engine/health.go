@@ -58,20 +58,25 @@ type Health struct {
 
 // Merge folds another ledger into h (commutative integer adds, so merge
 // order is invisible — the same property the attack summaries rely on).
-func (h *Health) Merge(o Health) {
-	h.Quarantines += o.Quarantines
-	h.PanicRecoveries += o.PanicRecoveries
-	h.IntegrityFailures += o.IntegrityFailures
-	h.DeadlineOverruns += o.DeadlineOverruns
-	h.NotQuiescent += o.NotQuiescent
-	h.CrashRecoveries += o.CrashRecoveries
-	h.Retries += o.Retries
-	h.Backoff += o.Backoff
-	h.CellDemotions += o.CellDemotions
-	h.VehicleDemotions += o.VehicleDemotions
-	h.VerifySamples += o.VerifySamples
-	h.VerifyMismatches += o.VerifyMismatches
-	h.Unrecoverable += o.Unrecoverable
+func (h *Health) Merge(o Health) { h.MergeScaled(o, 1) }
+
+// MergeScaled folds n copies of o into h: Merge(o) applied n times, for
+// n >= 0. Every field is an integer, so the product equals the repeated
+// sum exactly, wraparound included.
+func (h *Health) MergeScaled(o Health, n int) {
+	h.Quarantines += o.Quarantines * n
+	h.PanicRecoveries += o.PanicRecoveries * n
+	h.IntegrityFailures += o.IntegrityFailures * n
+	h.DeadlineOverruns += o.DeadlineOverruns * n
+	h.NotQuiescent += o.NotQuiescent * n
+	h.CrashRecoveries += o.CrashRecoveries * n
+	h.Retries += o.Retries * n
+	h.Backoff += o.Backoff * time.Duration(n)
+	h.CellDemotions += o.CellDemotions * n
+	h.VehicleDemotions += o.VehicleDemotions * n
+	h.VerifySamples += o.VerifySamples * n
+	h.VerifyMismatches += o.VerifyMismatches * n
+	h.Unrecoverable += o.Unrecoverable * n
 }
 
 // IsZero reports whether nothing was contained — the no-fault fast path,

@@ -15,6 +15,11 @@ import (
 // statement order per vehicle, same float summation order — so a stream
 // folded in index order finishes byte-identical to the unsharded run.
 //
+// A stretch of vehicles known to be equal but for Index, VIN and Seed —
+// a stamped range — folds as one count (foldRun): the integer fields,
+// Health and the matrix are scaled by the count, and the utilisation is
+// added count times in index order, so the float sum stays bit-identical.
+//
 // A run of consecutive vehicles whose Groups is the same slice — the
 // run-level stamp's, or the one matrix a shard stream's back-references
 // decode to — folds its matrix once: the first vehicle merges it on
@@ -33,6 +38,8 @@ type MergeFold struct {
 	cfg     Config
 	fr      *FleetReport
 	utilSum float64
+	// folded counts the vehicles folded; the mean utilisation divides by it.
+	folded int
 	// run is the Groups slice of the last vehicle folded. reps counts the
 	// vehicles after it that carried the same slice, not merged yet, and
 	// snap is run's content when the first of them arrived.
@@ -87,17 +94,30 @@ func (m *MergeFold) Add(v VehicleReport) {
 // fold accumulates one vehicle's counters — the exact per-vehicle
 // statement order of the original batch merge, which is what pins the
 // float summation order byte-identity rests on.
-func (m *MergeFold) fold(v *VehicleReport) {
+func (m *MergeFold) fold(v *VehicleReport) { m.foldRun(v, 1) }
+
+// foldRun folds n >= 0 consecutive vehicles whose reports equal v but for
+// Index, VIN and Seed, exactly as folding each in turn would: every field
+// but the utilisation is an integer, so its product equals the repeated
+// sum, wraparound included, and the utilisation is added n times in
+// index order.
+func (m *MergeFold) foldRun(v *VehicleReport, n int) {
+	if n == 0 {
+		return
+	}
 	fr := m.fr
-	fr.Health.Merge(v.Health)
-	fr.FramesDelivered += v.FramesDelivered
-	fr.BusErrors += v.BusErrors
-	fr.WriteBlocked += v.WriteBlocked
-	fr.ReadBlocked += v.ReadBlocked
-	fr.AbortedTx += v.AbortedTx
-	fr.MACChecks += v.MACChecks
-	fr.MACAllowed += v.MACAllowed
-	m.utilSum += v.Utilisation
+	fr.Health.MergeScaled(v.Health, n)
+	fr.FramesDelivered += v.FramesDelivered * uint64(n)
+	fr.BusErrors += v.BusErrors * uint64(n)
+	fr.WriteBlocked += v.WriteBlocked * uint64(n)
+	fr.ReadBlocked += v.ReadBlocked * uint64(n)
+	fr.AbortedTx += v.AbortedTx * uint64(n)
+	fr.MACChecks += v.MACChecks * n
+	fr.MACAllowed += v.MACAllowed * n
+	for range n {
+		m.utilSum += v.Utilisation
+	}
+	m.folded += n
 	if len(v.Groups) > 0 && len(v.Groups) == len(m.run) && &v.Groups[0] == &m.run[0] {
 		if m.reps == 0 {
 			m.snap = make([][]attack.RegimeSummary, len(v.Groups))
@@ -105,14 +125,14 @@ func (m *MergeFold) fold(v *VehicleReport) {
 				m.snap[gi] = slices.Clone(g)
 			}
 		}
-		m.reps++
+		m.reps += n
 		return
 	}
 	m.flush()
 	m.run = v.Groups
 	for gi := range v.Groups {
 		for ri := range v.Groups[gi] {
-			fr.Groups[gi].Regimes[ri].Summary.Merge(v.Groups[gi][ri].Summary)
+			fr.Groups[gi].Regimes[ri].Summary.MergeScaled(v.Groups[gi][ri].Summary, n)
 		}
 	}
 }
@@ -146,8 +166,8 @@ func (m *MergeFold) finish() *FleetReport {
 		groupRegimes[gi] = fr.Groups[gi].Regimes
 	}
 	fr.Attacks = foldGroups(groupRegimes)
-	if len(fr.Vehicles) > 0 {
-		fr.MeanUtilisation = m.utilSum / float64(len(fr.Vehicles))
+	if m.folded > 0 {
+		fr.MeanUtilisation = m.utilSum / float64(m.folded)
 	}
 	return fr
 }

@@ -228,10 +228,32 @@ func foldVehicles(data []byte) []VehicleReport {
 	return vs
 }
 
+// countFold folds vehicles with every maximal stretch of consecutive
+// vehicles that are equal but for Index, VIN and Seed collapsed into one
+// count fold — the shape of a stamped range.
+func countFold(cfg Config, vehicles []VehicleReport) *FleetReport {
+	anon := func(v VehicleReport) VehicleReport {
+		v.Index, v.VIN, v.Seed = 0, "", 0
+		return v
+	}
+	m := newMergeFold(cfg)
+	for i := 0; i < len(vehicles); {
+		j := i + 1
+		for j < len(vehicles) && reflect.DeepEqual(anon(vehicles[i]), anon(vehicles[j])) {
+			j++
+		}
+		m.foldRun(&vehicles[i], j-i)
+		i = j
+	}
+	return m.finish()
+}
+
 // FuzzMergeFoldRuns checks the run-length fold against the per-vehicle
 // reference on arbitrary sequences of shared, cloned, different, nil and
-// partial matrices with varying counters: the streaming fold and Run's
-// batch merge must both equal it exactly.
+// partial matrices with varying counters: the streaming fold must equal it
+// exactly, and Run's batch merge and the count fold of every stretch of
+// equal vehicles must equal it without the per-vehicle section,
+// MeanUtilisation bits included.
 func FuzzMergeFoldRuns(f *testing.F) {
 	seq := func(kinds ...byte) []byte {
 		var b []byte
@@ -243,6 +265,10 @@ func FuzzMergeFoldRuns(f *testing.F) {
 	f.Add(seq(slices.Repeat([]byte{0}, 64)...))                // stamped
 	f.Add(seq(0, 0, 2, 2, 0, 3, 4, 1, 0, 0, 2, 3, 3, 0, 4, 4)) // heterogeneous
 	f.Add(seq(slices.Repeat([]byte{1}, 32)...))                // all distinct
+	// Repeated identical pairs: stretches of equal vehicles to collapse.
+	f.Add(slices.Concat(
+		slices.Repeat([]byte{0, 9}, 40), slices.Repeat([]byte{1, 9}, 3), slices.Repeat([]byte{2, 200}, 17),
+		[]byte{3, 1, 3, 1}, slices.Repeat([]byte{4, 5}, 6), []byte{0, 8}, slices.Repeat([]byte{0, 9}, 5)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		vehicles := foldVehicles(data)
 		cfg := foldConfig(len(vehicles))
@@ -260,8 +286,13 @@ func FuzzMergeFoldRuns(f *testing.F) {
 		if got := fold.Finish(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("MergeFold differs from the per-vehicle fold:\ngot:  %+v\nwant: %+v", got, want)
 		}
-		if got := merge(cfg, slices.Clone(vehicles)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("merge differs from the per-vehicle fold:\ngot:  %+v\nwant: %+v", got, want)
+		agg := *want
+		agg.Vehicles = nil
+		if got := merge(cfg, slices.Clone(vehicles)); !reflect.DeepEqual(got, &agg) {
+			t.Fatalf("merge differs from the per-vehicle fold:\ngot:  %+v\nwant: %+v", got, &agg)
+		}
+		if got := countFold(cfg, vehicles); !reflect.DeepEqual(got, &agg) {
+			t.Fatalf("count fold differs from the per-vehicle fold:\ngot:  %+v\nwant: %+v", got, &agg)
 		}
 	})
 }

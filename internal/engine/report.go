@@ -68,7 +68,9 @@ type FleetReport struct {
 	// RootSeed echoes the first group's root, which seeds the live phase
 	// and the per-vehicle Seed column.
 	RootSeed uint64
-	// Vehicles holds every per-vehicle report, ordered by index.
+	// Vehicles holds every per-vehicle report, ordered by index: Run's
+	// listing. It is nil from Aggregate, which returns the same report
+	// without materialising the per-vehicle section.
 	Vehicles []VehicleReport
 	// Groups holds one fleet-merged block per scenario group, in group
 	// order.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/chaos"
 	"repro/internal/engine"
 	"repro/internal/shard/wire"
 )
@@ -20,6 +21,27 @@ func TestVINMatchesFmt(t *testing.T) {
 		if got, want := engine.VIN(i), fmt.Sprintf("VIN-%06d", i); got != want {
 			t.Errorf("VIN(%d) = %q, want %q", i, got, want)
 		}
+	}
+	// A stamped run's VINs are sliced out of one string per chunk. Put one
+	// chunk across 999,999 -> 1,000,000, where VINs grow from 10 to 11
+	// bytes (chunks start at local index 1: the first vehicle executes).
+	cfg := stampConfig(2, 1000000-engine.ReplayChunk/2, 0)
+	cfg.Fleet = engine.ReplayChunk + 2
+	check := func(path string, v *engine.VehicleReport) {
+		if want := engine.VIN(v.Index); v.VIN != want {
+			t.Errorf("%s: vehicle %d carries VIN %q, want %q", path, v.Index, v.VIN, want)
+		}
+	}
+	fr, err := engine.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range fr.Vehicles {
+		check("Run", &fr.Vehicles[i])
+	}
+	cfg.OnVehicle = func(v *engine.VehicleReport) { check("Aggregate", v) }
+	if _, err := engine.Aggregate(cfg); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -138,10 +160,59 @@ func TestReplayChunkBoundaries(t *testing.T) {
 	}
 }
 
+// TestAggregateMatchesRun: Aggregate is Run without the per-vehicle
+// section on every path a sweep takes — a fully stamped run (folded as one
+// count), stamped attack sections over executed live phases, and chaos,
+// verify-sampled and NoBatch runs where every vehicle executes — and with
+// OnVehicle set it emits each index once, in order, with the report Run
+// returns for it.
+func TestAggregateMatchesRun(t *testing.T) {
+	c := engine.ReplayChunk
+	for _, v := range []struct {
+		name   string
+		fleets []int
+		edit   func(*engine.Config)
+	}{
+		{"stamped", []int{1, 2, c - 1, c, c + 1, 2*c + 3}, func(*engine.Config) {}},
+		{"errors", []int{1, 2, c - 1, c, c + 1, 2*c + 3}, func(cfg *engine.Config) { cfg.ErrorRate = 0.02 }},
+		{"chaos", []int{1, 2, 7}, func(cfg *engine.Config) { cfg.Chaos = &chaos.Plan{Seed: 7, Panic: 0.2, Corrupt: 0.1} }},
+		{"verify", []int{1, 2, 7}, func(cfg *engine.Config) { cfg.VerifySample = 0.3 }},
+		{"no-batch", []int{1, 2, 7}, func(cfg *engine.Config) { cfg.NoBatch = true }},
+	} {
+		for _, fleet := range v.fleets {
+			for _, workers := range []int{1, 2, 3} {
+				for _, offset := range []int{0, 37} {
+					name := fmt.Sprintf("%s/fleet=%d/workers=%d/offset=%d", v.name, fleet, workers, offset)
+					cfg := stampConfig(workers, offset, 0)
+					cfg.Fleet = fleet
+					v.edit(&cfg)
+					want, err := engine.Run(cfg)
+					if err != nil {
+						t.Fatalf("%s: Run: %v", name, err)
+					}
+					var emitted []engine.VehicleReport
+					cfg.OnVehicle = func(r *engine.VehicleReport) { emitted = append(emitted, *r) }
+					got, err := engine.Aggregate(cfg)
+					if err != nil {
+						t.Fatalf("%s: Aggregate: %v", name, err)
+					}
+					if !reflect.DeepEqual(emitted, want.Vehicles) {
+						t.Errorf("%s: Aggregate emitted other vehicles than Run returns", name)
+					}
+					want.Vehicles = nil
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: Aggregate differs from Run:\ngot:  %+v\nwant: %+v", name, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkStampedReplay is the replay layer on its own: a fleet of
 // 100,000 on one Table I group with a full stamp (ErrorRate 0), so the
-// first vehicle executes and every other is replayed and merged. It
-// reports time and allocations per vehicle.
+// first vehicle executes and every other is replayed into its report slot
+// and merged. It reports time and allocations per vehicle.
 func BenchmarkStampedReplay(b *testing.B) {
 	const fleet = 100000
 	h, err := attack.NewHarness()

@@ -7,14 +7,14 @@
 // supervision coordinate (chaos fault rolls, verify sampling) keys on it
 // too. Sharding therefore only has to preserve the index space. A shard is
 // a contiguous range [Start, Start+Count) of global vehicle indices run as
-// an independent engine.Run with Config.IndexOffset = Start; the merge
+// an independent engine sweep with Config.IndexOffset = Start; the merge
 // folds shard vehicle reports in range order through engine.MergeFold —
 // the same fold the unsharded run applies, in the same order, so the
 // merged report is byte-identical to the unsharded oracle (float summation
 // order included, Health ledgers summed per class).
 //
-// An in-process shard is an engine.Run over its range whose vehicles fold
-// straight into the merge as they complete (engine.Config.OnVehicle). A
+// An in-process shard is an engine.Aggregate over its range whose vehicles
+// fold straight into the merge as they complete (engine.Config.OnVehicle). A
 // spawned shard's outcome arrives as a Stream over the binary frame
 // protocol in the nested wire package — compact, CRC-guarded, streamed
 // frame by frame as the child's vehicles complete — and the driver folds
@@ -26,7 +26,7 @@
 // differential oracle every shard layout, transport and parallelism level
 // is tested against.
 //
-// In-process shards run sequentially — each shard's engine.Run is itself
+// In-process shards run sequentially — each shard's engine sweep is itself
 // parallel across Config.Workers, and on a single machine stacking two
 // layers of parallelism only adds scheduler noise. The Spawn hook is where
 // real scale-out happens: carsim -shards N -shard-exec re-invokes itself
@@ -188,7 +188,7 @@ func rangeConfig(cfg engine.Config, r Range) engine.Config {
 func runLocal(fold *engine.MergeFold, cfg engine.Config, r Range) error {
 	sub := rangeConfig(cfg, r)
 	sub.OnVehicle = func(v *engine.VehicleReport) { fold.Add(*v) }
-	if _, err := engine.Run(sub); err != nil {
+	if _, err := engine.Aggregate(sub); err != nil {
 		return fmt.Errorf("shard %s: %w", r, err)
 	}
 	return nil
@@ -210,7 +210,7 @@ func RunRangeWire(cfg engine.Config, r Range, out io.Writer) error {
 			werr = w.WriteVehicle(v)
 		}
 	}
-	_, err := engine.Run(sub)
+	_, err := engine.Aggregate(sub)
 	if werr != nil {
 		return fmt.Errorf("shard %s: wire write: %w", r, werr)
 	}
