@@ -64,16 +64,18 @@
 //     index ranges run as independent engine passes (global-index seeding
 //     keeps every vehicle trajectory pinned to its shard-independent
 //     coordinates) and merge in range order through engine.MergeFold,
-//     byte-identical to the unsharded run; spawn hooks run ranges out of
-//     process (carsim -shard-exec) over the binary wire, sequentially or
-//     concurrently under a bounded in-order merge window
-//     (-shard-parallelism)
+//     byte-identical to the unsharded run; vehicles move as runs that
+//     differ only in VIN and seed, so a stamped range folds in one step;
+//     spawn hooks run ranges out of process (carsim -shard-exec) over the
+//     binary wire, sequentially or concurrently under a bounded in-order
+//     merge window (-shard-parallelism); shard.Aggregate keeps no
+//     per-vehicle section, shard.Run lists every vehicle
 //   - internal/shard/wire — the binary shard transport, the only one: a
-//     versioned, CRC32-framed varint stream carrying one vehicle report per
-//     frame, written as vehicles complete and decoded incrementally
-//     (neither side buffers a shard's report set; ~12x smaller than the
-//     JSON documents it replaced); any corrupted byte surfaces as a typed
-//     checksum error the shard driver records like a failed shard
+//     versioned, CRC32-framed varint stream carrying one run of vehicle
+//     reports per frame (a stamped range is two frames), written as
+//     vehicles complete and decoded incrementally (neither side buffers a
+//     shard's report set); any corrupted byte surfaces as a typed checksum
+//     error the shard driver records like a failed shard
 //
 // The benchmarks in bench_test.go regenerate every table and figure of the
 // paper's evaluation; see DESIGN.md for the experiment index and

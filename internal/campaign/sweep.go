@@ -116,8 +116,9 @@ type CampaignReport struct {
 // itself is a thin planner and folder — it derives per-family fleet roots,
 // hands the engine the whole campaign, and folds the fleet-merged group
 // aggregates into a CampaignReport in deterministic family order. It reads
-// no per-vehicle report, so an unsharded sweep runs engine.Aggregate, which
-// folds a fully stamped fleet without materialising one. The report is
+// no per-vehicle report, so it runs engine.Aggregate unsharded and
+// shard.Aggregate sharded, which fold a fully stamped fleet, or each
+// shard's stamped range, without materialising it. The report is
 // byte-identical to the retired family-major executor's (one engine run
 // per family with a barrier between), which survives as the equivalence
 // oracle in the engine's group tests.
@@ -131,12 +132,12 @@ func Sweep(plan *Plan, cfg SweepConfig) (*CampaignReport, error) {
 	}
 	var fr *engine.FleetReport
 	if cfg.Shards > 1 || cfg.SpawnShard != nil {
-		fr, err = shard.Run(shard.Config{
+		fr, err = shard.Aggregate(shard.Config{
 			Engine: ecfg, Shards: cfg.Shards,
 			Spawn: cfg.SpawnShard, Parallelism: cfg.ShardParallelism,
 		})
 	} else {
-		fr, err = engine.Aggregate(ecfg)
+		fr, err = engine.Aggregate(ecfg, nil)
 	}
 	if err != nil {
 		// An unrecoverable sweep still merges what completed: fold the

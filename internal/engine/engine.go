@@ -48,15 +48,15 @@
 // what they write besides. Run, which returns every vehicle's report, has
 // its workers claim the remaining indices off the cursor in contiguous
 // chunks and write each replayed report straight into its slot, so they
-// share no cache line but the cursor's, touched once per chunk. Aggregate,
-// which returns the aggregates alone, writes no slots and starts no
-// workers: it emits the replayed vehicles through OnVehicle, if set, from
-// one scratch report. Either way a chunk's VINs are sliced out of one
-// string. Vehicles that execute anything — every live phase under bus
-// errors, every vehicle of an unstamped run — are claimed one at a time,
-// and the merge folds their shared matrix once per run of vehicles carrying
-// it (see MergeFold). If the first vehicle's visit fails, nothing is
-// stamped and every vehicle executes.
+// share no cache line but the cursor's, touched once per chunk, and slices
+// a chunk's VINs out of one string. Aggregate, which returns the
+// aggregates alone, writes no slots and starts no workers: its emitter
+// receives the first vehicle and then every replayed one as a single run
+// (see Aggregate). Vehicles that execute anything — every live phase
+// under bus errors, every vehicle of an unstamped run — are claimed one
+// at a time, and the merge folds their shared matrix once per run of
+// vehicles carrying it (see MergeFold). If the first vehicle's visit
+// fails, nothing is stamped and every vehicle executes.
 // Config.NoBatch selects the reference oracle instead: no pooling, no
 // checkpoints, no stamping — every vehicle phase and every cell runs on a
 // freshly constructed stack, cell by cell. Both render byte-identical
@@ -185,21 +185,20 @@ type Config struct {
 	// cell gets MaxRetries batched retries, then (demoted) MaxRetries oracle
 	// retries; a crashing vehicle visit gets MaxRetries re-runs. Default 2.
 	MaxRetries int
-	// OnVehicle, when non-nil, is invoked once per completed vehicle
-	// report in ascending vehicle-index order, as soon as every
-	// lower-indexed vehicle has also completed — the streaming emit hook
-	// the binary shard wire writes frames from. Callbacks never run
-	// concurrently, and the report pointer is only valid for the duration
-	// of the call. Where vehicles execute, callbacks run serialised under
-	// an internal lock on worker goroutines. Errored vehicles still emit
-	// their (partial) report, mirroring how Run merges partial reports
-	// into the fleet result. Because vehicles are claimed in index order
-	// off an atomic cursor, completion order tracks index order and the
-	// emitter's reorder window stays near the worker count. On a fully
-	// stamped run, Run's workers claim and complete 256 indices at a time,
-	// so its window holds up to workers × 256 reports; Aggregate emits
-	// every stamped vehicle on the calling goroutine from one scratch
-	// report and holds none.
+	// OnVehicle, when non-nil, is Run's per-vehicle hook: it is invoked
+	// once per completed vehicle report in ascending vehicle-index order,
+	// as soon as every lower-indexed vehicle has also completed. Callbacks
+	// never run concurrently, and the report pointer is only valid for the
+	// duration of the call. Where vehicles execute, callbacks run
+	// serialised under an internal lock on worker goroutines. Errored
+	// vehicles still emit their (partial) report, mirroring how Run merges
+	// partial reports into the fleet result. Because vehicles are claimed
+	// in index order off an atomic cursor, completion order tracks index
+	// order and the emitter's reorder window stays near the worker count.
+	// On a fully stamped run, Run's workers claim and complete 256 indices
+	// at a time, so its window holds up to workers × 256 reports.
+	// Aggregate takes its emitter as an argument instead, and refuses a
+	// Config with OnVehicle set.
 	OnVehicle func(*VehicleReport)
 }
 
@@ -389,28 +388,21 @@ func (sh *shared) replayChunks(next *atomic.Int64, reports []VehicleReport, emit
 func (sh *shared) foldStamp(first *VehicleReport) *FleetReport {
 	m := newMergeFold(sh.cfg)
 	m.fold(first)
-	m.foldRun(&sh.stamp.first, sh.cfg.Fleet-1)
+	m.FoldRun(&sh.stamp.first, sh.cfg.Fleet-1)
 	return m.finish()
 }
 
 // aggregateStamped is Aggregate on a fully stamped run, once first has
-// executed: with OnVehicle set it emits every vehicle in index order, the
-// replayed ones from one scratch report with their VINs formatted a chunk
-// at a time, and it writes no report slots.
-func (sh *shared) aggregateStamped(first *VehicleReport) *FleetReport {
+// executed: it emits first as a run of one and every later vehicle as one
+// run headed by the stamp under vehicle 1's identity, and it writes no
+// report slots.
+func (sh *shared) aggregateStamped(first *VehicleReport, emit func(*VehicleReport, int)) *FleetReport {
 	cfg := &sh.cfg
-	if fn := cfg.OnVehicle; fn != nil {
-		fn(first)
-		var rep VehicleReport
-		var vins vinBlock
-		root, off := cfg.Groups[0].RootSeed, cfg.IndexOffset
-		for lo := 1; lo < cfg.Fleet; lo += replayChunk {
-			hi := min(lo+replayChunk, cfg.Fleet)
-			vins.fill(lo+off, hi+off)
-			for i := lo; i < hi; i++ {
-				sh.stamp.replay(&rep, root, i+off, vins.vin(i-lo))
-				fn(&rep)
-			}
+	if emit != nil {
+		emit(first, 1)
+		if n := cfg.Fleet - 1; n > 0 {
+			rest := sh.stamp.first.Member(cfg.Groups[0].RootSeed, cfg.IndexOffset+1)
+			emit(&rest, n)
 		}
 	}
 	// Keep one yield per sweep, as Run's wait for its workers is. Two
@@ -457,7 +449,11 @@ func Run(cfg Config) (*FleetReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sh.sweep(true)
+	var emit func(*VehicleReport, int)
+	if fn := cfg.OnVehicle; fn != nil {
+		emit = func(v *VehicleReport, _ int) { fn(v) } // Run emits runs of one
+	}
+	return sh.sweep(true, emit)
 }
 
 // Aggregate runs exactly the sweep Run runs and returns the same report
@@ -466,13 +462,24 @@ func Run(cfg Config) (*FleetReport, error) {
 // executes the first vehicle and folds the other Fleet-1 as one count,
 // with no report slots and no workers; otherwise it sweeps as Run does.
 // It is the entry point for callers that read only the fleet aggregates
-// or consume vehicles through OnVehicle: campaign sweeps and shard ranges.
-func Aggregate(cfg Config) (*FleetReport, error) {
+// or consume vehicles as runs: campaign sweeps and shard ranges.
+//
+// emit, when non-nil, receives the vehicles in index order as runs, under
+// OnVehicle's guarantees (never concurrently, v valid only for the call):
+// v stands for the n >= 1 vehicles v.Index … v.Index+n-1, which differ from
+// v only in VIN and Seed — VehicleReport.Member gives each one. A fully
+// stamped range is emitted as its first vehicle and one run of Fleet-1;
+// every other vehicle is a run of one. Aggregate returns an error if
+// cfg.OnVehicle is set.
+func Aggregate(cfg Config, emit func(v *VehicleReport, n int)) (*FleetReport, error) {
+	if cfg.OnVehicle != nil {
+		return nil, errors.New("engine: Aggregate emits through its emit argument; Config.OnVehicle is Run's hook")
+	}
 	sh, err := newShared(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return sh.sweep(false)
+	return sh.sweep(false, emit)
 }
 
 // newShared applies cfg's defaults and builds the artifacts every vehicle
@@ -521,8 +528,9 @@ func newShared(cfg Config) (*shared, error) {
 }
 
 // sweep runs the fleet and folds it; keep retains the per-vehicle reports
-// as the report's Vehicles.
-func (sh *shared) sweep(keep bool) (*FleetReport, error) {
+// as the report's Vehicles, and emit, if set, receives them as Aggregate
+// describes.
+func (sh *shared) sweep(keep bool, emit func(*VehicleReport, int)) (*FleetReport, error) {
 	cfg := &sh.cfg
 	// Stamping is off whenever supervision is armed: stamped vehicles
 	// execute no cells, which would dodge their injected faults and verify
@@ -546,7 +554,7 @@ func (sh *shared) sweep(keep bool) (*FleetReport, error) {
 	// stack of its own.
 	replayAll := sh.stamp != nil && sh.stamp.live
 	if replayAll && !keep {
-		return sh.aggregateStamped(&first), nil
+		return sh.aggregateStamped(&first, emit), nil
 	}
 
 	// Work distribution is a shared atomic cursor, not a channel: the old
@@ -558,16 +566,16 @@ func (sh *shared) sweep(keep bool) (*FleetReport, error) {
 	// a time (replayChunks).
 	reports := make([]VehicleReport, cfg.Fleet)
 	errs := make([]error, cfg.Fleet)
-	var emit *orderedEmit
-	if cfg.OnVehicle != nil {
-		emit = newOrderedEmit(cfg.OnVehicle, reports)
+	var ord *orderedEmit
+	if emit != nil {
+		ord = newOrderedEmit(emit, reports)
 	}
 	var next atomic.Int64
 	if executed {
 		next.Store(1)
 		reports[0], errs[0] = first, firstErr
-		if emit != nil {
-			emit.complete(0, 1)
+		if ord != nil {
+			ord.complete(0, 1)
 		}
 	}
 	var wg sync.WaitGroup
@@ -576,7 +584,7 @@ func (sh *shared) sweep(keep bool) (*FleetReport, error) {
 		go func() {
 			defer wg.Done()
 			if replayAll {
-				sh.replayChunks(&next, reports, emit)
+				sh.replayChunks(&next, reports, ord)
 				return
 			}
 			var s stack
@@ -609,8 +617,8 @@ func (sh *shared) sweep(keep bool) (*FleetReport, error) {
 					// slot so merge order stays range-local.
 					reports[i], errs[i] = sh.runVehicle(s, i+cfg.IndexOffset)
 				}
-				if emit != nil {
-					emit.complete(i, i+1)
+				if ord != nil {
+					ord.complete(i, i+1)
 				}
 			}
 		}()

@@ -8,17 +8,18 @@ import (
 	"repro/internal/attack"
 )
 
-// MergeFold folds vehicle reports into the fleet aggregates one at a time,
-// in arrival order, so a streaming consumer (shard.Run decoding child
-// pipes) never holds more than the vehicles it has chosen to retain.
+// MergeFold folds vehicle reports into the fleet aggregates in arrival
+// order and keeps none of them, so a streaming consumer (the shard driver
+// decoding child pipes) holds only the vehicles it chooses to list.
 // Run's own merge is this fold applied to its report slice — same
 // statement order per vehicle, same float summation order — so a stream
 // folded in index order finishes byte-identical to the unsharded run.
 //
-// A stretch of vehicles known to be equal but for Index, VIN and Seed —
-// a stamped range — folds as one count (foldRun): the integer fields,
-// Health and the matrix are scaled by the count, and the utilisation is
-// added count times in index order, so the float sum stays bit-identical.
+// A run of vehicles known to be equal but for Index, VIN and Seed — a
+// stamped range, or a run frame off the shard wire — folds as one count
+// (FoldRun): the integer fields, Health and the matrix are scaled by the
+// count, and the utilisation is added count times in index order, so the
+// float sum stays bit-identical.
 //
 // A run of consecutive vehicles whose Groups is the same slice — the
 // run-level stamp's, or the one matrix a shard stream's back-references
@@ -31,9 +32,9 @@ import (
 // matrix when its second vehicle arrives and panics at the flush if the
 // shared slice's content has changed since.
 //
-// Not safe for concurrent use: the shard driver serialises Adds behind
-// its in-range-order merge loop, exactly as the batch fold serialises its
-// slice walk.
+// Not safe for concurrent use: the shard driver serialises its folds
+// behind its in-range-order merge loop, exactly as the batch fold
+// serialises its slice walk.
 type MergeFold struct {
 	cfg     Config
 	fr      *FleetReport
@@ -51,15 +52,12 @@ type MergeFold struct {
 // NewMergeFold starts an incremental fleet merge. cfg must describe the
 // whole fleet (total Fleet, the unsharded Workers value, zero
 // IndexOffset); the same defaults Run applies are applied here so the
-// report header matches. The vehicle slice is sized for the whole fleet
-// up front, so Add never regrows it.
+// report header matches. The finished report's Vehicles is nil.
 func NewMergeFold(cfg Config) (*MergeFold, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	m := newMergeFold(cfg)
-	m.fr.Vehicles = make([]VehicleReport, 0, cfg.Fleet)
-	return m, nil
+	return newMergeFold(cfg), nil
 }
 
 // newMergeFold builds the fold over an already-defaulted config.
@@ -83,25 +81,22 @@ func newMergeFold(cfg Config) *MergeFold {
 	return &MergeFold{cfg: cfg, fr: fr}
 }
 
-// Add folds one vehicle report into the fleet aggregates and retains it
-// in the report's vehicle slice. Call in vehicle-index order for
-// byte-identity with the unsharded run (float summation order).
-func (m *MergeFold) Add(v VehicleReport) {
-	m.fold(&v)
-	m.fr.Vehicles = append(m.fr.Vehicles, v)
-}
+// Add folds one vehicle report into the fleet aggregates. Call in
+// vehicle-index order for byte-identity with the unsharded run (float
+// summation order).
+func (m *MergeFold) Add(v VehicleReport) { m.fold(&v) }
 
 // fold accumulates one vehicle's counters — the exact per-vehicle
 // statement order of the original batch merge, which is what pins the
 // float summation order byte-identity rests on.
-func (m *MergeFold) fold(v *VehicleReport) { m.foldRun(v, 1) }
+func (m *MergeFold) fold(v *VehicleReport) { m.FoldRun(v, 1) }
 
-// foldRun folds n >= 0 consecutive vehicles whose reports equal v but for
+// FoldRun folds n >= 0 consecutive vehicles whose reports equal v but for
 // Index, VIN and Seed, exactly as folding each in turn would: every field
 // but the utilisation is an integer, so its product equals the repeated
 // sum, wraparound included, and the utilisation is added n times in
 // index order.
-func (m *MergeFold) foldRun(v *VehicleReport, n int) {
+func (m *MergeFold) FoldRun(v *VehicleReport, n int) {
 	if n == 0 {
 		return
 	}
@@ -172,21 +167,22 @@ func (m *MergeFold) finish() *FleetReport {
 	return fr
 }
 
-// orderedEmit sequences Config.OnVehicle callbacks: workers complete
-// vehicles out of order, the emitter releases them strictly by index.
+// orderedEmit sequences a sweep's emitter (Config.OnVehicle under Run,
+// Aggregate's emit argument): workers complete vehicles out of order, the
+// emitter releases them strictly by index, each as a run of one.
 // Vehicles are claimed off an atomic cursor, so completion order tracks
 // index order closely and the pending window stays near the worker count —
 // up to workers × replayChunk on a fully stamped run, whose workers
 // complete a chunk at a time.
 type orderedEmit struct {
 	mu      sync.Mutex
-	fn      func(*VehicleReport)
+	fn      func(*VehicleReport, int)
 	reports []VehicleReport
 	done    []bool
 	next    int
 }
 
-func newOrderedEmit(fn func(*VehicleReport), reports []VehicleReport) *orderedEmit {
+func newOrderedEmit(fn func(*VehicleReport, int), reports []VehicleReport) *orderedEmit {
 	return &orderedEmit{fn: fn, reports: reports, done: make([]bool, len(reports))}
 }
 
@@ -200,7 +196,7 @@ func (e *orderedEmit) complete(lo, hi int) {
 		e.done[i] = true
 	}
 	for e.next < len(e.done) && e.done[e.next] {
-		e.fn(&e.reports[e.next])
+		e.fn(&e.reports[e.next], 1)
 		e.next++
 	}
 }

@@ -17,7 +17,8 @@ import (
 // TestMergeFoldMatchesMerge pins the refactor invariant the streaming
 // shard merge rests on: folding vehicles one at a time through MergeFold
 // renders byte-identically to Run's own batch merge of the same slice
-// (same float summation order, same group folds, same health ledger).
+// (same float summation order, same group folds, same health ledger),
+// without the per-vehicle section MergeFold does not keep.
 func TestMergeFoldMatchesMerge(t *testing.T) {
 	cfg := quickConfig(7, 3)
 	cfg.Chaos = &chaos.Plan{Seed: 7, Panic: 0.2, Corrupt: 0.1}
@@ -33,6 +34,10 @@ func TestMergeFoldMatchesMerge(t *testing.T) {
 		fold.Add(v)
 	}
 	streamed := fold.Finish()
+	if streamed.Vehicles != nil {
+		t.Errorf("MergeFold kept %d vehicles, want none", len(streamed.Vehicles))
+	}
+	fr.Vehicles = nil
 	if got, want := streamed.String(), fr.String(); got != want {
 		t.Errorf("MergeFold diverged from the run's merge\n--- run\n%s\n--- fold\n%s", want, got)
 	}
@@ -173,7 +178,6 @@ func naiveFold(cfg Config, vehicles []VehicleReport) *FleetReport {
 		utilSum += v.Utilisation
 		mergeGroups(fr, v.Groups)
 	}
-	fr.Vehicles = vehicles
 	regimes := make([][]attack.RegimeSummary, len(fr.Groups))
 	for gi := range fr.Groups {
 		regimes[gi] = fr.Groups[gi].Regimes
@@ -242,7 +246,7 @@ func countFold(cfg Config, vehicles []VehicleReport) *FleetReport {
 		for j < len(vehicles) && reflect.DeepEqual(anon(vehicles[i]), anon(vehicles[j])) {
 			j++
 		}
-		m.foldRun(&vehicles[i], j-i)
+		m.FoldRun(&vehicles[i], j-i)
 		i = j
 	}
 	return m.finish()
@@ -250,10 +254,9 @@ func countFold(cfg Config, vehicles []VehicleReport) *FleetReport {
 
 // FuzzMergeFoldRuns checks the run-length fold against the per-vehicle
 // reference on arbitrary sequences of shared, cloned, different, nil and
-// partial matrices with varying counters: the streaming fold must equal it
-// exactly, and Run's batch merge and the count fold of every stretch of
-// equal vehicles must equal it without the per-vehicle section,
-// MeanUtilisation bits included.
+// partial matrices with varying counters: the streaming fold, Run's batch
+// merge and the count fold of every stretch of equal vehicles must each
+// equal it exactly, MeanUtilisation bits included.
 func FuzzMergeFoldRuns(f *testing.F) {
 	seq := func(kinds ...byte) []byte {
 		var b []byte
@@ -286,13 +289,11 @@ func FuzzMergeFoldRuns(f *testing.F) {
 		if got := fold.Finish(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("MergeFold differs from the per-vehicle fold:\ngot:  %+v\nwant: %+v", got, want)
 		}
-		agg := *want
-		agg.Vehicles = nil
-		if got := merge(cfg, slices.Clone(vehicles)); !reflect.DeepEqual(got, &agg) {
-			t.Fatalf("merge differs from the per-vehicle fold:\ngot:  %+v\nwant: %+v", got, &agg)
+		if got := merge(cfg, slices.Clone(vehicles)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("merge differs from the per-vehicle fold:\ngot:  %+v\nwant: %+v", got, want)
 		}
-		if got := countFold(cfg, vehicles); !reflect.DeepEqual(got, &agg) {
-			t.Fatalf("count fold differs from the per-vehicle fold:\ngot:  %+v\nwant: %+v", got, &agg)
+		if got := countFold(cfg, vehicles); !reflect.DeepEqual(got, want) {
+			t.Fatalf("count fold differs from the per-vehicle fold:\ngot:  %+v\nwant: %+v", got, want)
 		}
 	})
 }

@@ -49,6 +49,16 @@ type VehicleReport struct {
 	Health Health
 }
 
+// Member returns the report of vehicle index of the run v heads: v under
+// that vehicle's own Index, VIN and Seed, which derive from the index and
+// root, the run's Groups[0].RootSeed. A run's vehicles differ from its
+// first in nothing else (see Aggregate).
+func (v *VehicleReport) Member(root uint64, index int) VehicleReport {
+	m := *v
+	m.Index, m.VIN, m.Seed = index, VIN(index), VehicleSeed(root, index)
+	return m
+}
+
 // GroupReport is one scenario group's fleet-merged outcome: per-regime
 // aggregates folded across every vehicle, in vehicle-index order.
 type GroupReport struct {

@@ -22,9 +22,10 @@ func TestVINMatchesFmt(t *testing.T) {
 			t.Errorf("VIN(%d) = %q, want %q", i, got, want)
 		}
 	}
-	// A stamped run's VINs are sliced out of one string per chunk. Put one
+	// A stamped Run's VINs are sliced out of one string per chunk. Put one
 	// chunk across 999,999 -> 1,000,000, where VINs grow from 10 to 11
 	// bytes (chunks start at local index 1: the first vehicle executes).
+	// Aggregate emits the chunk's vehicles as one run; check its head.
 	cfg := stampConfig(2, 1000000-engine.ReplayChunk/2, 0)
 	cfg.Fleet = engine.ReplayChunk + 2
 	check := func(path string, v *engine.VehicleReport) {
@@ -39,8 +40,7 @@ func TestVINMatchesFmt(t *testing.T) {
 	for i := range fr.Vehicles {
 		check("Run", &fr.Vehicles[i])
 	}
-	cfg.OnVehicle = func(v *engine.VehicleReport) { check("Aggregate", v) }
-	if _, err := engine.Aggregate(cfg); err != nil {
+	if _, err := engine.Aggregate(cfg, func(v *engine.VehicleReport, _ int) { check("Aggregate", v) }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -163,10 +163,17 @@ func TestReplayChunkBoundaries(t *testing.T) {
 // TestAggregateMatchesRun: Aggregate is Run without the per-vehicle
 // section on every path a sweep takes — a fully stamped run (folded as one
 // count), stamped attack sections over executed live phases, and chaos,
-// verify-sampled and NoBatch runs where every vehicle executes — and with
-// OnVehicle set it emits each index once, in order, with the report Run
-// returns for it.
+// verify-sampled and NoBatch runs where every vehicle executes — and its
+// emitter's runs, expanded, are each index once, in order, with the report
+// Run returns for it. A fully stamped range is emitted as its first
+// vehicle and one run of the rest; every other vehicle is a run of one.
 func TestAggregateMatchesRun(t *testing.T) {
+	if _, err := engine.Aggregate(engine.Config{
+		Groups:    stampConfig(1, 0, 0).Groups,
+		OnVehicle: func(*engine.VehicleReport) {},
+	}, nil); err == nil {
+		t.Error("Aggregate accepted a Config with OnVehicle set")
+	}
 	c := engine.ReplayChunk
 	for _, v := range []struct {
 		name   string
@@ -191,13 +198,27 @@ func TestAggregateMatchesRun(t *testing.T) {
 						t.Fatalf("%s: Run: %v", name, err)
 					}
 					var emitted []engine.VehicleReport
-					cfg.OnVehicle = func(r *engine.VehicleReport) { emitted = append(emitted, *r) }
-					got, err := engine.Aggregate(cfg)
+					var runs []int
+					root := cfg.Groups[0].RootSeed
+					got, err := engine.Aggregate(cfg, func(r *engine.VehicleReport, n int) {
+						runs = append(runs, n)
+						emitted = append(emitted, *r)
+						for i := 1; i < n; i++ {
+							emitted = append(emitted, r.Member(root, r.Index+i))
+						}
+					})
 					if err != nil {
 						t.Fatalf("%s: Aggregate: %v", name, err)
 					}
 					if !reflect.DeepEqual(emitted, want.Vehicles) {
-						t.Errorf("%s: Aggregate emitted other vehicles than Run returns", name)
+						t.Errorf("%s: Aggregate's expanded runs differ from the vehicles Run returns", name)
+					}
+					wantRuns := slices.Repeat([]int{1}, fleet)
+					if v.name == "stamped" && fleet > 1 {
+						wantRuns = []int{1, fleet - 1}
+					}
+					if !slices.Equal(runs, wantRuns) {
+						t.Errorf("%s: Aggregate emitted runs %v, want %v", name, runs, wantRuns)
 					}
 					want.Vehicles = nil
 					if !reflect.DeepEqual(got, want) {

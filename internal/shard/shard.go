@@ -13,18 +13,20 @@
 // merged report is byte-identical to the unsharded oracle (float summation
 // order included, Health ledgers summed per class).
 //
-// An in-process shard is an engine.Aggregate over its range whose vehicles
-// fold straight into the merge as they complete (engine.Config.OnVehicle). A
-// spawned shard's outcome arrives as a Stream over the binary frame
-// protocol in the nested wire package — compact, CRC-guarded, streamed
-// frame by frame as the child's vehicles complete — and the driver folds
-// it as it is decoded, so the parent never buffers a spawned shard's
-// report set. A stamped child's vehicles all carry its first vehicle's
-// attack matrix; the wire sends that matrix once per stream and the
-// decoded vehicles share one read-only copy of it, as the vehicles of an
-// in-process run share the stamp's. The unsharded engine.Run is the
-// differential oracle every shard layout, transport and parallelism level
-// is tested against.
+// Vehicles travel as runs from the engine to the fold: a run is a vehicle
+// report standing for itself and the vehicles after it that differ from
+// it only in VIN and seed (engine.Aggregate). A fully stamped range is two
+// runs, its first vehicle and the rest, and the driver folds each run in
+// one step (engine.MergeFold.FoldRun). An in-process shard is an
+// engine.Aggregate over its range whose runs fold straight into the merge
+// as they are emitted. A spawned shard's outcome arrives as a Stream over
+// the binary frame protocol in the nested wire package — compact,
+// CRC-guarded, one frame per run, streamed as the child's vehicles
+// complete — and the driver folds it as it is decoded, so the parent never
+// buffers a spawned shard's report set. Aggregate keeps no per-vehicle
+// section at all; Run lists every vehicle by expanding the runs. The
+// unsharded engine.Run is the differential oracle every shard layout,
+// transport and parallelism level is tested against.
 //
 // In-process shards run sequentially — each shard's engine sweep is itself
 // parallel across Config.Workers, and on a single machine stacking two
@@ -41,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -131,15 +134,35 @@ func Ranges(total, n int) []Range {
 // the shard is done; Trailer (valid only after io.EOF) returns the range
 // echo the driver asserts against and the shard's sweep error text (""
 // on success); Close releases transport resources (for a subprocess
-// shard, reaps the child). The binary wire stream implements it, and the
-// concurrent fan-out's reorder slots re-expose it, so the driver validates
-// sequential and concurrent shards identically. A report Next returns
-// must stay unchanged after later calls: the fan-out parks up to Window of
-// them by pointer.
+// shard, reaps the child). A report Next returns must stay unchanged after
+// later calls: the fan-out parks up to Window of them by pointer.
+//
+// The stream NewWireStream returns also yields whole runs, and the driver
+// moves those instead of single vehicles (runStream). Any other Stream —
+// a wrapper that embeds one, too, since the interface does not promote
+// the run method — is read vehicle by vehicle, each a run of one.
 type Stream interface {
 	Next() (*engine.VehicleReport, error)
 	Trailer() (r Range, errText string, err error)
 	Close() error
+}
+
+// runStream is a Stream that yields runs: v stands for the n >= 1
+// vehicles v.Index … v.Index+n-1, which differ from v only in VIN and
+// seed (wire.Reader.NextRun).
+type runStream interface {
+	NextRun() (v *engine.VehicleReport, n int, err error)
+}
+
+// runsOf returns st's run reader: its own NextRun, or Next as runs of one.
+func runsOf(st Stream) func() (*engine.VehicleReport, int, error) {
+	if rs, ok := st.(runStream); ok {
+		return rs.NextRun
+	}
+	return func() (*engine.VehicleReport, int, error) {
+		v, err := st.Next()
+		return v, 1, err
+	}
 }
 
 // NewWireStream wraps a binary wire stream (a shard child's stdout pipe)
@@ -155,6 +178,8 @@ type wireStream struct {
 }
 
 func (s *wireStream) Next() (*engine.VehicleReport, error) { return s.r.Next() }
+
+func (s *wireStream) NextRun() (*engine.VehicleReport, int, error) { return s.r.NextRun() }
 
 func (s *wireStream) Trailer() (Range, string, error) {
 	t, err := s.r.Trailer()
@@ -180,15 +205,54 @@ func rangeConfig(cfg engine.Config, r Range) engine.Config {
 	return cfg
 }
 
-// runLocal executes one shard in this process and folds its vehicles
-// straight into the merge as they complete. A sweep error is recorded
-// against the range while the vehicles that completed still merge — the
+// merge is the driver's one fold step: every run, from an in-process
+// shard's emitter or a spawned shard's stream, folds through add, in range
+// order. It enforces the range contract — only the first r.Count vehicles
+// a range's stream carries fold — and, for Run, lists the folded vehicles.
+type merge struct {
+	fold *engine.MergeFold
+	root uint64 // Groups[0].RootSeed: a run's seeds derive from it
+	list bool
+	// vehicles is Run's listing: every folded vehicle, its runs expanded.
+	vehicles []engine.VehicleReport
+	r        Range
+	// carried counts the vehicles r's stream has carried so far; it
+	// saturates at the largest int rather than wrap.
+	carried int
+}
+
+// start begins folding range r.
+func (m *merge) start(r Range) { m.r, m.carried = r, 0 }
+
+// add folds the run of n vehicles v heads. A run that carries the range's
+// stream past r.Count folds only its in-range prefix; the overcount is
+// counted, not iterated, so a run frame claiming any count costs O(1)
+// beyond the vehicles the range holds.
+func (m *merge) add(v *engine.VehicleReport, n int) {
+	if k := min(n, m.r.Count-m.carried); k > 0 {
+		m.fold.FoldRun(v, k)
+		if m.list {
+			m.vehicles = append(m.vehicles, *v)
+			for i := 1; i < k; i++ {
+				m.vehicles = append(m.vehicles, v.Member(m.root, v.Index+i))
+			}
+		}
+	}
+	if n > math.MaxInt-m.carried {
+		m.carried = math.MaxInt
+	} else {
+		m.carried += n
+	}
+}
+
+// runLocal executes one shard in this process and folds its runs straight
+// into the merge as they are emitted. A sweep error is recorded against
+// the range while the vehicles that completed still merge — the
 // partial-report contract engine.Run keeps, and a spawned shard's trailer
 // carries.
-func runLocal(fold *engine.MergeFold, cfg engine.Config, r Range) error {
-	sub := rangeConfig(cfg, r)
-	sub.OnVehicle = func(v *engine.VehicleReport) { fold.Add(*v) }
-	if _, err := engine.Aggregate(sub); err != nil {
+func runLocal(m *merge, cfg engine.Config, r Range) error {
+	m.start(r)
+	if _, err := engine.Aggregate(rangeConfig(cfg, r), m.add); err != nil {
 		return fmt.Errorf("shard %s: %w", r, err)
 	}
 	return nil
@@ -196,21 +260,22 @@ func runLocal(fold *engine.MergeFold, cfg engine.Config, r Range) error {
 
 // RunRangeWire executes one shard in this process and emits the binary
 // wire stream to out as vehicles complete — the shard child's streaming
-// emit loop. Frames are written through engine.Config.OnVehicle in global
-// index order; the trailer carries the range echo and the sweep's error
-// text, so an unrecoverable shard still ships its partial vehicles first
-// (the partial-report contract engine.Run keeps). The returned error
-// reports transport failures only — a sweep error travels in the trailer.
+// emit loop. Each run engine.Aggregate emits goes out as one frame, in
+// global index order, so a fully stamped range is two vehicle frames; the
+// trailer carries the range echo and the sweep's error text, so an
+// unrecoverable shard still ships its partial vehicles first (the
+// partial-report contract engine.Run keeps). The returned error reports
+// transport failures only — a sweep error travels in the trailer.
 func RunRangeWire(cfg engine.Config, r Range, out io.Writer) error {
 	sub := rangeConfig(cfg, r)
 	w := wire.NewWriter(out)
 	var werr error
-	sub.OnVehicle = func(v *engine.VehicleReport) {
+	emit := func(v *engine.VehicleReport, n int) {
 		if werr == nil {
-			werr = w.WriteVehicle(v)
+			werr = w.WriteRun(v, n, sub.Groups[0].RootSeed) // Aggregate emits only with Groups set
 		}
 	}
-	_, err := engine.Aggregate(sub)
+	_, err := engine.Aggregate(sub, emit)
 	if werr != nil {
 		return fmt.Errorf("shard %s: wire write: %w", r, werr)
 	}
@@ -233,8 +298,8 @@ func RunRangeWire(cfg engine.Config, r Range, out io.Writer) error {
 // error.
 type Spawn func(r Range) (Stream, error)
 
-// defaultWindow bounds each in-flight shard's decoded-but-unmerged
-// vehicle reports under concurrent fan-out (Config.Window).
+// defaultWindow bounds each in-flight shard's decoded-but-unmerged runs
+// under concurrent fan-out (Config.Window).
 const defaultWindow = 256
 
 // Config parameterises a sharded sweep.
@@ -251,30 +316,41 @@ type Config struct {
 	// Parallelism bounds how many spawned shards run concurrently
 	// (default 1: shard i+1 spawns once shard i has merged). The merge
 	// still consumes shards strictly in range order — a shard that
-	// finishes early parks at most Window vehicle reports until its turn.
-	// Ignored without Spawn: in-process shards are already parallel across
+	// finishes early parks at most Window runs until its turn. Ignored
+	// without Spawn: in-process shards are already parallel across
 	// Engine.Workers.
 	Parallelism int
-	// Window bounds each in-flight shard's decoded-but-unmerged vehicle
-	// reports under concurrent fan-out (default 256). The slots hold the
-	// decoded reports by pointer, so total parent-side reorder memory is
-	// ≤ Parallelism × Window decoded reports beyond the merged report
-	// itself — each a report and its VIN when its stream repeats the
-	// previous vehicle's matrix, whose one decoded copy the stream's
-	// vehicles share.
+	// Window bounds each in-flight shard's decoded-but-unmerged runs under
+	// concurrent fan-out (default 256). A run is one decoded report
+	// standing for any number of vehicles — a stamped child's whole range
+	// is two — and a Stream without runs parks one vehicle per run. The
+	// slots hold the decoded reports by pointer, so total parent-side
+	// reorder memory is ≤ Parallelism × Window decoded reports beyond the
+	// merged report itself — each a report and its VIN when its stream
+	// repeats the previous frame's matrix, whose one decoded copy the
+	// stream's reports share.
 	Window int
 }
 
 // Run executes the sharded sweep and merges shard outcomes
 // deterministically in range order. The merged report is byte-identical
 // to the unsharded engine.Run for every shard count and parallelism level,
-// with or without the spawn hook: the per-vehicle reports are pure
-// functions of global indices, and the merge is the engine's own fold over
-// the same vehicle order. Like engine.Run, a failing shard — a sweep
-// error, a spawn error, a corrupt stream, a sweep error in the trailer —
-// is recorded and the remaining ranges still merge: Run returns the merged
-// partial report alongside the joined error.
-func Run(cfg Config) (*engine.FleetReport, error) {
+// with or without the spawn hook, vehicle listing included: the
+// per-vehicle reports are pure functions of global indices, and the merge
+// is the engine's own fold over the same vehicle order. Like engine.Run, a
+// failing shard — a sweep error, a spawn error, a corrupt stream, a sweep
+// error in the trailer — is recorded and the remaining ranges still merge:
+// Run returns the merged partial report alongside the joined error.
+func Run(cfg Config) (*engine.FleetReport, error) { return sweep(cfg, true) }
+
+// Aggregate runs exactly the sweep Run runs and returns the same report
+// without its per-vehicle section: FleetReport.Vehicles is nil, and no
+// vehicle report outlives the run it came in. It is the entry point for
+// callers that read only the fleet aggregates: sharded campaign sweeps.
+func Aggregate(cfg Config) (*engine.FleetReport, error) { return sweep(cfg, false) }
+
+// sweep is Run when list is set, Aggregate otherwise.
+func sweep(cfg Config, list bool) (*engine.FleetReport, error) {
 	ec := cfg.Engine
 	if ec.Fleet <= 0 {
 		ec.Fleet = 1
@@ -286,111 +362,91 @@ func Run(cfg Config) (*engine.FleetReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	m := &merge{fold: fold, root: ec.Groups[0].RootSeed, list: list}
+	if list {
+		m.vehicles = make([]engine.VehicleReport, 0, ec.Fleet)
+	}
 	ranges := Ranges(ec.Fleet, cfg.Shards)
 	var errs []error
 	if cfg.Spawn != nil {
-		errs = runParallel(ranges, cfg, fold)
+		errs = runParallel(ranges, cfg, m)
 	} else {
 		for _, r := range ranges {
-			errs = append(errs, runLocal(fold, ec, r)) // errors.Join drops nil
+			errs = append(errs, runLocal(m, ec, r)) // errors.Join drops nil
 		}
 	}
-	return fold.Finish(), errors.Join(errs...)
+	fr := fold.Finish()
+	fr.Vehicles = m.vehicles
+	return fr, errors.Join(errs...)
 }
 
-// drainShard folds one shard stream into the merge, enforcing the range
+// drain folds one slot's runs into the merge, enforcing the range
 // contract: at most r.Count vehicles are folded, the trailer must echo r,
 // and a trailer error text is recorded like a sweep failure. Every
 // anomaly is recorded, never fatal — the caller keeps merging other
 // shards.
-func drainShard(fold *engine.MergeFold, st Stream, r Range) []error {
+func (m *merge) drain(s *slot, r Range) []error {
+	m.start(r)
+	for run := range s.ch {
+		m.add(run.v, run.n)
+	}
 	var errs []error
-	n := 0
-	for {
-		v, err := st.Next()
-		if err == io.EOF {
+	switch {
+	case s.streamErr != nil:
+		errs = append(errs, fmt.Errorf("shard %s: %w", r, s.streamErr))
+	default:
+		if m.carried > r.Count {
+			errs = append(errs, fmt.Errorf("shard %s: stream carried %d vehicles", r, m.carried))
+		}
+		if s.trailerEr != nil {
+			errs = append(errs, fmt.Errorf("shard %s: trailer: %w", r, s.trailerEr))
 			break
 		}
-		if err != nil {
-			errs = append(errs, fmt.Errorf("shard %s: %w", r, err))
-			if cerr := st.Close(); cerr != nil {
-				errs = append(errs, fmt.Errorf("shard %s: close: %w", r, cerr))
-			}
-			return errs
+		if s.trailer != r {
+			errs = append(errs, fmt.Errorf("shard %s: stream covers %s", r, s.trailer))
 		}
-		if n < r.Count {
-			fold.Add(*v)
-		}
-		n++
-	}
-	if n > r.Count {
-		errs = append(errs, fmt.Errorf("shard %s: stream carried %d vehicles", r, n))
-	}
-	tr, errText, terr := st.Trailer()
-	if terr != nil {
-		errs = append(errs, fmt.Errorf("shard %s: trailer: %w", r, terr))
-	} else {
-		if tr != r {
-			errs = append(errs, fmt.Errorf("shard %s: stream covers %s", r, tr))
-		}
-		if errText != "" {
-			errs = append(errs, fmt.Errorf("shard %s: %s", r, errText))
+		if s.errText != "" {
+			errs = append(errs, fmt.Errorf("shard %s: %s", r, s.errText))
 		}
 	}
-	if cerr := st.Close(); cerr != nil {
-		errs = append(errs, fmt.Errorf("shard %s: close: %w", r, cerr))
+	if s.closeErr != nil {
+		errs = append(errs, fmt.Errorf("shard %s: close: %w", r, s.closeErr))
 	}
 	return errs
 }
 
+// run is one decoded run in a slot: v and the n-1 vehicles after it.
+type run struct {
+	v *engine.VehicleReport
+	n int
+}
+
 // slot is one range's reorder buffer under concurrent fan-out: the
-// producer (a fan-out worker) pumps the shard's stream into ch and
-// records the trailer; the merger drains slots strictly in range order.
-// All non-channel fields are written before close(ch) and read only after
-// the drain loop observes the close, so the close is the happens-before
-// edge.
+// producer (a fan-out worker) pumps the shard's runs into ch and records
+// the trailer; the merger drains slots strictly in range order. All
+// non-channel fields are written before close(ch) and read only after the
+// drain loop observes the close, so the close is the happens-before edge.
 type slot struct {
-	ch        chan *engine.VehicleReport
-	streamErr error // spawn or stream failure; surfaces after buffered vehicles
+	ch        chan run
+	streamErr error // spawn or stream failure; surfaces after buffered runs
 	trailer   Range
 	errText   string
 	trailerEr error
 	closeErr  error
 }
 
-// chanStream adapts a slot back to the Stream interface so the merger
-// reuses drainShard's validation verbatim.
-type chanStream struct{ s *slot }
-
-func (c *chanStream) Next() (*engine.VehicleReport, error) {
-	v, ok := <-c.s.ch
-	if !ok {
-		if c.s.streamErr != nil {
-			return nil, c.s.streamErr
-		}
-		return nil, io.EOF
-	}
-	return v, nil
-}
-
-func (c *chanStream) Trailer() (Range, string, error) {
-	return c.s.trailer, c.s.errText, c.s.trailerEr
-}
-
-func (c *chanStream) Close() error { return c.s.closeErr }
-
 // runParallel fans spawned shards out across a bounded worker group while
 // the merge consumes them strictly in range order. Memory stays bounded:
 // a semaphore released only when the merger finishes a shard caps the
 // claimed-but-unmerged shards at the parallelism level, and each of those
-// parks at most Window decoded reports in its slot channel — a shard that
+// parks at most Window decoded runs in its slot channel — a shard that
 // outpaces the merge cursor blocks on its full window, it does not
 // buffer. Claims come off an atomic cursor, so the outstanding set is
 // always the contiguous window just ahead of the merge cursor and the
 // shard the merger waits on always has a running producer (no deadlock).
 // At parallelism 1 this is the sequential layout: one producer, which
 // spawns shard i+1 only after the merger has finished shard i.
-func runParallel(ranges []Range, cfg Config, fold *engine.MergeFold) []error {
+func runParallel(ranges []Range, cfg Config, m *merge) []error {
 	par := min(max(cfg.Parallelism, 1), len(ranges))
 	window := cfg.Window
 	if window <= 0 {
@@ -402,7 +458,7 @@ func runParallel(ranges []Range, cfg Config, fold *engine.MergeFold) []error {
 		if r.Count < buf {
 			buf = r.Count
 		}
-		slots[i] = &slot{ch: make(chan *engine.VehicleReport, buf)}
+		slots[i] = &slot{ch: make(chan run, buf)}
 	}
 	sem := make(chan struct{}, par)
 	var next atomic.Int64
@@ -421,13 +477,14 @@ func runParallel(ranges []Range, cfg Config, fold *engine.MergeFold) []error {
 	}
 	var errs []error
 	for i, r := range ranges {
-		errs = append(errs, drainShard(fold, &chanStream{s: slots[i]}, r)...)
+		errs = append(errs, m.drain(slots[i], r)...)
 		<-sem
 	}
 	return errs
 }
 
-// produce runs one spawned shard and pumps its stream into the slot.
+// produce runs one spawned shard and pumps its stream's runs into the
+// slot.
 func produce(s *slot, r Range, spawn Spawn) {
 	defer close(s.ch)
 	st, err := spawn(r)
@@ -435,8 +492,9 @@ func produce(s *slot, r Range, spawn Spawn) {
 		s.streamErr = err
 		return
 	}
+	next := runsOf(st)
 	for {
-		v, err := st.Next()
+		v, n, err := next()
 		if err == io.EOF {
 			break
 		}
@@ -445,7 +503,7 @@ func produce(s *slot, r Range, spawn Spawn) {
 			s.closeErr = st.Close()
 			return
 		}
-		s.ch <- v
+		s.ch <- run{v, n}
 	}
 	s.trailer, s.errText, s.trailerEr = st.Trailer()
 	s.closeErr = st.Close()

@@ -202,6 +202,25 @@ func fakeChild(t *testing.T, vs []engine.VehicleReport, tr wire.Trailer) Stream 
 	return NewWireStream(&buf, nil)
 }
 
+// runChild encodes a shard stream the way a child writes a stamped range
+// — first as one frame, then the run of n vehicles rest heads, seeded from
+// root — and then tr.
+func runChild(t *testing.T, first, rest *engine.VehicleReport, n int, root uint64, tr wire.Trailer) Stream {
+	t.Helper()
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	if err := w.WriteVehicle(first); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteRun(rest, n, root); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteTrailer(tr); err != nil {
+		t.Fatal(err)
+	}
+	return NewWireStream(&buf, nil)
+}
+
 // rangeVehicles runs the global vehicles of r in this process.
 func rangeVehicles(t *testing.T, cfg engine.Config, r Range) []engine.VehicleReport {
 	t.Helper()
@@ -321,34 +340,153 @@ func TestTrailerMismatchRecorded(t *testing.T) {
 }
 
 // TestOvercountRecorded pins the vehicle-count check: a stream carrying
-// one frame more than its range, under an honest trailer, is recorded;
+// one vehicle more than its range, under an honest trailer, is recorded;
 // only the range's own vehicles fold, and the other shard still merges —
-// the merged report still matches the unsharded oracle.
+// the merged report still matches the unsharded oracle. The extra vehicle
+// comes as a frame of its own, or as the tail of a run frame whose
+// in-range prefix must still fold.
 func TestOvercountRecorded(t *testing.T) {
 	cfg := smallCfg(4)
 	oracle, err := engine.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, tc := range []struct {
+		name  string
+		child func(r Range, tr wire.Trailer) Stream
+	}{
+		{"single frames", func(r Range, tr wire.Trailer) Stream {
+			frames := r
+			if r.Start == 0 {
+				frames.Count++ // one vehicle past the range
+			}
+			return fakeChild(t, rangeVehicles(t, cfg, frames), tr)
+		}},
+		{"run frame", func(r Range, tr wire.Trailer) Stream {
+			vs := rangeVehicles(t, cfg, r)
+			n := r.Count - 1
+			if r.Start == 0 {
+				n++ // the run reaches one vehicle past the range
+			}
+			return runChild(t, &vs[0], &vs[1], n, cfg.Groups[0].RootSeed, tr)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spawn := func(r Range) (Stream, error) {
+				return tc.child(r, wire.Trailer{Start: r.Start, Count: r.Count}), nil
+			}
+			got, err := Run(Config{Engine: cfg, Shards: 2, Spawn: spawn})
+			if err == nil {
+				t.Fatal("overcounting stream surfaced no error")
+			}
+			if !strings.Contains(err.Error(), "shard 0:2: stream carried 3 vehicles") {
+				t.Errorf("error does not describe the overcount: %v", err)
+			}
+			if got == nil || len(got.Vehicles) != 4 {
+				t.Fatalf("merged report carries %d vehicles, want 4", len(got.Vehicles))
+			}
+			if got.String() != oracle.String() {
+				t.Errorf("overcount leaked into the merge\n--- oracle\n%s\n--- got\n%s", oracle.String(), got.String())
+			}
+		})
+	}
+}
+
+// TestHugeRunCountRecorded: a CRC-valid run frame claiming 2^40 vehicles
+// fails its range in O(1) — the driver counts a run, it never iterates
+// over it — while the range's own vehicles fold and list, and the other
+// shards still merge, at any parallelism.
+func TestHugeRunCountRecorded(t *testing.T) {
+	cfg := smallCfg(6)
+	oracle, err := engine.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	spawn := func(r Range) (Stream, error) {
-		frames := r
-		if r.Start == 0 {
-			frames.Count++ // one vehicle past the range
+		vs := rangeVehicles(t, cfg, r)
+		n := r.Count - 1
+		if r.Start == 2 {
+			n = 1 << 40
 		}
-		return fakeChild(t, rangeVehicles(t, cfg, frames), wire.Trailer{Start: r.Start, Count: r.Count}), nil
+		return runChild(t, &vs[0], &vs[1], n, cfg.Groups[0].RootSeed, wire.Trailer{Start: r.Start, Count: r.Count}), nil
 	}
-	got, err := Run(Config{Engine: cfg, Shards: 2, Spawn: spawn})
-	if err == nil {
-		t.Fatal("overcounting stream surfaced no error")
+	for _, par := range []int{1, 3} {
+		got, err := Run(Config{Engine: cfg, Shards: 3, Spawn: spawn, Parallelism: par})
+		if err == nil || !strings.Contains(err.Error(), "shard 2:2: stream carried 1099511627777 vehicles") {
+			t.Errorf("parallelism=%d: error does not describe the overcount: %v", par, err)
+		}
+		if got == nil || got.String() != oracle.String() {
+			t.Errorf("parallelism=%d: the huge run leaked into the merge", par)
+		}
 	}
-	if !strings.Contains(err.Error(), "shard 0:2: stream carried 3 vehicles") {
-		t.Errorf("error does not describe the overcount: %v", err)
+}
+
+// countingStream is a Stream wrapper that counts the vehicles it hands
+// out, as a caller tracing its children wraps them.
+type countingStream struct {
+	Stream
+	n int
+}
+
+func (s *countingStream) Next() (*engine.VehicleReport, error) {
+	v, err := s.Stream.Next()
+	if v != nil {
+		s.n++
 	}
-	if got == nil || len(got.Vehicles) != 4 {
-		t.Fatalf("merged report carries %d vehicles, want 4", len(got.Vehicles))
+	return v, err
+}
+
+// TestWrappedStreamReadPerVehicle: a Stream that embeds a wire stream does
+// not promote its run reader, so the driver reads it through the
+// wrapper's Next, one vehicle at a time, and merges the same report.
+func TestWrappedStreamReadPerVehicle(t *testing.T) {
+	cfg := smallCfg(7)
+	oracle, err := engine.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrap := wireSpawn(cfg)
+	var streams []*countingStream
+	spawn := func(r Range) (Stream, error) {
+		st, err := wrap(r)
+		cs := &countingStream{Stream: st}
+		streams = append(streams, cs)
+		return cs, err
+	}
+	got, err := Run(Config{Engine: cfg, Shards: 3, Spawn: spawn})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got.String() != oracle.String() {
-		t.Errorf("overcount leaked into the merge\n--- oracle\n%s\n--- got\n%s", oracle.String(), got.String())
+		t.Errorf("wrapped streams merged another report\n--- oracle\n%s\n--- got\n%s", oracle.String(), got.String())
+	}
+	for i, r := range Ranges(cfg.Fleet, 3) {
+		if streams[i].n != r.Count {
+			t.Errorf("shard %s: the wrapper's Next handed out %d vehicles, want %d", r, streams[i].n, r.Count)
+		}
+	}
+}
+
+// TestAggregateKeepsNoVehicles: Aggregate is Run without the per-vehicle
+// section, in process and over the wire.
+func TestAggregateKeepsNoVehicles(t *testing.T) {
+	cfg := smallCfg(9)
+	oracle, err := engine.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle.Vehicles = nil
+	for name, spawn := range map[string]Spawn{"in-process": nil, "wire": wireSpawn(cfg)} {
+		got, err := Aggregate(Config{Engine: cfg, Shards: 4, Spawn: spawn, Parallelism: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Vehicles != nil {
+			t.Errorf("%s: Aggregate kept %d vehicles", name, len(got.Vehicles))
+		}
+		if got.String() != oracle.String() {
+			t.Errorf("%s: Aggregate differs from Run\n--- oracle\n%s\n--- got\n%s", name, oracle.String(), got.String())
+		}
 	}
 }
 

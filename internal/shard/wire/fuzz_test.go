@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bytes"
 	"io"
+	"math"
 	"os"
 	"testing"
 
@@ -45,20 +46,25 @@ func quickstartVehicles(f *testing.F) []engine.VehicleReport {
 // FuzzWireCodec fuzzes both decoding surfaces of the binary shard wire:
 //
 //  1. Stream safety — arbitrary bytes fed through a Reader must never
-//     panic, whatever the mutator does to framing, lengths or payloads.
+//     panic, whatever the mutator does to framing, lengths, run counts or
+//     payloads. The stream drains run by run (a mutated count can claim
+//     any number of vehicles), and again through Next for a bounded
+//     number of vehicles.
 //  2. Payload fixed point — any byte string the vehicle decoder accepts
 //     must re-encode canonically: encode(decode(data)) is a fixed point
 //     under a further decode/encode round trip. (data itself need not be
 //     canonical — uvarints admit non-minimal forms — which is why the
 //     identity is asserted on enc1/enc2, not on data.)
 //  3. Framed round trip — a decoded vehicle written twice through the real
-//     Writer (inline, then as a matrix back-reference) must come back
-//     structurally intact, both copies, with its trailer.
+//     Writer (inline, then as a matrix back-reference) and then as the
+//     head of a run of three must come back structurally intact, every
+//     copy, with its trailer.
 //
 // The corpus is seeded from a real quickstart campaign sweep so the
 // mutator starts from production-shaped payloads, plus a stream whose
-// matrix changes and a stream whose only vehicle frame back-references a
-// matrix it never sent.
+// matrix changes, a stream whose only vehicle frame back-references a
+// matrix it never sent, and a stamped shard's stream: its first vehicle
+// and one run frame of the rest.
 func FuzzWireCodec(f *testing.F) {
 	vs := quickstartVehicles(f)
 	for i := range vs {
@@ -83,16 +89,23 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add(encodeStream(f, []engine.VehicleReport{a[0], a[1], b[0], b[1], a[2]}, wire.Trailer{Count: 5}))
 	frames := splitFrames(f, encodeStream(f, a[:2], wire.Trailer{Count: 2}))
 	f.Add(joinFrames(frames[1], frames[2]))
+	f.Add(withRun(f, vs[:1], 999, 42, wire.Trailer{Count: 1000}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// 1. Stream decode: drain until EOF or error; must not panic.
 		r := wire.NewReader(bytes.NewReader(data))
 		for {
-			if _, err := r.Next(); err != nil {
+			if _, _, err := r.NextRun(); err != nil {
 				break
 			}
 		}
 		_, _ = r.Trailer()
+		r = wire.NewReader(bytes.NewReader(data))
+		for range 4096 {
+			if _, err := r.Next(); err != nil {
+				break
+			}
+		}
 
 		// 2. Payload fixed point.
 		v, err := wire.DecodeVehiclePayload(data)
@@ -110,23 +123,28 @@ func FuzzWireCodec(f *testing.F) {
 		}
 
 		// 3. Framed round trip through the real Writer/Reader; the second
-		// copy's matrix travels as a back-reference.
+		// copy's matrix travels as a back-reference, and the third copy
+		// heads a run of three (when its index leaves room for one).
+		runs := []int{1, 1}
+		if v.Index <= math.MaxInt-3 {
+			runs = append(runs, 3)
+		}
 		var stream bytes.Buffer
 		sw := wire.NewWriter(&stream)
-		for range 2 {
-			if err := sw.WriteVehicle(v); err != nil {
-				t.Fatalf("WriteVehicle: %v", err)
+		for _, n := range runs {
+			if err := sw.WriteRun(v, n, 42); err != nil {
+				t.Fatalf("WriteRun: %v", err)
 			}
 		}
-		want := wire.Trailer{Start: v.Index, Count: 2, Err: "fuzz"}
+		want := wire.Trailer{Start: v.Index, Count: len(runs), Err: "fuzz"}
 		if err := sw.WriteTrailer(want); err != nil {
 			t.Fatalf("WriteTrailer: %v", err)
 		}
 		sr := wire.NewReader(bytes.NewReader(stream.Bytes()))
-		for i := range 2 {
-			got, err := sr.Next()
-			if err != nil {
-				t.Fatalf("framed decode of copy %d: %v", i, err)
+		for i, n := range runs {
+			got, gotN, err := sr.NextRun()
+			if err != nil || gotN != n {
+				t.Fatalf("framed decode of copy %d: a run of %d, %v; want %d", i, gotN, err, n)
 			}
 			if enc3 := wire.AppendVehicle(nil, got); !bytes.Equal(enc1, enc3) {
 				t.Fatalf("framed round trip changed copy %d's vehicle payload", i)

@@ -1,7 +1,7 @@
 // Package wire is the binary shard transport: a compact, versioned,
-// length-prefixed frame stream carrying one engine.VehicleReport per frame,
-// terminated by a trailer frame that echoes the shard's range and error
-// text.
+// length-prefixed frame stream carrying one run of engine.VehicleReports
+// per frame, terminated by a trailer frame that echoes the shard's range
+// and error text.
 //
 // Frames are written as vehicles complete and decoded as they arrive, so
 // neither side ever holds a whole shard's report set. The encoding is
@@ -17,10 +17,20 @@
 //	frame   := length(uvarint) payload(length) crc32(4, LE, IEEE of payload)
 //	payload := kind(1) body
 //	kind    := 0x01 (vehicle) | 0x02 (trailer)
-//	body    := Index VIN Seed matrix FramesDelivered … Health (vehicle)
-//	         | Start Count Err                              (trailer)
+//	body    := Index VIN Seed run matrix FramesDelivered … Health (vehicle)
+//	         | Start Count Err                                  (trailer)
+//	run     := count(uvarint ≥ 1) root(uvarint, only when count > 1)
 //	matrix  := 0x00 Attacks Groups (inline)
 //	         | 0x01                (back-reference)
+//
+// A vehicle frame stands for the run of count vehicles Index …
+// Index+count−1 (see engine.Aggregate): the first is the report the frame
+// spells out, and vehicle i of the rest differs from it only in
+// VIN = engine.VIN(i) and Seed = engine.VehicleSeed(root, i). A fully
+// stamped shard therefore sends two vehicle frames: its first vehicle and
+// one run of the rest. A count of zero, or one that carries Index+count
+// past the largest int, is corruption. Reader.NextRun returns a run whole;
+// Reader.Next hands it out vehicle by vehicle.
 //
 // A back-reference means the vehicle's Attacks and Groups equal the last
 // inline matrix of the same stream. The Writer sends one whenever a
@@ -32,8 +42,8 @@
 // of one sends it once. A stream's first vehicle frame is always inline;
 // a back-reference before any inline matrix, or any other tag value, is
 // corruption. The standalone payload (AppendVehicle,
-// DecodeVehiclePayload) has no stream to refer back to and is always
-// inline.
+// DecodeVehiclePayload) has no stream to refer back to: it is always
+// inline, and always a run of one.
 //
 // Every frame carries a CRC32 of its payload, verified before any
 // structural decode: a corrupted pipe surfaces as a typed
@@ -57,6 +67,8 @@
 //   - v1: one complete vehicle report per vehicle frame.
 //   - v2: the matrix tag after Seed; repeated matrices travel as
 //     back-references.
+//   - v3: the run after Seed; a vehicle frame stands for a run of
+//     vehicles that differ only in VIN and Seed.
 package wire
 
 import (
@@ -76,7 +88,7 @@ import (
 
 // Version is the protocol version this package speaks. Bumped on any
 // change to the stream grammar or payload layout.
-const Version = 2
+const Version = 3
 
 // schemas pins, per protocol version, a fingerprint of the struct layout
 // that version encodes positionally: the field names, types and order of
@@ -86,6 +98,7 @@ const Version = 2
 var schemas = map[int]string{
 	1: "ed64c7a3270cb79aa0383e4a95266ae2dfe66870ea1877f860c63bc02bfbb731",
 	2: "ed64c7a3270cb79aa0383e4a95266ae2dfe66870ea1877f860c63bc02bfbb731",
+	3: "ed64c7a3270cb79aa0383e4a95266ae2dfe66870ea1877f860c63bc02bfbb731",
 }
 
 // magic opens every stream: "CSW1" (carsim shard wire). Distinguishes a
@@ -188,10 +201,19 @@ func (w *Writer) frame() error {
 	return err
 }
 
-// WriteVehicle emits one vehicle frame. Its matrix goes as a
+// WriteVehicle emits one vehicle frame: a run of one.
+func (w *Writer) WriteVehicle(v *engine.VehicleReport) error { return w.WriteRun(v, 1, 0) }
+
+// WriteRun emits one vehicle frame standing for the run of n >= 1
+// vehicles v heads: v.Index … v.Index+n-1, which differ from v only in
+// VIN and Seed (engine.VehicleReport.Member under root, the run's
+// Groups[0].RootSeed, which travels only when n > 1). Its matrix goes as a
 // back-reference when its encoding equals the last one this stream sent
 // inline. An encoded matrix is never empty, so the first goes inline.
-func (w *Writer) WriteVehicle(v *engine.VehicleReport) error {
+func (w *Writer) WriteRun(v *engine.VehicleReport, n int, root uint64) error {
+	if n < 1 {
+		return fmt.Errorf("wire: run of %d vehicles", n)
+	}
 	w.mat = appendMatrix(append(w.mat[:0], matrixInline), v)
 	mat := w.mat
 	if bytes.Equal(mat, w.last) {
@@ -199,7 +221,7 @@ func (w *Writer) WriteVehicle(v *engine.VehicleReport) error {
 	} else {
 		w.last, w.mat = w.mat, w.last
 	}
-	w.buf = appendVehicle(append(w.buf[:0], kindVehicle), v, mat)
+	w.buf = appendVehicle(append(w.buf[:0], kindVehicle), v, n, root, mat)
 	return w.frame()
 }
 
@@ -215,11 +237,11 @@ func (w *Writer) WriteTrailer(t Trailer) error {
 	return w.w.Flush()
 }
 
-// Reader decodes a shard stream incrementally: Next returns one vehicle
-// report at a time and io.EOF once the trailer frame has been consumed;
-// Trailer then returns it. Any corruption or framing anomaly surfaces as
-// an error wrapping ErrFrameChecksum (or ErrBadMagic/ErrVersion at the
-// header).
+// Reader decodes a shard stream incrementally: NextRun returns one run of
+// vehicles at a time, Next one vehicle, and both return io.EOF once the
+// trailer frame has been consumed; Trailer then returns it. Any corruption
+// or framing anomaly surfaces as an error wrapping ErrFrameChecksum (or
+// ErrBadMagic/ErrVersion at the header).
 type Reader struct {
 	r       *bufio.Reader
 	started bool
@@ -228,6 +250,12 @@ type Reader struct {
 	err     error
 	buf     []byte // frame payload scratch, reused across frames
 	last    matrix // the stream's last inline matrix
+	// head is the first vehicle of the run Next is handing out: left of
+	// its vehicles are still to come, the next of them at index at, seeded
+	// from root.
+	head     engine.VehicleReport
+	root     uint64
+	at, left int
 }
 
 // NewReader returns a Reader decoding the stream from in.
@@ -292,18 +320,53 @@ func (r *Reader) readFrame() error {
 }
 
 // Next returns the next vehicle report, or io.EOF after the trailer frame
-// has been consumed. A Reader that has returned an error keeps returning
-// it.
+// has been consumed: a run frame's vehicles one by one, each in a report
+// of its own. A Reader that has returned an error keeps returning it.
 func (r *Reader) Next() (*engine.VehicleReport, error) {
+	if r.left > 0 {
+		r.left--
+		return r.member(), nil
+	}
+	v, n, err := r.readRun()
+	if n > 1 {
+		r.head, r.at, r.left = *v, v.Index+1, n-1
+	}
+	return v, err
+}
+
+// NextRun returns the next run of vehicles whole — v stands for the n >= 1
+// vehicles v.Index … v.Index+n-1, which differ from v only in VIN and Seed
+// (see the package doc) — or io.EOF after the trailer frame has been
+// consumed. After Next has handed out part of a run, NextRun returns the
+// rest of it. A Reader that has returned an error keeps returning it.
+func (r *Reader) NextRun() (*engine.VehicleReport, int, error) {
+	if n := r.left; n > 0 {
+		r.left = 0
+		return r.member(), n, nil
+	}
+	return r.readRun()
+}
+
+// member returns the report of the next vehicle of the run Next is
+// handing out.
+func (r *Reader) member() *engine.VehicleReport {
+	m := r.head.Member(r.root, r.at)
+	r.at++
+	return &m
+}
+
+// readRun decodes the next frame: a vehicle frame as a run, the trailer
+// as io.EOF.
+func (r *Reader) readRun() (*engine.VehicleReport, int, error) {
 	if r.err != nil {
-		return nil, r.err
+		return nil, 0, r.err
 	}
 	if r.done {
-		return nil, io.EOF
+		return nil, 0, io.EOF
 	}
 	if err := r.header(); err != nil {
 		r.err = err
-		return nil, err
+		return nil, 0, err
 	}
 	if err := r.readFrame(); err != nil {
 		if err == io.EOF {
@@ -311,37 +374,38 @@ func (r *Reader) Next() (*engine.VehicleReport, error) {
 			err = fmt.Errorf("%w: stream ended before trailer frame", ErrFrameChecksum)
 		}
 		r.err = err
-		return nil, err
+		return nil, 0, err
 	}
 	d := dec{b: r.buf}
 	kind := d.byte()
 	switch kind {
 	case kindVehicle:
 		var v engine.VehicleReport
-		decodeVehicle(&d, &v, &r.last)
+		n, root := decodeVehicle(&d, &v, &r.last)
 		if d.err != nil || len(d.b) != 0 {
 			r.err = fmt.Errorf("%w: malformed vehicle payload", ErrFrameChecksum)
-			return nil, r.err
+			return nil, 0, r.err
 		}
-		return &v, nil
+		r.root = root
+		return &v, n, nil
 	case kindTrailer:
 		r.trailer.Start = d.int()
 		r.trailer.Count = d.int()
 		r.trailer.Err = d.string()
 		if d.err != nil || len(d.b) != 0 {
 			r.err = fmt.Errorf("%w: malformed trailer payload", ErrFrameChecksum)
-			return nil, r.err
+			return nil, 0, r.err
 		}
 		// Nothing may follow the trailer.
 		if _, err := r.r.ReadByte(); err != io.EOF {
 			r.err = fmt.Errorf("%w: bytes after trailer frame", ErrFrameChecksum)
-			return nil, r.err
+			return nil, 0, r.err
 		}
 		r.done = true
-		return nil, io.EOF
+		return nil, 0, io.EOF
 	default:
 		r.err = fmt.Errorf("%w: unknown frame kind %#x", ErrFrameChecksum, kind)
-		return nil, r.err
+		return nil, 0, r.err
 	}
 }
 
@@ -579,12 +643,17 @@ func decodeMatrix(d *dec) matrix {
 	return m
 }
 
-// appendVehicle encodes one vehicle payload around mat, its matrix
-// section: the tag and, when inline, the appendMatrix encoding.
-func appendVehicle(b []byte, v *engine.VehicleReport, mat []byte) []byte {
+// appendVehicle encodes the payload of the run of n vehicles v heads
+// around mat, its matrix section: the tag and, when inline, the
+// appendMatrix encoding.
+func appendVehicle(b []byte, v *engine.VehicleReport, n int, root uint64, mat []byte) []byte {
 	b = appendInt(b, v.Index)
 	b = appendString(b, v.VIN)
 	b = appendUint(b, v.Seed)
+	b = appendUint(b, uint64(n))
+	if n > 1 {
+		b = appendUint(b, root)
+	}
 	b = append(b, mat...)
 	b = appendUint(b, v.FramesDelivered)
 	b = appendUint(b, v.BusErrors)
@@ -599,13 +668,24 @@ func appendVehicle(b []byte, v *engine.VehicleReport, mat []byte) []byte {
 	return b
 }
 
-// decodeVehicle decodes one vehicle payload. last is the stream's last
+// decodeVehicle decodes one vehicle payload into the first vehicle of its
+// run and returns the run's count and root. last is the stream's last
 // inline matrix, which an inline matrix replaces; a standalone payload
 // passes nil and may not back-reference.
-func decodeVehicle(d *dec, v *engine.VehicleReport, last *matrix) {
+func decodeVehicle(d *dec, v *engine.VehicleReport, last *matrix) (n int, root uint64) {
 	v.Index = d.int()
 	v.VIN = d.string()
 	v.Seed = d.uint()
+	switch count := d.uint(); {
+	case d.err != nil:
+	case count == 0 || count > math.MaxInt || v.Index > math.MaxInt-int(count):
+		d.err = fmt.Errorf("wire: run of %d vehicles from index %d", count, v.Index)
+	default:
+		n = int(count)
+		if n > 1 {
+			root = d.uint()
+		}
+	}
 	switch tag := d.byte(); {
 	case tag == matrixInline:
 		m := decodeMatrix(d)
@@ -628,23 +708,29 @@ func decodeVehicle(d *dec, v *engine.VehicleReport, last *matrix) {
 	v.MACChecks = d.int()
 	v.MACAllowed = d.int()
 	decodeHealth(d, &v.Health)
+	return n, root
 }
 
 // AppendVehicle encodes one vehicle report payload (no frame, no CRC) into
-// b — the bench and fuzz harnesses' view of the raw encoding. Its matrix
-// is always inline: a lone payload has no stream to refer back to.
+// b — the bench and fuzz harnesses' view of the raw encoding. It is a run
+// of one, and its matrix is always inline: a lone payload has no stream
+// to refer back to.
 func AppendVehicle(b []byte, v *engine.VehicleReport) []byte {
-	return appendVehicle(b, v, appendMatrix([]byte{matrixInline}, v))
+	return appendVehicle(b, v, 1, 0, appendMatrix([]byte{matrixInline}, v))
 }
 
 // DecodeVehiclePayload decodes one raw vehicle payload produced by
-// AppendVehicle, rejecting trailing bytes and matrix back-references.
+// AppendVehicle, rejecting trailing bytes, matrix back-references and
+// runs of more than one vehicle.
 func DecodeVehiclePayload(b []byte) (*engine.VehicleReport, error) {
 	d := dec{b: b}
 	var v engine.VehicleReport
-	decodeVehicle(&d, &v, nil)
+	n, _ := decodeVehicle(&d, &v, nil)
 	if d.err != nil {
 		return nil, d.err
+	}
+	if n != 1 {
+		return nil, fmt.Errorf("wire: a lone vehicle payload is a run of %d vehicles, want 1", n)
 	}
 	if len(d.b) != 0 {
 		return nil, fmt.Errorf("wire: %d trailing bytes after vehicle payload", len(d.b))

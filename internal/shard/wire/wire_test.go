@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -130,9 +131,9 @@ func joinFrames(payloads ...[]byte) []byte {
 	return buf.Bytes()
 }
 
-// tagAt returns the offset of a vehicle frame payload's matrix tag: after
+// countAt returns the offset of a vehicle frame payload's run count: after
 // the kind byte, Index, VIN and Seed.
-func tagAt(t testing.TB, payload []byte) int {
+func countAt(t testing.TB, payload []byte) int {
 	t.Helper()
 	if len(payload) == 0 || payload[0] != 0x01 {
 		t.Fatal("not a vehicle frame")
@@ -146,6 +147,27 @@ func tagAt(t testing.TB, payload []byte) int {
 	return off + n
 }
 
+// runAt returns a vehicle frame payload's run count and the offset of its
+// matrix tag: after the count and, when the count exceeds one, the root.
+func runAt(t testing.TB, payload []byte) (count uint64, tag int) {
+	t.Helper()
+	off := countAt(t, payload)
+	count, n := binary.Uvarint(payload[off:])
+	off += n
+	if count > 1 {
+		_, n = binary.Uvarint(payload[off:]) // root
+		off += n
+	}
+	return count, off
+}
+
+// tagAt returns the offset of a vehicle frame payload's matrix tag.
+func tagAt(t testing.TB, payload []byte) int {
+	t.Helper()
+	_, tag := runAt(t, payload)
+	return tag
+}
+
 // matrixTags returns the matrix tag of every vehicle frame of a stream, in
 // order: 0 inline, 1 back-reference.
 func matrixTags(t testing.TB, stream []byte) []byte {
@@ -156,6 +178,41 @@ func matrixTags(t testing.TB, stream []byte) []byte {
 		tags = append(tags, p[tagAt(t, p)])
 	}
 	return tags
+}
+
+// runCounts returns the run count of every vehicle frame of a stream, in
+// order.
+func runCounts(t testing.TB, stream []byte) []uint64 {
+	t.Helper()
+	frames := splitFrames(t, stream)
+	var counts []uint64
+	for _, p := range frames[:len(frames)-1] {
+		count, _ := runAt(t, p)
+		counts = append(counts, count)
+	}
+	return counts
+}
+
+// withRun encodes vs as single frames, then the run of n vehicles that
+// follows the last of them, seeded from root, then tr: a stream whose last
+// vehicle frame is a run frame.
+func withRun(t testing.TB, vs []engine.VehicleReport, n int, root uint64, tr wire.Trailer) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	for i := range vs {
+		if err := w.WriteVehicle(&vs[i]); err != nil {
+			t.Fatalf("WriteVehicle: %v", err)
+		}
+	}
+	head := vs[len(vs)-1].Member(root, vs[len(vs)-1].Index+1)
+	if err := w.WriteRun(&head, n, root); err != nil {
+		t.Fatalf("WriteRun: %v", err)
+	}
+	if err := w.WriteTrailer(tr); err != nil {
+		t.Fatalf("WriteTrailer: %v", err)
+	}
+	return buf.Bytes()
 }
 
 // TestStreamRoundTrip pins the codec's core contract: Writer→Reader
@@ -234,9 +291,12 @@ const headerLen = 5
 // yield a silently different report set.
 func TestFlipAnyByteErrors(t *testing.T) {
 	vs := realVehicles(t, 3)
-	stream := encodeStream(t, vs, wire.Trailer{Start: 0, Count: 3})
-	if tags := matrixTags(t, stream); !bytes.Equal(tags, []byte{0, 1, 1}) {
-		t.Fatalf("matrix tags %v, want [0 1 1]: the flips must cover back-references", tags)
+	stream := withRun(t, vs, 2, 0xC0FFEE, wire.Trailer{Start: 0, Count: 5})
+	if tags := matrixTags(t, stream); !bytes.Equal(tags, []byte{0, 1, 1, 1}) {
+		t.Fatalf("matrix tags %v, want [0 1 1 1]: the flips must cover back-references", tags)
+	}
+	if counts := runCounts(t, stream); !slices.Equal(counts, []uint64{1, 1, 1, 2}) {
+		t.Fatalf("run counts %v, want [1 1 1 2]: the flips must cover a run frame", counts)
 	}
 	for i := range stream {
 		for _, bit := range []byte{0x01, 0x80} {
@@ -269,9 +329,12 @@ func TestFlipAnyByteErrors(t *testing.T) {
 // a crashed child and is treated as corruption.
 func TestTruncationErrors(t *testing.T) {
 	vs := realVehicles(t, 2)
-	stream := encodeStream(t, vs, wire.Trailer{Start: 0, Count: 2})
-	if tags := matrixTags(t, stream); !bytes.Equal(tags, []byte{0, 1}) {
-		t.Fatalf("matrix tags %v, want [0 1]: the prefixes must cover a back-reference", tags)
+	stream := withRun(t, vs, 3, 0xC0FFEE, wire.Trailer{Start: 0, Count: 5})
+	if tags := matrixTags(t, stream); !bytes.Equal(tags, []byte{0, 1, 1}) {
+		t.Fatalf("matrix tags %v, want [0 1 1]: the prefixes must cover a back-reference", tags)
+	}
+	if counts := runCounts(t, stream); !slices.Equal(counts, []uint64{1, 1, 3}) {
+		t.Fatalf("run counts %v, want [1 1 3]: the prefixes must cover a run frame", counts)
 	}
 	for n := 0; n < len(stream); n++ {
 		_, _, err := drainStream(stream[:n])
@@ -492,5 +555,142 @@ func TestBackReferenceDecodeAllocs(t *testing.T) {
 	}
 	if allocs > 2 {
 		t.Errorf("%.1f allocations per back-referencing vehicle, want ≤ 2 (the report and its VIN)", allocs)
+	}
+}
+
+// TestRunRoundTrip: a run frame's vehicles, handed out one by one by
+// Next, equal the same vehicles sent as single frames, across the VIN
+// width change (999,999 -> 1,000,000) and at a non-zero offset; NextRun
+// returns each frame whole, and after Next has handed out part of a run,
+// the rest of it.
+func TestRunRoundTrip(t *testing.T) {
+	const root = 0xC0FFEE
+	for _, offset := range []int{37, 1000000 - 5} {
+		fr, err := engine.Run(engine.Config{
+			Fleet:       12,
+			Workers:     2,
+			IndexOffset: offset,
+			Groups: []engine.ScenarioGroup{{
+				Scenarios: attack.Scenarios()[:2],
+				Regimes:   []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
+				RootSeed:  root,
+			}},
+			TrafficHorizon: 10 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs := fr.Vehicles
+		single := encodeStream(t, vs, wire.Trailer{Start: offset, Count: len(vs)})
+		runs := withRun(t, vs[:1], len(vs)-1, root, wire.Trailer{Start: offset, Count: len(vs)})
+		if counts := runCounts(t, runs); !slices.Equal(counts, []uint64{1, uint64(len(vs) - 1)}) {
+			t.Fatalf("offset %d: run counts %v, want [1 %d]", offset, counts, len(vs)-1)
+		}
+		if len(runs) >= len(single) {
+			t.Errorf("offset %d: the run stream takes %d bytes, the single frames %d", offset, len(runs), len(single))
+		}
+		for name, stream := range map[string][]byte{"single": single, "runs": runs} {
+			got, tr, err := drainStream(stream)
+			if err != nil {
+				t.Fatalf("offset %d, %s: drain: %v", offset, name, err)
+			}
+			if tr != (wire.Trailer{Start: offset, Count: len(vs)}) {
+				t.Errorf("offset %d, %s: trailer %+v", offset, name, tr)
+			}
+			if len(got) != len(vs) {
+				t.Fatalf("offset %d, %s: decoded %d vehicles, want %d", offset, name, len(got), len(vs))
+			}
+			for i := range vs {
+				if !reflect.DeepEqual(*got[i], vs[i]) {
+					t.Errorf("offset %d, %s: vehicle %d diverged:\n got %+v\nwant %+v", offset, name, vs[i].Index, *got[i], vs[i])
+				}
+			}
+		}
+
+		r := wire.NewReader(bytes.NewReader(runs))
+		for _, want := range []struct{ index, n int }{{offset, 1}, {offset + 1, len(vs) - 1}} {
+			v, n, err := r.NextRun()
+			if err != nil || v.Index != want.index || n != want.n {
+				t.Fatalf("offset %d: NextRun = index %v, %d, %v; want %d, %d", offset, v, n, err, want.index, want.n)
+			}
+		}
+		r = wire.NewReader(bytes.NewReader(runs))
+		for i := 0; i < 3; i++ {
+			if _, err := r.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v, n, err := r.NextRun()
+		if err != nil || n != len(vs)-3 || !reflect.DeepEqual(*v, vs[3]) {
+			t.Fatalf("offset %d: NextRun after three Next = %d vehicles, %v; want the %d from vehicle %d", offset, n, err, len(vs)-3, vs[3].Index)
+		}
+		if _, _, err := r.NextRun(); err != io.EOF {
+			t.Fatalf("offset %d: NextRun after the last run = %v, want io.EOF", offset, err)
+		}
+	}
+}
+
+// TestRunCountRejected: a well-framed vehicle frame whose run count is
+// zero, or carries Index+count past the largest int, is corruption; any
+// other count decodes, however large, in one NextRun.
+func TestRunCountRejected(t *testing.T) {
+	vs := stampedVehicles(t, 1, attack.EnforceHPE)
+	frames := splitFrames(t, encodeStream(t, vs, wire.Trailer{Count: 1}))
+	recount := func(index int, count uint64) []byte {
+		v := vs[0]
+		v.Index = index
+		p := splitFrames(t, encodeStream(t, []engine.VehicleReport{v}, wire.Trailer{}))[0]
+		off := countAt(t, p)
+		out := binary.AppendUvarint(bytes.Clone(p[:off]), count)
+		if count > 1 {
+			out = binary.AppendUvarint(out, 0xC0FFEE)
+		}
+		return append(out, p[off+1:]...) // a count of one is one byte
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"zero", recount(0, 0)},
+		{"past the largest int", recount(math.MaxInt-1, 2)},
+		{"larger than any int", recount(0, math.MaxUint64)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := wire.NewReader(bytes.NewReader(joinFrames(tc.payload, frames[1])))
+			if _, _, err := r.NextRun(); !errors.Is(err, wire.ErrFrameChecksum) {
+				t.Fatalf("err = %v, want ErrFrameChecksum", err)
+			}
+			if _, err := r.Next(); !errors.Is(err, wire.ErrFrameChecksum) {
+				t.Errorf("Next after error = %v, want sticky ErrFrameChecksum", err)
+			}
+		})
+	}
+	r := wire.NewReader(bytes.NewReader(joinFrames(recount(math.MaxInt-(1<<40), 1<<40), frames[1])))
+	if v, n, err := r.NextRun(); err != nil || n != 1<<40 || v.Index != math.MaxInt-(1<<40) {
+		t.Fatalf("NextRun = %v, %d, %v; want a run of 2^40 vehicles ending at the largest int", v, n, err)
+	}
+}
+
+// TestDecodeVehiclePayloadRejectsRun: a lone payload is a run of one, so
+// an inline run frame's payload is rejected.
+func TestDecodeVehiclePayloadRejectsRun(t *testing.T) {
+	vs := stampedVehicles(t, 1, attack.EnforceHPE)
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	if err := w.WriteRun(&vs[0], 0, 0); err == nil {
+		t.Error("WriteRun wrote a run of no vehicles")
+	}
+	if err := w.WriteRun(&vs[0], 2, 0xC0FFEE); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteTrailer(wire.Trailer{Count: 2}); err != nil {
+		t.Fatal(err)
+	}
+	p := splitFrames(t, buf.Bytes())[0]
+	if count, tag := runAt(t, p); count != 2 || p[tag] != 0 {
+		t.Fatalf("run count %d, matrix tag %d; want an inline run of 2", count, p[tag])
+	}
+	if _, err := wire.DecodeVehiclePayload(p[1:]); err == nil {
+		t.Error("run payload accepted")
 	}
 }
