@@ -599,8 +599,8 @@ func TestCLIDifferential(t *testing.T) {
 		return append(append([]string(nil), base...), extra...)
 	}
 	quick := []string{"-campaign", "examples/campaigns/quickstart.campaign", "-fleet", "10", "-workers", "4"}
-	// Four replay chunks: unsharded, the stamped range folds as one count;
-	// in-process shards fold each shard's stamped range as one run too.
+	// Unsharded, the stamped range folds as one count; in-process shards
+	// fold each shard's stamped range as one run too.
 	quick1000 := []string{"-campaign", "examples/campaigns/quickstart.campaign", "-fleet", "1000", "-workers", "4"}
 	chaos := []string{"-campaign", "examples/campaigns/quickstart.campaign", "-fleet", "12",
 		"-chaos", "seed=7,panic=0.02,corrupt=0.02,deadline=0.01,crash=0.005"}

@@ -96,18 +96,19 @@ func TestChaosHealthDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestChaosDemotionFallsBackToOracle: faults that outlive the batched retry
-// budget (persist = MaxRetries+1) demote their cells to the oracle path,
+// budget (persist = retries+1) demote their cells to the oracle path,
 // which clears them — the sweep completes with demotions booked and the
 // payload still byte-identical to the fault-free run.
 func TestChaosDemotionFallsBackToOracle(t *testing.T) {
 	plan := determinismPlan(t)
+	// retries is the engine supervisor's fixed per-rung retry budget.
 	const retries = 2
 	clean, err := Sweep(plan, SweepConfig{Fleet: 4, Workers: 1, RootSeed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep, err := Sweep(plan, SweepConfig{
-		Fleet: 4, Workers: 2, RootSeed: 99, MaxRetries: retries,
+		Fleet: 4, Workers: 2, RootSeed: 99,
 		Chaos: &chaos.Plan{Seed: 5, Panic: 0.02, Persist: retries + 1},
 	})
 	if err != nil {

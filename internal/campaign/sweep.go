@@ -37,8 +37,6 @@ type SweepConfig struct {
 	// VerifySample cross-checks this fraction of batched cells against the
 	// cell-by-cell oracle inline (0: no sampling).
 	VerifySample float64
-	// MaxRetries bounds the supervisor's per-rung retry budget (default 2).
-	MaxRetries int
 	// PolicyBackend names the policy backend vehicles enforce with ("table",
 	// "expr", "closure"; empty = table). All backends are decision-equivalent
 	// — the differential suite asserts it — so reports are byte-identical
@@ -198,7 +196,6 @@ func EngineConfig(plan *Plan, cfg SweepConfig) (engine.Config, error) {
 		NoBatch:        cfg.NoBatch,
 		Chaos:          cfg.Chaos,
 		VerifySample:   cfg.VerifySample,
-		MaxRetries:     cfg.MaxRetries,
 	}, nil
 }
 

@@ -36,27 +36,21 @@
 // prefix-sharing buckets (attack.PlanBatches), each worker's arena replays a
 // bucket's shared pre-attack prefix once per enforcement regime and forks
 // the remaining cells from a checkpoint, and — because attack cells never
-// enable bus error injection, the only seed consumer in the substrate — Run
-// executes the run's first vehicle alone, before the worker pool starts, and
-// stamps its seed-invariant result on every later vehicle: attack
-// aggregates and MAC probe counts always, live counters too when ErrorRate
-// is zero (a stamped vehicle then executes nothing; otherwise only its live
-// phase runs). The stamp is built once and shared read-only — stamped
-// reports point at its slices instead of copying them. When nothing is left
-// to execute, the stamped vehicles fold into the fleet aggregates as one
-// count (MergeFold's count fold), and the two entry points differ only in
-// what they write besides. Run, which returns every vehicle's report, has
-// its workers claim the remaining indices off the cursor in contiguous
-// chunks and write each replayed report straight into its slot, so they
-// share no cache line but the cursor's, touched once per chunk, and slices
-// a chunk's VINs out of one string. Aggregate, which returns the
-// aggregates alone, writes no slots and starts no workers: its emitter
-// receives the first vehicle and then every replayed one as a single run
-// (see Aggregate). Vehicles that execute anything — every live phase
-// under bus errors, every vehicle of an unstamped run — are claimed one
-// at a time, and the merge folds their shared matrix once per run of
-// vehicles carrying it (see MergeFold). If the first vehicle's visit
-// fails, nothing is stamped and every vehicle executes.
+// enable bus error injection, the only seed consumer in the substrate — the
+// sweep executes the run's first vehicle alone, before the worker pool
+// starts, and stamps its seed-invariant result on every later vehicle:
+// attack aggregates and MAC probe counts always, live counters too when
+// ErrorRate is zero (a stamped vehicle then executes nothing; otherwise only
+// its live phase runs). The stamp is built once and shared read-only —
+// stamped reports point at its slices instead of copying them. When nothing
+// is left to execute, the sweep starts no workers: the stamped vehicles are
+// one run, which folds into the fleet aggregates as one count (MergeFold's
+// count fold) and reaches the emitter in one call (see Aggregate); Run
+// lists it through AppendRun. Vehicles that execute anything — every live
+// phase under bus errors, every vehicle of an unstamped run — are claimed
+// one at a time off an atomic cursor, and each folds as the ordered emitter
+// releases it, in index order. If the first vehicle's visit fails, nothing
+// is stamped and every vehicle executes.
 // Config.NoBatch selects the reference oracle instead: no pooling, no
 // checkpoints, no stamping — every vehicle phase and every cell runs on a
 // freshly constructed stack, cell by cell. Both render byte-identical
@@ -77,7 +71,7 @@
 // All cell execution runs under a supervisor (supervisor.go): a cell that
 // panics, fails its arena integrity checksum, overruns its virtual-time
 // budget or hits a non-quiescent capture is quarantined and retried (up to
-// Config.MaxRetries, rebuilding the pooled arena where the failure class
+// twice per rung, rebuilding the pooled arena where the failure class
 // demands it); a cell that exhausts its batched retries demotes the rest of
 // the vehicle's visit to the cell-by-cell oracle; only a cell failing every
 // rung makes Run return an error — and even then Run returns the merged
@@ -181,12 +175,8 @@ type Config struct {
 	// to the oracle path, and the oracle's result stands. Like Chaos, a
 	// non-zero sample rate disables stamping.
 	VerifySample float64
-	// MaxRetries bounds the supervisor's retry budget per rung: a failing
-	// cell gets MaxRetries batched retries, then (demoted) MaxRetries oracle
-	// retries; a crashing vehicle visit gets MaxRetries re-runs. Default 2.
-	MaxRetries int
 	// OnVehicle, when non-nil, is Run's per-vehicle hook: it is invoked
-	// once per completed vehicle report in ascending vehicle-index order,
+	// once per vehicle of Run's listing in ascending vehicle-index order,
 	// as soon as every lower-indexed vehicle has also completed. Callbacks
 	// never run concurrently, and the report pointer is only valid for the
 	// duration of the call. Where vehicles execute, callbacks run
@@ -195,8 +185,6 @@ type Config struct {
 	// partial reports into the fleet result. Because vehicles are claimed
 	// in index order off an atomic cursor, completion order tracks index
 	// order and the emitter's reorder window stays near the worker count.
-	// On a fully stamped run, Run's workers claim and complete 256 indices
-	// at a time, so its window holds up to workers × 256 reports.
 	// Aggregate takes its emitter as an argument instead, and refuses a
 	// Config with OnVehicle set.
 	OnVehicle func(*VehicleReport)
@@ -270,33 +258,17 @@ func appendVIN(b []byte, index int) []byte {
 	return append(b, d[i:]...)
 }
 
-// vinBlock holds the VINs of a chunk of consecutive indices in one string,
-// so a chunk of replayed vehicles allocates once instead of once per
-// vehicle. Each VIN is a slice of that string: a consumer that keeps one
-// keeps its chunk's string alive.
-type vinBlock struct {
-	buf  []byte
-	ends []int // ends[k] is where the k-th VIN of the chunk ends in s
-	s    string
-}
-
-// fill formats the VINs of indices [lo, hi).
-func (b *vinBlock) fill(lo, hi int) {
-	b.buf, b.ends = b.buf[:0], b.ends[:0]
-	for i := lo; i < hi; i++ {
-		b.buf = appendVIN(b.buf, i)
-		b.ends = append(b.ends, len(b.buf))
+// vinLen is len(VIN(index)), worked out without formatting: "VIN-" and
+// the index in at least six characters, its sign included.
+func vinLen(index int) int {
+	n, u := 1, uint(index)
+	if index < 0 {
+		n, u = 2, -u
 	}
-	b.s = string(b.buf)
-}
-
-// vin returns the VIN of index lo+k of the last fill.
-func (b *vinBlock) vin(k int) string {
-	start := 0
-	if k > 0 {
-		start = b.ends[k-1]
+	for ; u >= 10; u /= 10 {
+		n++
 	}
-	return b.s[start:b.ends[k]]
+	return len("VIN-") + max(n, 6)
 }
 
 // macCheck is one precomputed least-privilege probe: the security contexts
@@ -319,7 +291,7 @@ type shared struct {
 	// Config.NoBatch): plans are immutable, so all workers share them.
 	plans []*attack.BatchPlan
 	// sup is the resolved supervision configuration (chaos plan, verify
-	// sampling, retry budget) every worker consults.
+	// sampling) every worker consults.
 	sup supervisorCfg
 	// stamp is the run's seed-invariant result: set before the worker pool
 	// starts, read-only afterwards, nil when every vehicle executes.
@@ -342,78 +314,6 @@ type stamp struct {
 	// live reports that the live phase is seed-invariant too (ErrorRate
 	// zero): stamped vehicles then execute nothing.
 	live bool
-}
-
-// replayChunk is how many consecutive indices a worker claims off the
-// cursor at a time on a fully stamped run. A replayed vehicle is one report
-// copy and its VIN, so with a claim per vehicle the cursor's cache line,
-// bouncing between workers, held a fifth of a two-worker sweep's CPU
-// (EXPERIMENTS.md §16); 256 reports are a 64 KiB block one worker writes.
-// It is also the span of one vinBlock.
-const replayChunk = 256
-
-// replay writes vehicle index's report when nothing about it executes —
-// first's report under the vehicle's own identity — in place, so the
-// report is copied once.
-func (st *stamp) replay(dst *VehicleReport, root uint64, index int, vin string) {
-	*dst = st.first
-	dst.Index, dst.VIN, dst.Seed = index, vin, VehicleSeed(root, index)
-}
-
-// replayChunks is a Run worker's loop on a fully stamped run: it claims
-// replayChunk indices at a time off the cursor, replays each into its
-// report slot and emits the chunk in one completion.
-func (sh *shared) replayChunks(next *atomic.Int64, reports []VehicleReport, emit *orderedEmit) {
-	st, root, off := sh.stamp, sh.cfg.Groups[0].RootSeed, sh.cfg.IndexOffset
-	var vins vinBlock
-	for {
-		lo := int(next.Add(replayChunk)) - replayChunk
-		if lo >= len(reports) {
-			return
-		}
-		hi := min(lo+replayChunk, len(reports))
-		vins.fill(lo+off, hi+off)
-		for i := lo; i < hi; i++ {
-			st.replay(&reports[i], root, i+off, vins.vin(i-lo))
-		}
-		if emit != nil {
-			emit.complete(lo, hi)
-		}
-	}
-}
-
-// foldStamp folds a fully stamped run: first as it executed, then every
-// later vehicle, which is the stamp under its own index, VIN and seed —
-// none of which the fold reads — as one count.
-func (sh *shared) foldStamp(first *VehicleReport) *FleetReport {
-	m := newMergeFold(sh.cfg)
-	m.fold(first)
-	m.FoldRun(&sh.stamp.first, sh.cfg.Fleet-1)
-	return m.finish()
-}
-
-// aggregateStamped is Aggregate on a fully stamped run, once first has
-// executed: it emits first as a run of one and every later vehicle as one
-// run headed by the stamp under vehicle 1's identity, and it writes no
-// report slots.
-func (sh *shared) aggregateStamped(first *VehicleReport, emit func(*VehicleReport, int)) *FleetReport {
-	cfg := &sh.cfg
-	if emit != nil {
-		emit(first, 1)
-		if n := cfg.Fleet - 1; n > 0 {
-			rest := sh.stamp.first.Member(cfg.Groups[0].RootSeed, cfg.IndexOffset+1)
-			emit(&rest, n)
-		}
-	}
-	// Keep one yield per sweep, as Run's wait for its workers is. Two
-	// callers sweeping one-vehicle fleets back to back on two Ps otherwise
-	// never leave their goroutines, so a GC cycle's mark worker waits for
-	// a P until the preemption tick while write barriers stay on. Without
-	// this yield the benchmark's exec-quickstart p90 read 48% higher in 6
-	// of 6 pairs and the write barrier's share of the CPU tripled
-	// (EXPERIMENTS.md §17).
-	runtime.Gosched()
-	return sh.foldStamp(first)
 }
 
 // onto stamps the seed-invariant sections — MAC probe counts and attack
@@ -444,33 +344,45 @@ func buildProbes(sh *shared) {
 // background phase once and then every group's scenario×regime cells back
 // to back on the same warm arena — one pass over the fleet, no per-group
 // barrier, no per-group worker-pool or arena rebuild.
+//
+// Run is Aggregate's sweep plus a listing: each run the sweep emits is
+// appended to the report's Vehicles through AppendRun, and OnVehicle, if
+// set, is called once per vehicle listed.
 func Run(cfg Config) (*FleetReport, error) {
 	sh, err := newShared(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var emit func(*VehicleReport, int)
-	if fn := cfg.OnVehicle; fn != nil {
-		emit = func(v *VehicleReport, _ int) { fn(v) } // Run emits runs of one
-	}
-	return sh.sweep(true, emit)
+	root, fn := sh.cfg.Groups[0].RootSeed, cfg.OnVehicle
+	vehicles := make([]VehicleReport, 0, sh.cfg.Fleet)
+	fr, err := sh.sweep(func(v *VehicleReport, n int) {
+		lo := len(vehicles)
+		vehicles = AppendRun(vehicles, v, n, root)
+		if fn != nil {
+			for i := lo; i < len(vehicles); i++ {
+				fn(&vehicles[i])
+			}
+		}
+	})
+	fr.Vehicles = vehicles
+	return fr, err
 }
 
 // Aggregate runs exactly the sweep Run runs and returns the same report
-// without its per-vehicle section: FleetReport.Vehicles is nil. On a fully
-// stamped run (batched, no chaos or verify sampling, ErrorRate zero) it
-// executes the first vehicle and folds the other Fleet-1 as one count,
-// with no report slots and no workers; otherwise it sweeps as Run does.
+// without its per-vehicle section: FleetReport.Vehicles is nil, and no
+// vehicle report outlives its fold. On a fully stamped run (batched, no
+// chaos or verify sampling, ErrorRate zero) the sweep executes the first
+// vehicle and folds the other Fleet-1 as one count, with no workers.
 // It is the entry point for callers that read only the fleet aggregates
 // or consume vehicles as runs: campaign sweeps and shard ranges.
 //
 // emit, when non-nil, receives the vehicles in index order as runs, under
 // OnVehicle's guarantees (never concurrently, v valid only for the call):
 // v stands for the n >= 1 vehicles v.Index … v.Index+n-1, which differ from
-// v only in VIN and Seed — VehicleReport.Member gives each one. A fully
-// stamped range is emitted as its first vehicle and one run of Fleet-1;
-// every other vehicle is a run of one. Aggregate returns an error if
-// cfg.OnVehicle is set.
+// v only in VIN and Seed — VehicleReport.Member gives each one, and
+// AppendRun lists them all. A fully stamped range is emitted as its first
+// vehicle and one run of Fleet-1; every other vehicle is a run of one.
+// Aggregate returns an error if cfg.OnVehicle is set.
 func Aggregate(cfg Config, emit func(v *VehicleReport, n int)) (*FleetReport, error) {
 	if cfg.OnVehicle != nil {
 		return nil, errors.New("engine: Aggregate emits through its emit argument; Config.OnVehicle is Run's hook")
@@ -479,7 +391,7 @@ func Aggregate(cfg Config, emit func(v *VehicleReport, n int)) (*FleetReport, er
 	if err != nil {
 		return nil, err
 	}
-	return sh.sweep(false, emit)
+	return sh.sweep(emit)
 }
 
 // newShared applies cfg's defaults and builds the artifacts every vehicle
@@ -500,10 +412,6 @@ func newShared(cfg Config) (*shared, error) {
 		plan:       cfg.Chaos,
 		verify:     cfg.VerifySample,
 		verifySeed: cfg.Groups[0].RootSeed,
-		maxRetries: cfg.MaxRetries,
-	}
-	if sh.sup.maxRetries <= 0 {
-		sh.sup.maxRetries = defaultMaxRetries
 	}
 	if !cfg.NoBatch {
 		sh.plans = make([]*attack.BatchPlan, len(cfg.Groups))
@@ -527,11 +435,20 @@ func newShared(cfg Config) (*shared, error) {
 	return sh, nil
 }
 
-// sweep runs the fleet and folds it; keep retains the per-vehicle reports
-// as the report's Vehicles, and emit, if set, receives them as Aggregate
+// sweep runs the fleet and folds every vehicle where it is released, in
+// index order: the fully stamped range as its first vehicle and one run of
+// the rest, executed vehicles one at a time as the ordered emitter releases
+// them. emit, if set, receives each run once it has folded, as Aggregate
 // describes.
-func (sh *shared) sweep(keep bool, emit func(*VehicleReport, int)) (*FleetReport, error) {
+func (sh *shared) sweep(emit func(*VehicleReport, int)) (*FleetReport, error) {
 	cfg := &sh.cfg
+	m := newMergeFold(*cfg)
+	release := func(v *VehicleReport, n int) {
+		m.FoldRun(v, n)
+		if emit != nil {
+			emit(v, n)
+		}
+	}
 	// Stamping is off whenever supervision is armed: stamped vehicles
 	// execute no cells, which would dodge their injected faults and verify
 	// samples. Otherwise the first vehicle executes alone and its report
@@ -550,45 +467,46 @@ func (sh *shared) sweep(keep bool, emit func(*VehicleReport, int)) (*FleetReport
 			}
 		}
 	}
-	// With a full stamp no later vehicle executes, so no worker needs a
-	// stack of its own.
-	replayAll := sh.stamp != nil && sh.stamp.live
-	if replayAll && !keep {
-		return sh.aggregateStamped(&first, emit), nil
+	// With a full stamp no later vehicle executes, so no worker starts:
+	// every later vehicle is the stamp under its own identity, one run
+	// headed by vehicle 1.
+	if st := sh.stamp; st != nil && st.live {
+		release(&first, 1)
+		if n := cfg.Fleet - 1; n > 0 {
+			rest := st.first.Member(cfg.Groups[0].RootSeed, cfg.IndexOffset+1)
+			release(&rest, n)
+		}
+		// Keep one yield per sweep, as the executing path's wait for its
+		// workers is. Two callers sweeping one-vehicle fleets back to back
+		// on two Ps otherwise never leave their goroutines, so a GC cycle's
+		// mark worker waits for a P until the preemption tick while write
+		// barriers stay on. Without this yield the benchmark's
+		// exec-quickstart p90 read 48% higher in 6 of 6 pairs and the write
+		// barrier's share of the CPU tripled (EXPERIMENTS.md §17).
+		runtime.Gosched()
+		return m.Finish(), nil
 	}
 
 	// Work distribution is a shared atomic cursor, not a channel: the old
 	// unbuffered-channel dispatcher made the feeding goroutine a
 	// serialization point at fleet=1000 (one rendezvous per vehicle).
-	// Claiming indices with a fetch-add keeps vehicle order deterministic
-	// (reports are slotted by index); vehicles that execute are claimed one
-	// at a time, so the workers stay balanced, and replayed ones a chunk at
-	// a time (replayChunks).
-	reports := make([]VehicleReport, cfg.Fleet)
-	errs := make([]error, cfg.Fleet)
-	var ord *orderedEmit
-	if emit != nil {
-		ord = newOrderedEmit(emit, reports)
-	}
+	// Claiming indices one at a time with a fetch-add keeps the workers
+	// balanced and completion close to index order, which keeps what the
+	// ordered emitter holds small.
+	ord := &orderedEmit{release: release}
 	var next atomic.Int64
 	if executed {
 		next.Store(1)
-		reports[0], errs[0] = first, firstErr
-		if ord != nil {
-			ord.complete(0, 1)
-		}
+		ord.complete(0, &first, firstErr)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if replayAll {
-				sh.replayChunks(&next, reports, ord)
-				return
-			}
 			var s stack
 			var serr error
+			var rep VehicleReport // one per worker: complete copies what it keeps
 			reported := false
 			for {
 				i := int(next.Add(1)) - 1
@@ -603,42 +521,31 @@ func (sh *shared) sweep(keep bool, emit func(*VehicleReport, int)) (*FleetReport
 				if s == nil && serr == nil {
 					s, serr = newStack(sh)
 				}
+				var err error
 				switch {
 				case serr != nil:
 					// Stack construction only fails on programming errors;
 					// record it once, then drain this worker's share of the
 					// cursor so the run still terminates.
+					rep = VehicleReport{}
 					if !reported {
-						errs[i], reported = serr, true
+						err, reported = serr, true
 					}
 				default:
 					// Simulate under the global fleet index (shifted by the
-					// shard offset); the report still lands in the local
-					// slot so merge order stays range-local.
-					reports[i], errs[i] = sh.runVehicle(s, i+cfg.IndexOffset)
+					// shard offset); the emitter still orders by the local
+					// index, so merge order stays range-local.
+					rep, err = sh.runVehicle(s, i+cfg.IndexOffset)
 				}
-				if ord != nil {
-					ord.complete(i, i+1)
-				}
+				ord.complete(i, &rep, err)
 			}
 		}()
 	}
 	wg.Wait()
-	var fr *FleetReport
-	if replayAll {
-		// Every replayed slot holds the stamp under its own identity, which
-		// the fold does not read: fold the range as one count.
-		fr = sh.foldStamp(&reports[0])
-	} else {
-		fr = merge(*cfg, reports)
-	}
-	if keep {
-		fr.Vehicles = reports
-	}
 	// Unrecoverable vehicles surface as an error, but the sweep still
 	// merges what every vehicle did complete: callers flush the partial
 	// fleet report (with its Health ledger) alongside the failure.
-	return fr, errors.Join(errs...)
+	return m.Finish(), errors.Join(ord.errs...)
 }
 
 // stack is the vehicle stack a visit executes on: a worker's pooled arena
@@ -753,7 +660,7 @@ func (fresh) rebuild(*shared) error { return nil }
 // rebuilt stack after a crash (injected or organic panic at visit scope).
 // With a stamp, only the seed-dependent live phase executes — supervised
 // the same way — and the stamp supplies the rest. A fully seed-invariant
-// stamp never gets here: replayChunks writes those vehicles.
+// stamp never gets here: sweep emits those vehicles as one run.
 func (sh *shared) runVehicle(s stack, index int) (VehicleReport, error) {
 	st := sh.stamp
 	visit := func(attempt int, h *Health) (VehicleReport, error) {
@@ -766,7 +673,7 @@ func (sh *shared) runVehicle(s stack, index int) (VehicleReport, error) {
 		}
 		return rep, err
 	}
-	return superviseVisit(&sh.sup, visit, func() error { return s.rebuild(sh) })
+	return superviseVisit(visit, func() error { return s.rebuild(sh) })
 }
 
 // visitLive is one attempt of a visit's opening phase: the vehicle's
@@ -888,14 +795,4 @@ func macProbe(rep *VehicleReport, srv *mac.Server, sh *shared) {
 	if srv.Check(sh.spoof.src, sh.spoof.tgt, core.MACClassCAN, core.MACPermWrite).Allowed {
 		rep.MACAllowed++ // would indicate a broken least-privilege matrix
 	}
-}
-
-// merge folds per-vehicle reports (in index order) into the fleet report:
-// the batch form of MergeFold, the fold walked over a slice in place.
-func merge(cfg Config, vehicles []VehicleReport) *FleetReport {
-	m := newMergeFold(cfg)
-	for i := range vehicles {
-		m.fold(&vehicles[i])
-	}
-	return m.finish()
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 
@@ -10,43 +9,28 @@ import (
 
 // MergeFold folds vehicle reports into the fleet aggregates in arrival
 // order and keeps none of them, so a streaming consumer (the shard driver
-// decoding child pipes) holds only the vehicles it chooses to list.
-// Run's own merge is this fold applied to its report slice — same
-// statement order per vehicle, same float summation order — so a stream
-// folded in index order finishes byte-identical to the unsharded run.
+// decoding child pipes) holds only the vehicles it chooses to list. A
+// sweep folds its own vehicles through it as they are released, in index
+// order — same statement order per vehicle, same float summation order —
+// so a stream folded in index order finishes byte-identical to the
+// unsharded run.
 //
 // A run of vehicles known to be equal but for Index, VIN and Seed — a
 // stamped range, or a run frame off the shard wire — folds as one count
 // (FoldRun): the integer fields, Health and the matrix are scaled by the
 // count, and the utilisation is added count times in index order, so the
-// float sum stays bit-identical.
-//
-// A run of consecutive vehicles whose Groups is the same slice — the
-// run-level stamp's, or the one matrix a shard stream's back-references
-// decode to — folds its matrix once: the first vehicle merges it on
-// arrival, the repeats merge it as one integer product at the next break
-// or in Finish. Every attack.Summary field is an integer, so the product
-// equals the repeated sum exactly. The bus counters, Health and the
-// utilisation sum still fold per vehicle, in index order. The fold relies
-// on VehicleReport.Groups being read-only and checks it: a run copies its
-// matrix when its second vehicle arrives and panics at the flush if the
-// shared slice's content has changed since.
+// float sum stays bit-identical. Every attack.Summary field is an integer,
+// so the scaled matrix equals the repeated sum exactly. Add folds one
+// vehicle, a run of one.
 //
 // Not safe for concurrent use: the shard driver serialises its folds
-// behind its in-range-order merge loop, exactly as the batch fold
-// serialises its slice walk.
+// behind its in-range-order merge loop, and a sweep behind its ordered
+// emitter.
 type MergeFold struct {
-	cfg     Config
 	fr      *FleetReport
 	utilSum float64
 	// folded counts the vehicles folded; the mean utilisation divides by it.
 	folded int
-	// run is the Groups slice of the last vehicle folded. reps counts the
-	// vehicles after it that carried the same slice, not merged yet, and
-	// snap is run's content when the first of them arrived.
-	run  [][]attack.RegimeSummary
-	reps int
-	snap [][]attack.RegimeSummary
 }
 
 // NewMergeFold starts an incremental fleet merge. cfg must describe the
@@ -78,18 +62,13 @@ func newMergeFold(cfg Config) *MergeFold {
 		}
 	}
 	fr.HealthEnabled = cfg.Chaos.Active() || cfg.VerifySample > 0
-	return &MergeFold{cfg: cfg, fr: fr}
+	return &MergeFold{fr: fr}
 }
 
 // Add folds one vehicle report into the fleet aggregates. Call in
 // vehicle-index order for byte-identity with the unsharded run (float
 // summation order).
-func (m *MergeFold) Add(v VehicleReport) { m.fold(&v) }
-
-// fold accumulates one vehicle's counters — the exact per-vehicle
-// statement order of the original batch merge, which is what pins the
-// float summation order byte-identity rests on.
-func (m *MergeFold) fold(v *VehicleReport) { m.FoldRun(v, 1) }
+func (m *MergeFold) Add(v VehicleReport) { m.FoldRun(&v, 1) }
 
 // FoldRun folds n >= 0 consecutive vehicles whose reports equal v but for
 // Index, VIN and Seed, exactly as folding each in turn would: every field
@@ -113,18 +92,6 @@ func (m *MergeFold) FoldRun(v *VehicleReport, n int) {
 		m.utilSum += v.Utilisation
 	}
 	m.folded += n
-	if len(v.Groups) > 0 && len(v.Groups) == len(m.run) && &v.Groups[0] == &m.run[0] {
-		if m.reps == 0 {
-			m.snap = make([][]attack.RegimeSummary, len(v.Groups))
-			for gi, g := range v.Groups {
-				m.snap[gi] = slices.Clone(g)
-			}
-		}
-		m.reps += n
-		return
-	}
-	m.flush()
-	m.run = v.Groups
 	for gi := range v.Groups {
 		for ri := range v.Groups[gi] {
 			fr.Groups[gi].Regimes[ri].Summary.MergeScaled(v.Groups[gi][ri].Summary, n)
@@ -132,29 +99,9 @@ func (m *MergeFold) FoldRun(v *VehicleReport, n int) {
 	}
 }
 
-// flush merges the pending repeats, after checking that the matrix they
-// share still holds what it held when the first of them arrived.
-func (m *MergeFold) flush() {
-	if m.reps == 0 {
-		return
-	}
-	if !slices.EqualFunc(m.run, m.snap, slices.Equal[[]attack.RegimeSummary]) {
-		panic(fmt.Sprintf("engine: MergeFold: the Groups matrix %d consecutive vehicles share changed while they were folded; VehicleReport.Groups is read-only", m.reps+1))
-	}
-	for gi := range m.run {
-		for ri := range m.run[gi] {
-			m.fr.Groups[gi].Regimes[ri].Summary.MergeScaled(m.run[gi][ri].Summary, m.reps)
-		}
-	}
-	m.reps = 0
-}
-
 // Finish closes the fold and returns the fleet report. The MergeFold must
 // not be used afterwards.
-func (m *MergeFold) Finish() *FleetReport { return m.finish() }
-
-func (m *MergeFold) finish() *FleetReport {
-	m.flush()
+func (m *MergeFold) Finish() *FleetReport {
 	fr := m.fr
 	groupRegimes := make([][]attack.RegimeSummary, len(fr.Groups))
 	for gi := range fr.Groups {
@@ -167,36 +114,54 @@ func (m *MergeFold) finish() *FleetReport {
 	return fr
 }
 
-// orderedEmit sequences a sweep's emitter (Config.OnVehicle under Run,
-// Aggregate's emit argument): workers complete vehicles out of order, the
-// emitter releases them strictly by index, each as a run of one.
-// Vehicles are claimed off an atomic cursor, so completion order tracks
-// index order closely and the pending window stays near the worker count —
-// up to workers × replayChunk on a fully stamped run, whose workers
-// complete a chunk at a time.
+// orderedEmit releases a sweep's executed vehicles strictly by index:
+// workers complete them out of order, and each is released — folded and
+// emitted as a run of one — once every lower index has been. A completed
+// report is held only until its release; vehicles are claimed in index
+// order, so the pending set stays near the worker count. errs collects the
+// vehicles' errors in index order.
 type orderedEmit struct {
 	mu      sync.Mutex
-	fn      func(*VehicleReport, int)
-	reports []VehicleReport
-	done    []bool
+	release func(*VehicleReport, int)
 	next    int
+	// pending holds the vehicles completed ahead of next, by index.
+	pending []completed
+	errs    []error
 }
 
-func newOrderedEmit(fn func(*VehicleReport, int), reports []VehicleReport) *orderedEmit {
-	return &orderedEmit{fn: fn, reports: reports, done: make([]bool, len(reports))}
+// completed is a vehicle's outcome waiting for its release.
+type completed struct {
+	index int
+	rep   VehicleReport
+	err   error
 }
 
-// complete marks slots [lo, hi) finished and emits every report that is
-// now contiguous from the emission cursor. Callbacks run under the lock —
+// complete records vehicle i's outcome and releases every vehicle that is
+// now contiguous from the release cursor. Releases run under the lock —
 // never concurrently, always in ascending index order.
-func (e *orderedEmit) complete(lo, hi int) {
+func (e *orderedEmit) complete(i int, rep *VehicleReport, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i := lo; i < hi; i++ {
-		e.done[i] = true
+	if i != e.next {
+		k := 0
+		for k < len(e.pending) && e.pending[k].index < i {
+			k++
+		}
+		e.pending = slices.Insert(e.pending, k, completed{i, *rep, err})
+		return
 	}
-	for e.next < len(e.done) && e.done[e.next] {
-		e.fn(&e.reports[e.next], 1)
-		e.next++
+	e.advance(rep, err)
+	for len(e.pending) > 0 && e.pending[0].index == e.next {
+		e.advance(&e.pending[0].rep, e.pending[0].err)
+		e.pending = slices.Delete(e.pending, 0, 1)
 	}
+}
+
+// advance releases the vehicle at the cursor and moves the cursor on.
+func (e *orderedEmit) advance(rep *VehicleReport, err error) {
+	e.release(rep, 1)
+	if err != nil {
+		e.errs = append(e.errs, err)
+	}
+	e.next++
 }

@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,11 +12,11 @@ import (
 	"repro/internal/chaos"
 )
 
-// TestMergeFoldMatchesMerge pins the refactor invariant the streaming
-// shard merge rests on: folding vehicles one at a time through MergeFold
-// renders byte-identically to Run's own batch merge of the same slice
-// (same float summation order, same group folds, same health ledger),
-// without the per-vehicle section MergeFold does not keep.
+// TestMergeFoldMatchesMerge pins the invariant the streaming shard merge
+// rests on: folding Run's listing one vehicle at a time through Add
+// renders byte-identically to the fold Run's sweep made as it released
+// the same vehicles (same float summation order, same group folds, same
+// health ledger), without the per-vehicle section MergeFold does not keep.
 func TestMergeFoldMatchesMerge(t *testing.T) {
 	cfg := quickConfig(7, 3)
 	cfg.Chaos = &chaos.Plan{Seed: 7, Panic: 0.2, Corrupt: 0.1}
@@ -106,7 +104,6 @@ func TestOnVehicleOffsetIndices(t *testing.T) {
 func TestOnVehicleFiresOnFailedRun(t *testing.T) {
 	cfg := quickConfig(6, 2)
 	cfg.Chaos = &chaos.Plan{Seed: 7, Panic: 1, Persist: 99}
-	cfg.MaxRetries = 1
 	var fired int
 	last := -1
 	cfg.OnVehicle = func(v *VehicleReport) {
@@ -160,8 +157,8 @@ func cloneMatrix(m [][]attack.RegimeSummary) [][]attack.RegimeSummary {
 	return c
 }
 
-// naiveFold is the reference the run-length fold must equal: every
-// vehicle's matrix merged on its own, in index order.
+// naiveFold is the reference the fold must equal: every vehicle's matrix
+// merged on its own, in index order.
 func naiveFold(cfg Config, vehicles []VehicleReport) *FleetReport {
 	fr := newMergeFold(cfg).fr
 	var utilSum float64
@@ -249,14 +246,14 @@ func countFold(cfg Config, vehicles []VehicleReport) *FleetReport {
 		m.FoldRun(&vehicles[i], j-i)
 		i = j
 	}
-	return m.finish()
+	return m.Finish()
 }
 
-// FuzzMergeFoldRuns checks the run-length fold against the per-vehicle
-// reference on arbitrary sequences of shared, cloned, different, nil and
-// partial matrices with varying counters: the streaming fold, Run's batch
-// merge and the count fold of every stretch of equal vehicles must each
-// equal it exactly, MeanUtilisation bits included.
+// FuzzMergeFoldRuns checks the fold against the per-vehicle reference on
+// arbitrary sequences of shared, cloned, different, nil and partial
+// matrices with varying counters: the streaming fold and the count fold
+// of every stretch of equal vehicles must each equal it exactly,
+// MeanUtilisation bits included.
 func FuzzMergeFoldRuns(f *testing.F) {
 	seq := func(kinds ...byte) []byte {
 		var b []byte
@@ -289,68 +286,8 @@ func FuzzMergeFoldRuns(f *testing.F) {
 		if got := fold.Finish(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("MergeFold differs from the per-vehicle fold:\ngot:  %+v\nwant: %+v", got, want)
 		}
-		if got := merge(cfg, slices.Clone(vehicles)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("merge differs from the per-vehicle fold:\ngot:  %+v\nwant: %+v", got, want)
-		}
 		if got := countFold(cfg, vehicles); !reflect.DeepEqual(got, want) {
 			t.Fatalf("count fold differs from the per-vehicle fold:\ngot:  %+v\nwant: %+v", got, want)
 		}
 	})
-}
-
-// TestMergeFoldCatchesWrittenMatrix: the run-length fold rests on
-// VehicleReport.Groups being read-only. A caller who edits a matrix in
-// place while vehicles sharing it are still pending is caught at the next
-// break or in Finish; an edit before the second vehicle arrives folds
-// exactly as the per-vehicle fold would.
-func TestMergeFoldCatchesWrittenMatrix(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		editAt int  // the edit lands before vehicle editAt is added
-		brk    bool // the last vehicle carries another matrix
-		caught bool
-	}{
-		{"edit after the second vehicle, caught in Finish", 2, false, true},
-		{"edit after the second vehicle, caught at the break", 2, true, true},
-		{"edit after the third vehicle, caught in Finish", 3, false, true},
-		{"edit before the second vehicle", 1, false, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			shared := foldMatrix(1)
-			cfg := foldConfig(4)
-			fold, err := NewMergeFold(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := newMergeFold(cfg).fr // merged per vehicle, as each arrives
-			msg := func() (msg string) {
-				defer func() {
-					if p := recover(); p != nil {
-						msg = fmt.Sprint(p)
-					}
-				}()
-				for i := 0; i < cfg.Fleet; i++ {
-					if i == tc.editAt {
-						shared[1][2].Summary.Blocked++
-					}
-					v := VehicleReport{Index: i, Groups: shared}
-					if i == cfg.Fleet-1 && tc.brk {
-						v.Groups = foldMatrix(2)
-					}
-					fold.Add(v)
-					mergeGroups(ref, v.Groups)
-				}
-				if got := fold.Finish(); !reflect.DeepEqual(got.Groups, ref.Groups) {
-					t.Errorf("fold differs from the per-vehicle fold:\ngot:  %+v\nwant: %+v", got.Groups, ref.Groups)
-				}
-				return ""
-			}()
-			if tc.caught && !strings.Contains(msg, "VehicleReport.Groups is read-only") {
-				t.Fatalf("edit of a shared matrix not caught (panic %q)", msg)
-			}
-			if !tc.caught && msg != "" {
-				t.Fatalf("unexpected panic: %s", msg)
-			}
-		})
-	}
 }

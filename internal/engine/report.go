@@ -25,9 +25,10 @@ type VehicleReport struct {
 	//
 	// Groups and Attacks are read-only: on the batched path every vehicle
 	// after a run's first shares the first vehicle's slices (the run-level
-	// stamp) instead of owning a copy, and vehicles decoded from a shard
-	// stream share one decoded copy of each matrix the stream repeats, so
-	// writing through one vehicle's slice would change every vehicle's.
+	// stamp) instead of owning a copy, the members AppendRun lists share
+	// their run's, and vehicles decoded from a shard stream share one
+	// decoded copy of each matrix the stream repeats, so writing through
+	// one vehicle's slice would change every vehicle's.
 	Groups [][]attack.RegimeSummary
 	// FramesDelivered, BusErrors, WriteBlocked, ReadBlocked and AbortedTx
 	// are the background simulation's bus counters.
@@ -57,6 +58,34 @@ func (v *VehicleReport) Member(root uint64, index int) VehicleReport {
 	m := *v
 	m.Index, m.VIN, m.Seed = index, VIN(index), VehicleSeed(root, index)
 	return m
+}
+
+// AppendRun appends the n >= 1 vehicles of the run v heads to dst, in
+// index order: v itself, then each later member as Member derives it from
+// root. The members' VINs are slices of one string, so a run of any length
+// allocates its VINs once; a consumer that keeps one VIN keeps that string
+// alive.
+func AppendRun(dst []VehicleReport, v *VehicleReport, n int, root uint64) []VehicleReport {
+	dst = append(dst, *v)
+	if n <= 1 {
+		return dst
+	}
+	var b strings.Builder
+	b.Grow((n - 1) * vinLen(v.Index+n-1))
+	var d [len("VIN-") + 20]byte // 20 characters hold any int, sign included
+	for i := 1; i < n; i++ {
+		b.Write(appendVIN(d[:0], v.Index+i))
+	}
+	vins := b.String()
+	for i := 1; i < n; i++ {
+		m := *v
+		m.Index = v.Index + i
+		w := vinLen(m.Index)
+		m.VIN, vins = vins[:w], vins[w:]
+		m.Seed = VehicleSeed(root, m.Index)
+		dst = append(dst, m)
+	}
+	return dst
 }
 
 // GroupReport is one scenario group's fleet-merged outcome: per-regime

@@ -2,8 +2,10 @@ package engine_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/chaos"
 	"repro/internal/engine"
+	"repro/internal/shard"
 	"repro/internal/shard/wire"
 )
 
@@ -22,27 +25,78 @@ func TestVINMatchesFmt(t *testing.T) {
 			t.Errorf("VIN(%d) = %q, want %q", i, got, want)
 		}
 	}
-	// A stamped Run's VINs are sliced out of one string per chunk. Put one
-	// chunk across 999,999 -> 1,000,000, where VINs grow from 10 to 11
-	// bytes (chunks start at local index 1: the first vehicle executes).
-	// Aggregate emits the chunk's vehicles as one run; check its head.
-	cfg := stampConfig(2, 1000000-engine.ReplayChunk/2, 0)
-	cfg.Fleet = engine.ReplayChunk + 2
-	check := func(path string, v *engine.VehicleReport) {
-		if want := engine.VIN(v.Index); v.VIN != want {
-			t.Errorf("%s: vehicle %d carries VIN %q, want %q", path, v.Index, v.VIN, want)
+	// AppendRun slices a run's VINs out of one string, working out each
+	// one's width from its index: put runs across the widths' changes,
+	// negative indices and int wraparound included (a shard stream may
+	// carry any index).
+	for _, head := range []int{-1000002, -100002, -3, 999996, 9999996, math.MaxInt - 3} {
+		for _, v := range engine.AppendRun(nil, &engine.VehicleReport{Index: head}, 8, 1)[1:] {
+			if want := fmt.Sprintf("VIN-%06d", v.Index); v.VIN != want {
+				t.Errorf("AppendRun from %d: vehicle %d carries VIN %q, want %q", head, v.Index, v.VIN, want)
+			}
+		}
+	}
+	// Put one stamped run across 999,999 -> 1,000,000, where VINs grow
+	// from 10 to 11 bytes, and list it through Run, through AppendRun over
+	// Aggregate's runs, and through shard.Run.
+	cfg := stampConfig(2, 1000000-4, 0)
+	root := cfg.Groups[0].RootSeed
+	check := func(path string, vs []engine.VehicleReport) {
+		t.Helper()
+		if len(vs) != cfg.Fleet {
+			t.Fatalf("%s listed %d vehicles, want %d", path, len(vs), cfg.Fleet)
+		}
+		for i := range vs {
+			v := &vs[i]
+			if want := cfg.IndexOffset + i; v.Index != want {
+				t.Errorf("%s: vehicle %d carries index %d, want %d", path, i, v.Index, want)
+			}
+			if want := fmt.Sprintf("VIN-%06d", v.Index); v.VIN != want {
+				t.Errorf("%s: vehicle %d carries VIN %q, want %q", path, v.Index, v.VIN, want)
+			}
+			if want := engine.VehicleSeed(root, v.Index); v.Seed != want {
+				t.Errorf("%s: vehicle %d carries seed %#x, want %#x", path, v.Index, v.Seed, want)
+			}
 		}
 	}
 	fr, err := engine.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range fr.Vehicles {
-		check("Run", &fr.Vehicles[i])
-	}
-	if _, err := engine.Aggregate(cfg, func(v *engine.VehicleReport, _ int) { check("Aggregate", v) }); err != nil {
+	check("Run", fr.Vehicles)
+
+	var listed []engine.VehicleReport
+	var runs []int
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	var werr error
+	if _, err := engine.Aggregate(cfg, func(v *engine.VehicleReport, n int) {
+		runs = append(runs, n)
+		listed = engine.AppendRun(listed, v, n, root)
+		werr = errors.Join(werr, w.WriteRun(v, n, root))
+	}); err != nil {
 		t.Fatal(err)
 	}
+	if want := []int{1, cfg.Fleet - 1}; !slices.Equal(runs, want) {
+		t.Errorf("Aggregate emitted runs %v, want %v", runs, want)
+	}
+	check("Aggregate", listed)
+
+	// shard.Run's index space starts at zero, so it cannot ask for this
+	// range itself: its one spawned range is fed the runs written above,
+	// under a trailer for the range it does ask for.
+	if err := errors.Join(werr, w.WriteTrailer(wire.Trailer{Count: cfg.Fleet})); err != nil {
+		t.Fatal(err)
+	}
+	whole := cfg
+	whole.IndexOffset = 0
+	sfr, err := shard.Run(shard.Config{Engine: whole, Shards: 1, Spawn: func(shard.Range) (shard.Stream, error) {
+		return shard.NewWireStream(&buf, nil), nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("shard.Run", sfr.Vehicles)
 }
 
 // stampConfig is a small multi-group sweep with the MAC probe on, so a
@@ -104,62 +158,6 @@ func TestStampedVehiclesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestReplayChunkBoundaries covers a fully stamped run's chunked claims at
-// the chunk's edges: whatever the fleet size around the chunk constant C,
-// the worker count and the shard offset, every report equals the
-// one-worker run's, OnVehicle fires once per index in ascending order, and
-// vehicles at the chunk boundaries equal their one-vehicle oracle.
-func TestReplayChunkBoundaries(t *testing.T) {
-	c := engine.ReplayChunk
-	for _, offset := range []int{0, 37} {
-		for _, fleet := range []int{1, c - 1, c, c + 1, 2*c + 3} {
-			var want *engine.FleetReport
-			for _, workers := range []int{1, 2, 3} {
-				name := fmt.Sprintf("fleet=%d workers=%d offset=%d", fleet, workers, offset)
-				cfg := stampConfig(workers, offset, 0)
-				cfg.Fleet = fleet
-				var emitted []int
-				cfg.OnVehicle = func(v *engine.VehicleReport) { emitted = append(emitted, v.Index) }
-				fr, err := engine.Run(cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				for i, idx := range emitted {
-					if idx != offset+i {
-						t.Fatalf("%s: emit %d carried index %d, want %d", name, i, idx, offset+i)
-					}
-				}
-				if len(emitted) != fleet {
-					t.Fatalf("%s: OnVehicle fired %d times, want %d", name, len(emitted), fleet)
-				}
-				if want == nil {
-					want = fr
-					continue
-				}
-				if !reflect.DeepEqual(fr.Vehicles, want.Vehicles) || !reflect.DeepEqual(fr.Groups, want.Groups) {
-					t.Errorf("%s: reports differ from the one-worker run", name)
-				}
-			}
-			// Chunks start at local index 1: the first vehicle executes alone.
-			for _, i := range slices.Compact([]int{c, c + 1, 2 * c, fleet - 1}) {
-				if i < 1 || i >= fleet {
-					continue
-				}
-				one := stampConfig(1, offset+i, 0)
-				one.Fleet, one.NoBatch = 1, true
-				oracle, err := engine.Run(one)
-				if err != nil {
-					t.Fatalf("fleet=%d offset=%d vehicle=%d: oracle: %v", fleet, offset, i, err)
-				}
-				if !reflect.DeepEqual(want.Vehicles[i], oracle.Vehicles[0]) {
-					t.Errorf("fleet=%d offset=%d vehicle=%d: replayed report differs from its oracle re-execution:\nreplayed: %+v\noracle:   %+v",
-						fleet, offset, i, want.Vehicles[i], oracle.Vehicles[0])
-				}
-			}
-		}
-	}
-}
-
 // TestAggregateMatchesRun: Aggregate is Run without the per-vehicle
 // section on every path a sweep takes — a fully stamped run (folded as one
 // count), stamped attack sections over executed live phases, and chaos,
@@ -174,14 +172,13 @@ func TestAggregateMatchesRun(t *testing.T) {
 	}, nil); err == nil {
 		t.Error("Aggregate accepted a Config with OnVehicle set")
 	}
-	c := engine.ReplayChunk
 	for _, v := range []struct {
 		name   string
 		fleets []int
 		edit   func(*engine.Config)
 	}{
-		{"stamped", []int{1, 2, c - 1, c, c + 1, 2*c + 3}, func(*engine.Config) {}},
-		{"errors", []int{1, 2, c - 1, c, c + 1, 2*c + 3}, func(cfg *engine.Config) { cfg.ErrorRate = 0.02 }},
+		{"stamped", []int{1, 2, 255, 256, 257, 515}, func(*engine.Config) {}},
+		{"errors", []int{1, 2, 255, 256, 257, 515}, func(cfg *engine.Config) { cfg.ErrorRate = 0.02 }},
 		{"chaos", []int{1, 2, 7}, func(cfg *engine.Config) { cfg.Chaos = &chaos.Plan{Seed: 7, Panic: 0.2, Corrupt: 0.1} }},
 		{"verify", []int{1, 2, 7}, func(cfg *engine.Config) { cfg.VerifySample = 0.3 }},
 		{"no-batch", []int{1, 2, 7}, func(cfg *engine.Config) { cfg.NoBatch = true }},
@@ -232,8 +229,9 @@ func TestAggregateMatchesRun(t *testing.T) {
 
 // BenchmarkStampedReplay is the replay layer on its own: a fleet of
 // 100,000 on one Table I group with a full stamp (ErrorRate 0), so the
-// first vehicle executes and every other is replayed into its report slot
-// and merged. It reports time and allocations per vehicle.
+// first vehicle executes and every other is one run, folded as one count
+// and listed through AppendRun. It reports time and allocations per
+// vehicle.
 func BenchmarkStampedReplay(b *testing.B) {
 	const fleet = 100000
 	h, err := attack.NewHarness()
@@ -269,6 +267,33 @@ func BenchmarkStampedReplay(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/vehicle")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/vehicle")
 		})
+	}
+}
+
+// TestStampedAggregateAllocsFlat pins the stamped path's O(1) cost in
+// process: a fully stamped Aggregate allocates as often at fleet 1,000,000
+// as at fleet 2.
+func TestStampedAggregateAllocsFlat(t *testing.T) {
+	h, err := attack.NewHarness()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(fleet int) float64 {
+		cfg := stampConfig(1, 0, 0)
+		cfg.Fleet, cfg.Harness = fleet, h
+		return testing.AllocsPerRun(5, func() {
+			if _, err := engine.Aggregate(cfg, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Executing vehicle 0 allocates up to a few dozen times more on some
+	// calls than on others, at any fleet size, under the race detector
+	// most. That slack is far below what any per-vehicle or per-chunk cost
+	// adds over 1,000,000 vehicles.
+	const slack = 100
+	if small, large := allocs(2), allocs(1000000); math.Abs(large-small) > slack {
+		t.Errorf("a stamped Aggregate allocated %v times at fleet 2 and %v times at fleet 1,000,000", small, large)
 	}
 }
 

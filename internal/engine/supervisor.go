@@ -15,18 +15,19 @@ import (
 //
 // The ladder, per cell: a failed attempt (panic, integrity mismatch,
 // deadline overrun, quiescence violation, or an injected chaos fault) is
-// quarantined and retried up to MaxRetries times on the batched path, each
-// retry on a rebuilt or re-primed arena with a capped virtual backoff
-// recorded. Exhausting the batched retries demotes the cell — and,
+// quarantined and retried up to defaultMaxRetries times on the batched
+// path, each retry on a rebuilt or re-primed arena with a capped virtual
+// backoff recorded. Exhausting the batched retries demotes the cell — and,
 // monotonically, the vehicle's remaining cells — to the cell-by-cell oracle
-// on the same arena (BatchRun.RunOracle), which gets its own MaxRetries
-// budget. The NoBatch oracle runs every cell cell by cell on fresh stacks
-// from the start, so it has nothing to demote and only retries.
+// on the same arena (BatchRun.RunOracle), which gets its own
+// defaultMaxRetries budget. The NoBatch oracle runs every cell cell by cell
+// on fresh stacks from the start, so it has nothing to demote and only
+// retries.
 // Only a cell that keeps failing through all of that is unrecoverable: the
 // vehicle reports a partial result and the sweep returns an error alongside
 // the partial fleet report. Per visit: a panic escaping cell scope (or an
 // injected crash fault) abandons the visit, the worker rebuilds its arena,
-// and the whole vehicle re-runs up to MaxRetries times.
+// and the whole vehicle re-runs up to defaultMaxRetries times.
 //
 // Determinism: chaos faults are a pure function of per-vehicle coordinates,
 // retries and demotions are decided by counters local to the vehicle, and
@@ -45,6 +46,9 @@ var (
 )
 
 const (
+	// defaultMaxRetries is the supervisor's retry budget per rung: a
+	// failing cell gets this many batched retries, then (demoted) as many
+	// oracle retries; a crashing vehicle visit gets as many re-runs.
 	defaultMaxRetries = 2
 	// cellTimeBudget is the virtual-clock watchdog: a cell that leaves the
 	// simulated clock past it is quarantined as a deadline overrun. Virtual
@@ -65,7 +69,6 @@ type supervisorCfg struct {
 	plan       *chaos.Plan
 	verify     float64
 	verifySeed uint64
-	maxRetries int
 }
 
 // chaotic reports whether fault injection or inline verification is armed —
@@ -106,7 +109,7 @@ type cellExec struct {
 // (possibly oracle-substituted) result, or ErrUnrecoverable once every rung
 // is exhausted.
 func (e *cellExec) runCell(sc attack.Scenario, sci, ri int, enf attack.Enforcement) (attack.Result, error) {
-	maxAttempts := 2*e.sup.maxRetries + 1
+	maxAttempts := 2*defaultMaxRetries + 1
 	for attempt := 0; ; attempt++ {
 		r, err := e.attempt(sc, sci, ri, enf, attempt)
 		if err == nil {
@@ -121,7 +124,7 @@ func (e *cellExec) runCell(sc attack.Scenario, sci, ri int, enf attack.Enforceme
 			return r, fmt.Errorf("%w: vehicle %d group %d scenario %d regime %s: %v",
 				ErrUnrecoverable, e.vehicle, e.group, sci, enf, err)
 		}
-		if attempt == e.sup.maxRetries && e.br != nil && !*e.demoted {
+		if attempt == defaultMaxRetries && e.br != nil && !*e.demoted {
 			// Batched retries exhausted: demote this cell — and the visit's
 			// remaining cells — to the oracle. The latch never resets, so
 			// demotion is monotone within the visit.
@@ -137,7 +140,7 @@ func (e *cellExec) runCell(sc attack.Scenario, sci, ri int, enf attack.Enforceme
 // oracle reports whether the given attempt runs on the cell-by-cell
 // reference path instead of the batched one.
 func (e *cellExec) oracle(attempt int) bool {
-	return e.br == nil || *e.demoted || attempt > e.sup.maxRetries
+	return e.br == nil || *e.demoted || attempt > defaultMaxRetries
 }
 
 // attempt executes one try of one cell, converting panics into ErrCellPanic
@@ -286,16 +289,16 @@ func runGroupCells(e *cellExec, g *ScenarioGroup) ([]attack.RegimeSummary, error
 
 // superviseVisit runs one vehicle visit through the visit-scope ladder:
 // a crash (recovered panic at visit scope, injected or real) rebuilds the
-// worker's stack and re-runs the whole vehicle, up to maxRetries times.
+// worker's stack and re-runs the whole vehicle, up to defaultMaxRetries times.
 // The Health ledger accumulates across visit attempts — a recovered crash's
 // earlier quarantines are part of the vehicle's history, not noise.
-func superviseVisit(sup *supervisorCfg, visit func(attempt int, h *Health) (VehicleReport, error), rebuild func() error) (VehicleReport, error) {
+func superviseVisit(visit func(attempt int, h *Health) (VehicleReport, error), rebuild func() error) (VehicleReport, error) {
 	var h Health
 	var rep VehicleReport
 	var err error
 	for attempt := 0; ; attempt++ {
 		rep, err = visit(attempt, &h)
-		if err == nil || !errors.Is(err, ErrVehicleCrash) || attempt >= sup.maxRetries {
+		if err == nil || !errors.Is(err, ErrVehicleCrash) || attempt >= defaultMaxRetries {
 			break
 		}
 		h.CrashRecoveries++

@@ -24,7 +24,8 @@
 // CRC-guarded, one frame per run, streamed as the child's vehicles
 // complete — and the driver folds it as it is decoded, so the parent never
 // buffers a spawned shard's report set. Aggregate keeps no per-vehicle
-// section at all; Run lists every vehicle by expanding the runs. The
+// section at all; Run lists every vehicle of each run through
+// engine.AppendRun, the helper engine.Run lists its own runs with. The
 // unsharded engine.Run is the differential oracle every shard layout,
 // transport and parallelism level is tested against.
 //
@@ -135,7 +136,9 @@ func Ranges(total, n int) []Range {
 // echo the driver asserts against and the shard's sweep error text (""
 // on success); Close releases transport resources (for a subprocess
 // shard, reaps the child). A report Next returns must stay unchanged after
-// later calls: the fan-out parks up to Window of them by pointer.
+// later calls: the fan-out parks a window of them by pointer. The driver
+// stops reading a stream once it has carried more vehicles than its range
+// holds, and closes it without reading the trailer.
 //
 // The stream NewWireStream returns also yields whole runs, and the driver
 // moves those instead of single vehicles (runStream). Any other Stream —
@@ -216,9 +219,17 @@ type merge struct {
 	// vehicles is Run's listing: every folded vehicle, its runs expanded.
 	vehicles []engine.VehicleReport
 	r        Range
-	// carried counts the vehicles r's stream has carried so far; it
-	// saturates at the largest int rather than wrap.
+	// carried counts the vehicles r's stream has carried so far (carry).
 	carried int
+}
+
+// carry adds a run of n vehicles to a count of vehicles carried,
+// saturating at the largest int rather than wrapping.
+func carry(carried, n int) int {
+	if n > math.MaxInt-carried {
+		return math.MaxInt
+	}
+	return carried + n
 }
 
 // start begins folding range r.
@@ -232,17 +243,10 @@ func (m *merge) add(v *engine.VehicleReport, n int) {
 	if k := min(n, m.r.Count-m.carried); k > 0 {
 		m.fold.FoldRun(v, k)
 		if m.list {
-			m.vehicles = append(m.vehicles, *v)
-			for i := 1; i < k; i++ {
-				m.vehicles = append(m.vehicles, v.Member(m.root, v.Index+i))
-			}
+			m.vehicles = engine.AppendRun(m.vehicles, v, k, m.root)
 		}
 	}
-	if n > math.MaxInt-m.carried {
-		m.carried = math.MaxInt
-	} else {
-		m.carried += n
-	}
+	m.carried = carry(m.carried, n)
 }
 
 // runLocal executes one shard in this process and folds its runs straight
@@ -299,7 +303,13 @@ func RunRangeWire(cfg engine.Config, r Range, out io.Writer) error {
 type Spawn func(r Range) (Stream, error)
 
 // defaultWindow bounds each in-flight shard's decoded-but-unmerged runs
-// under concurrent fan-out (Config.Window).
+// under concurrent fan-out. A run is one decoded report standing for any
+// number of vehicles — a stamped child's whole range is two — and a Stream
+// without runs parks one vehicle per run. The slots hold the decoded
+// reports by pointer, so total parent-side reorder memory is
+// ≤ Parallelism × defaultWindow decoded reports beyond the merged report
+// itself — each a report and its VIN when its stream repeats the previous
+// frame's matrix, whose one decoded copy the stream's reports share.
 const defaultWindow = 256
 
 // Config parameterises a sharded sweep.
@@ -316,20 +326,10 @@ type Config struct {
 	// Parallelism bounds how many spawned shards run concurrently
 	// (default 1: shard i+1 spawns once shard i has merged). The merge
 	// still consumes shards strictly in range order — a shard that
-	// finishes early parks at most Window runs until its turn. Ignored
-	// without Spawn: in-process shards are already parallel across
-	// Engine.Workers.
+	// finishes early parks at most defaultWindow (256) runs until its
+	// turn. Ignored without Spawn: in-process shards are already parallel
+	// across Engine.Workers.
 	Parallelism int
-	// Window bounds each in-flight shard's decoded-but-unmerged runs under
-	// concurrent fan-out (default 256). A run is one decoded report
-	// standing for any number of vehicles — a stamped child's whole range
-	// is two — and a Stream without runs parks one vehicle per run. The
-	// slots hold the decoded reports by pointer, so total parent-side
-	// reorder memory is ≤ Parallelism × Window decoded reports beyond the
-	// merged report itself — each a report and its VIN when its stream
-	// repeats the previous frame's matrix, whose one decoded copy the
-	// stream's reports share.
-	Window int
 }
 
 // Run executes the sharded sweep and merges shard outcomes
@@ -381,10 +381,11 @@ func sweep(cfg Config, list bool) (*engine.FleetReport, error) {
 }
 
 // drain folds one slot's runs into the merge, enforcing the range
-// contract: at most r.Count vehicles are folded, the trailer must echo r,
-// and a trailer error text is recorded like a sweep failure. Every
-// anomaly is recorded, never fatal — the caller keeps merging other
-// shards.
+// contract: at most r.Count vehicles are folded, a stream that carried
+// more is recorded (its producer stopped reading it there, so it has no
+// trailer to check), the trailer must echo r, and a trailer error text is
+// recorded like a sweep failure. Every anomaly is recorded, never fatal —
+// the caller keeps merging other shards.
 func (m *merge) drain(s *slot, r Range) []error {
 	m.start(r)
 	for run := range s.ch {
@@ -394,14 +395,11 @@ func (m *merge) drain(s *slot, r Range) []error {
 	switch {
 	case s.streamErr != nil:
 		errs = append(errs, fmt.Errorf("shard %s: %w", r, s.streamErr))
+	case m.carried > r.Count:
+		errs = append(errs, fmt.Errorf("shard %s: stream carried %d vehicles", r, m.carried))
+	case s.trailerEr != nil:
+		errs = append(errs, fmt.Errorf("shard %s: trailer: %w", r, s.trailerEr))
 	default:
-		if m.carried > r.Count {
-			errs = append(errs, fmt.Errorf("shard %s: stream carried %d vehicles", r, m.carried))
-		}
-		if s.trailerEr != nil {
-			errs = append(errs, fmt.Errorf("shard %s: trailer: %w", r, s.trailerEr))
-			break
-		}
 		if s.trailer != r {
 			errs = append(errs, fmt.Errorf("shard %s: stream covers %s", r, s.trailer))
 		}
@@ -439,8 +437,8 @@ type slot struct {
 // the merge consumes them strictly in range order. Memory stays bounded:
 // a semaphore released only when the merger finishes a shard caps the
 // claimed-but-unmerged shards at the parallelism level, and each of those
-// parks at most Window decoded runs in its slot channel — a shard that
-// outpaces the merge cursor blocks on its full window, it does not
+// parks at most defaultWindow decoded runs in its slot channel — a shard
+// that outpaces the merge cursor blocks on its full window, it does not
 // buffer. Claims come off an atomic cursor, so the outstanding set is
 // always the contiguous window just ahead of the merge cursor and the
 // shard the merger waits on always has a running producer (no deadlock).
@@ -448,17 +446,9 @@ type slot struct {
 // spawns shard i+1 only after the merger has finished shard i.
 func runParallel(ranges []Range, cfg Config, m *merge) []error {
 	par := min(max(cfg.Parallelism, 1), len(ranges))
-	window := cfg.Window
-	if window <= 0 {
-		window = defaultWindow
-	}
 	slots := make([]*slot, len(ranges))
 	for i, r := range ranges {
-		buf := window
-		if r.Count < buf {
-			buf = r.Count
-		}
-		slots[i] = &slot{ch: make(chan run, buf)}
+		slots[i] = &slot{ch: make(chan run, min(defaultWindow, r.Count))}
 	}
 	sem := make(chan struct{}, par)
 	var next atomic.Int64
@@ -484,7 +474,11 @@ func runParallel(ranges []Range, cfg Config, m *merge) []error {
 }
 
 // produce runs one spawned shard and pumps its stream's runs into the
-// slot.
+// slot. It stops reading once the stream has carried more than r.Count
+// vehicles: the run that overran goes into the slot, so the merge records
+// the overcount, and the rest of the stream, trailer included, is never
+// read. A stream read vehicle by vehicle (runsOf) would otherwise expand a
+// run frame claiming 2^40 vehicles one at a time.
 func produce(s *slot, r Range, spawn Spawn) {
 	defer close(s.ch)
 	st, err := spawn(r)
@@ -493,18 +487,18 @@ func produce(s *slot, r Range, spawn Spawn) {
 		return
 	}
 	next := runsOf(st)
-	for {
+	for carried := 0; carried <= r.Count; {
 		v, n, err := next()
 		if err == io.EOF {
+			s.trailer, s.errText, s.trailerEr = st.Trailer()
 			break
 		}
 		if err != nil {
 			s.streamErr = err
-			s.closeErr = st.Close()
-			return
+			break
 		}
 		s.ch <- run{v, n}
+		carried = carry(carried, n)
 	}
-	s.trailer, s.errText, s.trailerEr = st.Trailer()
 	s.closeErr = st.Close()
 }

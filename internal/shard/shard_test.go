@@ -250,29 +250,27 @@ func TestBinaryWireStreamByteIdentical(t *testing.T) {
 }
 
 // TestParallelFanOutByteIdentical pins the concurrent-driver contract:
-// whatever the parallelism level and however small the reorder window,
-// shards merge strictly in range order and the report does not move a
-// byte. Window 1 forces every ahead-of-cursor producer to block, the
-// harshest reorder schedule.
+// whatever the parallelism level, shards merge strictly in range order and
+// the report does not move a byte. Each range's child writes a frame per
+// vehicle, more than the reorder window holds, so every ahead-of-cursor
+// producer blocks on its full window, the harshest reorder schedule.
 func TestParallelFanOutByteIdentical(t *testing.T) {
-	cfg := smallCfg(9)
+	cfg := smallCfg(4 * (defaultWindow + 44)) // 300 vehicles a range
 	oracle, err := engine.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := oracle.String()
+	spawn := func(r Range) (Stream, error) {
+		return fakeChild(t, oracle.Vehicles[r.Start:r.Start+r.Count], wire.Trailer{Start: r.Start, Count: r.Count}), nil
+	}
 	for _, par := range []int{2, 4, 16} {
-		for _, window := range []int{1, 3, 0} {
-			got, err := Run(Config{
-				Engine: cfg, Shards: 4, Spawn: wireSpawn(cfg),
-				Parallelism: par, Window: window,
-			})
-			if err != nil {
-				t.Fatalf("parallelism=%d window=%d: %v", par, window, err)
-			}
-			if got.String() != want {
-				t.Errorf("parallelism=%d window=%d: merged report diverged from oracle", par, window)
-			}
+		got, err := Run(Config{Engine: cfg, Shards: 4, Spawn: spawn, Parallelism: par})
+		if err != nil {
+			t.Fatalf("parallelism=%d: %v", par, err)
+		}
+		if got.String() != want {
+			t.Errorf("parallelism=%d: merged report diverged from oracle", par)
 		}
 	}
 }
@@ -463,6 +461,57 @@ func TestWrappedStreamReadPerVehicle(t *testing.T) {
 	for i, r := range Ranges(cfg.Fleet, 3) {
 		if streams[i].n != r.Count {
 			t.Errorf("shard %s: the wrapper's Next handed out %d vehicles, want %d", r, streams[i].n, r.Count)
+		}
+	}
+}
+
+// TestWrappedHugeRunStopsAtRange: a wrapped stream is read vehicle by
+// vehicle, so a CRC-valid run frame claiming 2^40 vehicles comes out of
+// the wrapper's Next one vehicle at a time. The driver stops reading a
+// stream once it has carried more than its range: the wrapper hands out
+// Count+1 vehicles, the overcount is recorded, and the other shards still
+// merge, at any parallelism.
+func TestWrappedHugeRunStopsAtRange(t *testing.T) {
+	cfg := smallCfg(6)
+	oracle, err := engine.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		fr  *engine.FleetReport
+		err error
+	}
+	for _, par := range []int{1, 3} {
+		streams := map[int]*countingStream{}
+		for _, r := range Ranges(cfg.Fleet, 3) {
+			vs := oracle.Vehicles[r.Start : r.Start+r.Count]
+			n := r.Count - 1
+			if r.Start == 2 {
+				n = 1 << 40
+			}
+			tr := wire.Trailer{Start: r.Start, Count: r.Count}
+			streams[r.Start] = &countingStream{Stream: runChild(t, &vs[0], &vs[1], n, cfg.Groups[0].RootSeed, tr)}
+		}
+		spawn := func(r Range) (Stream, error) { return streams[r.Start], nil }
+		done := make(chan result, 1)
+		go func() {
+			fr, err := Run(Config{Engine: cfg, Shards: 3, Spawn: spawn, Parallelism: par})
+			done <- result{fr, err}
+		}()
+		var got result
+		select {
+		case got = <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("parallelism=%d: still reading the 2^40-vehicle run after 30 s", par)
+		}
+		if got.err == nil || !strings.Contains(got.err.Error(), "shard 2:2: stream carried 3 vehicles") {
+			t.Errorf("parallelism=%d: error does not describe the overcount: %v", par, got.err)
+		}
+		if n := streams[2].n; n != 3 {
+			t.Errorf("parallelism=%d: the wrapper's Next handed out %d vehicles, want 3 (the range's count plus one)", par, n)
+		}
+		if got.fr == nil || got.fr.String() != oracle.String() {
+			t.Errorf("parallelism=%d: the huge run leaked into the merge", par)
 		}
 	}
 }
