@@ -585,7 +585,8 @@ func BenchmarkCampaignSweep(b *testing.B) {
 // internal/shard partition-and-merge layer: the fleet index space split into
 // contiguous ranges, each range an independent engine run, the merged report
 // byte-identical to the unsharded sweep (global-index seeding keeps every
-// trajectory pinned; the merge refolds vehicle reports in range order).
+// trajectory pinned; each range folds on its own and the folds combine
+// exactly).
 // shards=1 exercises the partition/merge machinery on a single range, so the
 // delta versus BenchmarkCampaignSweep/quickstart/fleet=1000 is the layer's
 // overhead; shards=4 measures the per-range fan-out. BENCH_7.json gates

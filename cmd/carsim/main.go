@@ -106,7 +106,7 @@ func main() {
 	shards := flag.Int("shards", 0, "partition the fleet index space into N contiguous ranges run as independent engine runs; the merged report is byte-identical to the unsharded sweep")
 	shardExec := flag.Bool("shard-exec", false, "with -shards: run each shard as a carsim subprocess (shard wire format over stdout) instead of in-process")
 	shardWire := flag.String("shard-wire", "binary", "with -shard-exec: subprocess wire format; only \"binary\" (the streaming frame protocol) is accepted")
-	shardParallelism := flag.Int("shard-parallelism", 1, "with -shard-exec: run up to P subprocess shards concurrently; the merge stays in range order, so the report is byte-identical at any P")
+	shardParallelism := flag.Int("shard-parallelism", 1, "with -shard-exec: run up to P subprocess shards concurrently; each shard folds as it arrives and the folds combine exactly, so the report is byte-identical at any P")
 	shardRange := flag.String("shard-range", "", "internal: run only this start:count slice of the fleet and emit the shard wire report on stdout (set by -shard-exec parents)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with `go tool pprof`)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file when the run finishes")

@@ -63,13 +63,13 @@
 //   - internal/shard     — fleet partition-and-merge layer: contiguous
 //     index ranges run as independent engine passes (global-index seeding
 //     keeps every vehicle trajectory pinned to its shard-independent
-//     coordinates) and merge in range order through engine.MergeFold,
-//     byte-identical to the unsharded run; vehicles move as runs that
-//     differ only in VIN and seed, so a stamped range folds in one step;
-//     spawn hooks run ranges out of process (carsim -shard-exec) over the
-//     binary wire, sequentially or concurrently under a bounded in-order
-//     merge window (-shard-parallelism); shard.Aggregate keeps no
-//     per-vehicle section, shard.Run lists every vehicle
+//     coordinates); each range folds on its own as its vehicles arrive
+//     and the exact, order-free folds combine byte-identical to the
+//     unsharded run; vehicles move as runs that differ only in VIN and
+//     seed, so a stamped range folds in one step; spawn hooks run ranges
+//     out of process (carsim -shard-exec) over the binary wire, up to
+//     -shard-parallelism at once; shard.Aggregate keeps no per-vehicle
+//     section, shard.Run lists every vehicle
 //   - internal/shard/wire — the binary shard transport, the only one: a
 //     versioned, CRC32-framed varint stream carrying one run of vehicle
 //     reports per frame (a stamped range is two frames), written as

@@ -58,8 +58,8 @@ type SweepConfig struct {
 	// re-invoke itself with -shard-range.
 	SpawnShard shard.Spawn
 	// ShardParallelism bounds how many spawned shards run concurrently
-	// (<=1: sequential). The merge stays in range order, so the report is
-	// byte-identical at any level.
+	// (<=1: sequential). Each shard folds as it arrives and the folds
+	// combine exactly, so the report is byte-identical at any level.
 	ShardParallelism int
 }
 

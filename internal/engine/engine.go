@@ -526,8 +526,9 @@ func (sh *shared) sweep(emit func(*VehicleReport, int)) (*FleetReport, error) {
 				case serr != nil:
 					// Stack construction only fails on programming errors;
 					// record it once, then drain this worker's share of the
-					// cursor so the run still terminates.
-					rep = VehicleReport{}
+					// cursor so the run still terminates, each drained
+					// vehicle under its own Index, VIN and Seed.
+					rep = (&VehicleReport{}).Member(cfg.Groups[0].RootSeed, i+cfg.IndexOffset)
 					if !reported {
 						err, reported = serr, true
 					}

@@ -1,37 +1,45 @@
 package engine
 
 import (
+	"math/big"
 	"slices"
 	"sync"
 
 	"repro/internal/attack"
 )
 
-// MergeFold folds vehicle reports into the fleet aggregates in arrival
-// order and keeps none of them, so a streaming consumer (the shard driver
-// decoding child pipes) holds only the vehicles it chooses to list. A
-// sweep folds its own vehicles through it as they are released, in index
-// order — same statement order per vehicle, same float summation order —
-// so a stream folded in index order finishes byte-identical to the
-// unsharded run.
+// MergeFold folds vehicle reports into the fleet aggregates and keeps
+// none of them, so a streaming consumer (the shard driver decoding child
+// pipes) holds only the vehicles it chooses to list. A sweep folds its own
+// vehicles through it as they are released.
+//
+// The fold does not depend on order. Every aggregate but one is an integer
+// sum, and the utilisation sum is exact: a 2,161-bit binary float holds
+// any sum of finite float64 values, each times a count below 2^63 (1,074
+// bits below the binary point, 1,024+63 above), so no addition rounds, and
+// Finish rounds the mean once. Folding the same vehicles in any order, or
+// in parts joined by Combine, finishes bit-identical.
 //
 // A run of vehicles known to be equal but for Index, VIN and Seed — a
 // stamped range, or a run frame off the shard wire — folds as one count
-// (FoldRun): the integer fields, Health and the matrix are scaled by the
-// count, and the utilisation is added count times in index order, so the
-// float sum stays bit-identical. Every attack.Summary field is an integer,
-// so the scaled matrix equals the repeated sum exactly. Add folds one
-// vehicle, a run of one.
+// (FoldRun): every field, the utilisation included, is scaled by the
+// count, which equals the repeated sum exactly. Add folds one vehicle, a
+// run of one.
 //
-// Not safe for concurrent use: the shard driver serialises its folds
-// behind its in-range-order merge loop, and a sweep behind its ordered
-// emitter.
+// Not safe for concurrent use: the shard driver gives each range a fold
+// of its own, and a sweep folds behind its ordered emitter.
 type MergeFold struct {
-	fr      *FleetReport
-	utilSum float64
+	fr *FleetReport
+	// sum is the exact utilisation sum; FoldRun and Combine add into
+	// spare and swap the two, since an in-place big.Float add allocates.
+	sum, spare *big.Float
+	u, k, prod big.Float // FoldRun's scratch operands
 	// folded counts the vehicles folded; the mean utilisation divides by it.
 	folded int
 }
+
+// utilPrec is the width of the exact utilisation sum, in bits.
+const utilPrec = 1074 + 1024 + 63
 
 // NewMergeFold starts an incremental fleet merge. cfg must describe the
 // whole fleet (total Fleet, the unsharded Workers value, zero
@@ -62,19 +70,18 @@ func newMergeFold(cfg Config) *MergeFold {
 		}
 	}
 	fr.HealthEnabled = cfg.Chaos.Active() || cfg.VerifySample > 0
-	return &MergeFold{fr: fr}
+	m := &MergeFold{fr: fr, sum: new(big.Float).SetPrec(utilPrec), spare: new(big.Float).SetPrec(utilPrec)}
+	m.prod.SetPrec(utilPrec)
+	return m
 }
 
-// Add folds one vehicle report into the fleet aggregates. Call in
-// vehicle-index order for byte-identity with the unsharded run (float
-// summation order).
+// Add folds one vehicle report into the fleet aggregates.
 func (m *MergeFold) Add(v VehicleReport) { m.FoldRun(&v, 1) }
 
-// FoldRun folds n >= 0 consecutive vehicles whose reports equal v but for
-// Index, VIN and Seed, exactly as folding each in turn would: every field
-// but the utilisation is an integer, so its product equals the repeated
-// sum, wraparound included, and the utilisation is added n times in
-// index order.
+// FoldRun folds n >= 0 vehicles whose reports equal v but for Index, VIN
+// and Seed, exactly as folding each in turn would: every field is scaled
+// by n — the integers wrap around as the repeated sum does, and the
+// utilisation's product is exact. v.Utilisation must be finite.
 func (m *MergeFold) FoldRun(v *VehicleReport, n int) {
 	if n == 0 {
 		return
@@ -88,9 +95,9 @@ func (m *MergeFold) FoldRun(v *VehicleReport, n int) {
 	fr.AbortedTx += v.AbortedTx * uint64(n)
 	fr.MACChecks += v.MACChecks * n
 	fr.MACAllowed += v.MACAllowed * n
-	for range n {
-		m.utilSum += v.Utilisation
-	}
+	m.u.SetFloat64(v.Utilisation)
+	m.k.SetInt64(int64(n))
+	m.addUtil(m.prod.Mul(&m.u, &m.k))
 	m.folded += n
 	for gi := range v.Groups {
 		for ri := range v.Groups[gi] {
@@ -99,8 +106,37 @@ func (m *MergeFold) FoldRun(v *VehicleReport, n int) {
 	}
 }
 
-// Finish closes the fold and returns the fleet report. The MergeFold must
-// not be used afterwards.
+// Combine folds o's vehicles into m, as if m had folded each of them. o
+// must come from NewMergeFold over the same Config as m, and must not be
+// used afterwards.
+func (m *MergeFold) Combine(o *MergeFold) {
+	fr, of := m.fr, o.fr
+	fr.Health.Merge(of.Health)
+	fr.FramesDelivered += of.FramesDelivered
+	fr.BusErrors += of.BusErrors
+	fr.WriteBlocked += of.WriteBlocked
+	fr.ReadBlocked += of.ReadBlocked
+	fr.AbortedTx += of.AbortedTx
+	fr.MACChecks += of.MACChecks
+	fr.MACAllowed += of.MACAllowed
+	m.addUtil(o.sum)
+	m.folded += o.folded
+	for gi := range of.Groups {
+		for ri := range of.Groups[gi].Regimes {
+			fr.Groups[gi].Regimes[ri].Summary.Merge(of.Groups[gi].Regimes[ri].Summary)
+		}
+	}
+}
+
+// addUtil adds x to the utilisation sum, exactly.
+func (m *MergeFold) addUtil(x *big.Float) {
+	m.spare.Add(m.sum, x)
+	m.sum, m.spare = m.spare, m.sum
+}
+
+// Finish closes the fold and returns the fleet report, its mean
+// utilisation the exact mean rounded once to the nearest float64. The
+// MergeFold must not be used afterwards.
 func (m *MergeFold) Finish() *FleetReport {
 	fr := m.fr
 	groupRegimes := make([][]attack.RegimeSummary, len(fr.Groups))
@@ -109,7 +145,8 @@ func (m *MergeFold) Finish() *FleetReport {
 	}
 	fr.Attacks = foldGroups(groupRegimes)
 	if m.folded > 0 {
-		fr.MeanUtilisation = m.utilSum / float64(m.folded)
+		mean, _ := m.sum.Rat(nil)
+		fr.MeanUtilisation, _ = mean.Quo(mean, big.NewRat(int64(m.folded), 1)).Float64()
 	}
 	return fr
 }

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"encoding/binary"
 	"math"
+	"math/big"
 	"reflect"
 	"slices"
 	"sync/atomic"
@@ -15,7 +17,7 @@ import (
 // TestMergeFoldMatchesMerge pins the invariant the streaming shard merge
 // rests on: folding Run's listing one vehicle at a time through Add
 // renders byte-identically to the fold Run's sweep made as it released
-// the same vehicles (same float summation order, same group folds, same
+// the same vehicles (the same exact utilisation sum, group folds and
 // health ledger), without the per-vehicle section MergeFold does not keep.
 func TestMergeFoldMatchesMerge(t *testing.T) {
 	cfg := quickConfig(7, 3)
@@ -158,10 +160,11 @@ func cloneMatrix(m [][]attack.RegimeSummary) [][]attack.RegimeSummary {
 }
 
 // naiveFold is the reference the fold must equal: every vehicle's matrix
-// merged on its own, in index order.
+// merged on its own, and the mean utilisation the exact rational mean,
+// rounded once to the nearest float64.
 func naiveFold(cfg Config, vehicles []VehicleReport) *FleetReport {
 	fr := newMergeFold(cfg).fr
-	var utilSum float64
+	utilSum := new(big.Rat)
 	for i := range vehicles {
 		v := &vehicles[i]
 		fr.Health.Merge(v.Health)
@@ -172,7 +175,7 @@ func naiveFold(cfg Config, vehicles []VehicleReport) *FleetReport {
 		fr.AbortedTx += v.AbortedTx
 		fr.MACChecks += v.MACChecks
 		fr.MACAllowed += v.MACAllowed
-		utilSum += v.Utilisation
+		utilSum.Add(utilSum, new(big.Rat).SetFloat64(v.Utilisation))
 		mergeGroups(fr, v.Groups)
 	}
 	regimes := make([][]attack.RegimeSummary, len(fr.Groups))
@@ -181,7 +184,7 @@ func naiveFold(cfg Config, vehicles []VehicleReport) *FleetReport {
 	}
 	fr.Attacks = foldGroups(regimes)
 	if len(vehicles) > 0 {
-		fr.MeanUtilisation = utilSum / float64(len(vehicles))
+		fr.MeanUtilisation, _ = utilSum.Quo(utilSum, big.NewRat(int64(len(vehicles)), 1)).Float64()
 	}
 	return fr
 }
@@ -200,17 +203,29 @@ func mergeGroups(fr *FleetReport, groups [][]attack.RegimeSummary) {
 // counters. The matrices are the shapes a fold meets: one shared (the
 // stamp), equal content in a fresh clone (an executed vehicle), a second
 // shared matrix whose counters wrap around when multiplied, nil Groups,
-// and a partial Groups (a visit that failed in its second group).
-func foldVehicles(data []byte) []VehicleReport {
+// and a partial Groups (a visit that failed in its second group). With
+// raw set, eight more bytes a vehicle give its utilisation's float64 bits;
+// a vehicle whose bits are not finite is skipped.
+func foldVehicles(data []byte, raw bool) []VehicleReport {
 	stamped, other := foldMatrix(1), foldMatrix(math.MaxInt/3)
-	vs := make([]VehicleReport, 0, min(len(data)/2, 512))
-	for i := 0; i+1 < len(data) && len(vs) < 512; i += 2 {
+	size := 2
+	if raw {
+		size += 8
+	}
+	vs := make([]VehicleReport, 0, min(len(data)/size, 512))
+	for i := 0; i+size <= len(data) && len(vs) < 512; i += size {
 		x := data[i+1]
 		v := VehicleReport{
 			Index: len(vs), FramesDelivered: uint64(x) * 40, BusErrors: uint64(x % 3),
 			WriteBlocked: uint64(x % 5), ReadBlocked: uint64(x % 7), AbortedTx: uint64(x % 2),
 			Utilisation: float64(x) * 0.0137, SchedulerSteps: uint64(x), MACChecks: int(x % 4), MACAllowed: int(x % 3),
 			Health: Health{Retries: int(x % 3), Backoff: time.Duration(x) * time.Millisecond, VerifySamples: int(x % 2)},
+		}
+		if raw {
+			v.Utilisation = math.Float64frombits(binary.LittleEndian.Uint64(data[i+2:]))
+			if math.IsNaN(v.Utilisation) || math.IsInf(v.Utilisation, 0) {
+				continue
+			}
 		}
 		switch data[i] % 5 {
 		case 0:
@@ -249,10 +264,35 @@ func countFold(cfg Config, vehicles []VehicleReport) *FleetReport {
 	return m.Finish()
 }
 
-// FuzzMergeFoldRuns checks the fold against the per-vehicle reference on
+// at returns key's byte k, the key read cyclically; 0 for an empty key.
+func at(key []byte, k int) int {
+	if len(key) == 0 {
+		return 0
+	}
+	return int(key[k%len(key)])
+}
+
+// shuffle returns 0 … n-1 permuted by key (a Fisher–Yates shuffle whose
+// draws are key bytes).
+func shuffle(n int, key []byte) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := at(key, i) % (i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
+// FuzzMergeFoldRuns checks the fold against the exact reference on
 // arbitrary sequences of shared, cloned, different, nil and partial
-// matrices with varying counters: the streaming fold and the count fold
-// of every stretch of equal vehicles must each equal it exactly,
+// matrices with varying counters, and, in the raw arm, arbitrary finite
+// utilisations (subnormals and the largest float64 included): the
+// index-order fold, the count fold of every stretch of equal vehicles, a
+// fold of a key-chosen permutation, and key-chosen sub-folds joined by
+// Combine in a key-chosen order must each equal it exactly,
 // MeanUtilisation bits included.
 func FuzzMergeFoldRuns(f *testing.F) {
 	seq := func(kinds ...byte) []byte {
@@ -262,15 +302,29 @@ func FuzzMergeFoldRuns(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(seq(slices.Repeat([]byte{0}, 64)...))                // stamped
-	f.Add(seq(0, 0, 2, 2, 0, 3, 4, 1, 0, 0, 2, 3, 3, 0, 4, 4)) // heterogeneous
-	f.Add(seq(slices.Repeat([]byte{1}, 32)...))                // all distinct
+	raw := func(us ...float64) []byte {
+		var b []byte
+		for i, u := range us {
+			b = binary.LittleEndian.AppendUint64(append(b, byte(i), byte(31*i+7)), math.Float64bits(u))
+		}
+		return b
+	}
+	// The key deals the vehicles into four sub-folds, one left empty.
+	key := []byte{7, 200, 3, 91, 18, 255, 42}
+	f.Add(seq(slices.Repeat([]byte{0}, 64)...), key, false)                // stamped
+	f.Add(seq(0, 0, 2, 2, 0, 3, 4, 1, 0, 0, 2, 3, 3, 0, 4, 4), key, false) // heterogeneous
+	f.Add(seq(slices.Repeat([]byte{1}, 32)...), []byte{}, false)           // all distinct
 	// Repeated identical pairs: stretches of equal vehicles to collapse.
 	f.Add(slices.Concat(
 		slices.Repeat([]byte{0, 9}, 40), slices.Repeat([]byte{1, 9}, 3), slices.Repeat([]byte{2, 200}, 17),
-		[]byte{3, 1, 3, 1}, slices.Repeat([]byte{4, 5}, 6), []byte{0, 8}, slices.Repeat([]byte{0, 9}, 5)))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		vehicles := foldVehicles(data)
+		[]byte{3, 1, 3, 1}, slices.Repeat([]byte{4, 5}, 6), []byte{0, 8}, slices.Repeat([]byte{0, 9}, 5)), key, false)
+	// The utilisation's extremes: subnormals, zero, one and the largest
+	// finite float64, whose sum spans the fold's whole width.
+	f.Add(raw(math.SmallestNonzeroFloat64, 0, 1, math.MaxFloat64, math.Float64frombits(0x000f_ffff_ffff_ffff),
+		math.MaxFloat64, math.SmallestNonzeroFloat64, 0.3, math.Copysign(0, -1), 1), key, true)
+	f.Add(raw(math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 1, -1), []byte{1, 2, 3}, true)
+	f.Fuzz(func(t *testing.T, data, key []byte, raw bool) {
+		vehicles := foldVehicles(data, raw)
 		cfg := foldConfig(len(vehicles))
 		if err := cfg.applyDefaults(); err != nil {
 			t.Fatal(err)
@@ -284,10 +338,81 @@ func FuzzMergeFoldRuns(f *testing.F) {
 			fold.Add(v)
 		}
 		if got := fold.Finish(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("MergeFold differs from the per-vehicle fold:\ngot:  %+v\nwant: %+v", got, want)
+			t.Fatalf("index-order fold differs from the exact fold:\ngot:  %+v\nwant: %+v", got, want)
 		}
 		if got := countFold(cfg, vehicles); !reflect.DeepEqual(got, want) {
-			t.Fatalf("count fold differs from the per-vehicle fold:\ngot:  %+v\nwant: %+v", got, want)
+			t.Fatalf("count fold differs from the exact fold:\ngot:  %+v\nwant: %+v", got, want)
+		}
+		perm := shuffle(len(vehicles), key)
+		permuted := newMergeFold(cfg)
+		for _, i := range perm {
+			permuted.Add(vehicles[i])
+		}
+		if got := permuted.Finish(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("fold of permutation %v differs from the exact fold:\ngot:  %+v\nwant: %+v", perm, got, want)
+		}
+		// Deal the permuted vehicles into up to four sub-folds by the key,
+		// then join them in an order the key picks too.
+		parts := make([]*MergeFold, 1+len(key)%4)
+		for i := range parts {
+			parts[i] = newMergeFold(cfg)
+		}
+		for k, i := range perm {
+			parts[at(key, k)/7%len(parts)].Add(vehicles[i])
+		}
+		order := shuffle(len(parts), key[len(key)/2:])
+		joined := parts[order[0]]
+		for _, i := range order[1:] {
+			joined.Combine(parts[i])
+		}
+		if got := joined.Finish(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("sub-folds joined in order %v differ from the exact fold:\ngot:  %+v\nwant: %+v", order, got, want)
 		}
 	})
+}
+
+// TestMergeFoldExactAtBound: the utilisation sum spans the widest range
+// the fold admits — the largest finite float64 times a count just below
+// 2^63, plus the smallest subnormal — without rounding, and Finish rounds
+// the exact mean once.
+func TestMergeFoldExactAtBound(t *testing.T) {
+	cfg := foldConfig(1)
+	if err := cfg.applyDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	huge := VehicleReport{Utilisation: math.MaxFloat64}
+	tiny := VehicleReport{Utilisation: math.SmallestNonzeroFloat64}
+	m := newMergeFold(cfg)
+	m.Add(tiny)
+	m.FoldRun(&huge, math.MaxInt64-1)
+	want := new(big.Rat).SetFloat64(math.MaxFloat64)
+	want.Mul(want, big.NewRat(math.MaxInt64-1, 1))
+	want.Add(want, new(big.Rat).SetFloat64(math.SmallestNonzeroFloat64))
+	if got, _ := m.sum.Rat(nil); got.Cmp(want) != 0 {
+		t.Fatalf("utilisation sum rounded: %s, want %s", m.sum.Text('g', 20), want.FloatString(0))
+	}
+	mean, _ := want.Quo(want, big.NewRat(math.MaxInt64, 1)).Float64()
+	if got := m.Finish().MeanUtilisation; got != mean {
+		t.Errorf("MeanUtilisation = %v, want %v", got, mean)
+	}
+}
+
+// TestFoldRunAllocatesNothing: a warm fold allocates nothing per run or
+// vehicle — the exact sum adds into a spare it keeps and swaps, never into
+// a fresh operand.
+func TestFoldRunAllocatesNothing(t *testing.T) {
+	cfg := foldConfig(1)
+	if err := cfg.applyDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	m := newMergeFold(cfg)
+	v := VehicleReport{Groups: foldMatrix(1), FramesDelivered: 40, Utilisation: 0.5267, Health: Health{Retries: 1}}
+	m.FoldRun(&v, 3)
+	m.Add(v)
+	if n := testing.AllocsPerRun(100, func() {
+		m.FoldRun(&v, 99999)
+		m.Add(v)
+	}); n != 0 {
+		t.Errorf("warm FoldRun and Add allocate %v times a call, want 0", n)
+	}
 }

@@ -7,18 +7,18 @@
 // supervision coordinate (chaos fault rolls, verify sampling) keys on it
 // too. Sharding therefore only has to preserve the index space. A shard is
 // a contiguous range [Start, Start+Count) of global vehicle indices run as
-// an independent engine sweep with Config.IndexOffset = Start; the merge
-// folds shard vehicle reports in range order through engine.MergeFold —
-// the same fold the unsharded run applies, in the same order, so the
-// merged report is byte-identical to the unsharded oracle (float summation
-// order included, Health ledgers summed per class).
+// an independent engine sweep with Config.IndexOffset = Start. Each range
+// folds into an engine.MergeFold of its own as its vehicles arrive, and the
+// driver combines the folds once every range has finished. The fold does
+// not depend on order (its utilisation sum is exact), so the merged report
+// is byte-identical to the unsharded oracle whichever range ends first.
 //
 // Vehicles travel as runs from the engine to the fold: a run is a vehicle
 // report standing for itself and the vehicles after it that differ from
 // it only in VIN and seed (engine.Aggregate). A fully stamped range is two
 // runs, its first vehicle and the rest, and the driver folds each run in
 // one step (engine.MergeFold.FoldRun). An in-process shard is an
-// engine.Aggregate over its range whose runs fold straight into the merge
+// engine.Aggregate over its range whose runs fold straight into its fold
 // as they are emitted. A spawned shard's outcome arrives as a Stream over
 // the binary frame protocol in the nested wire package — compact,
 // CRC-guarded, one frame per run, streamed as the child's vehicles
@@ -34,10 +34,8 @@
 // layers of parallelism only adds scheduler noise. The Spawn hook is where
 // real scale-out happens: carsim -shards N -shard-exec re-invokes itself
 // once per range and streams each child's stdout, Config.Parallelism keeps
-// up to that many children running at once while the merge still consumes
-// shards strictly in range order (a bounded per-shard reorder window), and
-// the same hook shape would drive genuinely remote shard hosts. See
-// DESIGN.md §13–14.
+// up to that many children running at once, and the same hook shape would
+// drive genuinely remote shard hosts. See DESIGN.md §13–14.
 package shard
 
 import (
@@ -47,7 +45,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/shard/wire"
@@ -135,10 +133,9 @@ func Ranges(total, n int) []Range {
 // the shard is done; Trailer (valid only after io.EOF) returns the range
 // echo the driver asserts against and the shard's sweep error text (""
 // on success); Close releases transport resources (for a subprocess
-// shard, reaps the child). A report Next returns must stay unchanged after
-// later calls: the fan-out parks a window of them by pointer. The driver
-// stops reading a stream once it has carried more vehicles than its range
-// holds, and closes it without reading the trailer.
+// shard, reaps the child). The driver stops reading a stream once it has
+// carried more vehicles than its range holds, or a vehicle out of its
+// place, and closes it without reading the trailer.
 //
 // The stream NewWireStream returns also yields whole runs, and the driver
 // moves those instead of single vehicles (runStream). Any other Stream —
@@ -208,19 +205,31 @@ func rangeConfig(cfg engine.Config, r Range) engine.Config {
 	return cfg
 }
 
-// merge is the driver's one fold step: every run, from an in-process
-// shard's emitter or a spawned shard's stream, folds through add, in range
-// order. It enforces the range contract — only the first r.Count vehicles
-// a range's stream carries fold — and, for Run, lists the folded vehicles.
+// merge is one range's fold step: every run of range r, from an
+// in-process shard's emitter or a spawned shard's stream, folds through
+// add into the range's own fold. It enforces the range contract — each
+// run heads at the range's next index, and only the first r.Count
+// vehicles fold — and, for Run, lists the folded vehicles into the
+// range's window of the listing.
 type merge struct {
+	r    Range
 	fold *engine.MergeFold
 	root uint64 // Groups[0].RootSeed: a run's seeds derive from it
-	list bool
-	// vehicles is Run's listing: every folded vehicle, its runs expanded.
+	// vehicles is the range's window of Run's listing (nil for Aggregate):
+	// its folded vehicles, runs expanded, in a slice of capacity r.Count.
 	vehicles []engine.VehicleReport
-	r        Range
 	// carried counts the vehicles r's stream has carried so far (carry).
 	carried int
+	// misplaced is set once a run did not head at the range's next
+	// index; the range folds nothing after it.
+	misplaced bool
+	// errs records the range's failures as they surface.
+	errs []error
+}
+
+// fail records a failure against the range.
+func (m *merge) fail(format string, a ...any) {
+	m.errs = append(m.errs, fmt.Errorf("shard %s: "+format, append([]any{m.r}, a...)...))
 }
 
 // carry adds a run of n vehicles to a count of vehicles carried,
@@ -232,34 +241,78 @@ func carry(carried, n int) int {
 	return carried + n
 }
 
-// start begins folding range r.
-func (m *merge) start(r Range) { m.r, m.carried = r, 0 }
-
 // add folds the run of n vehicles v heads. A run that carries the range's
 // stream past r.Count folds only its in-range prefix; the overcount is
 // counted, not iterated, so a run frame claiming any count costs O(1)
-// beyond the vehicles the range holds.
+// beyond the vehicles the range holds. A run that does not head at the
+// range's next index folds nothing and is recorded.
 func (m *merge) add(v *engine.VehicleReport, n int) {
+	if m.misplaced {
+		return
+	}
+	if want := m.r.Start + m.carried; v.Index != want {
+		m.misplaced = true
+		m.fail("stream carried vehicle %d where %d was due", v.Index, want)
+		return
+	}
 	if k := min(n, m.r.Count-m.carried); k > 0 {
 		m.fold.FoldRun(v, k)
-		if m.list {
+		if m.vehicles != nil {
 			m.vehicles = engine.AppendRun(m.vehicles, v, k, m.root)
 		}
 	}
 	m.carried = carry(m.carried, n)
 }
 
-// runLocal executes one shard in this process and folds its runs straight
-// into the merge as they are emitted. A sweep error is recorded against
-// the range while the vehicles that completed still merge — the
-// partial-report contract engine.Run keeps, and a spawned shard's trailer
-// carries.
-func runLocal(m *merge, cfg engine.Config, r Range) error {
-	m.start(r)
-	if _, err := engine.Aggregate(rangeConfig(cfg, r), m.add); err != nil {
-		return fmt.Errorf("shard %s: %w", r, err)
+// read spawns the range and folds its stream's runs as they are decoded.
+// Reading stops once the stream has carried a vehicle out of place or more
+// than r.Count vehicles: the run that overran still folds its in-range
+// prefix, and the rest of the stream, trailer included, is never read —
+// a stream read vehicle by vehicle (runsOf) would otherwise expand a run
+// frame claiming 2^40 vehicles one at a time. A stream that ends must
+// echo r in its trailer, and a trailer error text is recorded like a
+// sweep failure. Every anomaly is recorded, never fatal: the other ranges
+// still merge.
+func (m *merge) read(spawn Spawn) {
+	st, err := spawn(m.r)
+	if err != nil {
+		m.fail("%w", err)
+		return
 	}
-	return nil
+	next := runsOf(st)
+	for !m.misplaced && m.carried <= m.r.Count {
+		v, n, err := next()
+		if err == io.EOF {
+			m.trailer(st)
+			break
+		}
+		if err != nil {
+			m.fail("%w", err)
+			break
+		}
+		m.add(v, n)
+	}
+	if m.carried > m.r.Count {
+		m.fail("stream carried %d vehicles", m.carried)
+	}
+	if err := st.Close(); err != nil {
+		m.fail("close: %w", err)
+	}
+}
+
+// trailer checks an ended stream's trailer: the echo and the error text.
+func (m *merge) trailer(st Stream) {
+	tr, errText, err := st.Trailer()
+	if err != nil {
+		m.fail("trailer: %w", err)
+		return
+	}
+	if tr != m.r {
+		m.fail("stream covers %s", tr)
+	}
+	if errText != "" {
+		m.fail("%s", errText)
+	}
 }
 
 // RunRangeWire executes one shard in this process and emits the binary
@@ -302,16 +355,6 @@ func RunRangeWire(cfg engine.Config, r Range, out io.Writer) error {
 // error.
 type Spawn func(r Range) (Stream, error)
 
-// defaultWindow bounds each in-flight shard's decoded-but-unmerged runs
-// under concurrent fan-out. A run is one decoded report standing for any
-// number of vehicles — a stamped child's whole range is two — and a Stream
-// without runs parks one vehicle per run. The slots hold the decoded
-// reports by pointer, so total parent-side reorder memory is
-// ≤ Parallelism × defaultWindow decoded reports beyond the merged report
-// itself — each a report and its VIN when its stream repeats the previous
-// frame's matrix, whose one decoded copy the stream's reports share.
-const defaultWindow = 256
-
 // Config parameterises a sharded sweep.
 type Config struct {
 	// Engine is the WHOLE-fleet run configuration (total Fleet, the
@@ -324,23 +367,22 @@ type Config struct {
 	// ranges in this process, sequentially.
 	Spawn Spawn
 	// Parallelism bounds how many spawned shards run concurrently
-	// (default 1: shard i+1 spawns once shard i has merged). The merge
-	// still consumes shards strictly in range order — a shard that
-	// finishes early parks at most defaultWindow (256) runs until its
-	// turn. Ignored without Spawn: in-process shards are already parallel
-	// across Engine.Workers.
+	// (default 1: shard i+1 spawns once shard i's stream has closed); a
+	// shard that finishes early waits for no other. Ignored without Spawn:
+	// in-process shards are already parallel across Engine.Workers.
 	Parallelism int
 }
 
 // Run executes the sharded sweep and merges shard outcomes
-// deterministically in range order. The merged report is byte-identical
-// to the unsharded engine.Run for every shard count and parallelism level,
-// with or without the spawn hook, vehicle listing included: the
-// per-vehicle reports are pure functions of global indices, and the merge
-// is the engine's own fold over the same vehicle order. Like engine.Run, a
-// failing shard — a sweep error, a spawn error, a corrupt stream, a sweep
-// error in the trailer — is recorded and the remaining ranges still merge:
-// Run returns the merged partial report alongside the joined error.
+// deterministically. The merged report is byte-identical to the unsharded
+// engine.Run for every shard count and parallelism level, with or without
+// the spawn hook, vehicle listing included: the per-vehicle reports are
+// pure functions of global indices, the fold is the engine's own and does
+// not depend on order, and the listing keeps range order. Like engine.Run,
+// a failing shard — a sweep error, a spawn error, a corrupt stream, a
+// sweep error in the trailer — is recorded and the remaining ranges still
+// merge: Run returns the merged partial report alongside the error,
+// joined in range order.
 func Run(cfg Config) (*engine.FleetReport, error) { return sweep(cfg, true) }
 
 // Aggregate runs exactly the sweep Run runs and returns the same report
@@ -358,147 +400,61 @@ func sweep(cfg Config, list bool) (*engine.FleetReport, error) {
 	if ec.IndexOffset != 0 {
 		return nil, errors.New("shard: Engine.IndexOffset must be zero (the driver owns the index space)")
 	}
-	fold, err := engine.NewMergeFold(ec)
-	if err != nil {
-		return nil, err
-	}
-	m := &merge{fold: fold, root: ec.Groups[0].RootSeed, list: list}
+	// Ranges list into disjoint windows of one Fleet-sized listing.
+	var vehicles []engine.VehicleReport
 	if list {
-		m.vehicles = make([]engine.VehicleReport, 0, ec.Fleet)
+		vehicles = make([]engine.VehicleReport, 0, ec.Fleet)
 	}
 	ranges := Ranges(ec.Fleet, cfg.Shards)
-	var errs []error
-	if cfg.Spawn != nil {
-		errs = runParallel(ranges, cfg, m)
-	} else {
-		for _, r := range ranges {
-			errs = append(errs, runLocal(m, ec, r)) // errors.Join drops nil
-		}
-	}
-	fr := fold.Finish()
-	fr.Vehicles = m.vehicles
-	return fr, errors.Join(errs...)
-}
-
-// drain folds one slot's runs into the merge, enforcing the range
-// contract: at most r.Count vehicles are folded, a stream that carried
-// more is recorded (its producer stopped reading it there, so it has no
-// trailer to check), the trailer must echo r, and a trailer error text is
-// recorded like a sweep failure. Every anomaly is recorded, never fatal —
-// the caller keeps merging other shards.
-func (m *merge) drain(s *slot, r Range) []error {
-	m.start(r)
-	for run := range s.ch {
-		m.add(run.v, run.n)
-	}
-	var errs []error
-	switch {
-	case s.streamErr != nil:
-		errs = append(errs, fmt.Errorf("shard %s: %w", r, s.streamErr))
-	case m.carried > r.Count:
-		errs = append(errs, fmt.Errorf("shard %s: stream carried %d vehicles", r, m.carried))
-	case s.trailerEr != nil:
-		errs = append(errs, fmt.Errorf("shard %s: trailer: %w", r, s.trailerEr))
-	default:
-		if s.trailer != r {
-			errs = append(errs, fmt.Errorf("shard %s: stream covers %s", r, s.trailer))
-		}
-		if s.errText != "" {
-			errs = append(errs, fmt.Errorf("shard %s: %s", r, s.errText))
-		}
-	}
-	if s.closeErr != nil {
-		errs = append(errs, fmt.Errorf("shard %s: close: %w", r, s.closeErr))
-	}
-	return errs
-}
-
-// run is one decoded run in a slot: v and the n-1 vehicles after it.
-type run struct {
-	v *engine.VehicleReport
-	n int
-}
-
-// slot is one range's reorder buffer under concurrent fan-out: the
-// producer (a fan-out worker) pumps the shard's runs into ch and records
-// the trailer; the merger drains slots strictly in range order. All
-// non-channel fields are written before close(ch) and read only after the
-// drain loop observes the close, so the close is the happens-before edge.
-type slot struct {
-	ch        chan run
-	streamErr error // spawn or stream failure; surfaces after buffered runs
-	trailer   Range
-	errText   string
-	trailerEr error
-	closeErr  error
-}
-
-// runParallel fans spawned shards out across a bounded worker group while
-// the merge consumes them strictly in range order. Memory stays bounded:
-// a semaphore released only when the merger finishes a shard caps the
-// claimed-but-unmerged shards at the parallelism level, and each of those
-// parks at most defaultWindow decoded runs in its slot channel — a shard
-// that outpaces the merge cursor blocks on its full window, it does not
-// buffer. Claims come off an atomic cursor, so the outstanding set is
-// always the contiguous window just ahead of the merge cursor and the
-// shard the merger waits on always has a running producer (no deadlock).
-// At parallelism 1 this is the sequential layout: one producer, which
-// spawns shard i+1 only after the merger has finished shard i.
-func runParallel(ranges []Range, cfg Config, m *merge) []error {
-	par := min(max(cfg.Parallelism, 1), len(ranges))
-	slots := make([]*slot, len(ranges))
+	merges := make([]*merge, len(ranges))
 	for i, r := range ranges {
-		slots[i] = &slot{ch: make(chan run, min(defaultWindow, r.Count))}
+		fold, err := engine.NewMergeFold(ec)
+		if err != nil {
+			return nil, err
+		}
+		merges[i] = &merge{r: r, fold: fold, root: ec.Groups[0].RootSeed}
+		if list {
+			merges[i].vehicles = vehicles[r.Start : r.Start : r.Start+r.Count]
+		}
 	}
-	sem := make(chan struct{}, par)
-	var next atomic.Int64
-	for w := 0; w < par; w++ {
-		go func() {
-			for {
-				sem <- struct{}{} // merger receives once the shard is merged
-				i := int(next.Add(1)) - 1
-				if i >= len(ranges) {
-					<-sem // return the unused token
-					return
-				}
-				produce(slots[i], ranges[i], cfg.Spawn)
+	// In-process ranges run one after another, each folding its runs as
+	// engine.Aggregate emits them; a sweep error is recorded against the
+	// range while its completed vehicles still merge, as a spawned shard's
+	// trailer carries it. Spawned ranges are read and folded on goroutines
+	// of their own, at most Parallelism at once: at 1, range i+1 spawns
+	// after range i's stream has closed.
+	sem := make(chan struct{}, max(cfg.Parallelism, 1))
+	var wg sync.WaitGroup
+	for _, m := range merges {
+		if cfg.Spawn == nil {
+			if _, err := engine.Aggregate(rangeConfig(ec, m.r), m.add); err != nil {
+				m.fail("%w", err)
 			}
+			continue
+		}
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			m.read(cfg.Spawn)
 		}()
 	}
+	wg.Wait()
+	fold, listed := merges[0].fold, vehicles[:0]
 	var errs []error
-	for i, r := range ranges {
-		errs = append(errs, m.drain(slots[i], r)...)
-		<-sem
-	}
-	return errs
-}
-
-// produce runs one spawned shard and pumps its stream's runs into the
-// slot. It stops reading once the stream has carried more than r.Count
-// vehicles: the run that overran goes into the slot, so the merge records
-// the overcount, and the rest of the stream, trailer included, is never
-// read. A stream read vehicle by vehicle (runsOf) would otherwise expand a
-// run frame claiming 2^40 vehicles one at a time.
-func produce(s *slot, r Range, spawn Spawn) {
-	defer close(s.ch)
-	st, err := spawn(r)
-	if err != nil {
-		s.streamErr = err
-		return
-	}
-	next := runsOf(st)
-	for carried := 0; carried <= r.Count; {
-		v, n, err := next()
-		if err == io.EOF {
-			s.trailer, s.errText, s.trailerEr = st.Trailer()
-			break
+	for i, m := range merges {
+		if i > 0 {
+			fold.Combine(m.fold)
 		}
-		if err != nil {
-			s.streamErr = err
-			break
+		// A range's window is in place unless a range before it fell short.
+		if len(listed) == m.r.Start {
+			listed = listed[:m.r.Start+len(m.vehicles)]
+		} else {
+			listed = append(listed, m.vehicles...)
 		}
-		s.ch <- run{v, n}
-		carried = carry(carried, n)
+		errs = append(errs, m.errs...)
 	}
-	s.closeErr = st.Close()
+	fr := fold.Finish()
+	fr.Vehicles = listed
+	return fr, errors.Join(errs...)
 }

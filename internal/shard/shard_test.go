@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -249,28 +251,137 @@ func TestBinaryWireStreamByteIdentical(t *testing.T) {
 	}
 }
 
+// gatedStream is a Stream whose first Next waits for gate: a child that
+// finishes after the ones spawned later.
+type gatedStream struct {
+	Stream
+	gate *sync.WaitGroup
+	once sync.Once
+}
+
+func (s *gatedStream) Next() (*engine.VehicleReport, error) {
+	s.once.Do(s.gate.Wait)
+	return s.Stream.Next()
+}
+
+// closeHook is a Stream that calls hook once closed.
+type closeHook struct {
+	Stream
+	hook func()
+}
+
+func (s *closeHook) Close() error {
+	defer s.hook()
+	return s.Stream.Close()
+}
+
 // TestParallelFanOutByteIdentical pins the concurrent-driver contract:
-// whatever the parallelism level, shards merge strictly in range order and
-// the report does not move a byte. Each range's child writes a frame per
-// vehicle, more than the reorder window holds, so every ahead-of-cursor
-// producer blocks on its full window, the harshest reorder schedule.
+// ranges may finish in any order and the report does not move a byte. At
+// parallelism 4, range 0's stream blocks until ranges 1–3 have closed, so
+// the first range in range order is the last to finish. Each child writes
+// a frame per vehicle, 300 a range, so ranges 1–3 finish only if nothing
+// holds their vehicles back for range 0.
 func TestParallelFanOutByteIdentical(t *testing.T) {
-	cfg := smallCfg(4 * (defaultWindow + 44)) // 300 vehicles a range
+	cfg := smallCfg(4 * 300)
 	oracle, err := engine.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := oracle.String()
-	spawn := func(r Range) (Stream, error) {
-		return fakeChild(t, oracle.Vehicles[r.Start:r.Start+r.Count], wire.Trailer{Start: r.Start, Count: r.Count}), nil
-	}
-	for _, par := range []int{2, 4, 16} {
-		got, err := Run(Config{Engine: cfg, Shards: 4, Spawn: spawn, Parallelism: par})
-		if err != nil {
-			t.Fatalf("parallelism=%d: %v", par, err)
+	for _, par := range []int{4, 16} {
+		var later sync.WaitGroup
+		later.Add(3)
+		streams := map[int]Stream{}
+		for _, r := range Ranges(cfg.Fleet, 4) {
+			st := fakeChild(t, oracle.Vehicles[r.Start:r.Start+r.Count], wire.Trailer{Start: r.Start, Count: r.Count})
+			if r.Start == 0 {
+				streams[r.Start] = &gatedStream{Stream: st, gate: &later}
+			} else {
+				streams[r.Start] = &closeHook{Stream: st, hook: later.Done}
+			}
+		}
+		spawn := func(r Range) (Stream, error) { return streams[r.Start], nil }
+		done := make(chan error, 1)
+		var got *engine.FleetReport
+		go func() {
+			var err error
+			got, err = Run(Config{Engine: cfg, Shards: 4, Spawn: spawn, Parallelism: par})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("parallelism=%d: %v", par, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("parallelism=%d: range 0 still waiting for ranges 1-3 after 30 s", par)
 		}
 		if got.String() != want {
-			t.Errorf("parallelism=%d: merged report diverged from oracle", par)
+			t.Errorf("parallelism=%d: merged report diverged from oracle\n--- oracle\n%s\n--- sharded\n%s", par, want, got.String())
+		}
+	}
+}
+
+// TestMisplacedRunRecorded pins the index check: a child that sends
+// another range's vehicles under an honest trailer is recorded, its range
+// folds and lists nothing, and the other range still merges.
+func TestMisplacedRunRecorded(t *testing.T) {
+	cfg := smallCfg(8)
+	oracle, err := engine.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := map[int]Stream{}
+	for _, r := range Ranges(cfg.Fleet, 2) {
+		vs := oracle.Vehicles[r.Start : r.Start+r.Count]
+		if r.Start == 4 {
+			vs = oracle.Vehicles[:4] // range 0's vehicles in range 1's stream
+		}
+		streams[r.Start] = fakeChild(t, vs, wire.Trailer{Start: r.Start, Count: r.Count})
+	}
+	got, err := Run(Config{Engine: cfg, Shards: 2, Spawn: func(r Range) (Stream, error) { return streams[r.Start], nil }})
+	if err == nil || !strings.Contains(err.Error(), "shard 4:4: stream carried vehicle 0 where 4 was due") {
+		t.Fatalf("misplaced vehicles not recorded: %v", err)
+	}
+	if got == nil || len(got.Vehicles) != 4 {
+		t.Fatalf("merged report lists %d vehicles, want range 0's 4", len(got.Vehicles))
+	}
+	for i, v := range got.Vehicles {
+		if v.Index != i {
+			t.Errorf("listed vehicle %d has index %d", i, v.Index)
+		}
+	}
+	first := fakeChild(t, oracle.Vehicles[:4], wire.Trailer{Count: 4})
+	want, err := Run(Config{Engine: cfg, Shards: 2, Spawn: func(r Range) (Stream, error) {
+		if r.Start == 4 {
+			return nil, errors.New("no child")
+		}
+		return first, nil
+	}})
+	if err == nil || got.String() != want.String() {
+		t.Errorf("the misplaced range folded something\n--- range 0 alone\n%s\n--- got\n%s", want.String(), got.String())
+	}
+}
+
+// TestStackFailureListsIdentities: an in-process range whose vehicle
+// stacks cannot be built still emits every vehicle under its own index,
+// so the driver records the sweep error and lists the range in place.
+func TestStackFailureListsIdentities(t *testing.T) {
+	cfg := smallCfg(4)
+	cfg.Harness = &attack.Harness{} // no enforcer: every arena fails to build
+	got, err := Run(Config{Engine: cfg, Shards: 2})
+	if err == nil || !strings.Contains(err.Error(), "shard 2:2: ") {
+		t.Fatalf("stack failure not recorded against its range: %v", err)
+	}
+	if strings.Contains(err.Error(), "was due") {
+		t.Errorf("stack-failure vehicles were taken for misplaced ones: %v", err)
+	}
+	if got == nil || len(got.Vehicles) != 4 {
+		t.Fatalf("merged report lists %d vehicles, want 4", len(got.Vehicles))
+	}
+	for i, v := range got.Vehicles {
+		if v.Index != i || v.VIN != engine.VIN(i) || v.Seed != engine.VehicleSeed(cfg.Groups[0].RootSeed, i) {
+			t.Errorf("listed vehicle %d is %d %s %#x", i, v.Index, v.VIN, v.Seed)
 		}
 	}
 }
@@ -586,5 +697,27 @@ func TestCorruptWireStreamRecorded(t *testing.T) {
 	}
 	if got == nil || len(got.Vehicles) < 2 {
 		t.Fatalf("healthy shard's vehicles were dropped: %+v", got)
+	}
+}
+
+// TestNonFiniteUtilisationRecorded: a CRC-valid child stream carrying a
+// NaN utilisation is recorded as corruption against its range, and the
+// other range still merges; the parent's exact fold never sees the NaN.
+func TestNonFiniteUtilisationRecorded(t *testing.T) {
+	cfg := smallCfg(4)
+	streams := map[int]Stream{}
+	for _, r := range Ranges(cfg.Fleet, 2) {
+		vs := rangeVehicles(t, cfg, r)
+		if r.Start == 2 {
+			vs[1].Utilisation = math.NaN()
+		}
+		streams[r.Start] = fakeChild(t, vs, wire.Trailer{Start: r.Start, Count: r.Count})
+	}
+	got, err := Run(Config{Engine: cfg, Shards: 2, Spawn: func(r Range) (Stream, error) { return streams[r.Start], nil }})
+	if !errors.Is(err, wire.ErrFrameChecksum) || !strings.Contains(err.Error(), "shard 2:2: ") {
+		t.Fatalf("NaN utilisation not recorded against its range: %v", err)
+	}
+	if got == nil || len(got.Vehicles) != 3 || math.IsNaN(got.MeanUtilisation) {
+		t.Fatalf("merged report: %+v", got)
 	}
 }

@@ -703,7 +703,10 @@ func decodeVehicle(d *dec, v *engine.VehicleReport, last *matrix) (n int, root u
 	v.WriteBlocked = d.uint()
 	v.ReadBlocked = d.uint()
 	v.AbortedTx = d.uint()
-	v.Utilisation = d.float()
+	// The fleet fold sums utilisations exactly, so only finite ones pass.
+	if v.Utilisation = d.float(); math.IsNaN(v.Utilisation) || math.IsInf(v.Utilisation, 0) {
+		d.err = fmt.Errorf("%w: utilisation %v is not finite", ErrFrameChecksum, v.Utilisation)
+	}
 	v.SchedulerSteps = d.uint()
 	v.MACChecks = d.int()
 	v.MACAllowed = d.int()

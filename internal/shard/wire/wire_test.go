@@ -280,6 +280,23 @@ func TestDecodeVehiclePayloadRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
+// TestNonFiniteUtilisationRejected: a vehicle whose utilisation is NaN or
+// infinite is corruption, whether it arrives in a CRC-valid stream frame
+// or as a lone payload — the fleet fold sums only finite values.
+func TestNonFiniteUtilisationRejected(t *testing.T) {
+	v := realVehicles(t, 1)[0]
+	for _, u := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		v.Utilisation = u
+		vs := []engine.VehicleReport{v}
+		if _, _, err := drainStream(encodeStream(t, vs, wire.Trailer{Count: 1})); !errors.Is(err, wire.ErrFrameChecksum) {
+			t.Errorf("utilisation %v: stream err = %v, want ErrFrameChecksum", u, err)
+		}
+		if _, err := wire.DecodeVehiclePayload(wire.AppendVehicle(nil, &vs[0])); !errors.Is(err, wire.ErrFrameChecksum) {
+			t.Errorf("utilisation %v: payload err = %v, want ErrFrameChecksum", u, err)
+		}
+	}
+}
+
 // headerLen is the wire header size: 4 magic bytes + a single-byte uvarint
 // version.
 const headerLen = 5
