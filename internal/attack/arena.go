@@ -30,8 +30,8 @@ type Arena struct {
 }
 
 // NewArena builds the reusable vehicle stack: the car topology and one
-// single-owner policy engine per node, each with the harness's compiled
-// policy installed.
+// policy engine per node, each with the harness's compiled policy
+// installed.
 func (h *Harness) NewArena() (*Arena, error) {
 	c, err := car.New(car.Config{Seed: h.Seed})
 	if err != nil {
@@ -47,7 +47,6 @@ func (h *Harness) NewArena() (*Arena, error) {
 	nodes := make([]*canbus.Node, len(car.AllNodes))
 	for i, name := range car.AllNodes {
 		eng := hpe.New(name, c, h.Cycles)
-		eng.SetSingleOwner(true)
 		if err := eng.InstallEnforcer(h.Enforcer); err != nil {
 			return nil, err
 		}

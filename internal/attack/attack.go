@@ -348,14 +348,9 @@ func (r unlockInMotion) Decide(dir canbus.Direction, f canbus.Frame, _ time.Dura
 
 // newBehaviourGuard wraps one node's identifier engine in the default
 // behavioural rule set, clocked by the car's scheduler. The fresh path
-// builds guards per run; the Arena builds them once and resets them. Both
-// paths drive the guard from exactly one goroutine (the harness, like the
-// simulation substrate it wraps, is single-owner), so the guard runs in
-// single-owner mode — its per-decision locking and rules snapshot were the
-// dominant allocation site of whole campaign sweeps.
+// builds guards per run; the Arena builds them once and resets them.
 func newBehaviourGuard(c *car.Car, base canbus.InlineFilter) *behaviour.Engine {
 	g := behaviour.New(base, c.Scheduler().Now)
-	g.SetSingleOwner(true)
 	if err := g.AddRule(&behaviour.RateLimit{
 		Label:        "write-budget",
 		Direction:    canbus.Write,

@@ -2,7 +2,6 @@ package attack
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/canbus"
@@ -122,18 +121,11 @@ func (h *Harness) MeasureLatency(cfg LatencyConfig) ([]LatencyStats, error) {
 		return nil, err
 	}
 
-	type pending struct {
-		mu    sync.Mutex
-		times []time.Duration // queue timestamps awaiting delivery, FIFO
-	}
-	byID := map[uint32]*pending{}
+	// queued holds each class's queue timestamps awaiting delivery, FIFO.
+	// The handler and the traffic events both run on the car's goroutine.
+	queued := map[uint32][]time.Duration{}
 	stats := make([]LatencyStats, len(cfg.Classes))
-	var totals []struct {
-		sum time.Duration
-		n   int
-		max time.Duration
-	}
-	totals = make([]struct {
+	totals := make([]struct {
 		sum time.Duration
 		n   int
 		max time.Duration
@@ -141,29 +133,22 @@ func (h *Harness) MeasureLatency(cfg LatencyConfig) ([]LatencyStats, error) {
 	idToIdx := map[uint32]int{}
 	for i, tc := range cfg.Classes {
 		stats[i].Class = tc.Name
-		byID[tc.ID] = &pending{}
 		idToIdx[tc.ID] = i
 	}
 
 	monitor.Controller().SetHandler(func(f canbus.Frame) {
-		p, ok := byID[f.ID]
-		if !ok {
+		idx, ok := idToIdx[f.ID]
+		times := queued[f.ID]
+		if !ok || len(times) == 0 {
 			return
 		}
-		now := c.Scheduler().Now()
-		p.mu.Lock()
-		if len(p.times) > 0 {
-			sent := p.times[0]
-			p.times = p.times[1:]
-			idx := idToIdx[f.ID]
-			lat := now - sent
-			totals[idx].sum += lat
-			totals[idx].n++
-			if lat > totals[idx].max {
-				totals[idx].max = lat
-			}
+		lat := c.Scheduler().Now() - times[0]
+		queued[f.ID] = times[1:]
+		totals[idx].sum += lat
+		totals[idx].n++
+		if lat > totals[idx].max {
+			totals[idx].max = lat
 		}
-		p.mu.Unlock()
 	})
 
 	// Periodic legitimate traffic.
@@ -176,10 +161,7 @@ func (h *Harness) MeasureLatency(cfg LatencyConfig) ([]LatencyStats, error) {
 		frame := canbus.MustDataFrame(tc.ID, []byte{0x00, 0x30})
 		for at := tc.Period; at <= cfg.Horizon; at += tc.Period {
 			c.Scheduler().At(at, func(now time.Duration) {
-				p := byID[tc.ID]
-				p.mu.Lock()
-				p.times = append(p.times, now)
-				p.mu.Unlock()
+				queued[tc.ID] = append(queued[tc.ID], now)
 				stats[i].Sent++
 				_ = node.Send(frame.Clone())
 			})

@@ -16,7 +16,6 @@ package behaviour
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/canbus"
@@ -24,7 +23,8 @@ import (
 )
 
 // Situation is a predicate over live system state, evaluated at decision
-// time. Implementations must be safe for concurrent use.
+// time on the goroutine that drives the vehicle (see Engine), so it may
+// read that vehicle's state without synchronisation.
 type Situation interface {
 	// Holds reports whether the situation currently applies.
 	Holds() bool
@@ -124,8 +124,6 @@ type RateLimit struct {
 	// Window is the sliding window length.
 	Window time.Duration
 
-	mu     sync.Mutex
-	single bool
 	grants []time.Duration
 }
 
@@ -155,27 +153,12 @@ func (r *RateLimit) Validate() error {
 // Reset discards the rule's window state, restoring it to a freshly
 // constructed rule. Pooled harnesses call this between runs so a reused rule
 // behaves identically to a new one even though the virtual clock restarted.
-func (r *RateLimit) Reset() {
-	if r.single {
-		r.grants = r.grants[:0]
-		return
-	}
-	r.mu.Lock()
-	r.grants = r.grants[:0]
-	r.mu.Unlock()
-}
-
-// setSingleOwner puts the rule in single-owner mode (see Engine.SetSingleOwner).
-func (r *RateLimit) setSingleOwner(on bool) { r.single = on }
+func (r *RateLimit) Reset() { r.grants = r.grants[:0] }
 
 // Decide implements Rule.
 func (r *RateLimit) Decide(dir canbus.Direction, f canbus.Frame, now time.Duration) canbus.Verdict {
 	if dir != r.Direction || !r.IDs.Contains(f.ID) {
 		return canbus.Grant
-	}
-	if !r.single {
-		r.mu.Lock()
-		defer r.mu.Unlock()
 	}
 	// Evict grants that slid out of the window.
 	cutoff := now - r.Window
@@ -210,13 +193,16 @@ type Stats struct {
 // Engine layers behavioural rules over an identifier-level inline filter.
 // It implements canbus.InlineFilter and is installed in the same Fig. 4
 // position; conceptually it is additional checking logic inside the HPE.
+//
+// Like the hpe.Engine it wraps, an Engine is single-owner: every call, and
+// every rule it evaluates, runs on the goroutine that drives the vehicle's
+// scheduler, and another goroutine may read it only across a synchronising
+// handoff.
 type Engine struct {
 	base  canbus.InlineFilter
 	clock Clock
 
-	mu     sync.Mutex
-	single bool
-	rules  []Rule
+	rules []Rule
 	// ruleBlocked counts vetoes per rule, index-aligned with rules. Stats
 	// materialises it into Stats.RuleBlocked on demand: a flooded sweep cell
 	// vetoes thousands of frames, and a per-veto string-keyed map assign was
@@ -242,29 +228,6 @@ func New(base canbus.InlineFilter, clock Clock) *Engine {
 // validator is implemented by rules that can check themselves.
 type validator interface{ Validate() error }
 
-// singleOwnable is implemented by rules that carry their own lock and can
-// shed it in single-owner mode (RateLimit's window mutex).
-type singleOwnable interface{ setSingleOwner(bool) }
-
-// SetSingleOwner switches the engine (and every installed rule that carries
-// its own lock) between thread-safe and single-owner operation. In
-// single-owner mode all locking and the per-decision defensive copy of the
-// rule list are skipped: every Decide otherwise allocates a rules snapshot,
-// which made this engine the dominant allocation site of whole campaign
-// sweeps. The caller asserts all use happens from one goroutine at a time —
-// the confinement the fleet engine's per-worker arenas already guarantee and
-// its -race suites observe.
-func (e *Engine) SetSingleOwner(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.single = on
-	for _, r := range e.rules {
-		if so, ok := r.(singleOwnable); ok {
-			so.setSingleOwner(on)
-		}
-	}
-}
-
 // AddRule appends a rule, validating it when possible.
 func (e *Engine) AddRule(r Rule) error {
 	if v, ok := r.(validator); ok {
@@ -272,15 +235,10 @@ func (e *Engine) AddRule(r Rule) error {
 			return err
 		}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for _, existing := range e.rules {
 		if existing.Name() == r.Name() {
 			return fmt.Errorf("behaviour: duplicate rule %q", r.Name())
 		}
-	}
-	if so, ok := r.(singleOwnable); ok {
-		so.setSingleOwner(e.single)
 	}
 	e.rules = append(e.rules, r)
 	e.ruleBlocked = append(e.ruleBlocked, 0)
@@ -290,8 +248,6 @@ func (e *Engine) AddRule(r Rule) error {
 // RemoveRule drops the named rule; it reports whether one was removed. The
 // rule's veto count leaves the stats with it.
 func (e *Engine) RemoveRule(name string) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for i, r := range e.rules {
 		if r.Name() == name {
 			e.rules = append(e.rules[:i], e.rules[i+1:]...)
@@ -304,8 +260,6 @@ func (e *Engine) RemoveRule(name string) bool {
 
 // Rules returns the names of installed rules in evaluation order.
 func (e *Engine) Rules() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := make([]string, len(e.rules))
 	for i, r := range e.rules {
 		out[i] = r.Name()
@@ -322,8 +276,6 @@ type resettable interface{ Reset() }
 // cleared. A reset engine decides exactly like a freshly built one carrying
 // the same rules — the pooled-arena equivalence the fleet engine relies on.
 func (e *Engine) Reset() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.stats = Stats{}
 	clear(e.ruleBlocked)
 	for _, r := range e.rules {
@@ -344,19 +296,11 @@ type windowSnapshottable interface {
 // snapshotWindow implements windowSnapshottable: it copies the current grant
 // window into dst's storage (reused across captures).
 func (r *RateLimit) snapshotWindow(dst []time.Duration) []time.Duration {
-	if !r.single {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-	}
 	return append(dst[:0], r.grants...)
 }
 
 // restoreWindow implements windowSnapshottable.
 func (r *RateLimit) restoreWindow(src []time.Duration) {
-	if !r.single {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-	}
 	r.grants = append(r.grants[:0], src...)
 }
 
@@ -372,8 +316,6 @@ type Snapshot struct {
 
 // Snapshot captures the engine's state into dst, reusing dst's buffers.
 func (e *Engine) Snapshot(dst *Snapshot) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	dst.stats = e.stats
 	dst.ruleBlocked = append(dst.ruleBlocked[:0], e.ruleBlocked...)
 	if cap(dst.windows) < len(e.rules) {
@@ -391,8 +333,6 @@ func (e *Engine) Snapshot(dst *Snapshot) {
 // engine decides and counts byte-identically to one that replayed the
 // captured prefix after a Reset.
 func (e *Engine) RestoreFrom(src *Snapshot) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.stats = src.stats
 	copy(e.ruleBlocked, src.ruleBlocked)
 	for i, r := range e.rules {
@@ -405,8 +345,6 @@ func (e *Engine) RestoreFrom(src *Snapshot) {
 // Stats returns a snapshot of the counters. RuleBlocked carries an entry for
 // every rule that vetoed at least one frame.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	cp := e.stats
 	cp.RuleBlocked = make(map[string]uint64, len(e.rules))
 	for i, r := range e.rules {
@@ -420,48 +358,6 @@ func (e *Engine) Stats() Stats {
 // Decide implements canbus.InlineFilter: identifier layer first, then each
 // behavioural rule in order; the first Block wins.
 func (e *Engine) Decide(dir canbus.Direction, f canbus.Frame) canbus.Verdict {
-	if e.single {
-		return e.decideSingle(dir, f)
-	}
-	e.mu.Lock()
-	e.stats.Decisions++
-	rules := append([]Rule(nil), e.rules...)
-	e.mu.Unlock()
-
-	if e.base.Decide(dir, f) != canbus.Grant {
-		e.mu.Lock()
-		e.stats.BaseBlocked++
-		e.mu.Unlock()
-		return canbus.Block
-	}
-	now := e.clock()
-	for _, r := range rules {
-		if r.Decide(dir, f, now) != canbus.Grant {
-			// Re-resolve the rule's slot by name under the lock: the
-			// snapshot's index may be stale if AddRule/RemoveRule ran since
-			// (names are unique per engine). A veto by a rule removed
-			// mid-decision is dropped — it is no longer installed to own a
-			// counter.
-			e.mu.Lock()
-			for i, cur := range e.rules {
-				if cur.Name() == r.Name() {
-					e.ruleBlocked[i]++
-					break
-				}
-			}
-			e.mu.Unlock()
-			return canbus.Block
-		}
-	}
-	e.mu.Lock()
-	e.stats.Granted++
-	e.mu.Unlock()
-	return canbus.Grant
-}
-
-// decideSingle is the single-owner fast path: same decision sequence, no
-// locking, no rules snapshot.
-func (e *Engine) decideSingle(dir canbus.Direction, f canbus.Frame) canbus.Verdict {
 	e.stats.Decisions++
 	if e.base.Decide(dir, f) != canbus.Grant {
 		e.stats.BaseBlocked++

@@ -1,7 +1,6 @@
 package behaviour
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,11 +19,11 @@ type tickClock struct{ now time.Duration }
 func (c *tickClock) Clock() Clock { return func() time.Duration { return c.now } }
 
 func TestSituationalDeny(t *testing.T) {
-	var inMotion atomic.Bool
+	inMotion := false
 	e := New(nil, nil)
 	err := e.AddRule(&SituationalDeny{
 		Label:     "no-unlock-in-motion",
-		When:      SituationFunc{Name: "in motion", Fn: inMotion.Load},
+		When:      SituationFunc{Name: "in motion", Fn: func() bool { return inMotion }},
 		Direction: canbus.Read,
 		IDs:       policy.SingleID(0x200),
 	})
@@ -35,7 +34,7 @@ func TestSituationalDeny(t *testing.T) {
 	if e.Decide(canbus.Read, frame(0x200)) != canbus.Grant {
 		t.Error("blocked while situation does not hold")
 	}
-	inMotion.Store(true)
+	inMotion = true
 	if e.Decide(canbus.Read, frame(0x200)) != canbus.Block {
 		t.Error("granted while situation holds")
 	}
@@ -327,49 +326,59 @@ func TestEngineResetRestoresFreshDecisions(t *testing.T) {
 	}
 }
 
-// TestSingleOwnerDecidesIdentically drives the same rate-limited decision
-// sequence through a locked engine and a single-owner one: verdicts and
-// counters must match exactly, and the single-owner fast path must not
-// allocate (it exists precisely because the locked path's per-decision rules
-// snapshot dominated campaign-sweep allocation profiles).
-func TestSingleOwnerDecidesIdentically(t *testing.T) {
-	build := func(single bool) (*Engine, *tickClock) {
-		clk := &tickClock{}
-		e := New(nil, clk.Clock())
-		if err := e.AddRule(&RateLimit{
-			Label:        "budget",
-			Direction:    canbus.Write,
-			IDs:          policy.SingleID(0x123),
-			MaxPerWindow: 2,
-			Window:       10 * time.Millisecond,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		e.SetSingleOwner(single)
-		return e, clk
+// TestDecideAllocFree pins Decide at zero allocations on its grant path
+// and on both veto paths, a situational deny and a spent rate budget: the
+// guard sits on the per-frame path of every node in a behaviour-regime
+// sweep, where one allocation per decision puts the garbage collector in
+// the loop.
+func TestDecideAllocFree(t *testing.T) {
+	e := New(nil, (&tickClock{}).Clock())
+	if err := e.AddRule(&RateLimit{
+		Label:        "budget",
+		Direction:    canbus.Write,
+		IDs:          policy.SingleID(0x123),
+		MaxPerWindow: 2,
+		Window:       10 * time.Millisecond,
+	}); err != nil {
+		t.Fatal(err)
 	}
-	locked, lclk := build(false)
-	single, sclk := build(true)
-	f := frame(0x123)
-	for i := 0; i < 8; i++ {
-		now := time.Duration(i) * 3 * time.Millisecond
-		lclk.now, sclk.now = now, now
-		lv := locked.Decide(canbus.Write, f)
-		sv := single.Decide(canbus.Write, f)
-		if lv != sv {
-			t.Fatalf("decision %d: locked=%v single=%v", i, lv, sv)
+	if err := e.AddRule(&SituationalDeny{
+		Label:     "parked-only",
+		When:      SituationFunc{Name: "moving", Fn: func() bool { return true }},
+		Direction: canbus.Write,
+		IDs:       policy.SingleID(0x125),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	limited := frame(0x123)
+	for i := 0; i < 2; i++ { // spend the budget; the clock never moves
+		if e.Decide(canbus.Write, limited) != canbus.Grant {
+			t.Fatal("budget refused a frame inside it")
 		}
 	}
-	ls, ss := locked.Stats(), single.Stats()
-	if ls.Decisions != ss.Decisions || ls.Granted != ss.Granted ||
-		ls.BaseBlocked != ss.BaseBlocked || ls.RuleBlocked["budget"] != ss.RuleBlocked["budget"] {
-		t.Errorf("stats diverged: locked=%+v single=%+v", ls, ss)
+	const runs = 200
+	for _, c := range []struct {
+		path string
+		f    canbus.Frame
+		want canbus.Verdict
+	}{
+		{"grant", frame(0x124), canbus.Grant},
+		{"rate veto", limited, canbus.Block},
+		{"situational veto", frame(0x125), canbus.Block},
+	} {
+		allocs := testing.AllocsPerRun(runs, func() {
+			if got := e.Decide(canbus.Write, c.f); got != c.want {
+				t.Fatalf("%s path: Decide = %v, want %v", c.path, got, c.want)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s path allocates %.1f objects/op, want 0", c.path, allocs)
+		}
 	}
-
-	granted := frame(0x124) // outside the rule's ID set: pure grant path
-	if allocs := testing.AllocsPerRun(200, func() {
-		single.Decide(canbus.Write, granted)
-	}); allocs != 0 {
-		t.Errorf("single-owner grant path allocates %.1f objects/op, want 0", allocs)
+	// AllocsPerRun makes one warm-up call before its runs.
+	st := e.Stats()
+	if st.Granted != 2+runs+1 || st.RuleBlocked["budget"] != runs+1 ||
+		st.RuleBlocked["parked-only"] != runs+1 {
+		t.Errorf("stats = %+v", st)
 	}
 }

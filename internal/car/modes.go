@@ -3,7 +3,6 @@ package car
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/policy"
@@ -55,13 +54,12 @@ var (
 	ErrModeUnknown      = errors.New("car: unknown mode")
 )
 
-// ModeManager gates mode changes on the transition matrix.
+// ModeManager gates mode changes on the transition matrix. It is owned like
+// the car it wraps: every call runs on the goroutine that drives the car.
 type ModeManager struct {
 	car  *Car
 	auth ModeAuthorizer
-
-	mu  sync.Mutex
-	log []ModeTransition
+	log  []ModeTransition
 }
 
 // NewModeManager wraps a car. auth may be nil, in which case every
@@ -132,12 +130,10 @@ func (m *ModeManager) Request(to policy.Mode, token []byte) error {
 	case transitionAuth:
 		granted = authorized
 	}
-	m.mu.Lock()
 	m.log = append(m.log, ModeTransition{
 		At: m.car.Scheduler().Now(), From: from, To: to,
 		Authorized: authorized, Granted: granted,
 	})
-	m.mu.Unlock()
 	if !granted {
 		if kind == transitionAuth {
 			return fmt.Errorf("%w: %s -> %s", ErrModeUnauthorized, from, to)
@@ -149,8 +145,4 @@ func (m *ModeManager) Request(to policy.Mode, token []byte) error {
 }
 
 // Log returns a copy of the transition log (oldest first).
-func (m *ModeManager) Log() []ModeTransition {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]ModeTransition(nil), m.log...)
-}
+func (m *ModeManager) Log() []ModeTransition { return append([]ModeTransition(nil), m.log...) }

@@ -118,7 +118,11 @@ func Provision(bus *canbus.Bus, modes hpe.ModeSource, oemKey ed25519.PublicKey, 
 }
 
 // ApplyUpdate verifies and installs a policy bundle, refreshing every
-// engine atomically through the store subscription.
+// engine through the store subscription. It runs on the car's goroutine,
+// like the engines it refreshes: between scheduler runs, or from a
+// scheduled event (a Scheduler().At callback). Every engine decision after
+// it uses the new policy; a frame queued before it keeps its old write
+// verdict and meets the new read lists on delivery.
 func (d *Device) ApplyUpdate(b *policy.Bundle) error {
 	_, err := d.store.Apply(b)
 	return err

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/attack"
 	"repro/internal/canbus"
@@ -211,6 +212,113 @@ func TestPolicyUpdateCountersNewThreat(t *testing.T) {
 	}
 	if run(dev2, c2) {
 		t.Error("v2 policy update did not counter the new threat")
+	}
+}
+
+// TestApplyUpdateMidTraffic swaps the policy from a scheduler event while
+// periodic traffic flows, the way a vehicle takes an update in the field:
+// every frame of the identifier only v2 allows is blocked before the swap
+// instant and delivered after it, a flow both versions allow loses no
+// frame across the swap, and each engine counts exactly one more install.
+func TestApplyUpdateMidTraffic(t *testing.T) {
+	const (
+		tap     = "Tap"
+		newID   = 0x6A0
+		period  = time.Millisecond
+		horizon = 20 * time.Millisecond
+		swapAt  = 10*time.Millisecond + period/2
+	)
+	c := car.MustNew(car.Config{})
+	tapNode, err := c.Bus().Attach(tap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subjects := append(append([]string(nil), car.AllNodes...), tap)
+	oem, _ := NewOEM(entropy(5))
+	dev, err := Provision(c.Bus(), c, oem.PublicKey(), subjects, car.AllModes)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	v1 := *buildModel(t, 1).Policies
+	v1.Rules = append(append([]policy.Rule(nil), v1.Rules...), policy.Rule{
+		Name: "tap listens to speed", Subject: tap, Effect: policy.Allow,
+		Action: policy.ActRead, IDs: policy.SingleID(car.IDSensorSpeed),
+	})
+	v2 := v1
+	v2.Version = 2
+	v2.Rules = append(append([]policy.Rule(nil), v1.Rules...),
+		policy.Rule{Name: "sensors publish new id", Subject: car.NodeSensors,
+			Effect: policy.Allow, Action: policy.ActWrite, IDs: policy.SingleID(newID)},
+		policy.Rule{Name: "tap listens to new id", Subject: tap,
+			Effect: policy.Allow, Action: policy.ActRead, IDs: policy.SingleID(newID)})
+	b1, err := oem.Issue(&v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := oem.Issue(&v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.ApplyUpdate(b1); err != nil {
+		t.Fatal(err)
+	}
+	installs := map[string]uint64{}
+	for _, n := range subjects {
+		eng, _ := dev.Engine(n)
+		installs[n] = eng.Stats().Installs
+	}
+
+	var speedFrames int
+	var delivered []byte // sequence numbers of the new-ID frames Tap received
+	tapNode.Controller().SetHandler(func(f canbus.Frame) {
+		switch f.ID {
+		case car.IDSensorSpeed:
+			speedFrames++
+		case newID:
+			delivered = append(delivered, f.Data[0])
+		}
+	})
+	sensors, _ := c.Node(car.NodeSensors)
+	var want []byte    // sent after the swap
+	var sentBefore int // sent before it
+	for seq := byte(1); time.Duration(seq)*period <= horizon; seq++ {
+		at := time.Duration(seq) * period
+		if at > swapAt {
+			want = append(want, seq)
+		} else {
+			sentBefore++
+		}
+		f := canbus.MustDataFrame(newID, []byte{seq})
+		c.Scheduler().At(at, func(time.Duration) { _ = sensors.Send(f) })
+	}
+	c.StartTraffic(2*period, horizon, 30)
+	var applyErr error
+	c.Scheduler().At(swapAt, func(time.Duration) { applyErr = dev.ApplyUpdate(b2) })
+	c.Scheduler().Run()
+
+	if applyErr != nil {
+		t.Fatal(applyErr)
+	}
+	if dev.PolicyVersion() != 2 {
+		t.Fatalf("version = %d after the mid-traffic update, want 2", dev.PolicyVersion())
+	}
+	if string(delivered) != string(want) {
+		t.Errorf("new-ID frames delivered %v, want exactly those sent after %v: %v",
+			delivered, swapAt, want)
+	}
+	if blocked := sensors.Stats().TxBlocked; blocked != uint64(sentBefore) {
+		t.Errorf("sensors blocked %d new-ID writes, want the %d sent before the swap",
+			blocked, sentBefore)
+	}
+	if wantSpeed := int(horizon / (2 * period)); speedFrames != wantSpeed {
+		t.Errorf("Tap received %d speed frames across the swap, want %d", speedFrames, wantSpeed)
+	}
+	for _, n := range subjects {
+		eng, _ := dev.Engine(n)
+		if got := eng.Stats().Installs; got != installs[n]+1 {
+			t.Errorf("%s: Installs = %d after the update, want %d", n, got, installs[n]+1)
+		}
 	}
 }
 

@@ -12,12 +12,13 @@
 // # Pooled arenas
 //
 // By default each worker constructs its simulation stack once — an
-// attack.Arena (car + per-node policy engines) and a single-owner MAC
-// server — and resets it in place between the live background simulation,
-// the MAC probe and every scenario×regime cell. A thousand-vehicle sweep
-// therefore builds `workers` vehicle stacks instead of ~7000, which is
-// worth ~3.6x in fleet-sweep throughput. The Config.NoBatch oracle is the
-// one path that builds every stack from scratch (see Batched evaluation).
+// attack.Arena (car + per-node policy engines) and a MAC server, all owned
+// by the worker's goroutine — and resets it in place between the live
+// background simulation, the MAC probe and every scenario×regime cell. A
+// thousand-vehicle sweep therefore builds `workers` vehicle stacks instead
+// of ~7000, which is worth ~3.6x in fleet-sweep throughput. The
+// Config.NoBatch oracle is the one path that builds every stack from
+// scratch (see Batched evaluation).
 //
 // # Vehicle-major scenario groups
 //
@@ -578,8 +579,8 @@ func newStack(sh *shared) (stack, error) {
 }
 
 // arena is one worker's reusable vehicle stack: the attack arena (car +
-// pooled policy engines) and a single-owner MAC server with the derived
-// module loaded. Constructed once per worker; every vehicle the worker
+// pooled policy engines) and a MAC server with the derived module loaded,
+// all owned by that worker's goroutine. Constructed once per worker; every vehicle the worker
 // claims resets it in place instead of rebuilding ~7000 topologies per
 // thousand-vehicle sweep.
 type arena struct {
@@ -594,7 +595,7 @@ func newArena(sh *shared) (*arena, error) {
 	}
 	a := &arena{att: att}
 	if !sh.cfg.SkipMAC {
-		a.srv = mac.NewServer(mac.WithSingleOwner())
+		a.srv = mac.NewServer()
 		if err := a.srv.Load(sh.macModule); err != nil {
 			return nil, err
 		}

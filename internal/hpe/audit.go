@@ -2,7 +2,6 @@ package hpe
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/canbus"
@@ -38,9 +37,10 @@ func (r AuditRecord) String() string {
 		r.Seq, r.At, r.Subject, r.Direction, r.ID, r.DLC, r.Mode)
 }
 
-// Auditor is the bounded blocked-frame ring attached to an Engine.
+// Auditor is the bounded blocked-frame ring attached to an Engine. It is
+// owned like the engine it is attached to: the host drains it on the
+// vehicle's goroutine.
 type Auditor struct {
-	mu    sync.Mutex
 	cap   int
 	seq   uint64
 	ring  []AuditRecord
@@ -61,8 +61,6 @@ func NewAuditor(capacity int, clock func() time.Duration) *Auditor {
 
 // record appends one blocked-frame record, evicting the oldest at capacity.
 func (a *Auditor) record(subject string, dir canbus.Direction, mode policy.Mode, f canbus.Frame) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.seq++
 	rec := AuditRecord{
 		Seq: a.seq, At: a.clock(), Subject: subject,
@@ -77,23 +75,13 @@ func (a *Auditor) record(subject string, dir canbus.Direction, mode policy.Mode,
 
 // Drain returns and clears the recorded blocks (oldest first).
 func (a *Auditor) Drain() []AuditRecord {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	out := a.ring
 	a.ring = nil
 	return out
 }
 
 // Len returns the number of buffered records.
-func (a *Auditor) Len() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.ring)
-}
+func (a *Auditor) Len() int { return len(a.ring) }
 
 // AttachAuditor installs (or, with nil, removes) the engine's auditor.
-func (e *Engine) AttachAuditor(a *Auditor) {
-	e.lock()
-	defer e.unlock()
-	e.auditor = a
-}
+func (e *Engine) AttachAuditor(a *Auditor) { e.auditor = a }

@@ -44,24 +44,21 @@ func TestInstallEnforcerDecisionsMatchTable(t *testing.T) {
 	for _, mode := range []policy.Mode{"Normal", "Diag", "Limp"} {
 		ref := newEngine(t, mode)
 		for _, backend := range ir.Names() {
-			for _, single := range []bool{false, true} {
-				e := New("ecu", FixedMode(mode), DefaultCycleModel())
-				e.SetSingleOwner(single)
-				if err := e.InstallEnforcer(buildEnforcer(t, backend)); err != nil {
-					t.Fatalf("InstallEnforcer(%s): %v", backend, err)
-				}
-				if e.Backend() != backend {
-					t.Errorf("Backend() = %q, want %q", e.Backend(), backend)
-				}
-				if !e.Installed() {
-					t.Fatalf("%s engine claims not installed", backend)
-				}
-				for _, p := range probes {
-					want := ref.Decide(p.dir, frame(p.id))
-					if got := e.Decide(p.dir, frame(p.id)); got != want {
-						t.Errorf("%s (single=%v) mode %s: Decide(%v, 0x%X) = %v, want %v",
-							backend, single, mode, p.dir, p.id, got, want)
-					}
+			e := New("ecu", FixedMode(mode), DefaultCycleModel())
+			if err := e.InstallEnforcer(buildEnforcer(t, backend)); err != nil {
+				t.Fatalf("InstallEnforcer(%s): %v", backend, err)
+			}
+			if e.Backend() != backend {
+				t.Errorf("Backend() = %q, want %q", e.Backend(), backend)
+			}
+			if !e.Installed() {
+				t.Fatalf("%s engine claims not installed", backend)
+			}
+			for _, p := range probes {
+				want := ref.Decide(p.dir, frame(p.id))
+				if got := e.Decide(p.dir, frame(p.id)); got != want {
+					t.Errorf("%s mode %s: Decide(%v, 0x%X) = %v, want %v",
+						backend, mode, p.dir, p.id, got, want)
 				}
 			}
 		}
@@ -147,30 +144,26 @@ func TestDeployEnforcer(t *testing.T) {
 }
 
 // TestDecideAllocFree pins the per-frame cost every backend shares: Decide
-// allocates nothing on the table, expr or closure backend, single-owner or
-// concurrent, in a known mode, an unknown mode and for a subject the policy
-// does not know.
+// allocates nothing on the table, expr or closure backend, in a known mode,
+// an unknown mode and for a subject the policy does not know.
 func TestDecideAllocFree(t *testing.T) {
 	for _, backend := range ir.Names() {
-		for _, single := range []bool{false, true} {
-			for _, c := range []struct {
-				subject string
-				mode    policy.Mode
-			}{{"ecu", "Normal"}, {"ecu", "Limp"}, {"ghost", "Normal"}} {
-				e := New(c.subject, FixedMode(c.mode), DefaultCycleModel())
-				e.SetSingleOwner(single)
-				if err := e.InstallEnforcer(buildEnforcer(t, backend)); err != nil {
-					t.Fatal(err)
-				}
-				allocs := testing.AllocsPerRun(1000, func() {
-					e.Decide(canbus.Read, frame(0x100))
-					e.Decide(canbus.Write, frame(0x200))
-					e.Decide(canbus.Read, frame(0x123))
-				})
-				if allocs != 0 {
-					t.Errorf("%s (single=%v) %s/%s: Decide allocates %.1f/op, want 0",
-						backend, single, c.subject, c.mode, allocs)
-				}
+		for _, c := range []struct {
+			subject string
+			mode    policy.Mode
+		}{{"ecu", "Normal"}, {"ecu", "Limp"}, {"ghost", "Normal"}} {
+			e := New(c.subject, FixedMode(c.mode), DefaultCycleModel())
+			if err := e.InstallEnforcer(buildEnforcer(t, backend)); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(1000, func() {
+				e.Decide(canbus.Read, frame(0x100))
+				e.Decide(canbus.Write, frame(0x200))
+				e.Decide(canbus.Read, frame(0x123))
+			})
+			if allocs != 0 {
+				t.Errorf("%s %s/%s: Decide allocates %.1f/op, want 0",
+					backend, c.subject, c.mode, allocs)
 			}
 		}
 	}

@@ -27,8 +27,6 @@ package hpe
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/canbus"
 	"repro/internal/policy"
@@ -99,11 +97,10 @@ type Stats struct {
 
 // Engine is one node's policy engine instance.
 //
-// By default an Engine is safe for concurrent use: the table swap is atomic
-// and the statistics are mutex-protected. A fleet worker that confines an
-// engine to one goroutine can call SetSingleOwner(true) to drop the mutex
-// from the decision hot path (the same single-owner contract canbus.Bus
-// carries).
+// An Engine belongs to one simulated vehicle and follows the single-owner
+// contract of the canbus.Bus it filters: every call, Install included, runs
+// on the goroutine that drives the vehicle's scheduler, and another
+// goroutine may read it only across a synchronising handoff.
 type Engine struct {
 	subject string
 	modes   ModeSource
@@ -111,21 +108,18 @@ type Engine struct {
 	// perDecision caches cycles.PerDecision(): the sum sits on the
 	// per-frame decision path of every node.
 	perDecision uint64
-	single      bool // single-owner mode: skip the stats mutex
 
 	// table is the node's approved lists, swapped whole on every install.
-	table   atomic.Pointer[policy.NodeTable]
+	table   *policy.NodeTable
 	source  ir.Enforcer // the enforcer the table came from
 	backend string      // its backend name ("" before any install)
 
-	// Resolved mode-table cache, maintained only in single-owner mode: it
-	// skips the per-decision map lookup NodeTable.Table performs. The
-	// concurrent default path must not touch it (Install may race Decide).
+	// Resolved mode-table cache: it skips the per-decision map lookup
+	// NodeTable.Table performs while neither the table nor the mode moves.
 	cacheTable *policy.NodeTable
 	cacheMode  policy.Mode
 	cacheMT    policy.ModeTable
 
-	mu      sync.Mutex
 	stats   Stats
 	auditor *Auditor
 }
@@ -145,25 +139,6 @@ func New(subject string, modes ModeSource, cycles CycleModel) *Engine {
 // Subject returns the node name this engine protects.
 func (e *Engine) Subject() string { return e.subject }
 
-// SetSingleOwner switches the engine into (or out of) single-owner mode: the
-// caller asserts every Decide/Stats/Install/Reset happens on one goroutine,
-// and the engine stops taking its internal mutex. Must itself be called by
-// that owner, before any concurrent use.
-func (e *Engine) SetSingleOwner(on bool) { e.single = on }
-
-// lock and unlock guard the stats; no-ops in single-owner mode.
-func (e *Engine) lock() {
-	if !e.single {
-		e.mu.Lock()
-	}
-}
-
-func (e *Engine) unlock() {
-	if !e.single {
-		e.mu.Unlock()
-	}
-}
-
 // Install loads the node's table from a compiled policy: InstallEnforcer
 // on the table backend.
 func (e *Engine) Install(c *policy.Compiled) error {
@@ -175,18 +150,15 @@ func (e *Engine) Install(c *policy.Compiled) error {
 
 // InstallEnforcer loads the node's approved lists from a compiled enforcer,
 // whatever its backend. It is the only mutation path, used by the secure
-// update mechanism; the swap is atomic with respect to concurrent
-// decisions.
+// update mechanism; the next decision uses the new lists.
 func (e *Engine) InstallEnforcer(enf ir.Enforcer) error {
 	if enf == nil {
 		return fmt.Errorf("hpe: nil enforcer")
 	}
-	e.table.Store(enf.Node(e.subject))
-	e.lock()
+	e.table = enf.Node(e.subject)
 	e.source = enf
 	e.backend = enf.Backend()
 	e.stats.Installs++
-	e.unlock()
 	return nil
 }
 
@@ -196,45 +168,32 @@ func (e *Engine) InstallEnforcer(enf ir.Enforcer) error {
 // a fresh deny-all table per lookup of an unknown subject). A different
 // enforcer falls back to a full InstallEnforcer.
 func (e *Engine) ReinstallEnforcer(enf ir.Enforcer) error {
-	e.lock()
-	same := enf != nil && e.source == enf
-	if same {
+	if enf != nil && e.source == enf {
 		e.stats.Installs++
-	}
-	e.unlock()
-	if same {
 		return nil
 	}
 	return e.InstallEnforcer(enf)
 }
 
 // Installed reports whether a policy table has been loaded.
-func (e *Engine) Installed() bool { return e.table.Load() != nil }
+func (e *Engine) Installed() bool { return e.table != nil }
 
 // Backend returns the name of the active policy backend, or "" before any
 // install.
-func (e *Engine) Backend() string {
-	e.lock()
-	defer e.unlock()
-	return e.backend
-}
+func (e *Engine) Backend() string { return e.backend }
 
 // Reset zeroes the engine's counters, returning it to the statistical state
 // of a freshly constructed engine. The installed table, mode source, cycle
 // model and attached auditor are kept: a reset engine decides exactly as it
 // did before.
-func (e *Engine) Reset() {
-	e.lock()
-	e.stats = Stats{}
-	e.unlock()
-}
+func (e *Engine) Reset() { e.stats = Stats{} }
 
 // Snapshot captures an engine's mutable decision state — the statistics and
-// the single-owner resolved-table cache — for the attack arena's prefix
-// checkpointing. The installed table and its source are deliberately not
-// captured: no install runs inside a checkpoint window (regime
-// provisioning happens before the capture), so they are invariant across
-// every restore, and the cache fields re-resolve against the same table.
+// the resolved-table cache — for the attack arena's prefix checkpointing.
+// The installed table and its source are deliberately not captured: no
+// install runs inside a checkpoint window (regime provisioning happens
+// before the capture), so they are invariant across every restore, and the
+// cache fields re-resolve against the same table.
 type Snapshot struct {
 	stats      Stats
 	backend    string
@@ -253,10 +212,8 @@ var ErrBackendMismatch = errors.New("hpe: snapshot backend mismatch")
 
 // Snapshot captures the engine's mutable state into dst.
 func (e *Engine) Snapshot(dst *Snapshot) {
-	e.lock()
 	dst.stats = e.stats
 	dst.backend = e.backend
-	e.unlock()
 	dst.cacheTable = e.cacheTable
 	dst.cacheMode = e.cacheMode
 	dst.cacheMT = e.cacheMT
@@ -268,15 +225,11 @@ func (e *Engine) Snapshot(dst *Snapshot) {
 // identity of the backend that was active at capture time; restoring it
 // onto an engine running a different backend returns ErrBackendMismatch.
 func (e *Engine) RestoreFrom(src *Snapshot) error {
-	e.lock()
 	if e.backend != src.backend {
-		have := e.backend
-		e.unlock()
 		return fmt.Errorf("%w: engine %q runs %q, snapshot captured under %q",
-			ErrBackendMismatch, e.subject, have, src.backend)
+			ErrBackendMismatch, e.subject, e.backend, src.backend)
 	}
 	e.stats = src.stats
-	e.unlock()
 	e.cacheTable = src.cacheTable
 	e.cacheMode = src.cacheMode
 	e.cacheMT = src.cacheMT
@@ -284,11 +237,7 @@ func (e *Engine) RestoreFrom(src *Snapshot) error {
 }
 
 // Stats returns a snapshot of the engine counters.
-func (e *Engine) Stats() Stats {
-	e.lock()
-	defer e.unlock()
-	return e.stats
-}
+func (e *Engine) Stats() Stats { return e.stats }
 
 // CycleModel returns the engine's cycle cost model.
 func (e *Engine) CycleModel() CycleModel { return e.cycles }
@@ -298,17 +247,12 @@ func (e *Engine) CycleModel() CycleModel { return e.cycles }
 // frames, granting only identifiers present for the current mode.
 func (e *Engine) Decide(dir canbus.Direction, f canbus.Frame) canbus.Verdict {
 	verdict := canbus.Block
-	if t := e.table.Load(); t != nil {
-		var mt policy.ModeTable
+	if t := e.table; t != nil {
 		mode := e.modes.Mode()
-		if e.single && t == e.cacheTable && mode == e.cacheMode {
-			mt = e.cacheMT
-		} else {
-			mt = t.Table(mode)
-			if e.single {
-				e.cacheTable, e.cacheMode, e.cacheMT = t, mode, mt
-			}
+		if t != e.cacheTable || mode != e.cacheMode {
+			e.cacheTable, e.cacheMode, e.cacheMT = t, mode, t.Table(mode)
 		}
+		mt := e.cacheMT
 		switch dir {
 		case canbus.Read:
 			if mt.Reads != nil && mt.Reads.Contains(f.ID) {
@@ -321,11 +265,6 @@ func (e *Engine) Decide(dir canbus.Direction, f canbus.Frame) canbus.Verdict {
 		}
 	}
 
-	// Lock branches inlined by hand: the helper calls showed up in fleet
-	// profiles at one call per frame per node.
-	if !e.single {
-		e.mu.Lock()
-	}
 	e.stats.Decisions++
 	e.stats.Cycles += e.perDecision
 	switch {
@@ -338,12 +277,8 @@ func (e *Engine) Decide(dir canbus.Direction, f canbus.Frame) canbus.Verdict {
 	default:
 		e.stats.WritesBlocked++
 	}
-	auditor := e.auditor
-	if !e.single {
-		e.mu.Unlock()
-	}
-	if verdict == canbus.Block && auditor != nil {
-		auditor.record(e.subject, dir, e.modes.Mode(), f)
+	if verdict == canbus.Block && e.auditor != nil {
+		e.auditor.record(e.subject, dir, e.modes.Mode(), f)
 	}
 	return verdict
 }

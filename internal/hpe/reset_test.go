@@ -28,7 +28,6 @@ func reinstallPolicy(t *testing.T, version uint64) *policy.Compiled {
 func TestEngineReset(t *testing.T) {
 	c := reinstallPolicy(t, 1)
 	e := New("ecu", FixedMode("Normal"), DefaultCycleModel())
-	e.SetSingleOwner(true)
 	if err := e.Install(c); err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +61,14 @@ func TestEngineReinstall(t *testing.T) {
 	if err := e.InstallEnforcer(c1); err != nil {
 		t.Fatal(err)
 	}
-	before := e.table.Load()
+	before := e.table
 	if err := e.ReinstallEnforcer(c1); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Stats().Installs; got != 2 {
 		t.Errorf("Installs = %d after Install+Reinstall, want 2", got)
 	}
-	if e.table.Load() != before {
+	if e.table != before {
 		t.Error("same-enforcer Reinstall looked the table up again")
 	}
 	if e.Decide(canbus.Read, canbus.MustDataFrame(0x100, nil)) != canbus.Grant {
@@ -97,9 +96,11 @@ func TestEngineReinstall(t *testing.T) {
 	}
 }
 
-// TestSingleOwnerModeCache checks the single-owner decision cache follows
-// mode switches and table swaps.
-func TestSingleOwnerModeCache(t *testing.T) {
+// TestModeCache checks the resolved-mode cache Decide keeps follows mode
+// switches and table swaps: a different table installed in an unchanged
+// mode takes effect at the next decision, and a same-enforcer reinstall
+// changes no decision.
+func TestModeCache(t *testing.T) {
 	set := &policy.Set{Name: "p", Version: 1, Rules: []policy.Rule{
 		{Subject: "ecu", Effect: policy.Allow, Action: policy.ActRead,
 			IDs: policy.SingleID(0x100), Modes: policy.NewModeSet("Normal")},
@@ -114,17 +115,47 @@ func TestSingleOwnerModeCache(t *testing.T) {
 	}
 	mode := policy.Mode("Normal")
 	e := New("ecu", modeFunc(func() policy.Mode { return mode }), DefaultCycleModel())
-	e.SetSingleOwner(true)
 	if err := e.Install(c); err != nil {
 		t.Fatal(err)
 	}
 	f1 := canbus.MustDataFrame(0x100, nil)
 	f2 := canbus.MustDataFrame(0x200, nil)
-	if e.Decide(canbus.Read, f1) != canbus.Grant || e.Decide(canbus.Read, f2) != canbus.Block {
-		t.Fatal("Normal-mode decisions wrong")
+	f3 := canbus.MustDataFrame(0x300, nil)
+	expect := func(step string, want1, want2, want3 canbus.Verdict) {
+		t.Helper()
+		got1, got2, got3 := e.Decide(canbus.Read, f1), e.Decide(canbus.Read, f2), e.Decide(canbus.Read, f3)
+		if got1 != want1 || got2 != want2 || got3 != want3 {
+			t.Errorf("%s: 0x100/0x200/0x300 = %v/%v/%v, want %v/%v/%v",
+				step, got1, got2, got3, want1, want2, want3)
+		}
 	}
+	expect("Normal", canbus.Grant, canbus.Block, canbus.Block)
 	mode = "Diag"
-	if e.Decide(canbus.Read, f1) != canbus.Block || e.Decide(canbus.Read, f2) != canbus.Grant {
-		t.Error("cache not invalidated on mode switch")
+	expect("mode switch", canbus.Block, canbus.Grant, canbus.Block)
+
+	// A different table in the unchanged mode: the cache keyed on the old
+	// table must not answer for the new one.
+	swapped := &policy.Set{Name: "p", Version: 2, Rules: []policy.Rule{
+		{Subject: "ecu", Effect: policy.Allow, Action: policy.ActRead,
+			IDs: policy.SingleID(0x300), Modes: policy.NewModeSet("Diag")},
+	}}
+	c2, err := policy.Compile(swapped, policy.CompileOptions{
+		Subjects: []string{"ecu"}, Modes: []policy.Mode{"Normal", "Diag"},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	enf := ir.WrapCompiled(c2)
+	if err := e.InstallEnforcer(enf); err != nil {
+		t.Fatal(err)
+	}
+	expect("table swap", canbus.Block, canbus.Block, canbus.Grant)
+
+	// Re-provisioning with the installed enforcer keeps table and cache.
+	if err := e.ReinstallEnforcer(enf); err != nil {
+		t.Fatal(err)
+	}
+	expect("same-enforcer reinstall", canbus.Block, canbus.Block, canbus.Grant)
+	mode = "Normal"
+	expect("mode switch after swap", canbus.Block, canbus.Block, canbus.Block)
 }

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Context is an SELinux-style security context (user:role:type). Only the
@@ -189,9 +188,11 @@ type Stats struct {
 // Server is the MAC policy server. The zero value is unusable; construct
 // with NewServer.
 //
-// By default a Server is safe for concurrent use. A caller that confines the
-// server to a single goroutine (the fleet engine's per-worker arenas do) can
-// construct it WithSingleOwner to drop the mutex from the Check hot path.
+// A Server is the software half of one vehicle's enforcement and is owned
+// like that vehicle's canbus.Bus: every call runs on the goroutine that
+// drives the vehicle, and another goroutine may read it only across a
+// synchronising handoff. The loaded Modules are copied in, so one Module
+// may be loaded into many servers at once.
 //
 // Rule resolution is backed by a dense index precomputed at Load/Unload
 // time: source/target types and classes are interned to dense integer
@@ -200,8 +201,6 @@ type Stats struct {
 // probes and allocates nothing, instead of the former linear scan over every
 // loaded module that materialised a fresh permission map per AVC miss.
 type Server struct {
-	mu          sync.Mutex
-	single      bool // single-owner mode: skip the mutex
 	modules     map[string]*Module
 	mode        EnforceMode
 	initMode    EnforceMode // mode configured at construction, for Reset
@@ -209,12 +208,12 @@ type Server struct {
 	avcEnabled  bool
 	avcCap      int
 	compromised bool
-	audit       []AuditRecord
+	auditLog    []AuditRecord
 	auditCap    int
 	seq         uint64
 	stats       Stats
 
-	// Dense rule index, rebuilt by reindexLocked on every Load/Unload.
+	// Dense rule index, rebuilt by reindex on every Load/Unload.
 	typeIDs  map[string]uint32
 	classIDs map[Class]uint32
 	permIDs  map[Permission]uint32 // bit positions, < 64
@@ -236,12 +235,6 @@ func WithAVCCapacity(n int) Option { return func(s *Server) { s.avcCap = n } }
 
 // WithAuditCapacity bounds the in-memory audit ring (default 1024).
 func WithAuditCapacity(n int) Option { return func(s *Server) { s.auditCap = n } }
-
-// WithSingleOwner confines the server to a single goroutine: the caller
-// asserts every method call happens on one goroutine (or with ownership
-// handed over through a synchronising operation), and the server stops
-// taking its internal mutex on every check.
-func WithSingleOwner() Option { return func(s *Server) { s.single = true } }
 
 // NewServer creates a MAC server with no modules loaded. With no modules
 // every access is denied: type enforcement is default-deny, like the
@@ -266,32 +259,11 @@ func NewServer(opts ...Option) *Server {
 	return s
 }
 
-// lock and unlock guard server state; no-ops in single-owner mode.
-func (s *Server) lock() {
-	if !s.single {
-		s.mu.Lock()
-	}
-}
-
-func (s *Server) unlock() {
-	if !s.single {
-		s.mu.Unlock()
-	}
-}
-
 // Mode returns the current enforcement mode.
-func (s *Server) Mode() EnforceMode {
-	s.lock()
-	defer s.unlock()
-	return s.mode
-}
+func (s *Server) Mode() EnforceMode { return s.mode }
 
 // SetMode switches between enforcing and permissive.
-func (s *Server) SetMode(m EnforceMode) {
-	s.lock()
-	defer s.unlock()
-	s.mode = m
-}
+func (s *Server) SetMode(m EnforceMode) { s.mode = m }
 
 // Load installs or upgrades a module and invalidates the AVC.
 // Upgrading requires a strictly newer version.
@@ -299,8 +271,6 @@ func (s *Server) Load(m *Module) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	s.lock()
-	defer s.unlock()
 	if old, ok := s.modules[m.Name]; ok && m.Version <= old.Version {
 		return fmt.Errorf("mac: module %q version %d not newer than loaded %d",
 			m.Name, m.Version, old.Version)
@@ -308,30 +278,28 @@ func (s *Server) Load(m *Module) error {
 	cp := *m
 	cp.Rules = append([]AllowRule(nil), m.Rules...)
 	s.modules[m.Name] = &cp
-	s.reindexLocked()
+	s.reindex()
 	s.stats.Loads++
 	return nil
 }
 
 // Unload removes a module and invalidates the AVC.
 func (s *Server) Unload(name string) bool {
-	s.lock()
-	defer s.unlock()
 	if _, ok := s.modules[name]; !ok {
 		return false
 	}
 	delete(s.modules, name)
-	s.reindexLocked()
+	s.reindex()
 	s.stats.Unloads++
 	return true
 }
 
-// reindexLocked rebuilds the dense rule index from the loaded modules and
+// reindex rebuilds the dense rule index from the loaded modules and
 // flushes the AVC. Modules are walked in sorted name order and rules in
 // declaration order, so interned identifiers — and therefore every
 // downstream decision and statistic — are deterministic for a given module
 // set regardless of load history.
-func (s *Server) reindexLocked() {
+func (s *Server) reindex() {
 	clear(s.typeIDs)
 	clear(s.classIDs)
 	clear(s.permIDs)
@@ -389,8 +357,6 @@ func internID[K comparable](m map[K]uint32, v K) uint32 {
 
 // Modules returns the loaded module names, sorted.
 func (s *Server) Modules() []string {
-	s.lock()
-	defer s.unlock()
 	out := make([]string, 0, len(s.modules))
 	for n := range s.modules {
 		out = append(out, n)
@@ -402,39 +368,25 @@ func (s *Server) Modules() []string {
 // CompromiseKernel models the firmware/kernel compromise of §V-B.2: all
 // subsequent checks are bypassed (allowed without consulting policy), the
 // way a rooted kernel no longer enforces its own LSM hooks.
-func (s *Server) CompromiseKernel() {
-	s.lock()
-	defer s.unlock()
-	s.compromised = true
-}
+func (s *Server) CompromiseKernel() { s.compromised = true }
 
 // Compromised reports whether the kernel-compromise injection is active.
-func (s *Server) Compromised() bool {
-	s.lock()
-	defer s.unlock()
-	return s.compromised
-}
+func (s *Server) Compromised() bool { return s.compromised }
 
 // Restore clears the compromise injection (re-flash / reboot from clean image).
-func (s *Server) Restore() {
-	s.lock()
-	defer s.unlock()
-	s.compromised = false
-}
+func (s *Server) Restore() { s.compromised = false }
 
 // Check evaluates one access. It consults the AVC first, then scans loaded
 // modules; the result is cached. Audit records are appended for denials and
 // for bypassed checks.
 func (s *Server) Check(src, tgt Context, class Class, perm Permission) Decision {
-	s.lock()
-	defer s.unlock()
 	s.stats.Checks++
 	if s.compromised {
 		s.stats.Bypassed++
-		s.auditLocked(src, tgt, class, perm, true, "bypassed: kernel compromised")
+		s.audit(src, tgt, class, perm, true, "bypassed: kernel compromised")
 		return Decision{Allowed: true, Granted: false, Bypassed: true}
 	}
-	granted := s.lookupLocked(src.Type, tgt.Type, class, perm)
+	granted := s.lookup(src.Type, tgt.Type, class, perm)
 	allowed := granted
 	reason := ""
 	if !granted {
@@ -443,16 +395,16 @@ func (s *Server) Check(src, tgt Context, class Class, perm Permission) Decision 
 			allowed = true
 			reason = "permissive"
 		}
-		s.auditLocked(src, tgt, class, perm, allowed, reason)
+		s.audit(src, tgt, class, perm, allowed, reason)
 	} else {
 		s.stats.Granted++
 	}
 	return Decision{Allowed: allowed, Granted: granted}
 }
 
-// lookupLocked resolves a permission against the dense rule index, using
+// lookup resolves a permission against the dense rule index, using
 // the AVC when enabled. Allocation-free on every path.
-func (s *Server) lookupLocked(srcType, tgtType string, class Class, perm Permission) bool {
+func (s *Server) lookup(srcType, tgtType string, class Class, perm Permission) bool {
 	var bits permBits
 	if s.avcEnabled {
 		key := avcKey{src: srcType, tgt: tgtType, class: class}
@@ -462,7 +414,7 @@ func (s *Server) lookupLocked(srcType, tgtType string, class Class, perm Permiss
 			bits = cached
 		} else {
 			s.stats.AVCMisses++
-			bits = s.resolveBitsLocked(srcType, tgtType, class)
+			bits = s.resolveBits(srcType, tgtType, class)
 			if len(s.avc) >= s.avcCap {
 				// Full cache: drop it entirely. Real AVCs evict LRU; wholesale
 				// invalidation keeps the model simple and still bounded.
@@ -471,21 +423,21 @@ func (s *Server) lookupLocked(srcType, tgtType string, class Class, perm Permiss
 			s.avc[key] = bits
 		}
 	} else {
-		bits = s.resolveBitsLocked(srcType, tgtType, class)
+		bits = s.resolveBits(srcType, tgtType, class)
 	}
 	if pid, ok := s.permIDs[perm]; ok {
 		return bits&(1<<pid) != 0
 	}
 	if s.overflow != nil {
-		return s.overflowGrantedLocked(srcType, tgtType, class, perm)
+		return s.overflowGranted(srcType, tgtType, class, perm)
 	}
 	return false
 }
 
-// resolveBitsLocked computes the granted-permission bitmask for a triple
+// resolveBits computes the granted-permission bitmask for a triple
 // from the dense index. Types or classes no rule mentions resolve to the
 // empty mask (default deny).
-func (s *Server) resolveBitsLocked(srcType, tgtType string, class Class) permBits {
+func (s *Server) resolveBits(srcType, tgtType string, class Class) permBits {
 	sid, ok := s.typeIDs[srcType]
 	if !ok {
 		return 0
@@ -501,9 +453,9 @@ func (s *Server) resolveBitsLocked(srcType, tgtType string, class Class) permBit
 	return s.index[ruleKey{src: sid, tgt: tid, class: cid}]
 }
 
-// overflowGrantedLocked checks the precomputed spill map for permissions
+// overflowGranted checks the precomputed spill map for permissions
 // past the 64 bitmask positions.
-func (s *Server) overflowGrantedLocked(srcType, tgtType string, class Class, perm Permission) bool {
+func (s *Server) overflowGranted(srcType, tgtType string, class Class, perm Permission) bool {
 	sid, ok := s.typeIDs[srcType]
 	if !ok {
 		return false
@@ -519,32 +471,26 @@ func (s *Server) overflowGrantedLocked(srcType, tgtType string, class Class, per
 	return s.overflow[ruleKey{src: sid, tgt: tid, class: cid}][perm]
 }
 
-func (s *Server) auditLocked(src, tgt Context, class Class, perm Permission, allowed bool, reason string) {
+// audit appends one record to the bounded audit log, evicting the oldest
+// at capacity.
+func (s *Server) audit(src, tgt Context, class Class, perm Permission, allowed bool, reason string) {
 	s.seq++
 	rec := AuditRecord{
 		Seq: s.seq, Source: src, Target: tgt,
 		Class: class, Perm: perm, Allowed: allowed, Reason: reason,
 	}
-	if len(s.audit) >= s.auditCap {
-		copy(s.audit, s.audit[1:])
-		s.audit = s.audit[:len(s.audit)-1]
+	if len(s.auditLog) >= s.auditCap {
+		copy(s.auditLog, s.auditLog[1:])
+		s.auditLog = s.auditLog[:len(s.auditLog)-1]
 	}
-	s.audit = append(s.audit, rec)
+	s.auditLog = append(s.auditLog, rec)
 }
 
 // Audit returns a copy of the audit log (oldest first).
-func (s *Server) Audit() []AuditRecord {
-	s.lock()
-	defer s.unlock()
-	return append([]AuditRecord(nil), s.audit...)
-}
+func (s *Server) Audit() []AuditRecord { return append([]AuditRecord(nil), s.auditLog...) }
 
 // Stats returns a snapshot of server counters.
-func (s *Server) Stats() Stats {
-	s.lock()
-	defer s.unlock()
-	return s.stats
-}
+func (s *Server) Stats() Stats { return s.stats }
 
 // Reset restores the server to its state immediately after construction and
 // module loading, without releasing memory: the kernel-compromise injection
@@ -555,12 +501,10 @@ func (s *Server) Stats() Stats {
 // point: a reset server answers every Check exactly as a freshly built one
 // loaded with the same modules, at zero rebuild cost.
 func (s *Server) Reset() {
-	s.lock()
-	defer s.unlock()
 	s.compromised = false
 	s.mode = s.initMode
 	clear(s.avc)
-	s.audit = s.audit[:0]
+	s.auditLog = s.auditLog[:0]
 	s.seq = 0
 	loads, unloads := s.stats.Loads, s.stats.Unloads
 	s.stats = Stats{Loads: loads, Unloads: unloads}

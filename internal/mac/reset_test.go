@@ -25,20 +25,36 @@ func probe(s *Server) []Decision {
 	}
 }
 
+// resetModules returns resetModule's rules either as one module or split
+// across two, so reset equivalence covers an index built from several
+// modules as well as from one.
+func resetModules(single bool) []*Module {
+	m := resetModule(1)
+	if single {
+		return []*Module{m}
+	}
+	return []*Module{
+		{Name: "m", Version: 1, Rules: m.Rules[:1]},
+		{Name: "n", Version: 1, Rules: m.Rules[1:]},
+	}
+}
+
 // TestServerResetEquivalence checks a reset server answers exactly like a
-// fresh server loaded with the same module, with audit and AVC state
-// restarted.
+// fresh server loaded with the same modules, with audit and AVC state
+// restarted. Reset keeps every loaded module, so the policy is loaded both
+// as a single module and split across two.
 func TestServerResetEquivalence(t *testing.T) {
 	for _, single := range []bool{false, true} {
 		t.Run(fmt.Sprintf("single=%v", single), func(t *testing.T) {
-			opts := []Option{WithMode(Enforcing)}
-			if single {
-				opts = append(opts, WithSingleOwner())
+			load := func(s *Server) {
+				for _, m := range resetModules(single) {
+					if err := s.Load(m); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			used := NewServer(opts...)
-			if err := used.Load(resetModule(1)); err != nil {
-				t.Fatal(err)
-			}
+			used := NewServer(WithMode(Enforcing))
+			load(used)
 			// Dirty phase.
 			probe(used)
 			used.SetMode(Permissive)
@@ -53,10 +69,8 @@ func TestServerResetEquivalence(t *testing.T) {
 				t.Fatalf("mode after reset: %v", used.Mode())
 			}
 
-			fresh := NewServer(opts...)
-			if err := fresh.Load(resetModule(1)); err != nil {
-				t.Fatal(err)
-			}
+			fresh := NewServer(WithMode(Enforcing))
+			load(fresh)
 			got, want := probe(used), probe(fresh)
 			for i := range want {
 				if got[i] != want[i] {
