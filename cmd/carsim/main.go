@@ -117,7 +117,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "carsim:", err)
 		os.Exit(1)
 	}
-	if *verifySample < 0 || *verifySample > 1 {
+	if !(*verifySample >= 0 && *verifySample <= 1) { // NaN fails too
 		fmt.Fprintf(os.Stderr, "carsim: -verify-sample %v outside [0, 1]\n", *verifySample)
 		os.Exit(1)
 	}
@@ -650,58 +650,11 @@ func runAttacks(sel, enforcement string, trace bool, backend string) error {
 	}
 	if trace {
 		fmt.Println("\nBus trace of the first scenario under the last regime:")
-		return traceOne(scenarios[0], regimes[len(regimes)-1], h)
-	}
-	return nil
-}
-
-// traceOne reruns a single scenario with a tracer attached, printing every
-// bus event.
-func traceOne(sc attack.Scenario, enf attack.Enforcement, h *attack.Harness) error {
-	c := car.MustNew(car.Config{})
-	c.Bus().SetTracer(func(e canbus.TraceEvent) { fmt.Println("   ", e) })
-	if enf == attack.EnforceHPE {
-		if _, err := h.DeployEngines(c.Bus(), c, car.AllNodes...); err != nil {
-			return err
-		}
-	}
-	if sc.Setup != nil {
-		if err := sc.Setup(c); err != nil {
-			return err
-		}
-		c.Scheduler().Run()
-	}
-	c.SetMode(sc.Mode)
-	var attacker *canbus.Node
-	switch sc.Placement {
-	case attack.Inside:
-		n, ok := c.Node(sc.Attacker)
-		if !ok {
-			return fmt.Errorf("unknown node %q", sc.Attacker)
-		}
-		n.Controller().CompromiseFilters()
-		attacker = n
-	case attack.Outside:
-		n, err := c.Bus().Attach(sc.Attacker)
+		res, err := h.Trace(scenarios[0], regimes[len(regimes)-1], func(e canbus.TraceEvent) { fmt.Println("   ", e) })
 		if err != nil {
 			return err
 		}
-		attacker = n
+		fmt.Printf("    outcome: succeeded=%v\n", res.Succeeded)
 	}
-	for _, inj := range sc.Injections {
-		f, err := canbus.NewDataFrame(inj.ID, inj.Data)
-		if err != nil {
-			return err
-		}
-		n := inj.Repeat
-		if n < 1 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			_ = attacker.Send(f)
-		}
-	}
-	c.Scheduler().Run()
-	fmt.Printf("    outcome: succeeded=%v\n", sc.Succeeded(c.State()))
 	return nil
 }

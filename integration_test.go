@@ -554,6 +554,8 @@ func TestExitCodeContract(t *testing.T) {
 		{"carsim clean", []string{"carsim", "-campaign", quickstart, "-fleet", "4"}, 0, ""},
 		{"carsim bad spec", []string{"carsim", "-campaign", "no-such.campaign"}, 1, ""},
 		{"carsim json shard wire", []string{"carsim", "-campaign", quickstart, "-shard-wire", "json"}, 1, "want binary"},
+		{"carsim NaN chaos rate", []string{"carsim", "-campaign", quickstart, "-chaos", "seed=1,panic=NaN"}, 1, "bad panic rate"},
+		{"carsim NaN verify sample", []string{"carsim", "-campaign", quickstart, "-verify-sample", "NaN"}, 1, "outside [0, 1]"},
 		{"carsim undefined flag", []string{"carsim", "-campaign", quickstart, "-no-such-flag"}, 2, "not defined: -no-such-flag"},
 		{"carsim unrecoverable chaos", []string{"carsim", "-campaign", quickstart, "-fleet", "4", "-chaos", "seed=3,panic=1,persist=99"}, 3, ""},
 		{"rollout advance", []string{"rollout", "-vehicles", "40"}, 0, ""},

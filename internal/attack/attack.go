@@ -295,10 +295,18 @@ const stepTime = 2 * time.Millisecond
 // returns the measured result. For repeated runs, an Arena amortises the
 // vehicle construction this path repeats per call.
 func (h *Harness) Run(sc Scenario, enf Enforcement) (Result, error) {
+	return h.Trace(sc, enf, nil)
+}
+
+// Trace is Run with fn installed as the fresh car's bus tracer (nil traces
+// nothing): fn sees every bus event of the cell, from the scenario's setup
+// through the injections and stages to the functional probe.
+func (h *Harness) Trace(sc Scenario, enf Enforcement, fn func(canbus.TraceEvent)) (Result, error) {
 	c, err := car.New(car.Config{Seed: h.Seed})
 	if err != nil {
 		return Result{}, err
 	}
+	c.Bus().SetTracer(fn)
 	switch enf {
 	case EnforceHPE:
 		if _, err := h.DeployEngines(c.Bus(), c, car.AllNodes...); err != nil {

@@ -3,6 +3,7 @@ package attack
 import (
 	"testing"
 
+	"repro/internal/canbus"
 	"repro/internal/car"
 )
 
@@ -38,6 +39,41 @@ func TestScenarioCoverage(t *testing.T) {
 	}
 	if _, ok := ScenarioFor("ghost"); ok {
 		t.Error("ScenarioFor found ghost")
+	}
+}
+
+// TestTraceMatchesRun: Trace runs Run's own cell, so every Table I
+// scenario returns Run's Result under each regime, and the tracer sees at
+// least every block the Result counts.
+func TestTraceMatchesRun(t *testing.T) {
+	h := harness(t)
+	for _, sc := range Scenarios() {
+		for _, enf := range []Enforcement{EnforceNone, EnforceSoftware, EnforceHPE, EnforceBehaviour} {
+			want, err := h.Run(sc, enf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var events, writeBlocked, readBlocked uint64
+			got, err := h.Trace(sc, enf, func(e canbus.TraceEvent) {
+				events++
+				switch e.Kind {
+				case canbus.TraceWriteBlocked:
+					writeBlocked++
+				case canbus.TraceReadBlocked:
+					readBlocked++
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s/%s: Trace %+v, Run %+v", sc.ThreatID, enf, got, want)
+			}
+			if events == 0 || writeBlocked < got.WriteBlocked || readBlocked < got.ReadBlocked {
+				t.Errorf("%s/%s: tracer saw %d events, %d write and %d read blocks; the result counts %d and %d",
+					sc.ThreatID, enf, events, writeBlocked, readBlocked, got.WriteBlocked, got.ReadBlocked)
+			}
+		}
 	}
 }
 

@@ -150,11 +150,6 @@ func (r *RateLimit) Validate() error {
 	return nil
 }
 
-// Reset discards the rule's window state, restoring it to a freshly
-// constructed rule. Pooled harnesses call this between runs so a reused rule
-// behaves identically to a new one even though the virtual clock restarted.
-func (r *RateLimit) Reset() { r.grants = r.grants[:0] }
-
 // Decide implements Rule.
 func (r *RateLimit) Decide(dir canbus.Direction, f canbus.Frame, now time.Duration) canbus.Verdict {
 	if dir != r.Direction || !r.IDs.Contains(f.ID) {
@@ -267,27 +262,24 @@ func (e *Engine) Rules() []string {
 	return out
 }
 
-// resettable is implemented by rules that carry per-run state (RateLimit's
-// sliding window); Engine.Reset clears them alongside the counters.
-type resettable interface{ Reset() }
-
 // Reset restores the engine to its post-construction state without touching
 // the installed rule list: counters zeroed and every stateful rule's window
-// cleared. A reset engine decides exactly like a freshly built one carrying
-// the same rules — the pooled-arena equivalence the fleet engine relies on.
+// restored to empty, through the same hook RestoreFrom rewinds it with. A
+// reset engine decides exactly like a freshly built one carrying the same
+// rules — the pooled-arena equivalence the fleet engine relies on.
 func (e *Engine) Reset() {
 	e.stats = Stats{}
 	clear(e.ruleBlocked)
 	for _, r := range e.rules {
-		if rs, ok := r.(resettable); ok {
-			rs.Reset()
+		if ws, ok := r.(windowSnapshottable); ok {
+			ws.restoreWindow(nil)
 		}
 	}
 }
 
 // windowSnapshottable is implemented by rules whose per-run state is a
-// window of grant timestamps (RateLimit); Engine.Snapshot captures it and
-// Engine.RestoreFrom rewinds it.
+// window of grant timestamps (RateLimit); Engine.Snapshot captures it, and
+// Engine.RestoreFrom and Engine.Reset rewind it.
 type windowSnapshottable interface {
 	snapshotWindow(dst []time.Duration) []time.Duration
 	restoreWindow(src []time.Duration)

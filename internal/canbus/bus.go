@@ -123,15 +123,16 @@ type Bus struct {
 
 	nodes      []*Node
 	byName     map[string]*Node
-	namesEvict bool // a snapped node left byName (Detach); Reset must re-admit
+	namesEvict bool // a snapped node left byName (Detach); RestoreFrom must re-admit
 	busy       bool
 	kickArmed  bool // an arbitration round is already scheduled for this instant
 	tracer     func(TraceEvent)
 
-	// rogues recycles post-snapshot node shells across resets when
-	// SetRecycleRogues is on: Reset stashes them here instead of discarding,
-	// and Attach revives a shell of the same name to fresh-node state while
-	// keeping its transmit-queue and mailbox capacity.
+	// rogues recycles post-snapshot node shells across restores when
+	// SetRecycleRogues is on: RestoreFrom stashes them here instead of
+	// discarding, and Attach restores a shell of the same name to the
+	// fresh-node snapshot while keeping its transmit-queue and mailbox
+	// capacity.
 	recycleRogues bool
 	rogues        map[string]*Node
 
@@ -141,15 +142,14 @@ type Bus struct {
 	// usually one transmitter, the full scan per round was one of the
 	// hottest loops of a fleet sweep.
 	txPending []*Node
-	// orderSeq assigns Node.order at attach; Reset rewinds it past the
-	// pristine set so re-attached rogues replay identical orders.
-	orderSeq         int32
-	pristineOrderSeq int32
+	// orderSeq assigns Node.order at attach; a snapshot captures it, so
+	// rogues attached after a restore replay identical orders.
+	orderSeq int32
 
 	// wireCache memoises WireBits by frame content: periodic traffic and
 	// repeated injections re-transmit identical frames, and counting stuff
 	// bits is the single most expensive step of starting a transmission.
-	// The mapping is pure, so the cache survives Reset — as does the
+	// The mapping is pure, so the cache survives every restore — as does the
 	// single-entry front cache (lastWireBits==0 means empty).
 	wireCache    map[wireKey]int
 	lastWireKey  wireKey
@@ -172,8 +172,10 @@ type Bus struct {
 	rxDirty       bool      // topology changed since rxScratch was built
 
 	// pristine is the node set captured by MarkPristine, in attachment
-	// order; Reset restores exactly this topology.
+	// order; every BusSnapshot is index-aligned with it. mark is the
+	// snapshot MarkPristine took, the state Reset restores.
 	pristine []*Node
+	mark     BusSnapshot
 
 	stats busCounters
 }
@@ -193,18 +195,13 @@ type busCounters struct {
 
 // New creates a bus driven by the given scheduler.
 func New(sched *sim.Scheduler, cfg Config) *Bus {
-	rate := cfg.BitRate
-	if rate <= 0 {
-		rate = DefaultBitRate
-	}
 	b := &Bus{
 		sched:     sched,
-		bitTime:   time.Second / time.Duration(rate),
-		errRate:   cfg.ErrorRate,
-		rng:       sim.NewRNG(cfg.Seed),
+		rng:       new(sim.RNG),
 		byName:    map[string]*Node{},
 		wireCache: map[wireKey]int{},
 	}
+	b.configure(cfg)
 	b.kickEvent = func(time.Duration) {
 		b.kickArmed = false
 		b.arbitrate()
@@ -212,6 +209,17 @@ func New(sched *sim.Scheduler, cfg Config) *Bus {
 	b.deferredKick = func(time.Duration) { b.kickNow() }
 	b.completeEvent = func(time.Duration) { b.complete() }
 	return b
+}
+
+// configure applies cfg's bit rate, error rate and RNG seed.
+func (b *Bus) configure(cfg Config) {
+	rate := cfg.BitRate
+	if rate <= 0 {
+		rate = DefaultBitRate
+	}
+	b.bitTime = time.Second / time.Duration(rate)
+	b.errRate = cfg.ErrorRate
+	b.rng.Reseed(cfg.Seed)
 }
 
 // Scheduler returns the simulation scheduler driving this bus.
@@ -243,12 +251,13 @@ func (b *Bus) Stats() BusStats {
 }
 
 // SetRecycleRogues enables recycling of post-snapshot node shells across
-// Reset: instead of being discarded, a rogue node is parked detached and the
-// next Attach of the same name revives the same object in fresh-node state,
-// preserving its queue capacity. A revived shell aliases any stale reference
-// a caller kept from its previous life, so this is only for single-owner
-// harnesses that drop all node references between resets (the attack
-// arena); the default keeps the discard semantics.
+// Reset and RestoreFrom: instead of being discarded, a rogue node is parked
+// detached, and the next Attach of the same name restores the same object
+// from the fresh-node snapshot every Attach starts from, preserving its
+// queue capacity. A recycled shell aliases any stale reference a caller
+// kept from its previous life, so this is only for single-owner harnesses
+// that drop all node references between resets (the attack arena); the
+// default keeps the discard semantics.
 func (b *Bus) SetRecycleRogues(on bool) {
 	b.recycleRogues = on
 	if on && b.rogues == nil {
@@ -262,23 +271,14 @@ func (b *Bus) Attach(name string) (*Node, error) {
 	if _, dup := b.byName[name]; dup {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicate, name)
 	}
-	if shell, ok := b.rogues[name]; ok && b.recycleRogues {
+	n, parked := b.rogues[name]
+	if parked && b.recycleRogues {
 		delete(b.rogues, name)
-		shell.revive()
-		shell.order = b.orderSeq
-		b.orderSeq++
-		b.nodes = append(b.nodes, shell)
-		b.byName[name] = shell
-		b.rxDirty = true
-		return shell, nil
+	} else {
+		n = &Node{name: name, bus: b, ctrl: NewController()}
 	}
-	n := &Node{
-		name:   name,
-		bus:    b,
-		ctrl:   NewController(),
-		inline: PermissiveFilter{},
-		order:  b.orderSeq,
-	}
+	n.restoreState(&freshNode)
+	n.order = b.orderSeq
 	b.orderSeq++
 	b.nodes = append(b.nodes, n)
 	b.byName[name] = n
@@ -493,7 +493,7 @@ func (b *Bus) arbitrate() {
 func (b *Bus) pickWinner() *Node {
 	// The contenders are exactly the pending-transmitter list: membership is
 	// maintained at every queue transition (Send, popHead, bus-off, detach,
-	// reset), so no per-round scan of the full station set is needed. The
+	// restore), so no per-round scan of the full station set is needed. The
 	// list is unordered; ties on arbitration value resolve by attachment
 	// order via Node.order, reproducing the ordered-scan semantics.
 	// Uncontended fast path: most rounds have exactly one transmitter.
@@ -581,70 +581,30 @@ func (b *Bus) complete() {
 	b.kickNow()
 }
 
-// MarkPristine captures the current topology and per-node configuration as
-// the bus's pristine state: Reset restores exactly this snapshot. Call it
-// once, after static topology construction (car.New does); a bus that was
-// never marked resets to an empty topology. Owner-goroutine only.
+// MarkPristine marks the attached nodes as the pristine topology and takes
+// the Snapshot that Reset restores. Call it once, on the freshly built
+// topology before any traffic (car.New does): whatever the nodes carry at
+// this instant — filters, handlers, inline filters, mailbox caps, remote
+// responders — survives every Reset. The bus must be Quiescent (Snapshot
+// panics otherwise). A bus that was never marked resets to an empty
+// topology. Owner-goroutine only.
 func (b *Bus) MarkPristine() {
 	b.pristine = append(b.pristine[:0], b.nodes...)
 	for _, n := range b.nodes {
-		n.snapshot()
+		n.snapped = true
 	}
-	b.pristineOrderSeq = b.orderSeq
+	b.Snapshot(&b.mark)
 }
 
-// Reset restores the bus to its pristine snapshot without allocating: nodes
-// attached after MarkPristine are discarded (and marked detached, so stale
-// references fail safe), snapshot nodes are restored to their captured
-// configuration with all mutable state cleared, counters are zeroed, the
-// tracer is removed and the error-injection RNG is reseeded from cfg. The
-// owning scheduler is NOT touched — reset it first (car.Car.Reset does).
-// Owner-goroutine only.
+// Reset is RestoreFrom of MarkPristine's snapshot followed by cfg's bit rate,
+// error rate and RNG seed: nodes attached since are discarded (marked
+// detached, so stale references fail safe) or parked for recycling, and
+// every pristine node, the counters and the topology come back exactly as
+// marked. Allocation-free. The owning scheduler is NOT touched — reset it
+// first (car.Car.Reset does). Owner-goroutine only.
 func (b *Bus) Reset(cfg Config) {
-	rate := cfg.BitRate
-	if rate <= 0 {
-		rate = DefaultBitRate
-	}
-	b.bitTime = time.Second / time.Duration(rate)
-	b.errRate = cfg.ErrorRate
-	b.rng.Reseed(cfg.Seed)
-	b.busy = false
-	b.kickArmed = false
-	b.txNode, b.txFrame, b.txFailed = nil, Frame{}, false
-	b.tracer = nil
-	for _, n := range b.txPending {
-		n.txPending = false
-	}
-	b.txPending = b.txPending[:0]
-	b.orderSeq = b.pristineOrderSeq
-	for _, n := range b.nodes {
-		if !n.snapped {
-			n.detached = true
-			delete(b.byName, n.name)
-			if b.recycleRogues {
-				// Park the shell (queue capacity intact) for the next
-				// Attach of this name; revive restores fresh-node state.
-				b.rogues[n.name] = n
-			} else {
-				n.txq = nil
-			}
-		}
-	}
-	b.nodes = append(b.nodes[:0], b.pristine...)
-	b.rxDirty = true
-	for _, n := range b.pristine {
-		n.reset()
-	}
-	if b.namesEvict {
-		// Re-admit pristine nodes Detach removed. Guarded: eight map assigns
-		// per reset is measurable when a sweep resets per scenario cell, and
-		// attach/detach of post-snapshot nodes never touches pristine names.
-		for _, n := range b.pristine {
-			b.byName[n.name] = n
-		}
-		b.namesEvict = false
-	}
-	b.stats = busCounters{}
+	b.RestoreFrom(&b.mark)
+	b.configure(cfg)
 }
 
 // Utilisation returns the fraction of elapsed virtual time the bus was busy.

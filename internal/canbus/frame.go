@@ -7,9 +7,11 @@
 // hardware-based policy engine (Fig. 4) is inserted between a node's CAN
 // controller and its transceiver.
 //
-// A Bus is single-owner (see the Bus ownership model) and resettable: after
-// MarkPristine captures the constructed topology, Reset restores it —
-// allocation-free — so fleet workers reuse one bus for thousands of runs.
+// A Bus is single-owner (see the Bus ownership model) and rewinds through
+// one path: Snapshot captures a quiescent bus and RestoreFrom returns to the
+// capture. Reset is RestoreFrom of the snapshot MarkPristine takes of the
+// constructed topology — allocation-free — so fleet workers reuse one bus
+// for thousands of runs.
 package canbus
 
 import (

@@ -34,15 +34,9 @@ type Controller struct {
 	// exact is the direct-mapped fast path built by SetFilters when every
 	// filter is a standard-frame exact match (the common firmware
 	// configuration): one bit per 11-bit identifier. nil when any filter
-	// needs the general mask/code walk. Built bitmaps are immutable, so
-	// reset can restore the pristine one by pointer.
+	// needs the general mask/code walk. Built bitmaps are immutable, so a
+	// snapshot shares one by pointer.
 	exact *[(MaxStandardID + 1) / 64]uint64
-
-	// Pristine snapshot captured by Bus.MarkPristine; reset restores it.
-	pristineFilters []AcceptanceFilter
-	pristineExact   *[(MaxStandardID + 1) / 64]uint64
-	pristineHandler Handler
-	pristineMailCap int
 }
 
 // NewController returns a controller with an unbounded mailbox and no filters.
@@ -148,30 +142,6 @@ func (c *Controller) receive(f Frame) bool {
 	return true
 }
 
-// snapshot records the controller's current configuration as its pristine
-// state for later reset.
-func (c *Controller) snapshot() {
-	c.pristineFilters = append(c.pristineFilters[:0], c.filters...)
-	c.pristineExact = c.exact
-	c.pristineHandler = c.handler
-	c.pristineMailCap = c.mailboxCap
-}
-
-// reset restores the snapshot configuration and clears all mutable receive
-// state without allocating. The live filter bank shares the snapshot's
-// backing array: filters are only ever read (accepts) or replaced wholesale
-// (SetFilters copies its input), never mutated in place, so the aliasing is
-// safe and avoids re-allocating eight filter banks per vehicle reset.
-func (c *Controller) reset() {
-	c.filters = c.pristineFilters
-	c.exact = c.pristineExact
-	c.handler = c.pristineHandler
-	c.mailboxCap = c.pristineMailCap
-	c.compromised = false
-	c.mailbox = c.mailbox[:0]
-	c.overruns = 0
-}
-
 // Drain returns and clears the mailbox contents.
 func (c *Controller) Drain() []Frame {
 	out := c.mailbox
@@ -238,9 +208,9 @@ type Node struct {
 	// maintained at every transmit-queue transition.
 	txPending bool
 
-	// Pristine snapshot captured by Bus.MarkPristine; see Bus.Reset.
-	snapped        bool
-	pristineInline InlineFilter
+	// snapped marks a member of the pristine set (Bus.MarkPristine):
+	// RestoreFrom rewinds it, and discards or parks every other node.
+	snapped bool
 }
 
 // Node errors.
@@ -422,48 +392,6 @@ func (n *Node) txError() ErrorState {
 		n.stats.Retransmissions++
 	}
 	return st
-}
-
-// snapshot records the node's current configuration (inline filter plus the
-// controller's filters, handler and mailbox cap) as its pristine state.
-func (n *Node) snapshot() {
-	n.snapped = true
-	n.pristineInline = n.inline
-	n.ctrl.snapshot()
-}
-
-// reset restores the pristine snapshot: configuration back to snapshot
-// values, all mutable state (transmit queue, statistics, error counters,
-// remote responders, detachment) cleared. Allocation-free.
-func (n *Node) reset() {
-	n.inline = n.pristineInline
-	n.ctrl.reset()
-	n.counters.Reset()
-	n.txq = n.txq[:0]
-	n.stats = NodeStats{}
-	n.detached = false
-	clear(n.responders)
-}
-
-// revive restores a recycled rogue shell to the state Attach gives a brand
-// new node — default permissive inline filter, no filters or handler, empty
-// queue and zeroed counters — while keeping the queue and mailbox backing
-// arrays (see Bus.SetRecycleRogues).
-func (n *Node) revive() {
-	n.detached = false
-	n.txq = n.txq[:0]
-	n.stats = NodeStats{}
-	n.counters.Reset()
-	n.inline = PermissiveFilter{}
-	clear(n.responders)
-	c := n.ctrl
-	c.filters = nil
-	c.exact = nil
-	c.compromised = false
-	c.handler = nil
-	c.mailbox = c.mailbox[:0]
-	c.mailboxCap = 0
-	c.overruns = 0
 }
 
 // noteArbitrationLoss counts a lost arbitration round.

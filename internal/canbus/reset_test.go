@@ -189,3 +189,81 @@ func TestKickDedupe(t *testing.T) {
 		}
 	}
 }
+
+// TestResetKeepsMarkedResponder: Reset restores exactly MarkPristine's
+// snapshot, so a remote responder registered before the mark still answers
+// after a Reset, while one registered after it is gone.
+func TestResetKeepsMarkedResponder(t *testing.T) {
+	sched := &sim.Scheduler{}
+	bus := New(sched, Config{})
+	requester := bus.MustAttach("requester")
+	provider := bus.MustAttach("provider")
+	provider.SetRemoteResponder(0x123, func() []byte { return []byte{0xAB} })
+	var replies []uint32
+	requester.Controller().SetHandler(func(f Frame) {
+		if !f.RTR {
+			replies = append(replies, f.ID)
+		}
+	})
+	bus.MarkPristine()
+	provider.SetRemoteResponder(0x124, func() []byte { return []byte{0xCD} })
+
+	sched.Reset()
+	bus.Reset(Config{})
+	for _, id := range []uint32{0x123, 0x124} {
+		rtr, err := NewRemoteFrame(id, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := requester.Send(rtr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sched.Run()
+	if len(replies) != 1 || replies[0] != 0x123 {
+		t.Errorf("replies after Reset %#x, want only the marked responder's 0x123", replies)
+	}
+}
+
+// TestQuiescentRequiresPristineTopology: a bus is Quiescent only with
+// exactly its pristine nodes attached. With a pristine node detached and a
+// rogue attached it has as many nodes as its pristine set, but a snapshot
+// of it would restore a different bus, so Quiescent is false and Snapshot
+// panics.
+func TestQuiescentRequiresPristineTopology(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		detach, rogue bool
+	}{
+		{"swapped", true, true},
+		{"detached", true, false},
+		{"rogue", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched, bus, _ := buildTopology(t, 1, 0)
+			if tc.detach {
+				bus.Detach("gamma")
+			}
+			if tc.rogue {
+				bus.MustAttach("rogue")
+			}
+			if bus.Quiescent() {
+				t.Fatal("Quiescent with a non-pristine topology")
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("Snapshot of a non-pristine topology did not panic")
+					}
+				}()
+				var snap BusSnapshot
+				bus.Snapshot(&snap)
+			}()
+			sched.Reset()
+			bus.Reset(Config{Seed: 1})
+			if !bus.Quiescent() {
+				t.Error("not Quiescent after Reset")
+			}
+		})
+	}
+}

@@ -1,26 +1,31 @@
 package canbus
 
-import "time"
+import (
+	"maps"
+	"time"
+)
 
-// This file implements quiescent-point checkpointing for the bus substrate:
-// Snapshot captures the full mutable state of a pristine topology at an
-// instant where no transmission is in flight, and RestoreFrom rewinds the
-// bus to that capture with Reset's topology discipline (post-snapshot nodes
-// discarded or parked) but a state overlay instead of a wipe. The attack
-// arena uses the pair to replay a shared scenario prefix once per
-// enforcement regime and fork every cell of a mutate family from it.
+// This file implements the bus substrate's one rewind path: Snapshot
+// captures the full mutable state of a pristine topology at an instant where
+// no transmission is in flight, and RestoreFrom rewinds the bus to that
+// capture (post-snapshot nodes discarded or parked, every pristine node
+// overwritten from its capture). Reset is RestoreFrom of the snapshot
+// MarkPristine took, and Attach starts every node, new or recycled, from
+// freshNode. The attack arena also uses the pair to replay a shared
+// scenario prefix once per enforcement regime and fork every cell of a
+// mutate family from it.
 //
 // Quiescence is the load-bearing simplification: at a drained-scheduler
 // instant the bus is idle (busy=false, no armed kick, empty transmit
 // queues), so a checkpoint needs no in-flight frame, no pending-transmitter
 // list and no per-node queue contents — only counters, filters and receive
-// state. Snapshot panics when that precondition is violated rather than
-// capturing a state it could not faithfully restore.
+// state. Snapshot panics when Quiescent is false rather than capturing a
+// state it could not faithfully restore.
 
 // NodeSnapshot captures one pristine node's mutable state at a quiescent
 // instant (empty transmit queue). Controller filter banks are aliased, not
 // copied: filters are only read or replaced wholesale (SetFilters copies its
-// input), the same invariant Controller.reset relies on.
+// input), so a restored bank can share the capture's backing array.
 type NodeSnapshot struct {
 	inline   InlineFilter
 	stats    NodeStats
@@ -40,12 +45,13 @@ type NodeSnapshot struct {
 	responders map[uint32]func() []byte
 }
 
+// freshNode is the state Attach gives every node, new or recycled: the
+// permissive inline filter and everything else zero.
+var freshNode = NodeSnapshot{inline: PermissiveFilter{}}
+
 // snapshotState captures the node's mutable state into dst, reusing dst's
-// buffers across captures.
+// buffers across captures. The transmit queue must be empty (Quiescent).
 func (n *Node) snapshotState(dst *NodeSnapshot) {
-	if len(n.txq) != 0 {
-		panic("canbus: snapshot of a node with queued frames")
-	}
 	dst.inline = n.inline
 	dst.stats = n.stats
 	dst.counters = n.counters
@@ -60,37 +66,36 @@ func (n *Node) snapshotState(dst *NodeSnapshot) {
 	for _, f := range c.mailbox {
 		dst.mailbox = append(dst.mailbox, f.Clone())
 	}
-	if len(n.responders) == 0 {
-		clear(dst.responders)
-	} else {
-		if dst.responders == nil {
-			dst.responders = make(map[uint32]func() []byte, len(n.responders))
-		} else {
-			clear(dst.responders)
-		}
-		for id, fn := range n.responders {
-			dst.responders[id] = fn
-		}
-	}
+	dst.responders = copyResponders(dst.responders, n.responders)
 }
 
-// restoreState rewinds the node to the captured state. Mutations the
-// post-checkpoint tail may have applied beyond the capture — queued frames,
-// registered responders, a compromised controller — are cleared exactly as
-// Node.reset clears them.
+// copyResponders overwrites dst with src's entries and returns it, making
+// dst only when src has entries to copy: the common node has none, and even
+// ranging over an empty map costs a measurable share of a reset.
+func copyResponders(dst, src map[uint32]func() []byte) map[uint32]func() []byte {
+	clear(dst)
+	if len(src) == 0 {
+		return dst
+	}
+	if dst == nil {
+		dst = make(map[uint32]func() []byte, len(src))
+	}
+	maps.Copy(dst, src)
+	return dst
+}
+
+// restoreState rewinds the node to the captured state, allocation-free once
+// its buffers are warm: the node rejoins with an empty transmit queue and
+// every captured field overwritten. It is the node's only rewind:
+// RestoreFrom (and so Reset) applies it to pristine nodes, Attach applies
+// freshNode.
 func (n *Node) restoreState(src *NodeSnapshot) {
 	n.inline = src.inline
 	n.stats = src.stats
 	n.counters = src.counters
 	n.txq = n.txq[:0]
 	n.detached = false
-	clear(n.responders)
-	for id, fn := range src.responders {
-		if n.responders == nil {
-			n.responders = map[uint32]func() []byte{}
-		}
-		n.responders[id] = fn
-	}
+	n.responders = copyResponders(n.responders, src.responders)
 	c := n.ctrl
 	c.filters = src.filters
 	c.exact = src.exact
@@ -111,24 +116,25 @@ type BusSnapshot struct {
 	bitTime  time.Duration
 	errRate  float64
 	rngState uint64
+	orderSeq int32
 	stats    busCounters
 	nodes    []NodeSnapshot // index-aligned with the pristine set
 }
 
 // Quiescent reports whether the bus satisfies Snapshot's preconditions: no
 // in-flight transmission, no armed arbitration round, no pending
-// transmitters, the pristine topology and every pristine node's transmit
-// queue empty. It is the cheap probe the attack arena uses to turn the
-// Snapshot panics into a recoverable ErrNotQuiescent.
+// transmitters, and exactly the pristine topology attached — every pristine
+// node, no other node — with every transmit queue empty. It is the cheap
+// probe the attack arena uses to turn the Snapshot panic into a recoverable
+// ErrNotQuiescent.
 func (b *Bus) Quiescent() bool {
-	if b.busy || b.kickArmed || len(b.txPending) != 0 {
+	if b.busy || b.kickArmed || len(b.txPending) != 0 || len(b.nodes) != len(b.pristine) {
 		return false
 	}
-	if len(b.nodes) != len(b.pristine) {
-		return false
-	}
-	for _, n := range b.pristine {
-		if len(n.txq) != 0 {
+	// A detached pristine node can never rejoin (Attach makes a new node),
+	// so equal counts of snapped nodes mean the pristine set itself.
+	for _, n := range b.nodes {
+		if !n.snapped || len(n.txq) != 0 {
 			return false
 		}
 	}
@@ -136,20 +142,17 @@ func (b *Bus) Quiescent() bool {
 }
 
 // Snapshot captures the bus's state into dst for a later RestoreFrom. The
-// bus must be quiescent (no in-flight transmission, no armed arbitration
-// round, no pending transmitters) and carry exactly its pristine topology —
-// both hold at any drained-scheduler instant before attackers are placed.
-// The tracer is not captured; like Reset, RestoreFrom clears it.
+// bus must be Quiescent — which holds at any drained-scheduler instant
+// before attackers are placed — and Snapshot panics otherwise. The tracer
+// is not captured; RestoreFrom clears it.
 func (b *Bus) Snapshot(dst *BusSnapshot) {
-	if b.busy || b.kickArmed || len(b.txPending) != 0 {
-		panic("canbus: Snapshot of a non-quiescent bus")
-	}
-	if len(b.nodes) != len(b.pristine) {
-		panic("canbus: Snapshot of a non-pristine topology")
+	if !b.Quiescent() {
+		panic("canbus: Snapshot of a non-quiescent bus or non-pristine topology")
 	}
 	dst.bitTime = b.bitTime
 	dst.errRate = b.errRate
 	dst.rngState = b.rng.State()
+	dst.orderSeq = b.orderSeq
 	dst.stats = b.stats
 	if cap(dst.nodes) < len(b.pristine) {
 		dst.nodes = make([]NodeSnapshot, len(b.pristine))
@@ -160,16 +163,18 @@ func (b *Bus) Snapshot(dst *BusSnapshot) {
 	}
 }
 
-// RestoreFrom rewinds the bus to a state captured by Snapshot. Topology
-// handling mirrors Reset: nodes attached after the capture (a cell's outside
-// attacker) are discarded or parked for recycling, pristine nodes are
-// restored to their captured state, and the error-injection RNG resumes at
-// its captured stream position. The owning scheduler is not touched —
-// restore it first (car.Car.RestoreFrom does).
+// RestoreFrom rewinds the bus to a state captured by Snapshot: nodes
+// attached after the capture (a cell's outside attacker) are discarded
+// (marked detached) or parked for recycling, pristine nodes Detach removed
+// rejoin, every pristine node is restored to its captured state, the tracer
+// is removed and the error-injection RNG resumes at its captured stream
+// position. The owning scheduler is not touched — restore it first
+// (car.Car.RestoreFrom does). Owner-goroutine only.
 func (b *Bus) RestoreFrom(src *BusSnapshot) {
 	b.bitTime = src.bitTime
 	b.errRate = src.errRate
 	b.rng.SetState(src.rngState)
+	b.orderSeq = src.orderSeq
 	b.busy = false
 	b.kickArmed = false
 	b.txNode, b.txFrame, b.txFailed = nil, Frame{}, false
@@ -178,12 +183,13 @@ func (b *Bus) RestoreFrom(src *BusSnapshot) {
 		n.txPending = false
 	}
 	b.txPending = b.txPending[:0]
-	b.orderSeq = b.pristineOrderSeq
 	for _, n := range b.nodes {
 		if !n.snapped {
 			n.detached = true
 			delete(b.byName, n.name)
 			if b.recycleRogues {
+				// Park the shell (queue capacity intact) for the next
+				// Attach of this name.
 				b.rogues[n.name] = n
 			} else {
 				n.txq = nil
@@ -196,6 +202,10 @@ func (b *Bus) RestoreFrom(src *BusSnapshot) {
 		n.restoreState(&src.nodes[i])
 	}
 	if b.namesEvict {
+		// Re-admit pristine nodes Detach removed. Guarded: eight map assigns
+		// per restore are measurable when a sweep resets per scenario cell,
+		// and attach/detach of post-snapshot nodes never touches pristine
+		// names.
 		for _, n := range b.pristine {
 			b.byName[n.name] = n
 		}

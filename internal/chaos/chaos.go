@@ -223,7 +223,7 @@ func Parse(s string) (*Plan, error) {
 			p.Persist = n
 		case "panic", "corrupt", "deadline", "crash":
 			r, err := strconv.ParseFloat(val, 64)
-			if err != nil || r < 0 || r > 1 {
+			if err != nil || !(r >= 0 && r <= 1) { // NaN fails too
 				return nil, fmt.Errorf("chaos: bad %s rate %q (want [0, 1])", key, val)
 			}
 			switch key {

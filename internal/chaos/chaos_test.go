@@ -125,6 +125,7 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"panic=x",         // not a number
 		"panic=1.5",       // rate out of range
 		"panic=-0.1",      // negative rate
+		"panic=NaN",       // not a rate: NaN fails both bound checks
 		"persist=0",       // persist below 1
 		"bogus=0.5",       // unknown key
 		"seed=zz",         // bad seed
