@@ -100,7 +100,7 @@ func run(in string, check, compile bool, subjects, modes, backend, emit string, 
 		if err != nil {
 			return fmt.Errorf("parsing %s: %w", diffOld, err)
 		}
-		d, err := policy.DiffSets(oldSet, set, policy.DiffOptions{})
+		d, err := policy.DiffSets(oldSet, set)
 		if err != nil {
 			return err
 		}

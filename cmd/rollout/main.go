@@ -68,7 +68,7 @@ func run(vehicleCount int, candidateFile, drill string, applyFail float64, seed 
 	if vehicleCount <= 0 {
 		return 1, fmt.Errorf("-vehicles %d is not a fleet", vehicleCount)
 	}
-	if applyFail < 0 || applyFail > 1 {
+	if !(applyFail >= 0 && applyFail <= 1) {
 		return 1, fmt.Errorf("-apply-fail %v outside [0, 1]", applyFail)
 	}
 	if _, err := ir.Lookup(backend); err != nil {

@@ -561,6 +561,9 @@ func TestExitCodeContract(t *testing.T) {
 		{"rollout advance", []string{"rollout", "-vehicles", "40"}, 0, ""},
 		{"rollout driver failure", []string{"rollout", "-vehicles", "0"}, 1, ""},
 		{"rollout rollback", []string{"rollout", "-vehicles", "40", "-drill", "rollback"}, 2, ""},
+		{"rollout NaN tolerance", []string{"rollout", "-vehicles", "40", "-drill", "rollback", "-tolerance", "NaN"}, 1, "not finite and non-negative"},
+		{"rollout infinite tolerance", []string{"rollout", "-vehicles", "40", "-drill", "rollback", "-tolerance", "+Inf"}, 1, "not finite and non-negative"},
+		{"rollout NaN apply-fail", []string{"rollout", "-vehicles", "40", "-apply-fail", "NaN", "-no-gate"}, 1, "outside [0, 1]"},
 		{"policyc unknown backend", []string{"policyc", "-check", "-backend", "no-such-backend"}, 2, ""},
 	}
 	for _, c := range cases {

@@ -26,14 +26,13 @@ type Arena struct {
 	nodes   []*canbus.Node      // same alignment; stable across car resets
 	inj     injectPool          // recycled injection bursts, reset per run
 	ckpt    checkpoint          // reusable prefix checkpoint (batched sweeps)
-	seed    uint64
 }
 
 // NewArena builds the reusable vehicle stack: the car topology and one
 // policy engine per node, each with the harness's compiled policy
 // installed.
 func (h *Harness) NewArena() (*Arena, error) {
-	c, err := car.New(car.Config{Seed: h.Seed})
+	c, err := car.New(car.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -54,16 +53,19 @@ func (h *Harness) NewArena() (*Arena, error) {
 		guards[i] = newBehaviourGuard(c, eng)
 		nodes[i], _ = c.Node(name)
 	}
-	return &Arena{h: h, car: c, engines: engines, guards: guards, nodes: nodes, seed: h.Seed}, nil
+	return &Arena{h: h, car: c, engines: engines, guards: guards, nodes: nodes}, nil
 }
 
 // Car returns the arena's vehicle, for callers (the fleet engine's live
 // background simulation) that drive it directly between scenario runs.
 func (a *Arena) Car() *car.Car { return a.car }
 
-// SetSeed changes the seed used for subsequent resets, the pooled
-// equivalent of Harness.WithSeed.
-func (a *Arena) SetSeed(seed uint64) { a.seed = seed }
+// SetSeed does nothing: cells run without bus error injection, so no cell
+// reads a seed (see Harness).
+//
+// Deprecated: kept only for callers that still set a per-vehicle seed;
+// drop the call.
+func (a *Arena) SetSeed(uint64) {}
 
 // deployEngines resets every pooled engine's counters, reinstalls the
 // harness's enforcer (a table reuse, not a recompilation) and attaches each
@@ -95,7 +97,7 @@ func (a *Arena) StartLive(cfg car.Config) (*car.Car, error) {
 // to find it. Factored out of Run so the batched path can provision once per
 // (prefix, regime) pair instead of once per cell.
 func (a *Arena) resetForRegime(enf Enforcement) error {
-	a.car.Reset(car.Config{Seed: a.seed})
+	a.car.Reset(car.Config{})
 	switch enf {
 	case EnforceHPE:
 		if err := a.deployEngines(); err != nil {

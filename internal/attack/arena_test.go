@@ -18,12 +18,10 @@ func TestArenaMatchesFreshRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h = h.WithSeed(0xC0FFEE)
 	arena, err := h.NewArena()
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena.SetSeed(0xC0FFEE)
 	scenarios := Scenarios()
 	regimes := []Enforcement{EnforceNone, EnforceSoftware, EnforceHPE}
 

@@ -218,7 +218,10 @@ func (r Result) String() string {
 		r.ThreatID, r.Name, r.Enforcement, r.Placement, r.Injected, r.WriteBlocked, r.ReadBlocked, out)
 }
 
-// Harness runs scenarios against fresh cars.
+// Harness runs scenarios against fresh cars. Every car a cell runs on is
+// built or reset with car.Config{}: no bus error injection, so nothing
+// draws from the bus RNG and a cell's Result depends only on the scenario,
+// the regime and the policy. The fleet engine's stamp rests on that.
 type Harness struct {
 	// Compiled is the policy's table form. It is always populated — report
 	// views render approved lists from it — even when a non-table backend
@@ -230,10 +233,6 @@ type Harness struct {
 	Enforcer ir.Enforcer
 	// Cycles is the HPE cycle model.
 	Cycles hpe.CycleModel
-	// Seed seeds each fresh car's bus error-injection RNG. Attack cars run
-	// with ErrorRate zero, so no cell result depends on it; only ErrorRate
-	// zero disables bus errors (sim.NewRNG remaps seed 0 to a fixed state).
-	Seed uint64
 }
 
 // NewHarness derives and compiles the connected-car policy (via the
@@ -302,7 +301,7 @@ func (h *Harness) Run(sc Scenario, enf Enforcement) (Result, error) {
 // nothing): fn sees every bus event of the cell, from the scenario's setup
 // through the injections and stages to the functional probe.
 func (h *Harness) Trace(sc Scenario, enf Enforcement, fn func(canbus.TraceEvent)) (Result, error) {
-	c, err := car.New(car.Config{Seed: h.Seed})
+	c, err := car.New(car.Config{})
 	if err != nil {
 		return Result{}, err
 	}

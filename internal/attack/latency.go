@@ -18,28 +18,32 @@ import (
 // traffic; with the HPE the flood dies at the attacker's write filter and
 // latencies stay nominal.
 
-// TrafficClass describes one periodic legitimate flow.
-type TrafficClass struct {
-	// Name labels the class in the report.
-	Name string
-	// ID is the message identifier (lower = higher bus priority).
-	ID uint32
-	// From is the transmitting node (must be an approved writer).
-	From string
-	// Period between transmissions.
-	Period time.Duration
+// trafficClass is one periodic legitimate flow.
+type trafficClass struct {
+	name string
+	id   uint32 // lower = higher bus priority
+	from string // an approved writer of id
 }
 
-// DefaultTrafficClasses maps the three criticality tiers onto catalog flows:
-// the safety module's ECU command (highest priority), the sensor speed
+// latencyClasses maps the three criticality tiers onto catalog flows: the
+// safety module's ECU command (highest priority), the sensor speed
 // broadcast, and the telematics tracking report (lowest priority).
-func DefaultTrafficClasses() []TrafficClass {
-	return []TrafficClass{
-		{Name: "safety-critical", ID: car.IDECUCommand, From: car.NodeSafety, Period: 5 * time.Millisecond},
-		{Name: "normal", ID: car.IDSensorSpeed, From: car.NodeSensors, Period: 5 * time.Millisecond},
-		{Name: "background", ID: car.IDTrackingReport, From: car.NodeTelematics, Period: 5 * time.Millisecond},
-	}
+var latencyClasses = [...]trafficClass{
+	{name: "safety-critical", id: car.IDECUCommand, from: car.NodeSafety},
+	{name: "normal", id: car.IDSensorSpeed, from: car.NodeSensors},
+	{name: "background", id: car.IDTrackingReport, from: car.NodeTelematics},
 }
+
+// The E1 set-up: every class sends once per classPeriod; the flood sends
+// floodID, which outranks every class, from the compromised floodAttacker
+// once per floodPeriod (saturating); latencyHorizon is the measured span.
+const (
+	classPeriod    = 5 * time.Millisecond
+	floodID        = 0x005
+	floodPeriod    = 250 * time.Microsecond
+	floodAttacker  = car.NodeInfotainment
+	latencyHorizon = 250 * time.Millisecond
+)
 
 // LatencyStats aggregates per-class delivery measurements.
 type LatencyStats struct {
@@ -60,51 +64,18 @@ func (s LatencyStats) String() string {
 		s.Class, s.Sent, s.Delivered, s.Mean, s.Max)
 }
 
-// LatencyConfig parameterises the experiment.
+// LatencyConfig selects one E1 run.
 type LatencyConfig struct {
-	// Classes under measurement; DefaultTrafficClasses if empty.
-	Classes []TrafficClass
+	// Enforce selects the regime: EnforceHPE deploys the policy engines,
+	// any other value runs without them.
+	Enforce Enforcement
 	// Flood enables the priority-inversion attack.
 	Flood bool
-	// FloodID is the identifier flooded; it should outrank every class
-	// (default 0x005, beating even the safety-critical command).
-	FloodID uint32
-	// FloodPeriod between flood frames (default 250µs — saturating).
-	FloodPeriod time.Duration
-	// Attacker is the compromised node transmitting the flood
-	// (default Infotainment).
-	Attacker string
-	// Enforce selects the regime (EnforceNone or EnforceHPE).
-	Enforce Enforcement
-	// Horizon is the measured virtual time span (default 250ms).
-	Horizon time.Duration
-}
-
-func (c *LatencyConfig) applyDefaults() {
-	if len(c.Classes) == 0 {
-		c.Classes = DefaultTrafficClasses()
-	}
-	if c.FloodID == 0 {
-		c.FloodID = 0x005
-	}
-	if c.FloodPeriod == 0 {
-		c.FloodPeriod = 250 * time.Microsecond
-	}
-	if c.Attacker == "" {
-		c.Attacker = car.NodeInfotainment
-	}
-	if c.Enforce == 0 {
-		c.Enforce = EnforceNone
-	}
-	if c.Horizon == 0 {
-		c.Horizon = 250 * time.Millisecond
-	}
 }
 
 // MeasureLatency runs the E1 experiment and returns one stats row per class.
 func (h *Harness) MeasureLatency(cfg LatencyConfig) ([]LatencyStats, error) {
-	cfg.applyDefaults()
-	c, err := car.New(car.Config{Seed: h.Seed})
+	c, err := car.New(car.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -124,16 +95,16 @@ func (h *Harness) MeasureLatency(cfg LatencyConfig) ([]LatencyStats, error) {
 	// queued holds each class's queue timestamps awaiting delivery, FIFO.
 	// The handler and the traffic events both run on the car's goroutine.
 	queued := map[uint32][]time.Duration{}
-	stats := make([]LatencyStats, len(cfg.Classes))
-	totals := make([]struct {
+	stats := make([]LatencyStats, len(latencyClasses))
+	var totals [len(latencyClasses)]struct {
 		sum time.Duration
 		n   int
 		max time.Duration
-	}, len(cfg.Classes))
+	}
 	idToIdx := map[uint32]int{}
-	for i, tc := range cfg.Classes {
-		stats[i].Class = tc.Name
-		idToIdx[tc.ID] = i
+	for i, tc := range latencyClasses {
+		stats[i].Class = tc.name
+		idToIdx[tc.id] = i
 	}
 
 	monitor.Controller().SetHandler(func(f canbus.Frame) {
@@ -152,16 +123,12 @@ func (h *Harness) MeasureLatency(cfg LatencyConfig) ([]LatencyStats, error) {
 	})
 
 	// Periodic legitimate traffic.
-	for i, tc := range cfg.Classes {
-		i, tc := i, tc
-		node, ok := c.Node(tc.From)
-		if !ok {
-			return nil, fmt.Errorf("attack: unknown class source %q", tc.From)
-		}
-		frame := canbus.MustDataFrame(tc.ID, []byte{0x00, 0x30})
-		for at := tc.Period; at <= cfg.Horizon; at += tc.Period {
+	for i, tc := range latencyClasses {
+		node, _ := c.Node(tc.from)
+		frame := canbus.MustDataFrame(tc.id, []byte{0x00, 0x30})
+		for at := classPeriod; at <= latencyHorizon; at += classPeriod {
 			c.Scheduler().At(at, func(now time.Duration) {
-				queued[tc.ID] = append(queued[tc.ID], now)
+				queued[tc.id] = append(queued[tc.id], now)
 				stats[i].Sent++
 				_ = node.Send(frame.Clone())
 			})
@@ -170,20 +137,17 @@ func (h *Harness) MeasureLatency(cfg LatencyConfig) ([]LatencyStats, error) {
 
 	// The flood, if enabled: a compromised node spamming a top-priority ID.
 	if cfg.Flood {
-		attacker, ok := c.Node(cfg.Attacker)
-		if !ok {
-			return nil, fmt.Errorf("attack: unknown attacker %q", cfg.Attacker)
-		}
+		attacker, _ := c.Node(floodAttacker)
 		attacker.Controller().CompromiseFilters()
-		flood := canbus.MustDataFrame(cfg.FloodID, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
-		for at := cfg.FloodPeriod; at <= cfg.Horizon; at += cfg.FloodPeriod {
+		flood := canbus.MustDataFrame(floodID, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+		for at := floodPeriod; at <= latencyHorizon; at += floodPeriod {
 			c.Scheduler().At(at, func(time.Duration) {
 				_ = attacker.Send(flood.Clone())
 			})
 		}
 	}
 
-	c.Scheduler().RunUntil(cfg.Horizon + 50*time.Millisecond)
+	c.Scheduler().RunUntil(latencyHorizon + 50*time.Millisecond)
 	c.Scheduler().Run()
 
 	for i := range stats {

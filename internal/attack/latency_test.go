@@ -65,15 +65,3 @@ func TestLatencyFloodNeutralisedByHPE(t *testing.T) {
 		}
 	}
 }
-
-func TestLatencyConfigValidation(t *testing.T) {
-	h := harness(t)
-	if _, err := h.MeasureLatency(LatencyConfig{
-		Classes: []TrafficClass{{Name: "x", ID: 1, From: "NoSuchNode", Period: time.Millisecond}},
-	}); err == nil {
-		t.Error("unknown class source accepted")
-	}
-	if _, err := h.MeasureLatency(LatencyConfig{Flood: true, Attacker: "Ghost"}); err == nil {
-		t.Error("unknown attacker accepted")
-	}
-}

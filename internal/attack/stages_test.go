@@ -169,12 +169,10 @@ func TestArenaMatchesFreshCampaignShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h = h.WithSeed(0xBEEF)
 	arena, err := h.NewArena()
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena.SetSeed(0xBEEF)
 	scenarios := []Scenario{
 		floodScenario([]Attacker{
 			{Name: car.NodeTelematics, Placement: Inside},

@@ -146,16 +146,6 @@ func (m Matrix) Summary() Summary {
 	return s
 }
 
-// WithSeed returns a copy of the harness whose simulations run with the
-// given seed. The compiled policy and cycle model are shared (both are
-// immutable after construction), so deriving a per-vehicle harness is cheap
-// enough to do once per vehicle in a fleet sweep.
-func (h *Harness) WithSeed(seed uint64) *Harness {
-	c := *h
-	c.Seed = seed
-	return &c
-}
-
 // RunMatrix executes every scenario under every requested regime and returns
 // per-regime aggregates alongside the raw results.
 func (h *Harness) RunMatrix(scenarios []Scenario, regimes ...Enforcement) (Matrix, error) {

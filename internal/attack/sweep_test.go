@@ -60,35 +60,21 @@ func TestRunMatrixUnenforcedAttacksSucceed(t *testing.T) {
 	}
 }
 
-func TestWithSeedSharesCompiledPolicy(t *testing.T) {
-	h, err := NewHarness()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2 := h.WithSeed(99)
-	if h2.Seed != 99 || h.Seed == 99 {
-		t.Errorf("WithSeed: got h2.Seed=%d h.Seed=%d", h2.Seed, h.Seed)
-	}
-	if h2.Compiled != h.Compiled {
-		t.Error("WithSeed must share the compiled policy")
-	}
-}
-
 func TestMatrixDeterministicForSameSeed(t *testing.T) {
 	h, err := NewHarness()
 	if err != nil {
 		t.Fatal(err)
 	}
 	scenarios := Scenarios()[:3]
-	run := func(seed uint64) Matrix {
-		m, err := h.WithSeed(seed).RunMatrix(scenarios, EnforceNone, EnforceHPE)
+	run := func() Matrix {
+		m, err := h.RunMatrix(scenarios, EnforceNone, EnforceHPE)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	a, b := run(7), run(7)
+	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
-		t.Error("same-seed matrices differ")
+		t.Error("matrices of the same input differ")
 	}
 }

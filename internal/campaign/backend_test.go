@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/policy/ir"
@@ -8,7 +9,7 @@ import (
 
 // TestSweepBackendEquivalence is the campaign-level face of the backend
 // differential contract: because every policy backend is decision-equivalent,
-// sweeping the same plan under each must render a byte-identical campaign
+// sweeping the same plan under each must produce an identical campaign
 // report — same block rates, same goal hits, same per-family tables.
 func TestSweepBackendEquivalence(t *testing.T) {
 	plan := determinismPlan(t)
@@ -21,8 +22,8 @@ func TestSweepBackendEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("backend %s: %v", backend, err)
 		}
-		if rep.String() != base.String() {
-			t.Errorf("backend %s report differs from default:\n--- default\n%s--- %s\n%s",
+		if !reflect.DeepEqual(rep, base) {
+			t.Errorf("backend %s report differs from default:\n--- default\n%+v\n--- %s\n%+v",
 				backend, base, backend, rep)
 		}
 	}

@@ -2,8 +2,8 @@ package campaign
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/chaos"
@@ -17,22 +17,18 @@ func chaosPlan() *chaos.Plan {
 	return &chaos.Plan{Seed: 77, Panic: 0.03, Corrupt: 0.03, Deadline: 0.02, Crash: 0.01}
 }
 
-// stripHealth drops the health line so the payload halves of two reports can
-// be compared independently of their containment ledgers.
-func stripHealth(s string) string {
-	var out []string
-	for _, line := range strings.Split(s, "\n") {
-		if !strings.HasPrefix(line, "health: ") {
-			out = append(out, line)
-		}
-	}
-	return strings.Join(out, "\n")
+// payload returns r without its containment ledger, so the payload halves
+// of two reports can be compared independently of their Health.
+func payload(r *CampaignReport) CampaignReport {
+	p := *r
+	p.Health, p.HealthEnabled = engine.Health{}, false
+	return p
 }
 
 // TestChaosSweepPayloadMatchesFaultFree is the tentpole property: a sweep
 // whose injected faults are all recovered by the supervisor (default
-// persist=1, so every retry clears its fault) renders a payload report
-// byte-identical to the fault-free oracle — only the health line may differ.
+// persist=1, so every retry clears its fault) produces a payload report
+// identical to the fault-free oracle's — only the Health may differ.
 // Checked across worker counts, batched and NoBatch.
 func TestChaosSweepPayloadMatchesFaultFree(t *testing.T) {
 	plan := determinismPlan(t)
@@ -43,7 +39,7 @@ func TestChaosSweepPayloadMatchesFaultFree(t *testing.T) {
 	if !clean.Health.IsZero() || clean.HealthEnabled {
 		t.Fatalf("fault-free sweep carries health state: %+v", clean.Health)
 	}
-	cleanPayload := stripHealth(clean.String())
+	cleanPayload := payload(clean)
 
 	for _, noBatch := range []bool{false, true} {
 		for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
@@ -57,15 +53,15 @@ func TestChaosSweepPayloadMatchesFaultFree(t *testing.T) {
 			if rep.Health.IsZero() {
 				t.Fatalf("noBatch=%v workers=%d: chaos sweep contained nothing — rates too low for the shape", noBatch, w)
 			}
-			if got := stripHealth(rep.String()); got != cleanPayload {
-				t.Errorf("noBatch=%v workers=%d: chaos payload diverged from fault-free oracle\n--- fault-free\n%s\n--- chaos\n%s",
+			if got := payload(rep); !reflect.DeepEqual(got, cleanPayload) {
+				t.Errorf("noBatch=%v workers=%d: chaos payload diverged from fault-free oracle\n--- fault-free\n%+v\n--- chaos\n%+v",
 					noBatch, w, cleanPayload, got)
 			}
 		}
 	}
 }
 
-// TestChaosHealthDeterministicAcrossWorkers: the full report — health line
+// TestChaosHealthDeterministicAcrossWorkers: the full report — Health
 // included — must not change with the worker count, batched or NoBatch.
 // (Batched and oracle ledgers may legitimately differ: checkpoint
 // corruption only exists on the pooled batched path.)
@@ -87,8 +83,8 @@ func TestChaosHealthDeterministicAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("noBatch=%v workers=%d: %v", noBatch, w, err)
 			}
-			if rep.String() != base.String() {
-				t.Errorf("noBatch=%v: report (health included) differs between workers=1 and workers=%d\n--- w=1\n%s--- w=%d\n%s",
+			if !reflect.DeepEqual(rep, base) {
+				t.Errorf("noBatch=%v: report (health included) differs between workers=1 and workers=%d\n--- w=1\n%+v\n--- w=%d\n%+v",
 					noBatch, w, base, w, rep)
 			}
 		}
@@ -98,7 +94,7 @@ func TestChaosHealthDeterministicAcrossWorkers(t *testing.T) {
 // TestChaosDemotionFallsBackToOracle: faults that outlive the batched retry
 // budget (persist = retries+1) demote their cells to the oracle path,
 // which clears them — the sweep completes with demotions booked and the
-// payload still byte-identical to the fault-free run.
+// payload still identical to the fault-free run's.
 func TestChaosDemotionFallsBackToOracle(t *testing.T) {
 	plan := determinismPlan(t)
 	// retries is the engine supervisor's fixed per-rung retry budget.
@@ -120,8 +116,8 @@ func TestChaosDemotionFallsBackToOracle(t *testing.T) {
 	if rep.Health.Unrecoverable != 0 {
 		t.Fatalf("demoted cells reported unrecoverable: %+v", rep.Health)
 	}
-	if got := stripHealth(rep.String()); got != stripHealth(clean.String()) {
-		t.Errorf("payload diverged through demotion:\n--- fault-free\n%s\n--- demoted\n%s", clean, got)
+	if got, want := payload(rep), payload(clean); !reflect.DeepEqual(got, want) {
+		t.Errorf("payload diverged through demotion:\n--- fault-free\n%+v\n--- demoted\n%+v", want, got)
 	}
 }
 
@@ -147,14 +143,11 @@ func TestChaosUnrecoverableReturnsPartialReport(t *testing.T) {
 	if rep.Health.Unrecoverable == 0 {
 		t.Fatalf("partial report books no unrecoverable cells: %+v", rep.Health)
 	}
-	if !strings.Contains(rep.String(), "unrecoverable=") {
-		t.Errorf("partial report renders no health line:\n%s", rep)
-	}
 }
 
 // TestVerifySampleCleanRun: full-rate inline verification on a healthy sweep
 // samples every forked cell, finds zero mismatches, and leaves the payload
-// byte-identical to the unsampled run.
+// identical to the unsampled run's.
 func TestVerifySampleCleanRun(t *testing.T) {
 	plan := determinismPlan(t)
 	clean, err := Sweep(plan, SweepConfig{Fleet: 4, Workers: 1, RootSeed: 42})
@@ -174,7 +167,7 @@ func TestVerifySampleCleanRun(t *testing.T) {
 	if !rep.HealthEnabled {
 		t.Error("verify sampling did not arm the health section")
 	}
-	if got := stripHealth(rep.String()); got != stripHealth(clean.String()) {
-		t.Errorf("verified payload diverged:\n--- clean\n%s\n--- verified\n%s", clean, got)
+	if got, want := payload(rep), payload(clean); !reflect.DeepEqual(got, want) {
+		t.Errorf("verified payload diverged:\n--- clean\n%+v\n--- verified\n%+v", want, got)
 	}
 }

@@ -133,23 +133,18 @@ func prefixKey(famSeed uint64, bucket int) uint64 {
 }
 
 // Compiler lowers a Spec into a Plan of executable attack.Scenario cells.
-type Compiler struct {
-	// Bases is the baseline catalog mutate generators draw from
-	// (default attack.Scenarios(), the Table I set).
-	Bases []attack.Scenario
-}
+// Mutate generators draw their bases from attack.Scenarios(), the Table I
+// set.
+type Compiler struct{}
 
 // Compile expands every generator. The expansion is a pure function of the
-// spec (and the compiler's base catalog): same spec, same plan, regardless
-// of host, worker count or prior compilations.
-func (cp Compiler) Compile(sp *Spec) (*Plan, error) {
+// spec: same spec, same plan, regardless of host, worker count or prior
+// compilations.
+func (Compiler) Compile(sp *Spec) (*Plan, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	bases := cp.Bases
-	if len(bases) == 0 {
-		bases = attack.Scenarios()
-	}
+	bases := attack.Scenarios()
 	p := &Plan{Spec: sp, Regimes: toRegimes(sp.Regimes)}
 	for i := range sp.Generators {
 		g := &sp.Generators[i]

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/attack"
@@ -240,41 +239,4 @@ func (r *CampaignReport) fold(rs attack.RegimeSummary) {
 		}
 	}
 	r.Totals = append(r.Totals, rs)
-}
-
-// String renders the campaign report. Deterministic: no worker counts, no
-// wall-clock values — two sweeps of the same (spec, RootSeed, Fleet) render
-// byte-identical text whatever the parallelism or executor.
-func (r *CampaignReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "campaign %q v%d seed %#x: fleet %d, root seed %#x, %d scenarios/vehicle, %d cells\n",
-		r.Campaign, r.Version, r.Seed, r.Fleet, r.RootSeed, r.ScenariosPerVehicle, r.Cells)
-	fmt.Fprintf(&b, "live: delivered=%d errors=%d mean-util=%.4f%%\n",
-		r.FramesDelivered, r.BusErrors, r.MeanUtilisation*100)
-	if r.HealthEnabled || !r.Health.IsZero() {
-		fmt.Fprintf(&b, "health: %s\n", r.Health)
-	}
-	for i := range r.Families {
-		f := &r.Families[i]
-		fmt.Fprintf(&b, "family %s (%s): %d scenarios/vehicle\n", f.Name, f.Kind, f.Scenarios)
-		for _, rs := range f.Regimes {
-			writeRegimeLine(&b, "  ", rs)
-		}
-	}
-	b.WriteString("totals:\n")
-	for _, rs := range r.Totals {
-		writeRegimeLine(&b, "  ", rs)
-	}
-	return b.String()
-}
-
-// writeRegimeLine renders one regime aggregate, including the stage
-// counters the legacy fleet report omits.
-func writeRegimeLine(b *strings.Builder, indent string, rs attack.RegimeSummary) {
-	s := rs.Summary
-	fmt.Fprintf(b, "%s%-9s %s success=%.1f%% blocked=%.1f%%", indent, rs.Regime, s, s.SuccessRate()*100, s.BlockRate()*100)
-	if s.StageRuns > 0 || s.StagesHalted > 0 {
-		fmt.Fprintf(b, " stages=%d halted=%d", s.StageRuns, s.StagesHalted)
-	}
-	b.WriteByte('\n')
 }

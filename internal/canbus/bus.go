@@ -8,9 +8,12 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultBitRate is the classical high-speed CAN bit rate used by the
-// connected-car case study (500 kbit/s).
-const DefaultBitRate = 500_000
+// BitRate is the classical high-speed CAN bit rate of the connected-car
+// case study, in bits per second; every bus runs at it.
+const BitRate = 500_000
+
+// bitTime is the duration of one bit at BitRate.
+const bitTime = time.Second / BitRate
 
 // errorFrameBits approximates the bus time consumed by an error frame plus
 // error delimiter and interframe space.
@@ -91,8 +94,6 @@ type BusStats struct {
 
 // Config parameterises a Bus.
 type Config struct {
-	// BitRate in bits per second; DefaultBitRate if zero.
-	BitRate int
 	// ErrorRate is the probability that a transmission suffers a bit error
 	// and must be retried. Zero disables error injection.
 	ErrorRate float64
@@ -117,7 +118,6 @@ type Config struct {
 // reading); there is exactly one writer, the owning goroutine.
 type Bus struct {
 	sched   *sim.Scheduler
-	bitTime time.Duration
 	errRate float64
 	rng     *sim.RNG
 
@@ -211,22 +211,14 @@ func New(sched *sim.Scheduler, cfg Config) *Bus {
 	return b
 }
 
-// configure applies cfg's bit rate, error rate and RNG seed.
+// configure applies cfg's error rate and RNG seed.
 func (b *Bus) configure(cfg Config) {
-	rate := cfg.BitRate
-	if rate <= 0 {
-		rate = DefaultBitRate
-	}
-	b.bitTime = time.Second / time.Duration(rate)
 	b.errRate = cfg.ErrorRate
 	b.rng.Reseed(cfg.Seed)
 }
 
 // Scheduler returns the simulation scheduler driving this bus.
 func (b *Bus) Scheduler() *sim.Scheduler { return b.sched }
-
-// BitTime returns the duration of a single bit on this bus.
-func (b *Bus) BitTime() time.Duration { return b.bitTime }
 
 // SetTracer installs a callback receiving every TraceEvent. Pass nil to
 // disable tracing. Owner-goroutine only. The event's Frame payload is only
@@ -477,7 +469,7 @@ func (b *Bus) arbitrate() {
 		// Frames are validated in Send; an encode failure here is a bug.
 		panic(fmt.Errorf("canbus: unencodable queued frame: %w", err))
 	}
-	dur := time.Duration(bits) * b.bitTime
+	dur := time.Duration(bits) * bitTime
 	b.txFailed = b.errRate > 0 && b.rng.Bool(b.errRate)
 	b.stats.busyTime += dur
 	if b.tracer != nil {
@@ -544,7 +536,7 @@ func (b *Bus) complete() {
 	if failed {
 		st := tx.txError()
 		b.stats.errors++
-		b.stats.busyTime += time.Duration(errorFrameBits) * b.bitTime
+		b.stats.busyTime += time.Duration(errorFrameBits) * bitTime
 		b.emit(TraceEvent{At: b.sched.Now(), Kind: TraceError, Node: tx.name, Frame: f})
 		if st == BusOff {
 			b.emit(TraceEvent{At: b.sched.Now(), Kind: TraceBusOff, Node: tx.name, Frame: f})
@@ -553,7 +545,7 @@ func (b *Bus) complete() {
 		// Schedule kick, not arbitrate, at the recovery instant: the extra
 		// zero-delay hop lets frames queued by other events firing at that
 		// same instant join the arbitration round (kick's SOF-sync model).
-		b.sched.After(time.Duration(errorFrameBits)*b.bitTime, b.deferredKick)
+		b.sched.After(time.Duration(errorFrameBits)*bitTime, b.deferredKick)
 		return
 	}
 
@@ -596,10 +588,10 @@ func (b *Bus) MarkPristine() {
 	b.Snapshot(&b.mark)
 }
 
-// Reset is RestoreFrom of MarkPristine's snapshot followed by cfg's bit rate,
-// error rate and RNG seed: nodes attached since are discarded (marked
-// detached, so stale references fail safe) or parked for recycling, and
-// every pristine node, the counters and the topology come back exactly as
+// Reset is RestoreFrom of MarkPristine's snapshot followed by cfg's error
+// rate and RNG seed: nodes attached since are discarded (marked detached,
+// so stale references fail safe) or parked for recycling, and every
+// pristine node, the counters and the topology come back exactly as
 // marked. Allocation-free. The owning scheduler is NOT touched — reset it
 // first (car.Car.Reset does). Owner-goroutine only.
 func (b *Bus) Reset(cfg Config) {

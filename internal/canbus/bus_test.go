@@ -304,7 +304,7 @@ func TestDuplicateAttach(t *testing.T) {
 }
 
 func TestBusTimingModel(t *testing.T) {
-	sched, bus := newTestBus(t, Config{BitRate: 500_000})
+	sched, bus := newTestBus(t, Config{})
 	tx := bus.MustAttach("tx")
 	bus.MustAttach("rx")
 
@@ -318,7 +318,7 @@ func TestBusTimingModel(t *testing.T) {
 	}
 	sched.Run()
 
-	want := time.Duration(bits) * bus.BitTime()
+	want := time.Duration(bits) * (time.Second / BitRate)
 	if got := sched.Now(); got != want {
 		t.Errorf("transmission completed at %v, want %v", got, want)
 	}

@@ -1,9 +1,6 @@
 package canbus
 
-import (
-	"maps"
-	"time"
-)
+import "maps"
 
 // This file implements the bus substrate's one rewind path: Snapshot
 // captures the full mutable state of a pristine topology at an instant where
@@ -109,11 +106,10 @@ func (n *Node) restoreState(src *NodeSnapshot) {
 	}
 }
 
-// BusSnapshot captures a quiescent bus's full mutable state: configuration,
+// BusSnapshot captures a quiescent bus's full mutable state: error rate,
 // RNG position, counters and every pristine node's state. Reusable — the
 // arena holds one per (prefix, regime) and overwrites it per bucket.
 type BusSnapshot struct {
-	bitTime  time.Duration
 	errRate  float64
 	rngState uint64
 	orderSeq int32
@@ -149,7 +145,6 @@ func (b *Bus) Snapshot(dst *BusSnapshot) {
 	if !b.Quiescent() {
 		panic("canbus: Snapshot of a non-quiescent bus or non-pristine topology")
 	}
-	dst.bitTime = b.bitTime
 	dst.errRate = b.errRate
 	dst.rngState = b.rng.State()
 	dst.orderSeq = b.orderSeq
@@ -171,7 +166,6 @@ func (b *Bus) Snapshot(dst *BusSnapshot) {
 // position. The owning scheduler is not touched — restore it first
 // (car.Car.RestoreFrom does). Owner-goroutine only.
 func (b *Bus) RestoreFrom(src *BusSnapshot) {
-	b.bitTime = src.bitTime
 	b.errRate = src.errRate
 	b.rng.SetState(src.rngState)
 	b.orderSeq = src.orderSeq

@@ -104,8 +104,6 @@ func initialState() State {
 
 // Config parameterises a Car.
 type Config struct {
-	// BitRate for the bus; canbus.DefaultBitRate if zero.
-	BitRate int
 	// ErrorRate for bus error injection; zero disables.
 	ErrorRate float64
 	// Seed for deterministic error injection.
@@ -118,11 +116,7 @@ type Config struct {
 // unlocked, alarm disarmed, modem on, tracking active.
 func New(cfg Config) (*Car, error) {
 	sched := &sim.Scheduler{}
-	bus := canbus.New(sched, canbus.Config{
-		BitRate:   cfg.BitRate,
-		ErrorRate: cfg.ErrorRate,
-		Seed:      cfg.Seed,
-	})
+	bus := canbus.New(sched, canbus.Config{ErrorRate: cfg.ErrorRate, Seed: cfg.Seed})
 	c := &Car{
 		sched: sched,
 		bus:   bus,
@@ -162,11 +156,7 @@ func New(cfg Config) (*Car, error) {
 // thousands of scenario runs.
 func (c *Car) Reset(cfg Config) {
 	c.sched.Reset()
-	c.bus.Reset(canbus.Config{
-		BitRate:   cfg.BitRate,
-		ErrorRate: cfg.ErrorRate,
-		Seed:      cfg.Seed,
-	})
+	c.bus.Reset(canbus.Config{ErrorRate: cfg.ErrorRate, Seed: cfg.Seed})
 	c.mode = ModeNormal
 	c.state = initialState()
 }

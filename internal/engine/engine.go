@@ -26,20 +26,19 @@
 // or the single Table I group of carsim's fleet mode. The sweep visits each
 // vehicle once — live background phase, then every group's scenario×regime
 // cells back to back on the same warm arena — instead of one barriered pass
-// per group. Each group carries its own fleet root, so every (group,
-// vehicle) block stays a pure function of its seeds; cross-group isolation
-// rests on the arena's reset-equals-fresh contract (each cell resets the
-// vehicle).
+// per group. Cells take no seed, so every (group, vehicle) block is a pure
+// function of the group; cross-group isolation rests on the arena's
+// reset-equals-fresh contract (each cell resets the vehicle).
 //
 // # Batched evaluation
 //
 // By default the sweep runs batched: scenario groups are planned into
 // prefix-sharing buckets (attack.PlanBatches), each worker's arena replays a
 // bucket's shared pre-attack prefix once per enforcement regime and forks
-// the remaining cells from a checkpoint, and — because attack cells never
-// enable bus error injection, the only seed consumer in the substrate — the
-// sweep executes the run's first vehicle alone, before the worker pool
-// starts, and stamps its seed-invariant result on every later vehicle:
+// the remaining cells from a checkpoint, and — because attack cells take no
+// seed — the sweep executes the run's first vehicle alone, before the
+// worker pool starts, and stamps its seed-invariant result on every later
+// vehicle:
 // attack aggregates and MAC probe counts always, live counters too when
 // ErrorRate is zero (a stamped vehicle then executes nothing; otherwise only
 // its live phase runs). The stamp is built once and shared read-only —
@@ -113,9 +112,10 @@ type ScenarioGroup struct {
 	Scenarios []attack.Scenario
 	// Regimes is the group's enforcement sweep (required).
 	Regimes []attack.Enforcement
-	// RootSeed feeds the group's per-vehicle seed derivation: vehicle i runs
-	// this group with VehicleSeed(RootSeed, i), so groups decorrelate while
-	// each remains a pure function of (group root, vehicle index).
+	// RootSeed is the fleet root of the run when the group is Groups[0]:
+	// vehicle i's live phase runs with VehicleSeed(RootSeed, i), the verify
+	// sampler keys on it and the report header echoes it. Cells take no
+	// seed, so no other group's root is read.
 	RootSeed uint64
 }
 
@@ -134,10 +134,9 @@ type Config struct {
 	// shard layout. Zero (the default) is the unsharded whole-fleet run.
 	IndexOffset int
 	// Groups are the scenario groups swept per vehicle visit (at least one;
-	// an empty Groups is an error). Each group carries its own scenarios,
-	// regimes and root seed. The first group's root also seeds the live
-	// background phase and the verify sampler, and the report header echoes
-	// it. The Table I sweep is one group of attack.Scenarios().
+	// an empty Groups is an error). Each group carries its own scenarios
+	// and regimes; the first group's RootSeed is the run's fleet root. The
+	// Table I sweep is one group of attack.Scenarios().
 	Groups []ScenarioGroup
 	// TrafficHorizon is the virtual span of the live background simulation
 	// (default 50ms).
@@ -166,15 +165,14 @@ type Config struct {
 	// as a pure function of (vehicle, group, regime, scenario, attempt)
 	// coordinates, which cells panic, corrupt their checkpoint restore,
 	// overrun their deadline, or crash the whole vehicle visit. An active
-	// plan disables cross-vehicle stamping so every vehicle actually
-	// executes its cells. Nil means no injection (the supervisor still
-	// contains organic failures).
+	// plan arms supervision (see supervised). Nil means no injection (the
+	// supervisor still contains organic failures).
 	Chaos *chaos.Plan
 	// VerifySample, when positive, cross-checks that deterministic fraction
 	// of batched (checkpoint-forked) cells against the cell-by-cell oracle
 	// inline. A mismatch is booked in the Health ledger, demotes the vehicle
 	// to the oracle path, and the oracle's result stands. Like Chaos, a
-	// non-zero sample rate disables stamping.
+	// non-zero sample rate arms supervision.
 	VerifySample float64
 	// OnVehicle, when non-nil, is Run's per-vehicle hook: it is invoked
 	// once per vehicle of Run's listing in ascending vehicle-index order,
@@ -190,6 +188,13 @@ type Config struct {
 	// Config with OnVehicle set.
 	OnVehicle func(*VehicleReport)
 }
+
+// supervised reports whether supervision is armed: chaos injection or
+// inline verification. An armed run stamps nothing, since stamped vehicles
+// execute no cells and would dodge their injected faults and verify
+// samples, and its report renders the health line even when the ledger is
+// all zeros: a chaos run that contained nothing says so.
+func (c *Config) supervised() bool { return c.Chaos.Active() || c.VerifySample > 0 }
 
 // The live background simulation's legitimate traffic (car.StartTraffic):
 // one tick of periodic frames per trafficPeriod of virtual time, reporting
@@ -299,15 +304,14 @@ type shared struct {
 	stamp *stamp
 }
 
-// stamp is the part of a run's first executed vehicle that is provably
-// invariant across vehicle seeds, stamped on every later vehicle instead of
-// re-simulated. The invariance is structural, not assumed: a vehicle seed's
-// only consumer in the simulation substrate is the bus error-injection RNG,
-// attack cells always reset the vehicle with error injection disabled (so
-// attack aggregates never depend on the seed), the MAC probe is a pure
-// function of the derived module, and the live phase consumes the RNG only
-// when Config.ErrorRate is non-zero. Stamped reports share first's Groups
-// and Attacks slices, so no consumer may write through them.
+// stamp is the part of a run's first executed vehicle that is the same for
+// every vehicle, stamped on every later vehicle instead of re-simulated.
+// Cells take no seed (attack.Harness) and the MAC probe is a pure function
+// of the derived module, so the attack aggregates and probe counts never
+// vary. The live phase is the one seeded phase, and its seed's only
+// consumer is the bus error-injection RNG, which it draws from only when
+// Config.ErrorRate is non-zero. Stamped reports share first's Groups and
+// Attacks slices, so no consumer may write through them.
 type stamp struct {
 	// first is the first vehicle's report with its Health cleared: a
 	// stamped vehicle contains nothing.
@@ -450,15 +454,14 @@ func (sh *shared) sweep(emit func(*VehicleReport, int)) (*FleetReport, error) {
 			emit(v, n)
 		}
 	}
-	// Stamping is off whenever supervision is armed: stamped vehicles
-	// execute no cells, which would dodge their injected faults and verify
-	// samples. Otherwise the first vehicle executes alone and its report
-	// becomes the stamp if its visit succeeds. A stack that fails to build
-	// here fails again in the workers, which report it.
+	// Stamping is off whenever supervision is armed. Otherwise the first
+	// vehicle executes alone and its report becomes the stamp if its visit
+	// succeeds. A stack that fails to build here fails again in the
+	// workers, which report it.
 	var first VehicleReport
 	var firstErr error
 	executed := false
-	if !cfg.NoBatch && !sh.sup.chaotic() {
+	if !cfg.NoBatch && !cfg.supervised() {
 		if s, err := newStack(sh); err == nil {
 			executed = true
 			first, firstErr = sh.runVehicle(s, cfg.IndexOffset)
@@ -560,8 +563,7 @@ type stack interface {
 	startLive(sh *shared, cfg car.Config) (*car.Car, error)
 	// probe runs the MAC least-privilege probe on a clean MAC server.
 	probe(sh *shared, rep *VehicleReport) error
-	// bind points one group's cell executor at the stack, seeded with
-	// e.seed.
+	// bind points one group's cell executor at the stack.
 	bind(e *cellExec, gi int)
 	// rebuild replaces the stack after a crashed visit.
 	rebuild(sh *shared) error
@@ -612,7 +614,6 @@ func (a *arena) probe(sh *shared, rep *VehicleReport) error {
 }
 
 func (a *arena) bind(e *cellExec, gi int) {
-	a.att.SetSeed(e.seed)
 	e.owner = a
 	e.br = a.att.NewBatchRun(e.sh.plans[gi])
 }
@@ -653,7 +654,7 @@ func (fresh) probe(sh *shared, rep *VehicleReport) error {
 	return nil
 }
 
-func (fresh) bind(e *cellExec, _ int) { e.hv = e.sh.harness.WithSeed(e.seed) }
+func (fresh) bind(*cellExec, int) {}
 
 func (fresh) rebuild(*shared) error { return nil }
 
@@ -697,10 +698,9 @@ func (sh *shared) visitLive(s stack, index int) (rep VehicleReport, err error) {
 }
 
 // visit is one attempt of one whole vehicle visit: the live phase, the MAC
-// probe, then every group's scenario×regime block on the same stack,
-// reseeded per group so each block is a pure function of (group root,
-// index), every cell supervised. The demotion latch spans the visit: once
-// any cell falls back to the oracle, the rest of the vehicle follows.
+// probe, then every group's scenario×regime block on the same stack, every
+// cell supervised. The demotion latch spans the visit: once any cell falls
+// back to the oracle, the rest of the vehicle follows.
 func (sh *shared) visit(s stack, index, attempt int, h *Health) (rep VehicleReport, err error) {
 	if rep, err = sh.visitLive(s, index); err != nil {
 		return rep, err
@@ -718,10 +718,7 @@ func (sh *shared) visit(s stack, index, attempt int, h *Health) (rep VehicleRepo
 		if sh.sup.plan.CrashFault(index, gi, attempt) {
 			panic(&chaos.InjectedCrash{Vehicle: index, Group: gi, Attempt: attempt})
 		}
-		e := &cellExec{
-			sup: &sh.sup, health: h, sh: sh,
-			vehicle: index, group: gi, seed: VehicleSeed(g.RootSeed, index), demoted: &demoted,
-		}
+		e := &cellExec{sup: &sh.sup, health: h, sh: sh, vehicle: index, group: gi, demoted: &demoted}
 		s.bind(e, gi)
 		sums, gerr := runGroupCells(e, g)
 		rep.Groups[gi] = sums

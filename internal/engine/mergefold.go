@@ -63,13 +63,12 @@ func newMergeFold(cfg Config) *MergeFold {
 	for gi := range cfg.Groups {
 		g := &cfg.Groups[gi]
 		fr.Groups[gi].Name = g.Name
-		fr.Groups[gi].RootSeed = g.RootSeed
 		fr.Groups[gi].Regimes = make([]attack.RegimeSummary, len(g.Regimes))
 		for ri, enf := range g.Regimes {
 			fr.Groups[gi].Regimes[ri].Regime = enf
 		}
 	}
-	fr.HealthEnabled = cfg.Chaos.Active() || cfg.VerifySample > 0
+	fr.HealthEnabled = cfg.supervised()
 	m := &MergeFold{fr: fr, sum: new(big.Float).SetPrec(utilPrec), spare: new(big.Float).SetPrec(utilPrec)}
 	m.prod.SetPrec(utilPrec)
 	return m

@@ -91,9 +91,8 @@ func AppendRun(dst []VehicleReport, v *VehicleReport, n int, root uint64) []Vehi
 // GroupReport is one scenario group's fleet-merged outcome: per-regime
 // aggregates folded across every vehicle, in vehicle-index order.
 type GroupReport struct {
-	// Name and RootSeed echo the group.
-	Name     string
-	RootSeed uint64
+	// Name echoes the group.
+	Name string
 	// Regimes holds one fleet-merged aggregate per regime, in the group's
 	// sweep order.
 	Regimes []attack.RegimeSummary
@@ -129,9 +128,9 @@ type FleetReport struct {
 	MACChecks  int
 	MACAllowed int
 	// Health folds every vehicle's containment ledger; HealthEnabled records
-	// whether supervision was explicitly armed (chaos injection or verify
-	// sampling), which forces the health line to render even when the ledger
-	// is all zeros — a chaos run that contained nothing should say so.
+	// whether supervision was armed (Config.Chaos or Config.VerifySample),
+	// which forces the health line to render even when the ledger is all
+	// zeros — a chaos run that contained nothing should say so.
 	Health        Health
 	HealthEnabled bool
 }

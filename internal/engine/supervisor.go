@@ -71,11 +71,6 @@ type supervisorCfg struct {
 	verifySeed uint64
 }
 
-// chaotic reports whether fault injection or inline verification is armed —
-// the modes that disable cross-vehicle stamping, because stamped vehicles
-// execute no cells and would dodge their injected faults and samples.
-func (s *supervisorCfg) chaotic() bool { return s.plan.Active() || s.verify > 0 }
-
 // backoff returns the capped virtual backoff recorded before retry n
 // (1-based): base<<(n-1), clamped to backoffCap.
 func backoff(n int) time.Duration {
@@ -89,20 +84,18 @@ func backoff(n int) time.Duration {
 	return d
 }
 
-// cellExec supervises one scenario group's cells for one vehicle. Exactly
-// one execution backend is set: br (over owner's arena) for the pooled
-// batched path, hv for the fresh NoBatch oracle.
+// cellExec supervises one scenario group's cells for one vehicle: through
+// br (over owner's arena) on the pooled batched path, through a fresh car
+// per cell (the harness's Run) on the NoBatch oracle, where both are nil.
 type cellExec struct {
 	sup    *supervisorCfg
 	health *Health
 	sh     *shared
 	owner  *arena           // pooled vehicle stack; nil on the oracle
 	br     *attack.BatchRun // batched cursor over owner; nil on the oracle
-	hv     *attack.Harness  // oracle harness, seed applied
 
 	vehicle, group int
-	seed           uint64 // the group seed, re-applied after arena rebuilds
-	demoted        *bool  // the visit's monotone demotion latch
+	demoted        *bool // the visit's monotone demotion latch
 }
 
 // runCell executes one cell through the containment ladder and returns its
@@ -172,7 +165,7 @@ func (e *cellExec) attempt(sc attack.Scenario, sci, ri int, enf attack.Enforceme
 	case e.br != nil:
 		r, err = e.br.RunOracle()
 	default:
-		r, err = e.hv.Run(sc, enf)
+		r, err = e.sh.harness.Run(sc, enf)
 	}
 	if err != nil {
 		return r, err
@@ -219,7 +212,6 @@ func (e *cellExec) refresh(err error) error {
 	if aerr != nil {
 		return aerr
 	}
-	att.SetSeed(e.seed)
 	e.owner.att = att
 	if e.br != nil {
 		e.br.Rebind(att)

@@ -228,8 +228,6 @@ type CompileOptions struct {
 	// Lookup selects the table data structure; LookupBitmap if zero
 	// (falling back per table to LookupHash for extended identifiers).
 	Lookup LookupKind
-	// TableLimit overrides the per-table identifier cap; TableLimit if zero.
-	TableLimit int
 	// Backend names the enforcement backend to compile for ("table",
 	// "expr", "closure"); empty selects the default. Compile itself always
 	// produces the interpreted table form — the field is consumed by
@@ -258,17 +256,13 @@ func Compile(set *Set, opts CompileOptions) (*Compiled, error) {
 	if kind == 0 {
 		kind = LookupBitmap
 	}
-	limit := opts.TableLimit
-	if limit == 0 {
-		limit = TableLimit
-	}
 
 	// Collect the universe of identifiers any rule mentions.
 	var universe IDSet
 	for _, r := range set.Rules {
 		universe = append(universe, r.IDs...)
 	}
-	ids, err := universe.Enumerate(limit)
+	ids, err := universe.Enumerate(TableLimit)
 	if err != nil {
 		return nil, err
 	}

@@ -71,15 +71,15 @@ func TestCompileRequiresSubjectsAndModes(t *testing.T) {
 
 func TestCompileTableLimit(t *testing.T) {
 	s := &Set{Name: "big", Version: 1, Rules: []Rule{
-		{Subject: "x", Effect: Allow, Action: ActRead, IDs: Span(0, 99)},
+		{Subject: "x", Effect: Allow, Action: ActRead, IDs: Span(0, TableLimit)},
 	}}
-	opts := CompileOptions{Subjects: []string{"x"}, Modes: []Mode{"m"}, TableLimit: 50}
+	opts := CompileOptions{Subjects: []string{"x"}, Modes: []Mode{"m"}}
 	if _, err := Compile(s, opts); err == nil {
 		t.Error("table limit not enforced")
 	}
-	opts.TableLimit = 200
+	s.Rules[0].IDs = Span(0, TableLimit-1)
 	if _, err := Compile(s, opts); err != nil {
-		t.Errorf("compile under the limit failed: %v", err)
+		t.Errorf("compile at the limit failed: %v", err)
 	}
 }
 

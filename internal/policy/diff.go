@@ -1,8 +1,9 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -15,9 +16,11 @@ import (
 
 // Access identifies one grantable capability.
 type Access struct {
-	// Subject is the node holding the capability.
+	// Subject is the node holding the capability; in a Diff, SubjectAll
+	// stands for every subject neither set names.
 	Subject string
-	// Mode is the operating mode it applies in.
+	// Mode is the operating mode it applies in; in a Diff, "*" stands for
+	// every mode neither set names.
 	Mode Mode
 	// Action is the direction (ActRead or ActWrite).
 	Action Action
@@ -57,55 +60,28 @@ func (d Diff) String() string {
 	return b.String()
 }
 
-// DiffOptions bound the comparison universe.
-type DiffOptions struct {
-	// Subjects to compare; union of both sets' subjects if empty.
-	Subjects []string
-	// Modes to compare; union of both sets' modes plus the universal mode
-	// probe if empty.
-	Modes []Mode
-	// Limit caps the identifier universe (TableLimit if zero).
-	Limit int
-}
-
-// DiffSets computes the semantic difference between old and new over every
-// identifier either set mentions.
-func DiffSets(oldSet, newSet *Set, opts DiffOptions) (Diff, error) {
+// DiffSets computes the semantic difference between old and new: every
+// (subject, mode, action, identifier) cell whose decision differs, over
+// every identifier either set mentions. The subjects and modes compared are
+// those either set names, sorted, then one probe of each standing for all
+// the subjects and modes neither set names, which every rule treats alike:
+// the subject probe is SubjectAll, which only wildcard rules match, and the
+// mode probe is "*" (lengthened if a rule names that mode), which only
+// all-mode rules match.
+func DiffSets(oldSet, newSet *Set) (Diff, error) {
 	if err := oldSet.Validate(); err != nil {
 		return Diff{}, fmt.Errorf("policy: diff old set: %w", err)
 	}
 	if err := newSet.Validate(); err != nil {
 		return Diff{}, fmt.Errorf("policy: diff new set: %w", err)
 	}
-	subjects := opts.Subjects
-	if len(subjects) == 0 {
-		seen := map[string]bool{}
-		for _, s := range append(oldSet.Subjects(), newSet.Subjects()...) {
-			seen[s] = true
-		}
-		for s := range seen {
-			subjects = append(subjects, s)
-		}
-		sort.Strings(subjects)
+	subjects := append(sortedUnion(oldSet.Subjects(), newSet.Subjects()), SubjectAll)
+	modes := sortedUnion(oldSet.Modes(), newSet.Modes())
+	probe := Mode("*")
+	for slices.Contains(modes, probe) {
+		probe += "*"
 	}
-	modes := opts.Modes
-	if len(modes) == 0 {
-		seen := map[Mode]bool{}
-		for _, m := range append(oldSet.Modes(), newSet.Modes()...) {
-			seen[m] = true
-		}
-		for m := range seen {
-			modes = append(modes, m)
-		}
-		sort.Slice(modes, func(i, j int) bool { return modes[i] < modes[j] })
-		if len(modes) == 0 {
-			modes = []Mode{"default"}
-		}
-	}
-	limit := opts.Limit
-	if limit == 0 {
-		limit = TableLimit
-	}
+	modes = append(modes, probe)
 	var universe IDSet
 	for _, r := range oldSet.Rules {
 		universe = append(universe, r.IDs...)
@@ -113,7 +89,7 @@ func DiffSets(oldSet, newSet *Set, opts DiffOptions) (Diff, error) {
 	for _, r := range newSet.Rules {
 		universe = append(universe, r.IDs...)
 	}
-	ids, err := universe.Enumerate(limit)
+	ids, err := universe.Enumerate(TableLimit)
 	if err != nil {
 		return Diff{}, err
 	}
@@ -136,4 +112,11 @@ func DiffSets(oldSet, newSet *Set, opts DiffOptions) (Diff, error) {
 		}
 	}
 	return d, nil
+}
+
+// sortedUnion returns the sorted, duplicate-free union of a and b.
+func sortedUnion[T cmp.Ordered](a, b []T) []T {
+	out := slices.Concat(a, b)
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -22,7 +22,7 @@ func init() { Register(closureBackend{}) }
 func (closureBackend) Name() string { return "closure" }
 
 func (closureBackend) Compile(p *Policy) (Enforcer, error) {
-	ids, err := p.Universe.Enumerate(p.Limit)
+	ids, err := p.Universe.Enumerate(policy.TableLimit)
 	if err != nil {
 		return nil, err
 	}

@@ -65,7 +65,7 @@ func (l *exprList) Contains(id uint32) bool {
 // IDs implements policy.IDLookup: the rule universe filtered by Contains.
 func (l *exprList) IDs() []uint32 {
 	// Lower enumerated the universe under the same cap, so this cannot fail.
-	ids, _ := l.p.Universe.Enumerate(l.p.Limit)
+	ids, _ := l.p.Universe.Enumerate(policy.TableLimit)
 	out := ids[:0]
 	for _, id := range ids {
 		if l.Contains(id) {

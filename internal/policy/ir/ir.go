@@ -95,10 +95,9 @@ type Policy struct {
 	// Universe is the normalised union of every identifier any rule
 	// mentions — the expansion domain of table-building backends.
 	Universe policy.IDSet
-	// Lookup and Limit carry the caller's compile hints (table data
-	// structure, per-table identifier cap) for backends that expand tables.
+	// Lookup carries the caller's table data structure hint for backends
+	// that expand tables.
 	Lookup policy.LookupKind
-	Limit  int
 
 	subjectIdx map[string]int
 	modeIdx    map[policy.Mode]int
@@ -111,9 +110,9 @@ const MaxModes = 64
 // Lower normalises a rule set against the device model named by opts
 // (Subjects and Modes are required, exactly as for policy.Compile) and
 // returns the typed IR every backend compiles from. The table-expansion cap
-// (opts.TableLimit, default policy.TableLimit) is enforced here so a policy
-// too large for bounded in-vehicle tables fails uniformly for every backend
-// rather than only for the ones that expand.
+// (policy.TableLimit) is enforced here so a policy too large for bounded
+// in-vehicle tables fails uniformly for every backend rather than only for
+// the ones that expand.
 func Lower(set *policy.Set, opts policy.CompileOptions) (*Policy, error) {
 	if err := set.Validate(); err != nil {
 		return nil, err
@@ -190,11 +189,7 @@ func Lower(set *policy.Set, opts policy.CompileOptions) (*Policy, error) {
 	}
 	p.Universe = norm
 	p.Lookup = opts.Lookup
-	p.Limit = opts.TableLimit
-	if p.Limit == 0 {
-		p.Limit = policy.TableLimit
-	}
-	if _, err := p.Universe.Enumerate(p.Limit); err != nil {
+	if _, err := p.Universe.Enumerate(policy.TableLimit); err != nil {
 		return nil, err
 	}
 	return p, nil

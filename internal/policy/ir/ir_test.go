@@ -110,12 +110,13 @@ func TestLowerErrors(t *testing.T) {
 	if _, err := Lower(set, policy.CompileOptions{Subjects: []string{"ecu"}}); err == nil {
 		t.Error("no modes: want error")
 	}
-	opts := testOpts()
-	opts.TableLimit = 8
-	if _, err := Lower(set, opts); err == nil {
+	big := testSet()
+	big.Rules = append(big.Rules, policy.Rule{Name: "huge", Subject: "ecu", Effect: policy.Allow,
+		Action: policy.ActRead, IDs: policy.Span(0, policy.TableLimit)})
+	if _, err := Lower(big, testOpts()); err == nil {
 		t.Error("universe over TableLimit: want error")
 	}
-	opts = testOpts()
+	opts := testOpts()
 	opts.Subjects = []string{"ecu", "ecu"}
 	if _, err := Lower(set, opts); err == nil {
 		t.Error("duplicate subject: want error")

@@ -18,10 +18,9 @@ func (tableBackend) Name() string { return "table" }
 
 func (tableBackend) Compile(p *Policy) (Enforcer, error) {
 	c, err := policy.Compile(p.ToSet(), policy.CompileOptions{
-		Subjects:   p.Subjects,
-		Modes:      p.Modes,
-		Lookup:     p.Lookup,
-		TableLimit: p.Limit,
+		Subjects: p.Subjects,
+		Modes:    p.Modes,
+		Lookup:   p.Lookup,
 	})
 	if err != nil {
 		return nil, err

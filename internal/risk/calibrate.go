@@ -327,33 +327,3 @@ func applyDelta(s dread.Score, d Delta) dread.Score {
 		clamp(s.Discoverability+d.Discoverability),
 	)
 }
-
-// String renders the profile deterministically: no worker counts, no
-// wall-clock values — the risk analogue of CampaignReport.String.
-func (p *Profile) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "risk profile of %q — campaign %q v%d seed %#x, root seed %#x, fleet %d, %d cells\n",
-		p.Model, p.Campaign, p.Version, p.Seed, p.RootSeed, p.Fleet, p.Cells)
-	if p.HealthEnabled || !p.Health.IsZero() {
-		fmt.Fprintf(&b, "health: %s\n", p.Health)
-	}
-	for i := range p.Threats {
-		tc := &p.Threats[i]
-		fmt.Fprintf(&b, "%2d. %-8s [%s] rubric %s -> measured %s (%s -> %s) delta %s residual %.2f\n",
-			i+1, tc.ThreatID, tc.Stride, tc.Rubric, tc.Measured,
-			tc.RubricRating, tc.MeasuredRating, tc.Delta, tc.Residual)
-		for j := range tc.Families {
-			f := &tc.Families[j]
-			fmt.Fprintf(&b, "    %-16s (%s) scen=%d undef %s | def %s",
-				f.Name, f.Kind, f.Scenarios, f.Undefended, f.Defended)
-			if f.GoalRuns > 0 {
-				fmt.Fprintf(&b, " | goal %d/%d (def %d)", f.GoalHits, f.GoalRuns, f.DefendedGoalHits)
-			}
-			fmt.Fprintf(&b, " delta %s\n", f.Delta)
-		}
-	}
-	if len(p.Uncovered) > 0 {
-		fmt.Fprintf(&b, "uncovered: %s\n", strings.Join(p.Uncovered, ", "))
-	}
-	return b.String()
-}

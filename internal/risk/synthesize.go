@@ -41,9 +41,6 @@ type SynthesisConfig struct {
 	FloodRate campaign.Duration
 	// FloodFrames is the dos families' frames-per-attacker (default 24).
 	FloodFrames int
-	// Bases is the baseline scenario catalog threats are grounded in
-	// (default attack.Scenarios(), the Table I set).
-	Bases []attack.Scenario
 }
 
 func (cfg *SynthesisConfig) applyDefaults(useCase string) {
@@ -61,9 +58,6 @@ func (cfg *SynthesisConfig) applyDefaults(useCase string) {
 	}
 	if cfg.FloodFrames <= 0 {
 		cfg.FloodFrames = 24
-	}
-	if len(cfg.Bases) == 0 {
-		cfg.Bases = attack.Scenarios()
 	}
 }
 
@@ -87,16 +81,17 @@ func (cfg *SynthesisConfig) applyDefaults(useCase string) {
 // only synthesized for threats whose baseline needs no setup and whose Goal
 // names a known campaign predicate; tamper families carry the rest. The
 // spec is canonical (Normalize) and validated, so it satisfies the DSL
-// round-trip invariant and compiles on the default catalog.
+// round-trip invariant and compiles on the Table I catalog.
 func Synthesize(a *threatmodel.Analysis, cfg SynthesisConfig) (*campaign.Spec, error) {
 	cfg.applyDefaults(a.UseCase.Name)
 	threats, err := selectThreats(a, cfg.Threats)
 	if err != nil {
 		return nil, err
 	}
+	bases := attack.Scenarios()
 	var gens []campaign.GeneratorSpec
 	for _, t := range threats {
-		base, ok := campaign.BaseFor(cfg.Bases, t.ID)
+		base, ok := campaign.BaseFor(bases, t.ID)
 		if !ok {
 			// No executable baseline: the threat cannot be grounded in the
 			// simulation. An explicit filter asking for it is an error; a

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
 
@@ -62,7 +63,9 @@ type Config struct {
 	RootSeed uint64
 	// Tolerance is the relative residual-risk regression a gate accepts:
 	// candidate residual above baseline*(1+Tolerance) vetoes the stage.
-	// Zero means any measurable regression vetoes.
+	// Zero means any measurable regression vetoes. It must be finite and
+	// non-negative: a NaN or infinite tolerance would pass every gate, a
+	// negative one veto even an identical re-issue.
 	Tolerance float64
 	// Telemetry, when non-nil, receives continuous wall-clock telemetry
 	// lines (vehicles/s, decisions/s per gate sweep). Deterministic output
@@ -252,12 +255,15 @@ func Run(cfg Config) (*Outcome, error) {
 	if len(cfg.Vehicles) == 0 {
 		return nil, errors.New("rollout: no vehicles")
 	}
+	if !(cfg.Tolerance >= 0 && cfg.Tolerance <= math.MaxFloat64) {
+		return nil, fmt.Errorf("rollout: tolerance %v is not finite and non-negative", cfg.Tolerance)
+	}
 	plan := cfg.Plan
 	if len(plan.Stages) == 0 {
 		plan = fleet.DefaultPlan()
 	}
 
-	diff, err := policy.DiffSets(cfg.Current, cfg.Candidate, policy.DiffOptions{})
+	diff, err := policy.DiffSets(cfg.Current, cfg.Candidate)
 	if err != nil {
 		return nil, fmt.Errorf("rollout: diffing sets: %w", err)
 	}

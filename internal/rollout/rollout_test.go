@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -255,6 +256,9 @@ func TestRolloutConfigValidation(t *testing.T) {
 		{"nil candidate", Config{OEM: oem, Current: current, Vehicles: vehicles}},
 		{"no vehicles", Config{OEM: oem, Current: current, Candidate: cand}},
 		{"non-advancing version", Config{OEM: oem, Current: cand, Candidate: current, Vehicles: vehicles}},
+		{"NaN tolerance", Config{OEM: oem, Current: current, Candidate: cand, Vehicles: vehicles, Tolerance: math.NaN()}},
+		{"infinite tolerance", Config{OEM: oem, Current: current, Candidate: cand, Vehicles: vehicles, Tolerance: math.Inf(1)}},
+		{"negative tolerance", Config{OEM: oem, Current: current, Candidate: cand, Vehicles: vehicles, Tolerance: -0.1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
