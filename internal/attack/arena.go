@@ -17,7 +17,7 @@ import (
 //
 // An Arena is single-owner, like the simulation substrate it wraps: all
 // methods must be called from one goroutine at a time. The fleet engine
-// gives each worker its own arena.
+// gives every goroutine that runs cells its own arena.
 type Arena struct {
 	h       *Harness
 	car     *car.Car

@@ -31,6 +31,17 @@ type BatchPlan struct {
 // Cells returns the total number of scenario×regime cells the plan covers.
 func (p *BatchPlan) Cells() int { return len(p.Scenarios) * len(p.Regimes) }
 
+// Units returns the number of units the plan's cells fall into: one per
+// (bucket, regime) pair, numbered in the order a whole-plan BatchRun walks
+// them (bucket-major, regime-minor). A unit primes its own checkpoint and
+// shares no state with any other, so units run independently: in any
+// order, on any arena (BatchRun.Seek).
+func (p *BatchPlan) Units() int { return len(p.buckets) * len(p.Regimes) }
+
+// UnitRegime returns the index into Regimes of unit u's regime: every cell
+// of a unit runs under it.
+func (p *BatchPlan) UnitRegime(u int) int { return u % len(p.Regimes) }
+
 // PlanBatches buckets scenarios by PrefixKey for Arena.NewBatchRun.
 // Scenarios with equal non-zero keys share a bucket (they promise an
 // identical prefix: same Setup func or none); a zero key opts a scenario out

@@ -7,13 +7,14 @@ import (
 )
 
 // This file implements prefix-checkpointed batched execution. A BatchRun
-// walks a BatchPlan in bucket-major (bucket, regime, cell) order one cell at
-// a time, so the fleet engine's sweep supervisor can wrap every cell in
-// panic recovery, bounded retry and demotion. For every bucket of scenarios
-// sharing a prefix it replays the prefix once per regime, checkpoints the
-// quiescent vehicle, and forks each cell from the checkpoint instead of
-// paying a full reset + regime provisioning + setup replay; singleton
-// buckets run the plain per-cell path. Per-regime aggregates folded from a
+// walks a BatchPlan, or one (bucket, regime) unit of it, in bucket-major
+// (bucket, regime, cell) order one cell at a time, so the fleet engine's
+// sweep supervisor can wrap every cell in panic recovery, bounded retry and
+// demotion, and can spread a plan's units over several arenas. For every
+// bucket of scenarios sharing a prefix it replays the prefix once per
+// regime, checkpoints the quiescent vehicle, and forks each cell from the
+// checkpoint instead of paying a full reset + regime provisioning + setup
+// replay; singleton buckets run the plain per-cell path. Per-regime aggregates folded from a
 // drained cursor equal RunMatrix's on the same scenarios and regimes: each
 // forked cell produces the same Result as a cold run (restore equals reset),
 // and Summary.Add is commutative, so the bucket-major order cannot show.
@@ -23,46 +24,57 @@ import (
 // ErrIntegrity before the forked cell runs, instead of silently poisoning
 // every remaining cell of the bucket.
 
-// BatchRun is a resumable cursor over one BatchPlan's cells on one arena.
-// Next advances the cursor, Run executes the current cell through the
-// batched (checkpoint-forking) machinery, and RunOracle executes the same
-// cell through the cell-by-cell reference path — the supervisor's retry and
+// BatchRun is a resumable cursor over a BatchPlan's cells on one arena: the
+// whole plan (NewBatchRun) or one unit of it (Seek). Next advances the
+// cursor, Run executes the current cell through the batched
+// (checkpoint-forking) machinery, and RunOracle executes the same cell
+// through the cell-by-cell reference path — the supervisor's retry and
 // demotion target. Like the arena it drives, a BatchRun is single-owner.
 type BatchRun struct {
 	a *Arena
 	p *BatchPlan
 
 	bi, ri, ci int  // bucket, regime, cell-in-bucket position
+	end        int  // the unit the walk stops before
 	started    bool // Next called at least once
 	primed     bool // a valid checkpoint exists for (bi, ri)
 	corrupt    bool // sabotage the next restore (chaos testing hook)
 	sum        uint64
 }
 
-// NewBatchRun positions a fresh cursor before the plan's first cell.
-func (a *Arena) NewBatchRun(p *BatchPlan) *BatchRun { return &BatchRun{a: a, p: p} }
+// NewBatchRun positions a fresh cursor before the plan's first cell, to
+// walk every unit of the plan in turn.
+func (a *Arena) NewBatchRun(p *BatchPlan) *BatchRun {
+	return &BatchRun{a: a, p: p, end: p.Units()}
+}
+
+// Seek scopes the cursor to unit u of plan p (0 <= u < p.Units()): Next
+// moves to the unit's first cell and reports false after its last. The
+// checkpoint of whatever the cursor walked before is dropped, so one cursor
+// serves any sequence of units of any plans without allocating.
+func (b *BatchRun) Seek(p *BatchPlan, u int) {
+	*b = BatchRun{a: b.a, p: p, bi: u / len(p.Regimes), ri: u % len(p.Regimes), end: u + 1}
+}
 
 // Next advances to the next cell in bucket-major, regime-minor order and
-// reports whether one exists. Crossing a regime or bucket boundary
-// invalidates the checkpoint, as each (bucket, regime) pair primes its own.
+// reports whether one exists in the cursor's scope. Crossing a regime or
+// bucket boundary enters the next unit and invalidates the checkpoint, as
+// each (bucket, regime) pair primes its own.
 func (b *BatchRun) Next() bool {
-	if !b.started {
+	switch {
+	case !b.started:
 		b.started = true
-		return len(b.p.buckets) > 0
-	}
-	b.ci++
-	if b.ci < len(b.p.buckets[b.bi]) {
+	case b.ci+1 < len(b.p.buckets[b.bi]):
+		b.ci++
 		return true
+	default:
+		b.ci = 0
+		b.primed = false
+		if b.ri++; b.ri == len(b.p.Regimes) {
+			b.ri, b.bi = 0, b.bi+1
+		}
 	}
-	b.ci = 0
-	b.ri++
-	b.primed = false
-	if b.ri < len(b.p.Regimes) {
-		return true
-	}
-	b.ri = 0
-	b.bi++
-	return b.bi < len(b.p.buckets)
+	return b.bi*len(b.p.Regimes)+b.ri < b.end
 }
 
 // Cell returns the current cell's scenario index (into the plan's Scenarios)

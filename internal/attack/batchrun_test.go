@@ -2,6 +2,7 @@ package attack
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -62,6 +63,69 @@ func drainBatchRun(t *testing.T, a *Arena, p *BatchPlan) []RegimeSummary {
 		t.Fatalf("cursor visited %d cells, want %d", cells, p.Cells())
 	}
 	return out
+}
+
+// TestBatchRunUnitsFoldLikeWholePlan: walking every unit of a plan on one
+// cursor, each unit scoped by Seek, visits every cell once and folds the
+// same per-regime aggregates as NewBatchRun's whole-plan walk. The cursor
+// alternates between two plans, in reverse unit order for one of them, so
+// no unit leans on the checkpoint or position the previous one left.
+func TestBatchRunUnitsFoldLikeWholePlan(t *testing.T) {
+	h, err := NewHarness()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := h.NewArena()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := []*BatchPlan{
+		PlanBatches(batchRunScenarios(t), EnforceNone, EnforceHPE, EnforceBehaviour),
+		PlanBatches(Scenarios()[:5], EnforceSoftware, EnforceHPE),
+	}
+	want := make([][]RegimeSummary, len(plans))
+	got := make([][]RegimeSummary, len(plans))
+	for i, p := range plans {
+		want[i] = drainBatchRun(t, a, p)
+		got[i] = make([]RegimeSummary, len(p.Regimes))
+		for ri, enf := range p.Regimes {
+			got[i][ri].Regime = enf
+		}
+	}
+	cells := make([]int, len(plans))
+	br := a.NewBatchRun(plans[0])
+	for step := 0; step < max(plans[0].Units(), plans[1].Units()); step++ {
+		for i, p := range plans {
+			u := step
+			if i == 1 {
+				u = p.Units() - 1 - step
+			}
+			if u < 0 || u >= p.Units() {
+				continue
+			}
+			br.Seek(p, u)
+			for br.Next() {
+				_, ri := br.Cell()
+				if ri != p.UnitRegime(u) {
+					t.Fatalf("plan %d unit %d: cell under regime %d, want %d", i, u, ri, p.UnitRegime(u))
+				}
+				r, err := br.Run()
+				if err != nil {
+					t.Fatalf("plan %d unit %d: %v", i, u, err)
+				}
+				got[i][ri].Summary.Add(r)
+				cells[i]++
+			}
+		}
+	}
+	for i, p := range plans {
+		if cells[i] != p.Cells() {
+			t.Errorf("plan %d: the units visited %d cells, want %d", i, cells[i], p.Cells())
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("plan %d: unit walks folded\n%+v\nwant the whole-plan walk's\n%+v", i, got[i], want[i])
+		}
+	}
 }
 
 // TestBatchRunOracleMatchesBatched: RunOracle on any cell produces the same

@@ -102,13 +102,9 @@ func initialState() State {
 	}
 }
 
-// Config parameterises a Car.
-type Config struct {
-	// ErrorRate for bus error injection; zero disables.
-	ErrorRate float64
-	// Seed for deterministic error injection.
-	Seed uint64
-}
+// Config parameterises a Car: it is its bus's configuration (error
+// injection rate and seed), the only part of a car that takes any.
+type Config = canbus.Config
 
 // New builds the car: scheduler, bus, all Fig. 2 nodes with their
 // acceptance filters (per the message catalog) and processor behaviours.
@@ -116,7 +112,7 @@ type Config struct {
 // unlocked, alarm disarmed, modem on, tracking active.
 func New(cfg Config) (*Car, error) {
 	sched := &sim.Scheduler{}
-	bus := canbus.New(sched, canbus.Config{ErrorRate: cfg.ErrorRate, Seed: cfg.Seed})
+	bus := canbus.New(sched, cfg)
 	c := &Car{
 		sched: sched,
 		bus:   bus,
@@ -156,7 +152,7 @@ func New(cfg Config) (*Car, error) {
 // thousands of scenario runs.
 func (c *Car) Reset(cfg Config) {
 	c.sched.Reset()
-	c.bus.Reset(canbus.Config{ErrorRate: cfg.ErrorRate, Seed: cfg.Seed})
+	c.bus.Reset(cfg)
 	c.mode = ModeNormal
 	c.state = initialState()
 }

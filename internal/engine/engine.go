@@ -36,21 +36,27 @@
 // prefix-sharing buckets (attack.PlanBatches), each worker's arena replays a
 // bucket's shared pre-attack prefix once per enforcement regime and forks
 // the remaining cells from a checkpoint, and — because attack cells take no
-// seed — the sweep executes the run's first vehicle alone, before the
-// worker pool starts, and stamps its seed-invariant result on every later
-// vehicle:
+// seed — the sweep executes the run's first vehicle before the worker pool
+// starts and stamps its seed-invariant result on every later vehicle:
 // attack aggregates and MAC probe counts always, live counters too when
 // ErrorRate is zero (a stamped vehicle then executes nothing; otherwise only
-// its live phase runs). The stamp is built once and shared read-only —
-// stamped reports point at its slices instead of copying them. When nothing
-// is left to execute, the sweep starts no workers: the stamped vehicles are
-// one run, which folds into the fleet aggregates as one count (MergeFold's
-// count fold) and reaches the emitter in one call (see Aggregate); Run
-// lists it through AppendRun. Vehicles that execute anything — every live
-// phase under bus errors, every vehicle of an unstamped run — are claimed
-// one at a time off an atomic cursor, and each folds as the ordered emitter
-// releases it, in index order. If the first vehicle's visit fails, nothing
-// is stamped and every vehicle executes.
+// its live phase runs). With two or more workers the first vehicle's cells
+// run on up to Workers goroutines: they split into the plans' (group,
+// bucket, regime) units, which the goroutines claim off one counter, each
+// on an arena of its own, while the caller's arena runs the vehicle's live
+// phase and MAC probe. If any of it fails, the vehicle runs again on the
+// one-goroutine supervised path, so its Health and error are the ones a
+// one-worker run reports (see runFirst). The stamp is built once and
+// shared read-only — stamped reports point at its slices instead of
+// copying them. When nothing is left to execute, the sweep starts no
+// workers: the stamped vehicles are one run, which folds into the fleet
+// aggregates as one count (MergeFold's count fold) and reaches the emitter
+// in one call (see Aggregate); Run lists it through AppendRun. Vehicles
+// that execute anything — every live phase under bus errors, every vehicle
+// of an unstamped run — are claimed one at a time off an atomic cursor,
+// and each folds as the ordered emitter releases it, in index order. If
+// the first vehicle's visit fails, nothing is stamped and every vehicle
+// executes.
 // Config.NoBatch selects the reference oracle instead: no pooling, no
 // checkpoints, no stamping — every vehicle phase and every cell runs on a
 // freshly constructed stack, cell by cell. Both render byte-identical
@@ -68,7 +74,9 @@
 //
 // # Failure containment
 //
-// All cell execution runs under a supervisor (supervisor.go): a cell that
+// All cell execution runs under a supervisor (supervisor.go), or, on the
+// first vehicle's parallel matrix, makes one attempt with the same checks
+// and hands any failure to the supervised visit: a cell that
 // panics, fails its arena integrity checksum, overruns its virtual-time
 // budget or hits a non-quiescent capture is quarantined and retried (up to
 // twice per rung, rebuilding the pooled arena where the failure class
@@ -123,7 +131,10 @@ type ScenarioGroup struct {
 type Config struct {
 	// Fleet is the number of vehicles simulated (default 1).
 	Fleet int
-	// Workers bounds the worker pool (default runtime.GOMAXPROCS(0)).
+	// Workers bounds the worker pool (default runtime.GOMAXPROCS(0),
+	// capped at Fleet). On a run that stamps (batched, no chaos or verify
+	// sampling) it also bounds the goroutines that share the first
+	// vehicle's cells, each on an arena of its own.
 	Workers int
 	// IndexOffset shifts this run's vehicle indices into the global fleet
 	// index space: the run simulates global vehicles [IndexOffset,
@@ -455,16 +466,17 @@ func (sh *shared) sweep(emit func(*VehicleReport, int)) (*FleetReport, error) {
 		}
 	}
 	// Stamping is off whenever supervision is armed. Otherwise the first
-	// vehicle executes alone and its report becomes the stamp if its visit
-	// succeeds. A stack that fails to build here fails again in the
-	// workers, which report it.
+	// vehicle executes before the pool starts, its cells on up to Workers
+	// goroutines, and its report becomes the stamp if its visit succeeds.
+	// A stack that fails to build here fails again in the workers, which
+	// report it.
 	var first VehicleReport
 	var firstErr error
 	executed := false
 	if !cfg.NoBatch && !cfg.supervised() {
-		if s, err := newStack(sh); err == nil {
+		if a, err := newArena(sh); err == nil {
 			executed = true
-			first, firstErr = sh.runVehicle(s, cfg.IndexOffset)
+			first, firstErr = sh.runFirst(a, cfg.IndexOffset)
 			if firstErr == nil {
 				sh.stamp = &stamp{first: first, live: cfg.ErrorRate == 0}
 				sh.stamp.first.Health = Health{}
@@ -564,7 +576,7 @@ type stack interface {
 	// probe runs the MAC least-privilege probe on a clean MAC server.
 	probe(sh *shared, rep *VehicleReport) error
 	// bind points one group's cell executor at the stack.
-	bind(e *cellExec, gi int)
+	bind(e *cellExec)
 	// rebuild replaces the stack after a crashed visit.
 	rebuild(sh *shared) error
 }
@@ -581,21 +593,32 @@ func newStack(sh *shared) (stack, error) {
 }
 
 // arena is one worker's reusable vehicle stack: the attack arena (car +
-// pooled policy engines) and a MAC server with the derived module loaded,
-// all owned by that worker's goroutine. Constructed once per worker; every vehicle the worker
+// pooled policy engines), the one cursor every unit of its cells walks,
+// and a MAC server with the derived module loaded, all owned by that
+// worker's goroutine. Constructed once per worker; every vehicle the worker
 // claims resets it in place instead of rebuilding ~7000 topologies per
 // thousand-vehicle sweep.
 type arena struct {
 	att *attack.Arena
-	srv *mac.Server
+	cur *attack.BatchRun
+	srv *mac.Server // nil on a cell arena
 }
 
-func newArena(sh *shared) (*arena, error) {
+// newCellArena builds the part of a stack that runs cells: the attack
+// arena and its cursor. A parallel matrix helper runs nothing else.
+func newCellArena(sh *shared) (*arena, error) {
 	att, err := sh.harness.NewArena()
 	if err != nil {
 		return nil, err
 	}
-	a := &arena{att: att}
+	return &arena{att: att, cur: att.NewBatchRun(sh.plans[0])}, nil
+}
+
+func newArena(sh *shared) (*arena, error) {
+	a, err := newCellArena(sh)
+	if err != nil {
+		return nil, err
+	}
 	if !sh.cfg.SkipMAC {
 		a.srv = mac.NewServer()
 		if err := a.srv.Load(sh.macModule); err != nil {
@@ -613,9 +636,9 @@ func (a *arena) probe(sh *shared, rep *VehicleReport) error {
 	return nil
 }
 
-func (a *arena) bind(e *cellExec, gi int) {
+func (a *arena) bind(e *cellExec) {
 	e.owner = a
-	e.br = a.att.NewBatchRun(e.sh.plans[gi])
+	e.br = a.cur
 }
 
 func (a *arena) rebuild(sh *shared) error {
@@ -654,7 +677,7 @@ func (fresh) probe(sh *shared, rep *VehicleReport) error {
 	return nil
 }
 
-func (fresh) bind(*cellExec, int) {}
+func (fresh) bind(*cellExec) {}
 
 func (fresh) rebuild(*shared) error { return nil }
 
@@ -697,20 +720,28 @@ func (sh *shared) visitLive(s stack, index int) (rep VehicleReport, err error) {
 	return rep, nil
 }
 
-// visit is one attempt of one whole vehicle visit: the live phase, the MAC
-// probe, then every group's scenario×regime block on the same stack, every
-// cell supervised. The demotion latch spans the visit: once any cell falls
-// back to the oracle, the rest of the vehicle follows.
-func (sh *shared) visit(s stack, index, attempt int, h *Health) (rep VehicleReport, err error) {
+// visitHead is one attempt of the phases a visit runs before its cells:
+// the live phase, then the MAC probe.
+func (sh *shared) visitHead(s stack, index int) (rep VehicleReport, err error) {
 	if rep, err = sh.visitLive(s, index); err != nil {
 		return rep, err
 	}
 	defer contain(index, &err)
 	if !sh.cfg.SkipMAC {
-		if err := s.probe(sh, &rep); err != nil {
-			return rep, err
-		}
+		err = s.probe(sh, &rep)
 	}
+	return rep, err
+}
+
+// visit is one attempt of one whole vehicle visit: the live phase, the MAC
+// probe, then every group's scenario×regime block on the same stack, every
+// cell supervised. The demotion latch spans the visit: once any cell falls
+// back to the oracle, the rest of the vehicle follows.
+func (sh *shared) visit(s stack, index, attempt int, h *Health) (rep VehicleReport, err error) {
+	if rep, err = sh.visitHead(s, index); err != nil {
+		return rep, err
+	}
+	defer contain(index, &err)
 	rep.Groups = make([][]attack.RegimeSummary, len(sh.cfg.Groups))
 	var demoted bool
 	for gi := range sh.cfg.Groups {
@@ -719,7 +750,7 @@ func (sh *shared) visit(s stack, index, attempt int, h *Health) (rep VehicleRepo
 			panic(&chaos.InjectedCrash{Vehicle: index, Group: gi, Attempt: attempt})
 		}
 		e := &cellExec{sup: &sh.sup, health: h, sh: sh, vehicle: index, group: gi, demoted: &demoted}
-		s.bind(e, gi)
+		s.bind(e)
 		sums, gerr := runGroupCells(e, g)
 		rep.Groups[gi] = sums
 		if gerr != nil {

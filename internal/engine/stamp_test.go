@@ -285,7 +285,9 @@ func BenchmarkStampedReplay(b *testing.B) {
 
 // TestStampedAggregateAllocsFlat pins the stamped path's O(1) cost in
 // process: a fully stamped Aggregate allocates as often at fleet 1,000,000
-// as at fleet 2.
+// as at fleet 2. It sweeps on one worker. With more, vehicle 0's matrix
+// runs in parallel, and a helper that finds no unit left builds no arena,
+// so one call can allocate ~190 times fewer than the next.
 func TestStampedAggregateAllocsFlat(t *testing.T) {
 	h, err := attack.NewHarness()
 	if err != nil {

@@ -85,8 +85,8 @@ func backoff(n int) time.Duration {
 }
 
 // cellExec supervises one scenario group's cells for one vehicle: through
-// br (over owner's arena) on the pooled batched path, through a fresh car
-// per cell (the harness's Run) on the NoBatch oracle, where both are nil.
+// br (owner's cursor) on the pooled batched path, through a fresh car per
+// cell (the harness's Run) on the NoBatch oracle, where both are nil.
 type cellExec struct {
 	sup    *supervisorCfg
 	health *Health
@@ -247,23 +247,18 @@ func (e *cellExec) maybeVerify(r attack.Result, sci, ri, attempt int) (attack.Re
 }
 
 // runGroupCells executes one group's cells under supervision and folds them
-// into per-regime aggregates: bucket-major over the BatchRun cursor on the
-// batched path, scenario-major cell by cell on the NoBatch oracle. Both
-// fold byte-identical aggregates, because every cell's Result is the same
-// either way and Summary.Add is commutative.
+// into per-regime aggregates: unit by unit in plan order on the batched
+// path, scenario-major cell by cell on the NoBatch oracle. Both fold
+// byte-identical aggregates, because every cell's Result is the same either
+// way and Summary.Add is commutative.
 func runGroupCells(e *cellExec, g *ScenarioGroup) ([]attack.RegimeSummary, error) {
-	out := make([]attack.RegimeSummary, len(g.Regimes))
-	for i, enf := range g.Regimes {
-		out[i].Regime = enf
-	}
+	out := newRegimeSummaries(g)
 	if e.br != nil {
-		for e.br.Next() {
-			sci, ri := e.br.Cell()
-			r, err := e.runCell(g.Scenarios[sci], sci, ri, g.Regimes[ri])
-			if err != nil {
+		p := e.sh.plans[e.group]
+		for u := range p.Units() {
+			if err := e.runUnit(g, u, &out[p.UnitRegime(u)].Summary, true); err != nil {
 				return out, err
 			}
-			out[ri].Summary.Add(r)
 		}
 		return out, nil
 	}
@@ -277,6 +272,40 @@ func runGroupCells(e *cellExec, g *ScenarioGroup) ([]attack.RegimeSummary, error
 		}
 	}
 	return out, nil
+}
+
+// runUnit walks unit u of the group's plan on e's cursor and folds each
+// cell's result into sum. A supervised walk runs every cell through the
+// containment ladder (runCell). An unsupervised one, the parallel matrix's,
+// makes one attempt per cell and returns the first failure without booking
+// or retrying it: its caller drops the matrix and runs the supervised visit.
+func (e *cellExec) runUnit(g *ScenarioGroup, u int, sum *attack.Summary, supervised bool) error {
+	e.br.Seek(e.sh.plans[e.group], u)
+	for e.br.Next() {
+		sci, ri := e.br.Cell()
+		var r attack.Result
+		var err error
+		if supervised {
+			r, err = e.runCell(g.Scenarios[sci], sci, ri, g.Regimes[ri])
+		} else {
+			r, err = e.attempt(g.Scenarios[sci], sci, ri, g.Regimes[ri], 0)
+		}
+		if err != nil {
+			return err
+		}
+		sum.Add(r)
+	}
+	return nil
+}
+
+// newRegimeSummaries returns the group's empty per-regime aggregates, in
+// its sweep order.
+func newRegimeSummaries(g *ScenarioGroup) []attack.RegimeSummary {
+	out := make([]attack.RegimeSummary, len(g.Regimes))
+	for i, enf := range g.Regimes {
+		out[i].Regime = enf
+	}
+	return out
 }
 
 // superviseVisit runs one vehicle visit through the visit-scope ladder:

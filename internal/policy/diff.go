@@ -66,8 +66,8 @@ func (d Diff) String() string {
 // those either set names, sorted, then one probe of each standing for all
 // the subjects and modes neither set names, which every rule treats alike:
 // the subject probe is SubjectAll, which only wildcard rules match, and the
-// mode probe is "*" (lengthened if a rule names that mode), which only
-// all-mode rules match.
+// mode probe is "*", which no valid rule names, so only all-mode rules
+// match it.
 func DiffSets(oldSet, newSet *Set) (Diff, error) {
 	if err := oldSet.Validate(); err != nil {
 		return Diff{}, fmt.Errorf("policy: diff old set: %w", err)
@@ -76,12 +76,7 @@ func DiffSets(oldSet, newSet *Set) (Diff, error) {
 		return Diff{}, fmt.Errorf("policy: diff new set: %w", err)
 	}
 	subjects := append(sortedUnion(oldSet.Subjects(), newSet.Subjects()), SubjectAll)
-	modes := sortedUnion(oldSet.Modes(), newSet.Modes())
-	probe := Mode("*")
-	for slices.Contains(modes, probe) {
-		probe += "*"
-	}
-	modes = append(modes, probe)
+	modes := append(sortedUnion(oldSet.Modes(), newSet.Modes()), "*")
 	var universe IDSet
 	for _, r := range oldSet.Rules {
 		universe = append(universe, r.IDs...)

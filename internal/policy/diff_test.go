@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -132,22 +133,23 @@ func TestDiffSetsUnnamedSubjectsAndModes(t *testing.T) {
 	}
 }
 
-// TestDiffSetsModeProbeAvoidsNamedModes: a rule naming the mode "*" (the
-// JSON form allows any mode name) does not capture the mode probe.
-func TestDiffSetsModeProbeAvoidsNamedModes(t *testing.T) {
-	a := &Set{Name: "p", Version: 1, Rules: []Rule{
-		{Subject: "n", Effect: Allow, Action: ActRead, IDs: SingleID(0x10), Modes: NewModeSet("*")},
-	}}
-	b := &Set{Name: "p", Version: 2, Rules: []Rule{
+// TestDiffSetsRejectsNonIdentifierModes: a set naming a mode the DSL
+// cannot read back, such as "*" (which would also be the mode probe) or a
+// name with a space, is invalid on either side of a diff.
+func TestDiffSetsRejectsNonIdentifierModes(t *testing.T) {
+	good := &Set{Name: "p", Version: 2, Rules: []Rule{
 		{Subject: "n", Effect: Allow, Action: ActRead, IDs: SingleID(0x10)},
 	}}
-	d, err := DiffSets(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Access{{"n", "**", ActRead, 0x10}}
-	if !slices.Equal(d.Granted, want) || len(d.Revoked) != 0 {
-		t.Errorf("diff = %+v, want granted %v", d, want)
+	for _, mode := range []Mode{"*", "x y"} {
+		bad := &Set{Name: "p", Version: 1, Rules: []Rule{
+			{Subject: "n", Effect: Allow, Action: ActRead, IDs: SingleID(0x10), Modes: NewModeSet(mode)},
+		}}
+		if _, err := DiffSets(bad, good); !errors.Is(err, ErrBadMode) {
+			t.Errorf("mode %q: diff from it returned %v, want ErrBadMode", mode, err)
+		}
+		if _, err := DiffSets(good, bad); !errors.Is(err, ErrBadMode) {
+			t.Errorf("mode %q: diff to it returned %v, want ErrBadMode", mode, err)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ package policy
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -277,9 +278,11 @@ var (
 	ErrNoIDs     = errors.New("policy: rule covers no identifiers")
 	ErrBadEffect = errors.New("policy: invalid effect")
 	ErrBadAction = errors.New("policy: invalid action")
+	ErrBadMode   = errors.New("policy: invalid mode name")
 )
 
-// Validate checks structural validity and normalises the ID set.
+// Validate checks structural validity, including that every mode name is
+// an identifier the DSL reads back, and normalises the ID set.
 func (r *Rule) Validate() error {
 	if strings.TrimSpace(r.Subject) == "" {
 		return fmt.Errorf("%w (rule %q)", ErrNoSubject, r.Name)
@@ -292,6 +295,19 @@ func (r *Rule) Validate() error {
 	}
 	if len(r.IDs) == 0 {
 		return fmt.Errorf("%w (rule %q)", ErrNoIDs, r.Name)
+	}
+	// A mode name must be one DSL identifier, so that Set.String reads
+	// back through Parse; "*" would also read as the all-modes wildcard.
+	// The least bad name is reported, so the error does not depend on map
+	// order.
+	var bad []Mode
+	for m := range r.Modes {
+		if !isBareIdent(string(m)) {
+			bad = append(bad, m)
+		}
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("%w %q: not an identifier (rule %q)", ErrBadMode, slices.Min(bad), r.Name)
 	}
 	norm, err := r.IDs.Normalize()
 	if err != nil {
