@@ -125,9 +125,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "carsim:", err)
 		os.Exit(1)
 	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "carsim: -shards %d is negative\n", *shards)
-		os.Exit(1)
+	// 0 means "default" for each count; a negative one is a typo, not a size.
+	for _, c := range []struct {
+		flag string
+		n    int
+	}{{"fleet", *fleetSize}, {"workers", *workers}, {"shards", *shards}} {
+		if c.n < 0 {
+			fmt.Fprintf(os.Stderr, "carsim: -%s %d is negative\n", c.flag, c.n)
+			os.Exit(1)
+		}
 	}
 	if *shardWire != "binary" {
 		fmt.Fprintf(os.Stderr, "carsim: -shard-wire %q (want binary)\n", *shardWire)

@@ -68,6 +68,12 @@ func run(vehicleCount int, candidateFile, drill string, applyFail float64, seed 
 	if vehicleCount <= 0 {
 		return 1, fmt.Errorf("-vehicles %d is not a fleet", vehicleCount)
 	}
+	if workers < 0 {
+		return 1, fmt.Errorf("-workers %d is negative", workers)
+	}
+	if shards < 0 {
+		return 1, fmt.Errorf("-shards %d is negative", shards)
+	}
 	if !(applyFail >= 0 && applyFail <= 1) {
 		return 1, fmt.Errorf("-apply-fail %v outside [0, 1]", applyFail)
 	}

@@ -449,6 +449,25 @@ func TestFleetReportGolden(t *testing.T) {
 	}
 }
 
+// TestExamplesGolden runs the five example programs, which drive canbus, mac
+// and hpe directly, and pins each one's output (stdout and stderr) to
+// testdata/examples/<name>.golden byte for byte.
+func TestExamplesGolden(t *testing.T) {
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin, "./examples/...").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	for _, name := range []string{"connectedcar", "homeautomation", "policyupdate", "quickstart", "situational"} {
+		t.Run(name, func(t *testing.T) {
+			out, err := exec.Command(filepath.Join(bin, name)).CombinedOutput()
+			if err != nil {
+				t.Fatalf("%s: %v\n%s", name, err, out)
+			}
+			checkGolden(t, filepath.Join("testdata", "examples", name+".golden"), string(out))
+		})
+	}
+}
+
 // TestNoisyFleetGolden pins the live phase vehicle by vehicle: engine.Run
 // over 8 Table I vehicles with 2% bus errors and a 250 ms traffic horizon.
 // Each vehicle's seed drives its own error injections, so the rendered
@@ -556,6 +575,8 @@ func TestExitCodeContract(t *testing.T) {
 		{"carsim json shard wire", []string{"carsim", "-campaign", quickstart, "-shard-wire", "json"}, 1, "want binary"},
 		{"carsim NaN chaos rate", []string{"carsim", "-campaign", quickstart, "-chaos", "seed=1,panic=NaN"}, 1, "bad panic rate"},
 		{"carsim NaN verify sample", []string{"carsim", "-campaign", quickstart, "-verify-sample", "NaN"}, 1, "outside [0, 1]"},
+		{"carsim negative fleet", []string{"carsim", "-campaign", quickstart, "-fleet", "-5"}, 1, "-fleet -5 is negative"},
+		{"carsim negative workers", []string{"carsim", "-campaign", "examples/campaigns/lite.campaign", "-fleet", "2", "-workers", "-3"}, 1, "-workers -3 is negative"},
 		{"carsim undefined flag", []string{"carsim", "-campaign", quickstart, "-no-such-flag"}, 2, "not defined: -no-such-flag"},
 		{"carsim unrecoverable chaos", []string{"carsim", "-campaign", quickstart, "-fleet", "4", "-chaos", "seed=3,panic=1,persist=99"}, 3, ""},
 		{"rollout advance", []string{"rollout", "-vehicles", "40"}, 0, ""},
@@ -564,6 +585,8 @@ func TestExitCodeContract(t *testing.T) {
 		{"rollout NaN tolerance", []string{"rollout", "-vehicles", "40", "-drill", "rollback", "-tolerance", "NaN"}, 1, "not finite and non-negative"},
 		{"rollout infinite tolerance", []string{"rollout", "-vehicles", "40", "-drill", "rollback", "-tolerance", "+Inf"}, 1, "not finite and non-negative"},
 		{"rollout NaN apply-fail", []string{"rollout", "-vehicles", "40", "-apply-fail", "NaN", "-no-gate"}, 1, "outside [0, 1]"},
+		{"rollout negative workers", []string{"rollout", "-vehicles", "10", "-workers", "-3"}, 1, "-workers -3 is negative"},
+		{"rollout negative shards", []string{"rollout", "-vehicles", "20", "-shards", "-2"}, 1, "-shards -2 is negative"},
 		{"policyc unknown backend", []string{"policyc", "-check", "-backend", "no-such-backend"}, 2, ""},
 	}
 	for _, c := range cases {

@@ -194,9 +194,3 @@ func (a *Arena) restore(ck *checkpoint, enf Enforcement) error {
 	}
 	return nil
 }
-
-// RunMatrix executes every scenario under every requested regime on the
-// pooled vehicle: Harness.RunMatrix without the per-cell reconstruction.
-func (a *Arena) RunMatrix(scenarios []Scenario, regimes ...Enforcement) (Matrix, error) {
-	return runMatrix(scenarios, regimes, a.Run)
-}

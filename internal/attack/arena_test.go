@@ -25,7 +25,7 @@ func TestArenaMatchesFreshRuns(t *testing.T) {
 	scenarios := Scenarios()
 	regimes := []Enforcement{EnforceNone, EnforceSoftware, EnforceHPE}
 
-	pooled, err := arena.RunMatrix(scenarios, regimes...)
+	pooled, err := runMatrix(scenarios, regimes, arena.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestArenaRunsAreRepeatable(t *testing.T) {
 		t.Fatal(err)
 	}
 	scenarios := Scenarios()[:5]
-	first, err := arena.RunMatrix(scenarios, EnforceNone, EnforceHPE)
+	first, err := runMatrix(scenarios, []Enforcement{EnforceNone, EnforceHPE}, arena.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := arena.RunMatrix(scenarios, EnforceNone, EnforceHPE)
+	second, err := runMatrix(scenarios, []Enforcement{EnforceNone, EnforceHPE}, arena.Run)
 	if err != nil {
 		t.Fatal(err)
 	}

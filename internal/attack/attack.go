@@ -533,16 +533,9 @@ func placeAttacker(c *car.Car, name string, placement Placement) (*canbus.Node, 
 		return node, nil
 	case Outside:
 		// A malicious node is introduced; it carries no HPE regardless of
-		// regime — the defence is on the victims. It discards inbound
-		// traffic (a transmit-only attacker): without a handler the
-		// controller would clone every delivered frame into a mailbox
-		// nobody drains.
-		n, err := c.Bus().Attach(name)
-		if err != nil {
-			return nil, err
-		}
-		n.Controller().SetHandler(func(canbus.Frame) {})
-		return n, nil
+		// regime — the defence is on the victims. It has no handler, so it
+		// discards inbound traffic (a transmit-only attacker).
+		return c.Bus().Attach(name)
 	default:
 		return nil, fmt.Errorf("attack: invalid placement %d", placement)
 	}

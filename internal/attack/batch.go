@@ -28,9 +28,6 @@ type BatchPlan struct {
 	buckets [][]int
 }
 
-// Cells returns the total number of scenario×regime cells the plan covers.
-func (p *BatchPlan) Cells() int { return len(p.Scenarios) * len(p.Regimes) }
-
 // Units returns the number of units the plan's cells fall into: one per
 // (bucket, regime) pair, numbered in the order a whole-plan BatchRun walks
 // them (bucket-major, regime-minor). A unit primes its own checkpoint and

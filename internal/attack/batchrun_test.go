@@ -59,8 +59,8 @@ func drainBatchRun(t *testing.T, a *Arena, p *BatchPlan) []RegimeSummary {
 		out[ri].Summary.Add(r)
 		cells++
 	}
-	if cells != p.Cells() {
-		t.Fatalf("cursor visited %d cells, want %d", cells, p.Cells())
+	if cells != len(p.Scenarios)*len(p.Regimes) {
+		t.Fatalf("cursor visited %d cells, want %d", cells, len(p.Scenarios)*len(p.Regimes))
 	}
 	return out
 }
@@ -119,8 +119,8 @@ func TestBatchRunUnitsFoldLikeWholePlan(t *testing.T) {
 		}
 	}
 	for i, p := range plans {
-		if cells[i] != p.Cells() {
-			t.Errorf("plan %d: the units visited %d cells, want %d", i, cells[i], p.Cells())
+		if cells[i] != len(p.Scenarios)*len(p.Regimes) {
+			t.Errorf("plan %d: the units visited %d cells, want %d", i, cells[i], len(p.Scenarios)*len(p.Regimes))
 		}
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("plan %d: unit walks folded\n%+v\nwant the whole-plan walk's\n%+v", i, got[i], want[i])

@@ -166,7 +166,7 @@ func TestRunSummariesBatchedMatchesOracle(t *testing.T) {
 	}
 	for name, build := range cases {
 		scs := build(append([]Scenario(nil), base...))
-		oracle, err := a.RunMatrix(scs, allRegimes...)
+		oracle, err := runMatrix(scs, allRegimes, a.Run)
 		if err != nil {
 			t.Fatalf("%s oracle: %v", name, err)
 		}

@@ -184,7 +184,7 @@ func TestArenaMatchesFreshCampaignShapes(t *testing.T) {
 	}
 	regimes := []Enforcement{EnforceNone, EnforceHPE, EnforceBehaviour}
 
-	pooled, err := arena.RunMatrix(scenarios, regimes...)
+	pooled, err := runMatrix(scenarios, regimes, arena.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestArenaMatchesFreshCampaignShapes(t *testing.T) {
 	}
 	// A second pooled pass must reproduce the first (warm rate-rule state
 	// fully cleared by the guards' Reset).
-	again, err := arena.RunMatrix(scenarios, regimes...)
+	again, err := runMatrix(scenarios, regimes, arena.Run)
 	if err != nil {
 		t.Fatal(err)
 	}

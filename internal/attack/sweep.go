@@ -110,15 +110,6 @@ func (s Summary) Verbose() string {
 	return s.String() + fmt.Sprintf(" stages=%d halted=%d", s.StageRuns, s.StagesHalted)
 }
 
-// Summarize reduces results to a Summary.
-func Summarize(results []Result) Summary {
-	var s Summary
-	for _, r := range results {
-		s.Add(r)
-	}
-	return s
-}
-
 // RegimeSummary pairs an enforcement regime with its aggregate outcome.
 type RegimeSummary struct {
 	// Regime is the enforcement configuration summarised.
@@ -137,15 +128,6 @@ type Matrix struct {
 	Regimes []RegimeSummary
 }
 
-// Summary returns the whole-matrix aggregate across all regimes.
-func (m Matrix) Summary() Summary {
-	var s Summary
-	for _, rs := range m.Regimes {
-		s.Merge(rs.Summary)
-	}
-	return s
-}
-
 // RunMatrix executes every scenario under every requested regime and returns
 // per-regime aggregates alongside the raw results.
 func (h *Harness) RunMatrix(scenarios []Scenario, regimes ...Enforcement) (Matrix, error) {
@@ -153,9 +135,9 @@ func (h *Harness) RunMatrix(scenarios []Scenario, regimes ...Enforcement) (Matri
 }
 
 // runMatrix is the shared matrix sweep: scenario-major, regime-minor, with
-// per-regime aggregation in sweep order. Both the fresh-car path
-// (Harness.RunMatrix) and the pooled path (Arena.RunMatrix) delegate here,
-// so result ordering can never diverge between them.
+// per-regime aggregation in sweep order. Harness.RunMatrix runs it on fresh
+// cars; tests run it on a pooled arena (runMatrix with Arena.Run), so result
+// ordering can never diverge between the two.
 func runMatrix(scenarios []Scenario, regimes []Enforcement, run func(Scenario, Enforcement) (Result, error)) (Matrix, error) {
 	m := Matrix{
 		Results: make([]Result, 0, len(scenarios)*len(regimes)),

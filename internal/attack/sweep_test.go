@@ -37,13 +37,6 @@ func TestRunMatrixAggregatesMatchResults(t *testing.T) {
 			t.Errorf("regime %v Runs = %d, want %d", rs.Regime, rs.Summary.Runs, len(scenarios))
 		}
 	}
-	whole := m.Summary()
-	if whole.Runs != len(m.Results) {
-		t.Errorf("matrix summary Runs = %d, want %d", whole.Runs, len(m.Results))
-	}
-	if whole != Summarize(m.Results) {
-		t.Errorf("Matrix.Summary() %+v != Summarize(Results) %+v", whole, Summarize(m.Results))
-	}
 }
 
 func TestRunMatrixUnenforcedAttacksSucceed(t *testing.T) {

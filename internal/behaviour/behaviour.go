@@ -240,28 +240,6 @@ func (e *Engine) AddRule(r Rule) error {
 	return nil
 }
 
-// RemoveRule drops the named rule; it reports whether one was removed. The
-// rule's veto count leaves the stats with it.
-func (e *Engine) RemoveRule(name string) bool {
-	for i, r := range e.rules {
-		if r.Name() == name {
-			e.rules = append(e.rules[:i], e.rules[i+1:]...)
-			e.ruleBlocked = append(e.ruleBlocked[:i], e.ruleBlocked[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Rules returns the names of installed rules in evaluation order.
-func (e *Engine) Rules() []string {
-	out := make([]string, len(e.rules))
-	for i, r := range e.rules {
-		out[i] = r.Name()
-	}
-	return out
-}
-
 // Reset restores the engine to its post-construction state without touching
 // the installed rule list: counters zeroed and every stateful rule's window
 // restored to empty, through the same hook RestoreFrom rewinds it with. A

@@ -342,3 +342,12 @@ func TestMutateProductCapOverflow(t *testing.T) {
 		t.Fatal("overflowing cross-product accepted")
 	}
 }
+
+// MustParse is Parse for static specs; it panics on error.
+func MustParse(src string) *Spec {
+	sp, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return sp
+}

@@ -413,15 +413,6 @@ func Parse(src string) (*Spec, error) {
 	return sp, nil
 }
 
-// MustParse is Parse for static specs; it panics on error.
-func MustParse(src string) *Spec {
-	sp, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return sp
-}
-
 func parseJSON(src string) (*Spec, error) {
 	var sp Spec
 	dec := json.NewDecoder(strings.NewReader(src))

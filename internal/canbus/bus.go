@@ -2,7 +2,6 @@ package canbus
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/sim"
@@ -131,8 +130,7 @@ type Bus struct {
 	// rogues recycles post-snapshot node shells across restores when
 	// SetRecycleRogues is on: RestoreFrom stashes them here instead of
 	// discarding, and Attach restores a shell of the same name to the
-	// fresh-node snapshot while keeping its transmit-queue and mailbox
-	// capacity.
+	// fresh-node snapshot while keeping its transmit-queue capacity.
 	recycleRogues bool
 	rogues        map[string]*Node
 
@@ -216,9 +214,6 @@ func (b *Bus) configure(cfg Config) {
 	b.errRate = cfg.ErrorRate
 	b.rng.Reseed(cfg.Seed)
 }
-
-// Scheduler returns the simulation scheduler driving this bus.
-func (b *Bus) Scheduler() *sim.Scheduler { return b.sched }
 
 // SetTracer installs a callback receiving every TraceEvent. Pass nil to
 // disable tracing. Owner-goroutine only. The event's Frame payload is only
@@ -339,13 +334,6 @@ func (b *Bus) dropPending(n *Node) {
 func (b *Bus) Node(name string) (*Node, bool) {
 	n, ok := b.byName[name]
 	return n, ok
-}
-
-// Nodes returns the attached nodes sorted by name.
-func (b *Bus) Nodes() []*Node {
-	out := append([]*Node(nil), b.nodes...)
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
 }
 
 func (b *Bus) emit(e TraceEvent) {
@@ -576,8 +564,7 @@ func (b *Bus) complete() {
 // MarkPristine marks the attached nodes as the pristine topology and takes
 // the Snapshot that Reset restores. Call it once, on the freshly built
 // topology before any traffic (car.New does): whatever the nodes carry at
-// this instant — filters, handlers, inline filters, mailbox caps, remote
-// responders — survives every Reset. The bus must be Quiescent (Snapshot
+// this instant — filters, handlers, inline filters — survives every Reset. The bus must be Quiescent (Snapshot
 // panics otherwise). A bus that was never marked resets to an empty
 // topology. Owner-goroutine only.
 func (b *Bus) MarkPristine() {

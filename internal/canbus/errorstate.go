@@ -33,31 +33,23 @@ const (
 	busOffThreshold       = 256
 
 	txErrorPenalty  = 8 // TEC increment on a transmit error
-	rxErrorPenalty  = 1 // REC increment on a receive error
 	successTxReward = 1 // TEC decrement on successful transmission
-	successRxReward = 1 // REC decrement on successful reception
 )
 
-// ErrorCounters tracks a node's transmit (TEC) and receive (REC) error
-// counters and derives its confinement state. The zero value is an
-// error-active node with clean counters.
+// ErrorCounters tracks a node's transmit error counter (TEC) and derives its
+// confinement state. Bus errors are charged to the transmitter only, so the
+// receive error counter of ISO 11898 would stay 0 and is not modelled. The
+// zero value is an error-active node with a clean counter.
 type ErrorCounters struct {
 	tec int
-	rec int
 }
 
-// TEC returns the transmit error counter.
-func (c *ErrorCounters) TEC() int { return c.tec }
-
-// REC returns the receive error counter.
-func (c *ErrorCounters) REC() int { return c.rec }
-
-// State derives the confinement state from the counters.
+// State derives the confinement state from the counter.
 func (c *ErrorCounters) State() ErrorState {
 	switch {
 	case c.tec >= busOffThreshold:
 		return BusOff
-	case c.tec >= errorPassiveThreshold || c.rec >= errorPassiveThreshold:
+	case c.tec >= errorPassiveThreshold:
 		return ErrorPassive
 	default:
 		return ErrorActive
@@ -70,30 +62,9 @@ func (c *ErrorCounters) OnTxError() ErrorState {
 	return c.State()
 }
 
-// OnRxError records a receive error and returns the new state.
-func (c *ErrorCounters) OnRxError() ErrorState {
-	c.rec += rxErrorPenalty
-	return c.State()
-}
-
 // OnTxSuccess records a successful transmission.
 func (c *ErrorCounters) OnTxSuccess() {
 	if c.tec > 0 {
 		c.tec -= successTxReward
 	}
 }
-
-// OnRxSuccess records a successful reception. Per the standard, a node in
-// error-passive with REC above 127 drops back to a value just below the
-// threshold on a successful reception.
-func (c *ErrorCounters) OnRxSuccess() {
-	switch {
-	case c.rec >= errorPassiveThreshold:
-		c.rec = errorPassiveThreshold - 9
-	case c.rec > 0:
-		c.rec -= successRxReward
-	}
-}
-
-// Reset clears both counters (power-on reset after bus-off).
-func (c *ErrorCounters) Reset() { c.tec, c.rec = 0, 0 }

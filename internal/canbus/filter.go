@@ -30,9 +30,6 @@ func ExactFilter(id uint32) AcceptanceFilter {
 	return AcceptanceFilter{Mask: MaxStandardID, Code: id}
 }
 
-// AcceptAllFilter matches every standard frame.
-func AcceptAllFilter() AcceptanceFilter { return AcceptanceFilter{} }
-
 // Verdict is an inline filter's decision on a single frame.
 type Verdict uint8
 

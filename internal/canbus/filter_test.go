@@ -1,10 +1,6 @@
 package canbus
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-)
+import "testing"
 
 func TestAcceptanceFilterMatching(t *testing.T) {
 	tests := []struct {
@@ -15,8 +11,8 @@ func TestAcceptanceFilterMatching(t *testing.T) {
 	}{
 		{"exact hit", ExactFilter(0x123), MustDataFrame(0x123, nil), true},
 		{"exact miss", ExactFilter(0x123), MustDataFrame(0x124, nil), false},
-		{"accept all standard", AcceptAllFilter(), MustDataFrame(0x7FF, nil), true},
-		{"accept all rejects extended", AcceptAllFilter(),
+		{"accept all standard", AcceptanceFilter{}, MustDataFrame(0x7FF, nil), true},
+		{"accept all rejects extended", AcceptanceFilter{},
 			Frame{ID: 0x123, Extended: true}, false},
 		{"masked group hit", AcceptanceFilter{Mask: 0x7F0, Code: 0x120},
 			MustDataFrame(0x12A, nil), true},
@@ -60,106 +56,5 @@ func TestEnumStrings(t *testing.T) {
 		if s.String() != wantStates[i] {
 			t.Errorf("state %d = %q", i, s)
 		}
-	}
-}
-
-func TestRemoteFrameRequestResponse(t *testing.T) {
-	sched := &sim.Scheduler{}
-	bus := New(sched, Config{})
-	requester := bus.MustAttach("requester")
-	provider := bus.MustAttach("provider")
-
-	provider.SetRemoteResponder(0x123, func() []byte { return []byte{0xAB, 0xCD} })
-	var got []Frame
-	requester.Controller().SetHandler(func(f Frame) {
-		if !f.RTR {
-			got = append(got, f)
-		}
-	})
-
-	rtr, err := NewRemoteFrame(0x123, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := requester.Send(rtr); err != nil {
-		t.Fatal(err)
-	}
-	sched.Run()
-
-	if len(got) != 1 {
-		t.Fatalf("requester received %d data frames, want 1", len(got))
-	}
-	if got[0].ID != 0x123 || got[0].Data[0] != 0xAB || got[0].Data[1] != 0xCD {
-		t.Errorf("reply = %v", got[0])
-	}
-}
-
-func TestRemoteResponderRemoval(t *testing.T) {
-	sched := &sim.Scheduler{}
-	bus := New(sched, Config{})
-	requester := bus.MustAttach("requester")
-	provider := bus.MustAttach("provider")
-	provider.SetRemoteResponder(0x10, func() []byte { return []byte{1} })
-	provider.SetRemoteResponder(0x10, nil) // removed
-
-	n := 0
-	requester.Controller().SetHandler(func(f Frame) {
-		if !f.RTR {
-			n++
-		}
-	})
-	rtr, _ := NewRemoteFrame(0x10, 1)
-	if err := requester.Send(rtr); err != nil {
-		t.Fatal(err)
-	}
-	sched.Run()
-	if n != 0 {
-		t.Error("removed responder still replied")
-	}
-}
-
-func TestRemoteResponseRespectsInlineFilter(t *testing.T) {
-	// The auto-reply travels the provider's outbound path: a write filter
-	// blocking the ID suppresses the reply (the HPE governs auto-reply
-	// buffers like any other transmission).
-	sched := &sim.Scheduler{}
-	bus := New(sched, Config{})
-	requester := bus.MustAttach("requester")
-	provider := bus.MustAttach("provider")
-	provider.SetRemoteResponder(0x10, func() []byte { return []byte{1} })
-	provider.SetInlineFilter(blockWrites(0x10))
-
-	n := 0
-	requester.Controller().SetHandler(func(f Frame) {
-		if !f.RTR {
-			n++
-		}
-	})
-	rtr, _ := NewRemoteFrame(0x10, 1)
-	if err := requester.Send(rtr); err != nil {
-		t.Fatal(err)
-	}
-	sched.Run()
-	if n != 0 {
-		t.Error("write filter did not govern the auto-reply")
-	}
-	if provider.Stats().TxBlocked != 1 {
-		t.Errorf("provider TxBlocked = %d", provider.Stats().TxBlocked)
-	}
-}
-
-func TestRemoteResponderOnlyFiresOnRTR(t *testing.T) {
-	sched := &sim.Scheduler{}
-	bus := New(sched, Config{})
-	a := bus.MustAttach("a")
-	b := bus.MustAttach("b")
-	fired := false
-	b.SetRemoteResponder(0x10, func() []byte { fired = true; return []byte{1} })
-	if err := a.Send(MustDataFrame(0x10, []byte{9})); err != nil {
-		t.Fatal(err)
-	}
-	sched.Run()
-	if fired {
-		t.Error("responder fired on a data frame")
 	}
 }

@@ -15,7 +15,6 @@
 package canbus
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -49,12 +48,10 @@ type Frame struct {
 
 // Validation errors.
 var (
-	ErrIDRange   = errors.New("canbus: identifier out of range")
-	ErrDataLen   = errors.New("canbus: payload exceeds 8 bytes")
-	ErrRTRData   = errors.New("canbus: RTR frame must not carry data")
-	ErrBadDLC    = errors.New("canbus: DLC out of range")
-	ErrShortBuf  = errors.New("canbus: buffer too short")
-	ErrBadMarker = errors.New("canbus: bad serialization marker")
+	ErrIDRange = errors.New("canbus: identifier out of range")
+	ErrDataLen = errors.New("canbus: payload exceeds 8 bytes")
+	ErrRTRData = errors.New("canbus: RTR frame must not carry data")
+	ErrBadDLC  = errors.New("canbus: DLC out of range")
 )
 
 // NewDataFrame builds a validated standard data frame.
@@ -73,15 +70,6 @@ func MustDataFrame(id uint32, data []byte) Frame {
 		panic(err)
 	}
 	return f
-}
-
-// NewRemoteFrame builds a validated standard remote frame requesting dlc bytes.
-func NewRemoteFrame(id uint32, dlc uint8) (Frame, error) {
-	f := Frame{ID: id, RTR: true, DLC: dlc}
-	if err := f.Validate(); err != nil {
-		return Frame{}, err
-	}
-	return f, nil
 }
 
 // Validate checks identifier range, payload length and RTR consistency, and
@@ -119,22 +107,6 @@ func (f Frame) Clone() Frame {
 	return c
 }
 
-// Equal reports whether two frames are identical on the wire.
-func (f Frame) Equal(g Frame) bool {
-	if f.ID != g.ID || f.Extended != g.Extended || f.RTR != g.RTR || f.DLC != g.DLC {
-		return false
-	}
-	if len(f.Data) != len(g.Data) {
-		return false
-	}
-	for i := range f.Data {
-		if f.Data[i] != g.Data[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ArbitrationValue returns the value compared during bus arbitration: lower
 // values are more dominant and win the bus. Standard frames beat extended
 // frames with the same leading bits; data frames beat RTR frames of the same
@@ -163,63 +135,4 @@ func (f Frame) String() string {
 		fmtID = "%08X"
 	}
 	return fmt.Sprintf(fmtID+"#%s[%d]%X", f.ID, kind, f.DLC, f.Data)
-}
-
-// marshalMarker distinguishes serialized frames from garbage.
-const marshalMarker = 0xC4
-
-// MarshalBinary serializes the frame into a compact, self-describing record
-// (marker, flags, id, dlc, data). It implements encoding.BinaryMarshaler.
-func (f Frame) MarshalBinary() ([]byte, error) {
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, 7+len(f.Data))
-	buf = append(buf, marshalMarker)
-	var flags byte
-	if f.Extended {
-		flags |= 1
-	}
-	if f.RTR {
-		flags |= 2
-	}
-	buf = append(buf, flags)
-	buf = binary.BigEndian.AppendUint32(buf, f.ID)
-	buf = append(buf, f.DLC)
-	buf = append(buf, f.Data...)
-	return buf, nil
-}
-
-// UnmarshalBinary deserializes a record produced by MarshalBinary.
-// It implements encoding.BinaryUnmarshaler.
-func (f *Frame) UnmarshalBinary(b []byte) error {
-	if len(b) < 7 {
-		return ErrShortBuf
-	}
-	if b[0] != marshalMarker {
-		return ErrBadMarker
-	}
-	flags := b[1]
-	g := Frame{
-		Extended: flags&1 != 0,
-		RTR:      flags&2 != 0,
-		ID:       binary.BigEndian.Uint32(b[2:6]),
-		DLC:      b[6],
-	}
-	rest := b[7:]
-	if g.RTR {
-		if len(rest) != 0 {
-			return ErrRTRData
-		}
-	} else {
-		if len(rest) != int(g.DLC) {
-			return fmt.Errorf("%w: dlc=%d payload=%d", ErrBadDLC, g.DLC, len(rest))
-		}
-		g.Data = append([]byte(nil), rest...)
-	}
-	if err := g.Validate(); err != nil {
-		return err
-	}
-	*f = g
-	return nil
 }

@@ -12,14 +12,13 @@ import (
 // The frame's payload is only valid for the duration of the callback: its
 // Data may alias the bus's in-flight transmission buffer, which is reused
 // by the next transmission (like a receive buffer behind a real
-// controller's ISR). A handler that retains the frame must Clone it; the
-// controller's own mailbox path already does.
+// controller's ISR). A handler that retains the frame must Clone it.
 type Handler func(f Frame)
 
 // Controller models the CAN controller of Fig. 3: it parses received frames
 // and applies the firmware-programmed acceptance filters. If no filters are
 // configured the controller accepts every frame, as most controllers do by
-// default.
+// default. A controller without a handler discards the frames it accepts.
 //
 // Like Bus and Node, a Controller is confined to the goroutine that drives
 // the owning scheduler (see the Bus ownership model).
@@ -27,9 +26,6 @@ type Controller struct {
 	filters     []AcceptanceFilter
 	compromised bool
 	handler     Handler
-	mailbox     []Frame
-	mailboxCap  int
-	overruns    uint64
 
 	// exact is the direct-mapped fast path built by SetFilters when every
 	// filter is a standard-frame exact match (the common firmware
@@ -39,7 +35,7 @@ type Controller struct {
 	exact *[(MaxStandardID + 1) / 64]uint64
 }
 
-// NewController returns a controller with an unbounded mailbox and no filters.
+// NewController returns a controller with no filters and no handler.
 func NewController() *Controller {
 	return &Controller{}
 }
@@ -63,22 +59,9 @@ func (c *Controller) SetFilters(filters ...AcceptanceFilter) {
 	c.exact = &bm
 }
 
-// Filters returns a copy of the current filter bank.
-func (c *Controller) Filters() []AcceptanceFilter {
-	return append([]AcceptanceFilter(nil), c.filters...)
-}
-
 // SetHandler registers the processor callback invoked for accepted frames.
-// When a handler is set the mailbox is not used.
 func (c *Controller) SetHandler(h Handler) {
 	c.handler = h
-}
-
-// SetMailboxCap bounds the receive mailbox; zero means unbounded. When the
-// mailbox is full the oldest frame is dropped and the overrun counter
-// incremented, mirroring receive-buffer overruns on real controllers.
-func (c *Controller) SetMailboxCap(n int) {
-	c.mailboxCap = n
 }
 
 // CompromiseFilters models the firmware-modification attack of §V-B.2: a
@@ -87,21 +70,6 @@ func (c *Controller) SetMailboxCap(n int) {
 // this state.
 func (c *Controller) CompromiseFilters() {
 	c.compromised = true
-}
-
-// Compromised reports whether the firmware-modification attack has been applied.
-func (c *Controller) Compromised() bool {
-	return c.compromised
-}
-
-// Restore undoes CompromiseFilters (e.g. after a firmware re-flash).
-func (c *Controller) Restore() {
-	c.compromised = false
-}
-
-// Overruns returns the number of frames lost to mailbox overruns.
-func (c *Controller) Overruns() uint64 {
-	return c.overruns
 }
 
 // accepts applies the acceptance filter bank (unless compromised).
@@ -129,24 +97,10 @@ func (c *Controller) receive(f Frame) bool {
 	if !c.accepts(f) {
 		return false
 	}
-	if c.handler == nil {
-		if c.mailboxCap > 0 && len(c.mailbox) >= c.mailboxCap {
-			copy(c.mailbox, c.mailbox[1:])
-			c.mailbox = c.mailbox[:len(c.mailbox)-1]
-			c.overruns++
-		}
-		c.mailbox = append(c.mailbox, f.Clone())
-		return true
+	if c.handler != nil {
+		c.handler(f)
 	}
-	c.handler(f)
 	return true
-}
-
-// Drain returns and clears the mailbox contents.
-func (c *Controller) Drain() []Frame {
-	out := c.mailbox
-	c.mailbox = nil
-	return out
 }
 
 // queued is one transmit-queue entry: the frame value with its payload
@@ -193,13 +147,12 @@ type Node struct {
 	name string
 	bus  *Bus
 
-	ctrl       *Controller
-	inline     InlineFilter
-	counters   ErrorCounters
-	txq        []queued
-	stats      NodeStats
-	detached   bool
-	responders map[uint32]func() []byte
+	ctrl     *Controller
+	inline   InlineFilter
+	counters ErrorCounters
+	txq      []queued
+	stats    NodeStats
+	detached bool
 
 	// order is the node's attachment sequence number; arbitration ties
 	// resolve toward the lower order (the attachment-order tie-break).
@@ -236,25 +189,9 @@ func (n *Node) SetInlineFilter(f InlineFilter) {
 	n.inline = f
 }
 
-// InlineFilter returns the currently installed inline filter.
-func (n *Node) InlineFilter() InlineFilter {
-	return n.inline
-}
-
 // Stats returns a snapshot of the node's counters.
 func (n *Node) Stats() NodeStats {
 	return n.stats
-}
-
-// ErrorState returns the node's current error confinement state.
-func (n *Node) ErrorState() ErrorState {
-	return n.counters.State()
-}
-
-// ResetErrors models a power-on reset, clearing error counters so a bus-off
-// node can rejoin.
-func (n *Node) ResetErrors() {
-	n.counters.Reset()
 }
 
 // Send queues a frame for transmission. The outbound inline filter (the
@@ -312,24 +249,8 @@ func (n *Node) send(f Frame, final bool) error {
 	return nil
 }
 
-// SetRemoteResponder registers an automatic reply for remote transmission
-// requests of the given identifier, modelling the auto-reply message
-// buffers of production CAN controllers: when an accepted RTR frame for id
-// arrives, the node transmits a data frame with fn's payload. Passing a nil
-// fn removes the responder.
-func (n *Node) SetRemoteResponder(id uint32, fn func() []byte) {
-	if fn == nil {
-		delete(n.responders, id)
-		return
-	}
-	if n.responders == nil {
-		n.responders = map[uint32]func() []byte{}
-	}
-	n.responders[id] = fn
-}
-
 // deliver runs the inbound path: inline read filter, then controller
-// acceptance filters, then handler/mailbox, then remote auto-response.
+// acceptance filters, then the handler.
 func (n *Node) deliver(f Frame) {
 	if n.detached {
 		return
@@ -342,21 +263,8 @@ func (n *Node) deliver(f Frame) {
 		}
 		return
 	}
-	var responder func() []byte
-	if f.RTR {
-		responder = n.responders[f.ID]
-	}
 	if n.ctrl.receive(f) {
 		n.stats.RxAccepted++
-		n.counters.OnRxSuccess()
-		if responder != nil {
-			reply, err := NewDataFrame(f.ID, responder())
-			if err == nil {
-				// The reply passes the node's own outbound path, so an
-				// inline filter still arbitrates it.
-				_ = n.Send(reply)
-			}
-		}
 	} else {
 		n.stats.RxFiltered++
 	}

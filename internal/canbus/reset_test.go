@@ -55,12 +55,11 @@ func TestBusResetEquivalence(t *testing.T) {
 	alpha, _ := bus.Node("alpha")
 	alpha.Controller().CompromiseFilters()
 	alpha.Controller().SetFilters()
-	beta, _ := bus.Node("beta")
-	beta.Controller().SetMailboxCap(1)
 	bus.Detach("gamma")
 	bus.SetTracer(func(TraceEvent) {})
 	_ = alpha.Send(MustDataFrame(0x100, []byte{1, 2, 3}))
-	sched.RunSteps(2) // leave work in flight
+	sched.Step() // leave work in flight
+	sched.Step()
 	sched.Reset()
 	bus.Reset(Config{Seed: 7, ErrorRate: 0.1})
 	for _, c := range counts {
@@ -103,7 +102,6 @@ func TestBusResetRestoresNodeState(t *testing.T) {
 	}
 	sched.Run()
 	n.Controller().CompromiseFilters()
-	n.SetRemoteResponder(0x123, func() []byte { return []byte{1} })
 	if n.Stats() == (NodeStats{}) {
 		t.Fatal("workload left no node stats to clear")
 	}
@@ -114,27 +112,14 @@ func TestBusResetRestoresNodeState(t *testing.T) {
 	if n.Stats() != (NodeStats{}) {
 		t.Errorf("node stats not cleared: %+v", n.Stats())
 	}
-	if n.Controller().Compromised() {
+	if n.ctrl.compromised {
 		t.Error("controller still compromised after reset")
 	}
-	if got := len(n.Controller().Filters()); got != 2 {
+	if got := len(n.ctrl.filters); got != 2 {
 		t.Errorf("filter bank has %d filters after reset, want 2", got)
 	}
-	if n.ErrorState() != ErrorActive {
-		t.Errorf("error state %v after reset", n.ErrorState())
-	}
-	// The responder map must be cleared: an RTR for 0x123 gets no reply.
-	rx := bus.MustAttach("probe")
-	f, err := NewRemoteFrame(0x123, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rx.Send(f); err != nil {
-		t.Fatal(err)
-	}
-	sched.Run()
-	if got := n.Stats().TxRequested; got != 0 {
-		t.Errorf("reset node transmitted %d frames from a stale responder", got)
+	if st := n.counters.State(); st != ErrorActive {
+		t.Errorf("error state %v after reset", st)
 	}
 }
 
@@ -190,38 +175,28 @@ func TestKickDedupe(t *testing.T) {
 	}
 }
 
-// TestResetKeepsMarkedResponder: Reset restores exactly MarkPristine's
-// snapshot, so a remote responder registered before the mark still answers
-// after a Reset, while one registered after it is gone.
-func TestResetKeepsMarkedResponder(t *testing.T) {
+// TestResetKeepsMarkedHandler: Reset restores exactly MarkPristine's
+// snapshot, so a handler installed before the mark still receives after a
+// Reset, while one installed after it is gone.
+func TestResetKeepsMarkedHandler(t *testing.T) {
 	sched := &sim.Scheduler{}
 	bus := New(sched, Config{})
-	requester := bus.MustAttach("requester")
-	provider := bus.MustAttach("provider")
-	provider.SetRemoteResponder(0x123, func() []byte { return []byte{0xAB} })
-	var replies []uint32
-	requester.Controller().SetHandler(func(f Frame) {
-		if !f.RTR {
-			replies = append(replies, f.ID)
-		}
-	})
+	tx := bus.MustAttach("tx")
+	marked := bus.MustAttach("marked")
+	late := bus.MustAttach("late")
+	var gotMarked, gotLate int
+	marked.Controller().SetHandler(func(Frame) { gotMarked++ })
 	bus.MarkPristine()
-	provider.SetRemoteResponder(0x124, func() []byte { return []byte{0xCD} })
+	late.Controller().SetHandler(func(Frame) { gotLate++ })
 
 	sched.Reset()
 	bus.Reset(Config{})
-	for _, id := range []uint32{0x123, 0x124} {
-		rtr, err := NewRemoteFrame(id, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := requester.Send(rtr); err != nil {
-			t.Fatal(err)
-		}
+	if err := tx.Send(MustDataFrame(0x123, nil)); err != nil {
+		t.Fatal(err)
 	}
 	sched.Run()
-	if len(replies) != 1 || replies[0] != 0x123 {
-		t.Errorf("replies after Reset %#x, want only the marked responder's 0x123", replies)
+	if gotMarked != 1 || gotLate != 0 {
+		t.Errorf("after Reset the marked handler got %d frames and the late one %d, want 1 and 0", gotMarked, gotLate)
 	}
 }
 

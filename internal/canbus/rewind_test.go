@@ -9,12 +9,12 @@ import (
 )
 
 // rewindNames are FuzzBusRewind's pristine stations: n0 and n2 hand frames
-// to a handler, n1 and n3 keep them in their mailboxes.
+// to a handler, n1 and n3 have none and discard what they accept.
 var rewindNames = [4]string{"n0", "n1", "n2", "n3"}
 
 // rewindIDs are the identifiers the fuzz program and the probe transmit:
-// each station's own data ID, each station's responder ID, and two IDs only
-// some filter banks accept.
+// each station's own data ID, each station's remote-request ID, and two IDs
+// only some filter banks accept.
 var rewindIDs = []uint32{0x100, 0x101, 0x102, 0x103, 0x120, 0x121, 0x122, 0x123, 0x200, 0x7FF}
 
 // rewindFilters is the pool SetFilters draws a bank from: exact matches
@@ -68,18 +68,17 @@ func newRewindBus(recycle bool, rate float64) *rewindBus {
 }
 
 // step interprets one two-byte operation: the low nibble of op selects the
-// operation (modulo 12), its high nibble the station or rogue, and arg
+// operation (modulo 10), its high nibble the station or rogue, and arg
 // parameterises it.
 func (w *rewindBus) step(op, arg byte) {
 	n := w.nodes[int(op>>4)%len(w.nodes)]
 	rogue := [2]string{"r0", "r1"}[int(op>>4)%2]
 	id := rewindIDs[int(arg)%len(rewindIDs)]
-	switch (op & 0x0F) % 12 {
+	switch (op & 0x0F) % 10 {
 	case 0:
 		_ = n.Send(MustDataFrame(id, []byte{arg}))
 	case 1:
-		f, _ := NewRemoteFrame(id, arg%9)
-		_ = n.Send(f)
+		_ = n.Send(Frame{ID: id, RTR: true, DLC: arg % 9})
 	case 2:
 		_, _ = w.bus.Attach(rogue)
 	case 3:
@@ -107,11 +106,8 @@ func (w *rewindBus) step(op, arg byte) {
 		}
 		n.SetInlineFilter(blockID{dir: dir, id: rewindIDs[int(arg>>1)%len(rewindIDs)]})
 	case 9:
-		n.SetRemoteResponder(id, func() []byte { return []byte{arg} })
-	case 10:
-		n.Controller().SetMailboxCap(int(arg % 4))
-	case 11:
-		w.sched.RunSteps(int(arg % 16))
+		for i := 0; i < int(arg%16) && w.sched.Step(); i++ {
+		}
 	}
 }
 
@@ -128,9 +124,7 @@ type rewindNode struct {
 	Stats       NodeStats
 	State       ErrorState
 	Counters    ErrorCounters
-	Overruns    uint64
 	Compromised bool
-	Mailbox     []string
 	Log         []uint32
 }
 
@@ -144,8 +138,8 @@ type rewindObs struct {
 
 // probe runs the fixed workload — a rogue r0 (attached unless the program
 // left it attached) and every attached station send a data frame and a
-// remote request for the next station's responder ID — and observes the
-// bus, draining every mailbox.
+// remote request for the next station's remote-request ID — and observes
+// the bus and the handler logs.
 func (w *rewindBus) probe() rewindObs {
 	for i := range w.logs {
 		w.logs[i] = w.logs[i][:0]
@@ -154,21 +148,17 @@ func (w *rewindBus) probe() rewindObs {
 	if !ok {
 		r = w.bus.MustAttach("r0")
 	}
-	senders := append(w.bus.Nodes(), r)
+	senders := append(append([]*Node(nil), w.bus.nodes...), r)
 	for i, n := range senders {
 		_ = n.Send(MustDataFrame(rewindIDs[i%4], []byte{byte(i)}))
-		f, _ := NewRemoteFrame(0x120+uint32((i+1)%4), 1)
-		_ = n.Send(f)
+		_ = n.Send(Frame{ID: 0x120 + uint32((i+1)%4), RTR: true, DLC: 1})
 	}
 	w.sched.Run()
 	var obs rewindObs
-	for _, n := range w.bus.Nodes() {
+	for _, n := range w.bus.nodes {
 		o := rewindNode{
-			Name: n.Name(), Stats: n.Stats(), State: n.ErrorState(), Counters: n.counters,
-			Overruns: n.Controller().Overruns(), Compromised: n.Controller().Compromised(),
-		}
-		for _, f := range n.Controller().Drain() {
-			o.Mailbox = append(o.Mailbox, f.String())
+			Name: n.Name(), Stats: n.Stats(), State: n.counters.State(), Counters: n.counters,
+			Compromised: n.ctrl.compromised,
 		}
 		for i, s := range w.nodes {
 			if s == n {
@@ -192,22 +182,21 @@ func (w *rewindBus) probe() rewindObs {
 func FuzzBusRewind(f *testing.F) {
 	// Operation bytes are sel<<4 | code: 0 data send, 1 remote request,
 	// 2/3/4 rogue attach/send/detach, 5 station detach, 6 compromise,
-	// 7 SetFilters, 8 blocking inline filter, 9 responder, 10 mailbox cap,
-	// 11 RunSteps.
+	// 7 SetFilters, 8 blocking inline filter, 9 up to 15 scheduler Steps.
 	//
 	// A pristine station detached and a rogue attached: as many nodes as
 	// the pristine set, yet not a topology a snapshot can restore.
 	f.Add([]byte{0x35, 0, 0x02, 0}, uint8(2), uint8(0))
-	// A rogue attached and detached and a responder set before the cut;
-	// compromise, new filters, an inline block, a mailbox cap, a rogue and
-	// a station detach after it.
-	f.Add([]byte{0x09, 4, 0x1A, 1, 0x00, 1, 0x02, 0, 0x03, 2, 0x04, 0,
-		0x16, 0, 0x27, 3, 0x38, 5, 0x3A, 1, 0x02, 0, 0x03, 8, 0x0B, 3, 0x35, 0}, uint8(6), uint8(10))
+	// A rogue attached and detached before the cut; compromise, new
+	// filters, an inline block, a rogue, steps and a station detach after
+	// it.
+	f.Add([]byte{0x00, 1, 0x02, 0, 0x03, 2, 0x04, 0,
+		0x16, 0, 0x27, 3, 0x38, 5, 0x02, 0, 0x03, 8, 0x09, 3, 0x35, 0}, uint8(4), uint8(10))
 	// Contended traffic at the top error rate, cut mid-program.
-	f.Add([]byte{0x00, 0, 0x10, 1, 0x20, 2, 0x30, 3, 0x01, 4, 0x0B, 5, 0x00, 9, 0x11, 5}, uint8(3), uint8(15))
-	// A responder answers a remote request across the cut, and one set
-	// after the cut must be gone after the restore.
-	f.Add([]byte{0x29, 6, 0x01, 6, 0x19, 4, 0x11, 6}, uint8(1), uint8(3))
+	f.Add([]byte{0x00, 0, 0x10, 1, 0x20, 2, 0x30, 3, 0x01, 4, 0x09, 5, 0x00, 9, 0x11, 5}, uint8(3), uint8(15))
+	// Remote requests on both sides of the cut, one of them stepped part
+	// way before the cut drains it.
+	f.Add([]byte{0x01, 6, 0x09, 2, 0x21, 7, 0x31, 4}, uint8(2), uint8(3))
 
 	f.Fuzz(func(t *testing.T, prog []byte, cut, rate uint8) {
 		if len(prog) > 128 {

@@ -1,7 +1,5 @@
 package canbus
 
-import "maps"
-
 // This file implements the bus substrate's one rewind path: Snapshot
 // captures the full mutable state of a pristine topology at an instant where
 // no transmission is in flight, and RestoreFrom rewinds the bus to that
@@ -15,8 +13,8 @@ import "maps"
 // Quiescence is the load-bearing simplification: at a drained-scheduler
 // instant the bus is idle (busy=false, no armed kick, empty transmit
 // queues), so a checkpoint needs no in-flight frame, no pending-transmitter
-// list and no per-node queue contents — only counters, filters and receive
-// state. Snapshot panics when Quiescent is false rather than capturing a
+// list and no per-node queue contents — only counters, filters and
+// handlers. Snapshot panics when Quiescent is false rather than capturing a
 // state it could not faithfully restore.
 
 // NodeSnapshot captures one pristine node's mutable state at a quiescent
@@ -32,22 +30,15 @@ type NodeSnapshot struct {
 	filters     []AcceptanceFilter
 	exact       *[(MaxStandardID + 1) / 64]uint64
 	handler     Handler
-	mailboxCap  int
 	compromised bool
-	overruns    uint64
-	mailbox     []Frame // owned deep copy; frames Cloned both ways
-
-	// Remote auto-responders, copied only when any are registered (the car
-	// topology registers none, so the common capture stays allocation-free).
-	responders map[uint32]func() []byte
 }
 
 // freshNode is the state Attach gives every node, new or recycled: the
 // permissive inline filter and everything else zero.
 var freshNode = NodeSnapshot{inline: PermissiveFilter{}}
 
-// snapshotState captures the node's mutable state into dst, reusing dst's
-// buffers across captures. The transmit queue must be empty (Quiescent).
+// snapshotState captures the node's mutable state into dst. The transmit
+// queue must be empty (Quiescent).
 func (n *Node) snapshotState(dst *NodeSnapshot) {
 	dst.inline = n.inline
 	dst.stats = n.stats
@@ -56,33 +47,11 @@ func (n *Node) snapshotState(dst *NodeSnapshot) {
 	dst.filters = c.filters
 	dst.exact = c.exact
 	dst.handler = c.handler
-	dst.mailboxCap = c.mailboxCap
 	dst.compromised = c.compromised
-	dst.overruns = c.overruns
-	dst.mailbox = dst.mailbox[:0]
-	for _, f := range c.mailbox {
-		dst.mailbox = append(dst.mailbox, f.Clone())
-	}
-	dst.responders = copyResponders(dst.responders, n.responders)
-}
-
-// copyResponders overwrites dst with src's entries and returns it, making
-// dst only when src has entries to copy: the common node has none, and even
-// ranging over an empty map costs a measurable share of a reset.
-func copyResponders(dst, src map[uint32]func() []byte) map[uint32]func() []byte {
-	clear(dst)
-	if len(src) == 0 {
-		return dst
-	}
-	if dst == nil {
-		dst = make(map[uint32]func() []byte, len(src))
-	}
-	maps.Copy(dst, src)
-	return dst
 }
 
 // restoreState rewinds the node to the captured state, allocation-free once
-// its buffers are warm: the node rejoins with an empty transmit queue and
+// its transmit queue is warm: the node rejoins with an empty transmit queue and
 // every captured field overwritten. It is the node's only rewind:
 // RestoreFrom (and so Reset) applies it to pristine nodes, Attach applies
 // freshNode.
@@ -92,18 +61,11 @@ func (n *Node) restoreState(src *NodeSnapshot) {
 	n.counters = src.counters
 	n.txq = n.txq[:0]
 	n.detached = false
-	n.responders = copyResponders(n.responders, src.responders)
 	c := n.ctrl
 	c.filters = src.filters
 	c.exact = src.exact
 	c.handler = src.handler
-	c.mailboxCap = src.mailboxCap
 	c.compromised = src.compromised
-	c.overruns = src.overruns
-	c.mailbox = c.mailbox[:0]
-	for _, f := range src.mailbox {
-		c.mailbox = append(c.mailbox, f.Clone())
-	}
 }
 
 // BusSnapshot captures a quiescent bus's full mutable state: error rate,

@@ -347,7 +347,7 @@ func (c *Car) handlerFor(name string) canbus.Handler {
 			}
 		}
 	default:
-		return func(canbus.Frame) {}
+		return nil
 	}
 }
 
@@ -417,6 +417,3 @@ func (c *Car) ObstacleStop() error { return c.sensors.Send(c.obstacleFrame) }
 
 // RestorePropulsion re-enables propulsion from the safety module.
 func (c *Car) RestorePropulsion() error { return c.safety.Send(c.restoreFrame) }
-
-// Run drains the simulation until the given virtual deadline.
-func (c *Car) Run(until time.Duration) { c.sched.RunUntil(until) }

@@ -3,6 +3,8 @@ package car
 import (
 	"testing"
 	"time"
+
+	"repro/internal/canbus"
 )
 
 func TestInitialState(t *testing.T) {
@@ -21,13 +23,20 @@ func TestInitialState(t *testing.T) {
 
 func TestTopologyMatchesFig2(t *testing.T) {
 	c := MustNew(Config{})
-	for _, name := range AllNodes {
-		if _, ok := c.Node(name); !ok {
-			t.Errorf("node %s missing from bus", name)
-		}
+	probe := c.Bus().MustAttach("probe")
+	if err := probe.Send(canbus.MustDataFrame(0x7FF, nil)); err != nil {
+		t.Fatal(err)
 	}
-	if len(c.Bus().Nodes()) != len(AllNodes) {
-		t.Errorf("bus has %d nodes, want %d", len(c.Bus().Nodes()), len(AllNodes))
+	c.Scheduler().Run()
+	for _, name := range AllNodes {
+		n, ok := c.Node(name)
+		if !ok {
+			t.Errorf("node %s missing from bus", name)
+			continue
+		}
+		if seen := n.Stats().RxSeen; seen != 1 {
+			t.Errorf("node %s saw %d broadcasts, want 1", name, seen)
+		}
 	}
 }
 
@@ -113,7 +122,7 @@ func TestModeSwitching(t *testing.T) {
 func TestPeriodicTraffic(t *testing.T) {
 	c := MustNew(Config{})
 	c.StartTraffic(10*time.Millisecond, 100*time.Millisecond, 72)
-	c.Run(200 * time.Millisecond)
+	c.Scheduler().RunUntil(200 * time.Millisecond)
 	s := c.State()
 	if s.ActualSpeed != 72 {
 		t.Errorf("ActualSpeed = %d, want 72", s.ActualSpeed)

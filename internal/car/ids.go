@@ -193,23 +193,3 @@ var Catalog = []Message{
 		Modes:   []policy.Mode{ModeRemoteDiag},
 	},
 }
-
-// MessageByID returns the catalog entry for id.
-func MessageByID(id uint32) (Message, bool) {
-	for _, m := range Catalog {
-		if m.ID == id {
-			return m, true
-		}
-	}
-	return Message{}, false
-}
-
-// MessageByName returns the catalog entry with the given name.
-func MessageByName(name string) (Message, bool) {
-	for _, m := range Catalog {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return Message{}, false
-}

@@ -18,7 +18,7 @@ func driveScenario(t *testing.T, c *Car) (State, canbus.BusStats, uint64) {
 	if err := c.ArmAlarm(); err != nil {
 		t.Fatal(err)
 	}
-	c.Run(4 * time.Millisecond)
+	c.Scheduler().RunUntil(4 * time.Millisecond)
 	if err := c.TriggerCrash(); err != nil {
 		t.Fatal(err)
 	}

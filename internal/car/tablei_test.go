@@ -134,18 +134,6 @@ func TestCatalogConsistency(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := MessageByID(IDECUCommand); !ok {
-		t.Error("MessageByID failed for catalog entry")
-	}
-	if _, ok := MessageByID(0xFFFF); ok {
-		t.Error("MessageByID found ghost id")
-	}
-	if _, ok := MessageByName("ecu-command"); !ok {
-		t.Error("MessageByName failed")
-	}
-	if _, ok := MessageByName("ghost"); ok {
-		t.Error("MessageByName found ghost")
-	}
 }
 
 func TestDerivedPolicyMatchesCatalog(t *testing.T) {

@@ -136,15 +136,6 @@ func (d *Device) PolicyVersion() uint64 {
 	return 0
 }
 
-// Engine returns the policy engine protecting the named node.
-func (d *Device) Engine(name string) (*hpe.Engine, bool) {
-	e, ok := d.engines[name]
-	return e, ok
-}
-
-// Store exposes the device's policy store (read-mostly; for inspection).
-func (d *Device) Store() *policy.Store { return d.store }
-
 // FleetVehicle adapts a provisioned Device to the fleet.Vehicle interface
 // so OEM-side staged rollouts (internal/fleet) can drive real devices. A
 // bundle whose version the device already runs counts as success, making

@@ -90,8 +90,8 @@ func TestOEMIssueAndDeviceUpdateRoundTrip(t *testing.T) {
 	if !c.State().DoorsLocked {
 		t.Error("legitimate traffic blocked after install")
 	}
-	eng, ok := dev.Engine(car.NodeEVECU)
-	if !ok || !eng.Installed() {
+	eng, ok := dev.engines[car.NodeEVECU]
+	if !ok || eng.Stats().Installs == 0 {
 		t.Error("engine not installed via store subscription")
 	}
 }
@@ -265,8 +265,7 @@ func TestApplyUpdateMidTraffic(t *testing.T) {
 	}
 	installs := map[string]uint64{}
 	for _, n := range subjects {
-		eng, _ := dev.Engine(n)
-		installs[n] = eng.Stats().Installs
+		installs[n] = dev.engines[n].Stats().Installs
 	}
 
 	var speedFrames int
@@ -315,8 +314,7 @@ func TestApplyUpdateMidTraffic(t *testing.T) {
 		t.Errorf("Tap received %d speed frames across the swap, want %d", speedFrames, wantSpeed)
 	}
 	for _, n := range subjects {
-		eng, _ := dev.Engine(n)
-		if got := eng.Stats().Installs; got != installs[n]+1 {
+		if got := dev.engines[n].Stats().Installs; got != installs[n]+1 {
 			t.Errorf("%s: Installs = %d after the update, want %d", n, got, installs[n]+1)
 		}
 	}

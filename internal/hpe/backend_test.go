@@ -48,10 +48,10 @@ func TestInstallEnforcerDecisionsMatchTable(t *testing.T) {
 			if err := e.InstallEnforcer(buildEnforcer(t, backend)); err != nil {
 				t.Fatalf("InstallEnforcer(%s): %v", backend, err)
 			}
-			if e.Backend() != backend {
-				t.Errorf("Backend() = %q, want %q", e.Backend(), backend)
+			if e.backend != backend {
+				t.Errorf("backend = %q, want %q", e.backend, backend)
 			}
-			if !e.Installed() {
+			if e.table == nil {
 				t.Fatalf("%s engine claims not installed", backend)
 			}
 			for _, p := range probes {
@@ -83,8 +83,8 @@ func TestReinstallEnforcerReusesInstall(t *testing.T) {
 	if err := e.ReinstallEnforcer(other); err != nil {
 		t.Fatal(err)
 	}
-	if e.Backend() != "expr" {
-		t.Errorf("after swap Backend() = %q, want expr", e.Backend())
+	if e.backend != "expr" {
+		t.Errorf("after swap backend = %q, want expr", e.backend)
 	}
 }
 
@@ -96,8 +96,8 @@ func TestSnapshotBackendIdentity(t *testing.T) {
 	table.Decide(canbus.Read, frame(0x100))
 	var snap Snapshot
 	table.Snapshot(&snap)
-	if snap.Backend() != ir.DefaultBackend {
-		t.Errorf("snapshot backend = %q, want %q", snap.Backend(), ir.DefaultBackend)
+	if snap.backend != ir.DefaultBackend {
+		t.Errorf("snapshot backend = %q, want %q", snap.backend, ir.DefaultBackend)
 	}
 	if err := table.RestoreFrom(&snap); err != nil {
 		t.Fatalf("same-backend restore: %v", err)
@@ -119,8 +119,8 @@ func TestSnapshotBackendIdentity(t *testing.T) {
 	var csnap Snapshot
 	closure.Decide(canbus.Write, frame(0x200))
 	closure.Snapshot(&csnap)
-	if csnap.Backend() != "closure" {
-		t.Errorf("closure snapshot backend = %q", csnap.Backend())
+	if csnap.backend != "closure" {
+		t.Errorf("closure snapshot backend = %q", csnap.backend)
 	}
 	if err := closure.RestoreFrom(&csnap); err != nil {
 		t.Fatalf("closure same-backend restore: %v", err)
@@ -135,8 +135,8 @@ func TestDeployEnforcer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if engines["ecu"].Backend() != "expr" {
-		t.Errorf("deployed backend = %q, want expr", engines["ecu"].Backend())
+	if engines["ecu"].backend != "expr" {
+		t.Errorf("deployed backend = %q, want expr", engines["ecu"].backend)
 	}
 	if _, err := DeployEnforcer(bus, buildEnforcer(t, "expr"), FixedMode("Normal"), DefaultCycleModel(), "ghost"); err == nil {
 		t.Error("unknown node: want error")

@@ -175,13 +175,6 @@ func (e *Engine) ReinstallEnforcer(enf ir.Enforcer) error {
 	return e.InstallEnforcer(enf)
 }
 
-// Installed reports whether a policy table has been loaded.
-func (e *Engine) Installed() bool { return e.table != nil }
-
-// Backend returns the name of the active policy backend, or "" before any
-// install.
-func (e *Engine) Backend() string { return e.backend }
-
 // Reset zeroes the engine's counters, returning it to the statistical state
 // of a freshly constructed engine. The installed table, mode source, cycle
 // model and attached auditor are kept: a reset engine decides exactly as it
@@ -201,9 +194,6 @@ type Snapshot struct {
 	cacheMode  policy.Mode
 	cacheMT    policy.ModeTable
 }
-
-// Backend returns the policy backend that was active at capture time.
-func (s *Snapshot) Backend() string { return s.backend }
 
 // ErrBackendMismatch reports a checkpoint restored onto an engine running a
 // different policy backend: the captured cache state would silently mix

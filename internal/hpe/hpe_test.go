@@ -43,7 +43,7 @@ func frame(id uint32) canbus.Frame { return canbus.MustDataFrame(id, nil) }
 
 func TestFailClosedBeforeInstall(t *testing.T) {
 	e := New("ecu", FixedMode("Normal"), DefaultCycleModel())
-	if e.Installed() {
+	if e.table != nil {
 		t.Fatal("fresh engine claims installed")
 	}
 	if v := e.Decide(canbus.Read, frame(0x100)); v != canbus.Block {

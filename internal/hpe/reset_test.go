@@ -42,7 +42,7 @@ func TestEngineReset(t *testing.T) {
 	if e.Stats() != (Stats{}) {
 		t.Fatalf("stats after reset: %+v", e.Stats())
 	}
-	if !e.Installed() {
+	if e.table == nil {
 		t.Fatal("reset dropped the installed table")
 	}
 	if e.Decide(canbus.Read, granted) != canbus.Grant {

@@ -29,20 +29,6 @@ type Context struct {
 	Type string
 }
 
-// ParseContext reads "user:role:type" notation.
-func ParseContext(s string) (Context, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 {
-		return Context{}, fmt.Errorf("mac: context %q must be user:role:type", s)
-	}
-	for i, p := range parts {
-		if strings.TrimSpace(p) == "" {
-			return Context{}, fmt.Errorf("mac: empty field %d in context %q", i, s)
-		}
-	}
-	return Context{User: parts[0], Role: parts[1], Type: parts[2]}, nil
-}
-
 // String renders "user:role:type".
 func (c Context) String() string { return c.User + ":" + c.Role + ":" + c.Type }
 
@@ -355,26 +341,10 @@ func internID[K comparable](m map[K]uint32, v K) uint32 {
 	return id
 }
 
-// Modules returns the loaded module names, sorted.
-func (s *Server) Modules() []string {
-	out := make([]string, 0, len(s.modules))
-	for n := range s.modules {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // CompromiseKernel models the firmware/kernel compromise of §V-B.2: all
 // subsequent checks are bypassed (allowed without consulting policy), the
 // way a rooted kernel no longer enforces its own LSM hooks.
 func (s *Server) CompromiseKernel() { s.compromised = true }
-
-// Compromised reports whether the kernel-compromise injection is active.
-func (s *Server) Compromised() bool { return s.compromised }
-
-// Restore clears the compromise injection (re-flash / reboot from clean image).
-func (s *Server) Restore() { s.compromised = false }
 
 // Check evaluates one access. It consults the AVC first, then scans loaded
 // modules; the result is cached. Audit records are appended for denials and

@@ -22,21 +22,9 @@ func testModule(version uint64) *Module {
 
 func ctx(typ string) Context { return Context{User: "system_u", Role: "object_r", Type: typ} }
 
-func TestParseContext(t *testing.T) {
-	c, err := ParseContext("system_u:object_r:infotainment_t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.User != "system_u" || c.Role != "object_r" || c.Type != "infotainment_t" {
-		t.Errorf("parsed %+v", c)
-	}
-	if c.String() != "system_u:object_r:infotainment_t" {
-		t.Errorf("String = %q", c.String())
-	}
-	for _, bad := range []string{"", "a:b", "a:b:c:d", "a::c", ":b:c"} {
-		if _, err := ParseContext(bad); err == nil {
-			t.Errorf("ParseContext(%q) accepted", bad)
-		}
+func TestContextString(t *testing.T) {
+	if s := ctx("infotainment_t").String(); s != "system_u:object_r:infotainment_t" {
+		t.Errorf("String = %q", s)
 	}
 }
 
@@ -128,8 +116,8 @@ func TestModuleLoadUnloadVersioning(t *testing.T) {
 	if d := s.Check(ctx("infotainment_t"), ctx("media_t"), "file", "read"); d.Allowed {
 		t.Error("rules survive unload")
 	}
-	if names := s.Modules(); len(names) != 0 {
-		t.Errorf("Modules = %v", names)
+	if len(s.modules) != 0 {
+		t.Errorf("%d modules loaded after unload", len(s.modules))
 	}
 }
 
@@ -212,21 +200,17 @@ func TestKernelCompromiseBypass(t *testing.T) {
 		t.Fatal("precondition: access should be denied before compromise")
 	}
 	s.CompromiseKernel()
-	if !s.Compromised() {
-		t.Fatal("Compromised() = false")
-	}
 	d := s.Check(ctx("evil_t"), ctx("tracking_t"), "can_message", "write")
 	if !d.Allowed || !d.Bypassed || d.Granted {
 		t.Errorf("compromised check = %+v, want allowed+bypassed", d)
 	}
-	s.Restore()
+	if st := s.Stats(); st.Bypassed != 1 {
+		t.Errorf("Bypassed = %d, want 1", st.Bypassed)
+	}
+	s.Reset()
 	d = s.Check(ctx("evil_t"), ctx("tracking_t"), "can_message", "write")
 	if d.Allowed {
-		t.Error("enforcement not restored")
-	}
-	st := s.Stats()
-	if st.Bypassed != 1 {
-		t.Errorf("Bypassed = %d, want 1", st.Bypassed)
+		t.Error("enforcement not restored by Reset")
 	}
 }
 

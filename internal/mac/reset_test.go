@@ -62,7 +62,7 @@ func TestServerResetEquivalence(t *testing.T) {
 			probe(used)
 			used.Reset()
 
-			if used.Compromised() {
+			if used.compromised {
 				t.Fatal("compromise survived reset")
 			}
 			if used.Mode() != Enforcing {

@@ -104,7 +104,6 @@ type Store struct {
 	opts CompileOptions
 
 	mu        sync.RWMutex
-	installed *Compiled
 	set       *Set
 	listeners []UpdateListener
 	applied   uint64
@@ -129,13 +128,6 @@ func (s *Store) Subscribe(l UpdateListener) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.listeners = append(s.listeners, l)
-}
-
-// Current returns the installed compiled policy, or nil before first install.
-func (s *Store) Current() *Compiled {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.installed
 }
 
 // CurrentSet returns the installed source set, or nil before first install.
@@ -177,7 +169,6 @@ func (s *Store) Apply(b *Bundle) (*Compiled, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: have %d, got %d", ErrStaleVersion, s.set.Version, compiled.Version)
 	}
-	s.installed = compiled
 	s.set = set
 	s.applied++
 	listeners := append([]UpdateListener(nil), s.listeners...)
@@ -185,7 +176,7 @@ func (s *Store) Apply(b *Bundle) (*Compiled, error) {
 	// v2 then holds the delivery turn before the apply installing v3 can
 	// even commit, so subscribers observe versions in install order. mu is
 	// released before the callbacks run, so listeners may read back into
-	// the store (Current, CurrentSet, Stats) without deadlocking; a
+	// the store (CurrentSet, Stats) without deadlocking; a
 	// listener must not call Apply from its own goroutine (delivery is
 	// sequenced, so that would self-deadlock).
 	s.deliverMu.Lock()

@@ -121,7 +121,7 @@ func storeOpts() CompileOptions {
 func TestStoreApplyAndHotSwap(t *testing.T) {
 	pub, priv := testKeys(t)
 	store := NewStore(pub, storeOpts())
-	if store.Current() != nil || store.CurrentSet() != nil {
+	if store.CurrentSet() != nil {
 		t.Fatal("fresh store should have no policy")
 	}
 	var notified []uint64
@@ -132,7 +132,7 @@ func TestStoreApplyAndHotSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1.Version != 1 || store.Current().Version != 1 {
+	if c1.Version != 1 || store.CurrentSet().Version != 1 {
 		t.Errorf("installed version %d", c1.Version)
 	}
 
@@ -140,7 +140,7 @@ func TestStoreApplyAndHotSwap(t *testing.T) {
 	if _, err := store.Apply(b2); err != nil {
 		t.Fatal(err)
 	}
-	if store.Current().Version != 2 {
+	if store.CurrentSet().Version != 2 {
 		t.Error("hot swap did not install v2")
 	}
 	if len(notified) != 2 || notified[0] != 1 || notified[1] != 2 {
@@ -168,7 +168,7 @@ func TestStoreRejectsStaleAndReplay(t *testing.T) {
 	if _, err := store.Apply(b1); !errors.Is(err, ErrStaleVersion) {
 		t.Errorf("downgrade accepted: %v", err)
 	}
-	if store.Current().Version != 2 {
+	if store.CurrentSet().Version != 2 {
 		t.Error("rejected bundle changed installed policy")
 	}
 	_, rejected := store.Stats()
@@ -199,7 +199,7 @@ func TestStoreRejectsUnsigned(t *testing.T) {
 	if _, err := store.Apply(b); err == nil {
 		t.Error("store accepted broken signature")
 	}
-	if store.Current() != nil {
+	if store.CurrentSet() != nil {
 		t.Error("rejected bundle installed")
 	}
 }
@@ -226,7 +226,7 @@ func TestStoreConcurrentApply(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	cur := store.Current()
+	cur := store.CurrentSet()
 	if cur == nil {
 		t.Fatal("no policy installed")
 	}
@@ -234,9 +234,6 @@ func TestStoreConcurrentApply(t *testing.T) {
 	// highest accepted version must not exceed n.
 	if cur.Version == 0 || cur.Version > n {
 		t.Errorf("installed version %d out of range", cur.Version)
-	}
-	if store.CurrentSet().Version != cur.Version {
-		t.Error("set/compiled version skew")
 	}
 }
 

@@ -360,15 +360,6 @@ func Parse(src string) (*Set, error) {
 	return set, nil
 }
 
-// MustParse is Parse for static policies; it panics on error.
-func MustParse(src string) *Set {
-	s, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 func (p *parser) parseModeBlock(set *Set) error {
 	if err := p.advance(); err != nil { // consume "mode"
 		return err

@@ -195,3 +195,12 @@ func TestParseEmptyPolicy(t *testing.T) {
 		t.Error("empty policy must deny")
 	}
 }
+
+// MustParse is Parse for static policies; it panics on error.
+func MustParse(src string) *Set {
+	s, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}

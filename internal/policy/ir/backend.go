@@ -26,9 +26,6 @@ type Decision struct {
 	Effect policy.Effect
 }
 
-// Allowed reports whether the decision grants the access.
-func (d Decision) Allowed() bool { return d.Effect == policy.Allow }
-
 // Enforcer is a fully compiled policy ready to decide accesses.
 type Enforcer interface {
 	// Backend names the backend that compiled this enforcer.

@@ -202,12 +202,6 @@ func (p *Policy) SubjectIndex(subject string) (int, bool) {
 	return i, ok
 }
 
-// ModeIndex interns an operating mode; ok is false for foreign modes.
-func (p *Policy) ModeIndex(mode policy.Mode) (int, bool) {
-	i, ok := p.modeIdx[mode]
-	return i, ok
-}
-
 // ModeNames expands a rule's mode bitmask back into mode names, in interned
 // order. A full mask returns nil, meaning "all modes".
 func (p *Policy) ModeNames(mask uint64) []policy.Mode {
@@ -243,26 +237,11 @@ func (p *Policy) ToSet() *policy.Set {
 	return s
 }
 
-// Eval is the IR reference evaluator: the closed-world decision semantics
-// every backend must reproduce, stated once. The expr backend is this walk
-// behind per-subject indexing; the closure backend memoises it into jump
-// tables at compile time; difftest holds all backends to it.
-func (p *Policy) Eval(subject string, object uint32, act policy.Action, mode policy.Mode) policy.Effect {
-	if act != policy.ActRead && act != policy.ActWrite {
-		return policy.Deny
-	}
-	si, ok := p.subjectIdx[subject]
-	if !ok {
-		return policy.Deny
-	}
-	mi, ok := p.modeIdx[mode]
-	if !ok {
-		return policy.Deny
-	}
-	return p.evalIndexed(si, object, act, mi)
-}
-
-// evalIndexed is Eval after subject/mode interning: the shared rule walk.
+// evalIndexed is the rule walk over interned subject and mode indices, for
+// one single-direction action: deny overrides, and any matching allow
+// grants. It restates policy.Set.Decide on the lowered rules; the closure
+// backend memoises it into jump tables at compile time, and difftest holds
+// every backend to Set.Decide.
 func (p *Policy) evalIndexed(si int, object uint32, act policy.Action, mi int) policy.Effect {
 	allowed := false
 	for i := range p.Rules {

@@ -93,7 +93,7 @@ func TestLower(t *testing.T) {
 	if p.Rules[0].Modes != allModes {
 		t.Errorf("universal rule mask = %b, want %b", p.Rules[0].Modes, allModes)
 	}
-	mi, _ := p.ModeIndex("remote-diag")
+	mi := p.modeIdx["remote-diag"]
 	if p.Rules[2].Modes != 1<<mi {
 		t.Errorf("diag-rw mask = %b, want bit %d", p.Rules[2].Modes, mi)
 	}
@@ -139,15 +139,14 @@ func TestToSetRoundTrip(t *testing.T) {
 		t.Fatalf("Lower: %v", err)
 	}
 	back := p.ToSet()
-	p2, err := Lower(back, opts)
-	if err != nil {
+	if _, err := Lower(back, opts); err != nil {
 		t.Fatalf("re-Lower: %v", err)
 	}
 	for _, subj := range append(opts.Subjects, "absent") {
 		for _, mode := range append(opts.Modes, "track-day") {
 			for id := uint32(0x0FF); id <= 0x401; id++ {
 				for _, act := range []policy.Action{policy.ActRead, policy.ActWrite} {
-					if got, want := p2.Eval(subj, id, act, mode), p.Eval(subj, id, act, mode); got != want {
+					if got, want := specDecide(back, opts, subj, mode, act, id), specDecide(set, opts, subj, mode, act, id); got != want {
 						t.Fatalf("round-trip diverges at (%s,%s,%v,0x%X): %v != %v", subj, mode, act, id, got, want)
 					}
 				}
@@ -156,30 +155,7 @@ func TestToSetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEvalMatchesSpec(t *testing.T) {
-	set, opts := testSet(), testOpts()
-	p, err := Lower(set, opts)
-	if err != nil {
-		t.Fatalf("Lower: %v", err)
-	}
-	subjects := append(append([]string{}, opts.Subjects...), "absent", "")
-	modes := append(append([]policy.Mode{}, opts.Modes...), "track-day", "")
-	acts := []policy.Action{policy.ActRead, policy.ActWrite, policy.ActReadWrite, 0, 7}
-	for _, subj := range subjects {
-		for _, mode := range modes {
-			for _, act := range acts {
-				for id := uint32(0x0FF); id <= 0x401; id++ {
-					want := specDecide(set, opts, subj, mode, act, id)
-					if got := p.Eval(subj, id, act, mode); got != want {
-						t.Fatalf("Eval(%s,%s,%v,0x%X) = %v, want %v", subj, mode, act, id, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestBackendsMatchEval(t *testing.T) {
+func TestBackendsMatchSpec(t *testing.T) {
 	set, opts := testSet(), testOpts()
 	p, err := Lower(set, opts)
 	if err != nil {
@@ -212,11 +188,11 @@ func TestBackendsMatchEval(t *testing.T) {
 			for _, mode := range modes {
 				mt := node.Table(mode)
 				// Each list enumerates the universe identifiers the
-				// reference evaluator allows in its direction.
+				// closed-world reference allows in its direction.
 				for act, l := range map[policy.Action]policy.IDLookup{policy.ActRead: mt.Reads, policy.ActWrite: mt.Writes} {
 					var want []uint32
 					for _, id := range universe {
-						if p.Eval(subj, id, act, mode) == policy.Allow {
+						if specDecide(set, opts, subj, mode, act, id) == policy.Allow {
 							want = append(want, id)
 						}
 					}
@@ -226,7 +202,7 @@ func TestBackendsMatchEval(t *testing.T) {
 				}
 				for _, act := range acts {
 					for id := uint32(0x0FF); id <= 0x401; id++ {
-						want := p.Eval(subj, id, act, mode)
+						want := specDecide(set, opts, subj, mode, act, id)
 						got := enf.Decide(subj, id, act, Context{Mode: mode})
 						if got.Effect != want {
 							t.Fatalf("%s.Decide(%s,%s,%v,0x%X) = %v, want %v", name, subj, mode, act, id, got.Effect, want)
@@ -296,7 +272,6 @@ func TestTableEnforcerExposesCompiled(t *testing.T) {
 		t.Fatalf("policy.Compile: %v", err)
 	}
 	wrapped := WrapCompiled(direct)
-	p, _ := Lower(set, testOpts())
 	for _, subj := range testOpts().Subjects {
 		// The HPE installs exactly the table policy.Compile built.
 		if wrapped.Node(subj) != direct.Node(subj) {
@@ -305,7 +280,7 @@ func TestTableEnforcerExposesCompiled(t *testing.T) {
 		for _, mode := range testOpts().Modes {
 			for id := uint32(0x0FF); id <= 0x401; id++ {
 				for _, act := range []policy.Action{policy.ActRead, policy.ActWrite} {
-					if got, want := wrapped.Decide(subj, id, act, Context{Mode: mode}).Effect, p.Eval(subj, id, act, mode); got != want {
+					if got, want := wrapped.Decide(subj, id, act, Context{Mode: mode}).Effect, specDecide(set, testOpts(), subj, mode, act, id); got != want {
 						t.Fatalf("WrapCompiled diverges at (%s,%s,%v,0x%X): %v != %v", subj, mode, act, id, got, want)
 					}
 				}

@@ -11,7 +11,7 @@ import (
 // carries every family, regime and total — and leaks nothing that would
 // break the report's cross-worker byte-identity (worker counts, timings).
 func TestCampaignViewRendering(t *testing.T) {
-	plan, err := (campaign.Compiler{}).Compile(campaign.MustParse(`
+	plan, err := (campaign.Compiler{}).Compile(mustParseSpec(`
 campaign "view" version 1 {
   seed 5
   regimes none, hpe
@@ -50,4 +50,14 @@ campaign "view" version 1 {
 	if CampaignView(rep2) != out {
 		t.Error("campaign view differs across worker counts")
 	}
+}
+
+// mustParseSpec is campaign.Parse for the static specs of these tests; it
+// panics on error.
+func mustParseSpec(src string) *campaign.Spec {
+	sp, err := campaign.Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return sp
 }

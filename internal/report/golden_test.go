@@ -43,7 +43,7 @@ func checkGolden(t *testing.T, name, got string) {
 // can populate.
 func goldenCampaignReport(t *testing.T) *campaign.CampaignReport {
 	t.Helper()
-	plan, err := (campaign.Compiler{}).Compile(campaign.MustParse(`
+	plan, err := (campaign.Compiler{}).Compile(mustParseSpec(`
 campaign "golden" version 3 {
   seed 11
   regimes none, hpe

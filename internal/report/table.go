@@ -59,9 +59,6 @@ func (t *Table) AddSeparator() {
 	t.seps[len(t.rows)-1] = true
 }
 
-// RowCount returns the number of data rows.
-func (t *Table) RowCount() int { return len(t.rows) }
-
 // widths computes per-column display widths.
 func (t *Table) widths() []int {
 	w := make([]int, len(t.cols))

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/attack"
-	"repro/internal/canbus"
 	"repro/internal/car"
 	"repro/internal/hpe"
 	"repro/internal/lifecycle"
@@ -241,7 +240,3 @@ func AttackResults(results []attack.Result) string {
 	}
 	return t.String()
 }
-
-// Verdict renders a one-line Verdict on the canbus trace event, used by the
-// carsim tool's verbose mode.
-func Verdict(e canbus.TraceEvent) string { return e.String() }

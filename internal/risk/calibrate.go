@@ -22,9 +22,6 @@ type Delta struct {
 	Damage, Reproducibility, Exploitability, AffectedUsers, Discoverability int
 }
 
-// IsZero reports whether no component moved.
-func (d Delta) IsZero() bool { return d == Delta{} }
-
 // String renders the delta compactly ("D+1 R+0 E-2 A-2 Di+0").
 func (d Delta) String() string {
 	return fmt.Sprintf("D%+d R%+d E%+d A%+d Di%+d",

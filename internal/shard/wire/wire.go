@@ -41,9 +41,7 @@
 // run's vehicles all carry its first vehicle's matrix, so a shard stream
 // of one sends it once. A stream's first vehicle frame is always inline;
 // a back-reference before any inline matrix, or any other tag value, is
-// corruption. The standalone payload (AppendVehicle,
-// DecodeVehiclePayload) has no stream to refer back to: it is always
-// inline, and always a run of one.
+// corruption.
 //
 // Every frame carries a CRC32 of its payload, verified before any
 // structural decode: a corrupted pipe surfaces as a typed
@@ -712,31 +710,4 @@ func decodeVehicle(d *dec, v *engine.VehicleReport, last *matrix) (n int, root u
 	v.MACAllowed = d.int()
 	decodeHealth(d, &v.Health)
 	return n, root
-}
-
-// AppendVehicle encodes one vehicle report payload (no frame, no CRC) into
-// b — the bench and fuzz harnesses' view of the raw encoding. It is a run
-// of one, and its matrix is always inline: a lone payload has no stream
-// to refer back to.
-func AppendVehicle(b []byte, v *engine.VehicleReport) []byte {
-	return appendVehicle(b, v, 1, 0, appendMatrix([]byte{matrixInline}, v))
-}
-
-// DecodeVehiclePayload decodes one raw vehicle payload produced by
-// AppendVehicle, rejecting trailing bytes, matrix back-references and
-// runs of more than one vehicle.
-func DecodeVehiclePayload(b []byte) (*engine.VehicleReport, error) {
-	d := dec{b: b}
-	var v engine.VehicleReport
-	n, _ := decodeVehicle(&d, &v, nil)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if n != 1 {
-		return nil, fmt.Errorf("wire: a lone vehicle payload is a run of %d vehicles, want 1", n)
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after vehicle payload", len(d.b))
-	}
-	return &v, nil
 }

@@ -35,25 +35,6 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerCancelHeavy measures the lazy-discard path: half the
-// scheduled events are cancelled before the queue drains.
-func BenchmarkSchedulerCancelHeavy(b *testing.B) {
-	var s Scheduler
-	fn := func(time.Duration) {}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var hs [16]Handle
-		for j := range hs {
-			hs[j] = s.After(time.Duration(j)*time.Microsecond, fn)
-		}
-		for j := 0; j < len(hs); j += 2 {
-			hs[j].Cancel()
-		}
-		s.Run()
-		s.Reset()
-	}
-}
-
 // trainTick returns the event a pre-scheduled traffic tick runs in the live
 // phase, reduced to its queue shape: each tick's frames arm the bus's
 // zero-delay arbitration kick and a frame completion ~200 µs later.

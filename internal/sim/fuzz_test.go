@@ -8,17 +8,14 @@ import (
 
 // refEntry is one pending event of the reference scheduler.
 type refEntry struct {
-	at   time.Duration
-	seq  uint64
-	id   int
-	dead bool
-	fn   Event
+	at  time.Duration
+	seq uint64
+	fn  Event
 }
 
 // refScheduler is the brute-force reference FuzzSchedulerOrder holds the
 // Scheduler to: pending events in an unordered slice, each pop a linear
-// scan for the minimum (time, sequence). Cancelled events stay pending
-// until a pop or RunUntil's head check discards them, as in Scheduler.
+// scan for the minimum (time, sequence).
 type refScheduler struct {
 	now   time.Duration
 	seq   uint64
@@ -26,8 +23,8 @@ type refScheduler struct {
 	q     []refEntry
 }
 
-func (r *refScheduler) at(at time.Duration, id int, fn Event) {
-	r.q = append(r.q, refEntry{at: at, seq: r.seq, id: id, fn: fn})
+func (r *refScheduler) at(at time.Duration, fn Event) {
+	r.q = append(r.q, refEntry{at: at, seq: r.seq, fn: fn})
 	r.seq++
 }
 
@@ -42,48 +39,26 @@ func (r *refScheduler) head() int {
 	return best
 }
 
-func (r *refScheduler) remove(i int) refEntry {
+func (r *refScheduler) step() bool {
+	i := r.head()
+	if i < 0 {
+		return false
+	}
 	e := r.q[i]
 	r.q[i] = r.q[len(r.q)-1]
 	r.q = r.q[:len(r.q)-1]
-	return e
-}
-
-func (r *refScheduler) step() bool {
-	for i := r.head(); i >= 0; i = r.head() {
-		e := r.remove(i)
-		if e.dead {
-			continue
-		}
-		r.now = e.at
-		r.steps++
-		e.fn(r.now)
-		return true
-	}
-	return false
+	r.now = e.at
+	r.steps++
+	e.fn(r.now)
+	return true
 }
 
 func (r *refScheduler) runUntil(deadline time.Duration) {
-	for i := r.head(); i >= 0; i = r.head() {
-		if r.q[i].dead {
-			r.remove(i)
-			continue
-		}
-		if r.q[i].at > deadline {
-			break
-		}
+	for i := r.head(); i >= 0 && r.q[i].at <= deadline; i = r.head() {
 		r.step()
 	}
 	if r.now < deadline {
 		r.now = deadline
-	}
-}
-
-func (r *refScheduler) cancel(id int) {
-	for i := range r.q {
-		if r.q[i].id == id {
-			r.q[i].dead = true
-		}
 	}
 }
 
@@ -106,13 +81,13 @@ type fired struct {
 // with kids-1 of its own), so a divergence in fire order also shows as a
 // divergence in ids.
 type orderWorld struct {
-	s       Scheduler
-	r       refScheduler
-	handles []Handle // Scheduler handles, by event id
-	rIDs    int      // events scheduled on the reference
-	got     []fired
-	want    []fired
-	snap    *SchedulerSnapshot
+	s    Scheduler
+	r    refScheduler
+	sIDs int // events scheduled on the Scheduler
+	rIDs int // events scheduled on the reference
+	got  []fired
+	want []fired
+	snap *SchedulerSnapshot
 }
 
 // kidDelay is the delay of a fired event's j-th child: the bus's zero-delay
@@ -120,27 +95,30 @@ type orderWorld struct {
 var kidDelay = [2]time.Duration{0, 200 * time.Microsecond}
 
 func (w *orderWorld) schedule(at time.Duration, kids int) {
-	id := len(w.handles)
-	w.handles = append(w.handles, w.s.At(at, w.sEvent(id, kids)))
-	w.r.at(at, w.rIDs, w.rEvent(w.rIDs, kids))
-	w.rIDs++
+	w.s.At(at, w.sEvent(kids))
+	w.r.at(at, w.rEvent(kids))
 }
 
-func (w *orderWorld) sEvent(id, kids int) Event {
+// sEvent numbers a new Scheduler event and returns its callback.
+func (w *orderWorld) sEvent(kids int) Event {
+	id := w.sIDs
+	w.sIDs++
 	return func(now time.Duration) {
 		w.got = append(w.got, fired{id, now})
 		for j := 0; j < kids; j++ {
-			w.handles = append(w.handles, w.s.After(kidDelay[j], w.sEvent(len(w.handles), kids-1)))
+			w.s.After(kidDelay[j], w.sEvent(kids-1))
 		}
 	}
 }
 
-func (w *orderWorld) rEvent(id, kids int) Event {
+// rEvent numbers a new reference event and returns its callback.
+func (w *orderWorld) rEvent(kids int) Event {
+	id := w.rIDs
+	w.rIDs++
 	return func(now time.Duration) {
 		w.want = append(w.want, fired{id, now})
 		for j := 0; j < kids; j++ {
-			w.r.at(now+kidDelay[j], w.rIDs, w.rEvent(w.rIDs, kids-1))
-			w.rIDs++
+			w.r.at(now+kidDelay[j], w.rEvent(kids-1))
 		}
 	}
 }
@@ -149,45 +127,37 @@ func (w *orderWorld) rEvent(id, kids int) Event {
 func (w *orderWorld) apply(op, arg byte) string {
 	delta := time.Duration(arg%8) * 50 * time.Microsecond // small: ties are common
 	kids := int(arg>>3) % 3
-	switch op % 8 {
+	switch op % 7 {
 	case 0:
 		w.schedule(w.s.Now()+delta, kids)
 		return fmt.Sprintf("At(now+%v, kids=%d)", delta, kids)
 	case 1:
 		// After clamps a negative delay to zero.
 		d := delta - 100*time.Microsecond
-		id := len(w.handles)
-		w.handles = append(w.handles, w.s.After(d, w.sEvent(id, kids)))
-		w.r.at(w.r.now+max(d, 0), w.rIDs, w.rEvent(w.rIDs, kids))
-		w.rIDs++
+		w.s.After(d, w.sEvent(kids))
+		w.r.at(w.r.now+max(d, 0), w.rEvent(kids))
 		return fmt.Sprintf("After(%v, kids=%d)", d, kids)
 	case 2:
-		if len(w.handles) == 0 {
-			return "Cancel(none)"
-		}
-		id := int(arg) % len(w.handles)
-		w.handles[id].Cancel()
-		w.r.cancel(id)
-		return fmt.Sprintf("Cancel(%d)", id)
-	case 3:
 		deadline := w.s.Now() + delta*time.Duration(1+arg>>5)
 		w.s.RunUntil(deadline)
 		w.r.runUntil(deadline)
 		return fmt.Sprintf("RunUntil(%v)", deadline)
-	case 4:
+	case 3:
 		n := int(arg % 5)
-		got := w.s.RunSteps(n)
-		want := 0
+		got, want := 0, 0
+		for got < n && w.s.Step() {
+			got++
+		}
 		for want < n && w.r.step() {
 			want++
 		}
-		return fmt.Sprintf("RunSteps(%d) = %d, reference %d", n, got, want)
-	case 5:
+		return fmt.Sprintf("Step x%d = %d, reference %d", n, got, want)
+	case 4:
 		w.s.Run()
 		for w.r.step() {
 		}
 		return "Run"
-	case 6:
+	case 5:
 		switch arg % 3 {
 		case 0:
 			w.s.Reset()
@@ -254,9 +224,9 @@ func (w *orderWorld) check(t *testing.T, step int, op string) {
 }
 
 // FuzzSchedulerOrder decodes the input into a program of scheduler
-// operations, two bytes each — At/After with small deltas, Cancel of an
-// earlier handle, trains of pre-scheduled ticks, RunUntil, RunSteps, Run,
-// Reset, and Snapshot/RestoreFrom at quiescence — whose events schedule
+// operations, two bytes each — At/After with small deltas, trains of
+// pre-scheduled ticks, RunUntil, up to four Steps, Run, Reset, and
+// Snapshot/RestoreFrom at quiescence — whose events schedule
 // children at the current instant or later when they fire. It runs the
 // program on a Scheduler and on refScheduler and requires, after every
 // operation, the same fire order and the same Now, Steps, Pending,
@@ -264,12 +234,12 @@ func (w *orderWorld) check(t *testing.T, step int, op string) {
 func FuzzSchedulerOrder(f *testing.F) {
 	// The live phase: a long train of ticks, each firing a kick and a
 	// completion, run to a deadline and then drained.
-	f.Add([]byte{7, 0x0f, 7, 0x1f, 3, 0xff, 0, 0x08, 3, 0x07, 5, 0})
-	// Parallel injection trains: three trains from the same instant, with a
-	// cancellation in the middle of one.
-	f.Add([]byte{7, 0x05, 7, 0x15, 7, 0x25, 2, 0x07, 4, 0x04, 4, 0x03, 5, 0})
+	f.Add([]byte{6, 0x0f, 6, 0x1f, 2, 0xff, 0, 0x08, 2, 0x07, 4, 0})
+	// Parallel injection trains: three trains from the same instant,
+	// stepped part way and then drained.
+	f.Add([]byte{6, 0x05, 6, 0x15, 6, 0x25, 3, 0x04, 3, 0x03, 4, 0})
 	// Snapshot at quiescence, more work, restore, and a reset.
-	f.Add([]byte{0, 0x11, 5, 0, 6, 0x01, 7, 0x03, 4, 0x02, 6, 0x02, 0, 0x00, 5, 0, 6, 0x00, 1, 0x01, 5, 0})
+	f.Add([]byte{0, 0x11, 4, 0, 5, 0x01, 6, 0x03, 3, 0x02, 5, 0x02, 0, 0x00, 4, 0, 5, 0x00, 1, 0x01, 4, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 256 {
 			prog = prog[:256]

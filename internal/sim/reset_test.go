@@ -15,26 +15,21 @@ func TestSchedulerResetEquivalence(t *testing.T) {
 			fired = append(fired, now)
 			s.After(time.Millisecond, func(now time.Duration) { fired = append(fired, now) })
 		})
-		h := s.After(2*time.Millisecond, func(now time.Duration) { t.Error("cancelled event fired") })
-		h.Cancel()
 		s.Run()
 		return fired
 	}
 
 	used := &Scheduler{}
-	// Dirty the scheduler: pending events, cancelled events, advanced clock.
+	// Dirty the scheduler: pending events, advanced clock.
 	used.After(time.Millisecond, func(time.Duration) {})
 	used.After(5*time.Millisecond, func(time.Duration) { t.Error("event survived reset") })
-	stale := used.After(7*time.Millisecond, func(time.Duration) {})
-	used.RunSteps(1)
+	used.After(7*time.Millisecond, func(time.Duration) {})
+	used.Step()
 	used.Reset()
 
 	if used.Now() != 0 || used.Pending() != 0 || used.Steps() != 0 {
 		t.Fatalf("reset state: now=%v pending=%d steps=%d", used.Now(), used.Pending(), used.Steps())
 	}
-	// A pre-reset handle must not cancel whatever recycled its slot.
-	stale.Cancel()
-
 	fresh := &Scheduler{}
 	got, want := drive(used), drive(fresh)
 	if len(got) != len(want) {
@@ -73,7 +68,8 @@ func TestSchedulerResetAllocationFree(t *testing.T) {
 			tick := trainTick(s)
 			return func() {
 				scheduleTrain(s, 64, tick)
-				s.RunSteps(100)
+				for i := 0; i < 100 && s.Step(); i++ {
+				}
 			}
 		}},
 	} {
@@ -123,10 +119,10 @@ func TestSchedulerLaneBounded(t *testing.T) {
 	}
 }
 
-// TestRNGReseed checks Reseed restores the exact NewRNG stream.
+// TestRNGReseed checks Reseed restarts the exact stream of a fresh seeding.
 func TestRNGReseed(t *testing.T) {
 	for _, seed := range []uint64{0, 1, 42, 0xDEADBEEF} {
-		r := NewRNG(seed)
+		r := seeded(seed)
 		want := []uint64{r.Uint64(), r.Uint64(), r.Uint64()}
 		r.Reseed(seed)
 		for i, w := range want {
@@ -135,4 +131,11 @@ func TestRNGReseed(t *testing.T) {
 			}
 		}
 	}
+}
+
+// seeded returns a generator whose stream starts from seed.
+func seeded(seed uint64) *RNG {
+	var r RNG
+	r.Reseed(seed)
+	return &r
 }

@@ -8,17 +8,9 @@ type RNG struct {
 	state uint64
 }
 
-// NewRNG returns a generator seeded with seed. A zero seed is remapped to a
+// Reseed restarts the generator's stream from seed, allowing a long-lived
+// simulation component to be reset in place. A zero seed is remapped to a
 // fixed non-zero constant because xorshift has an all-zero fixed point.
-func NewRNG(seed uint64) *RNG {
-	if seed == 0 {
-		seed = 0x9E3779B97F4A7C15
-	}
-	return &RNG{state: seed}
-}
-
-// Reseed restores the generator to the state NewRNG(seed) would produce,
-// allowing a long-lived simulation component to be reset in place.
 func (r *RNG) Reseed(seed uint64) {
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15
@@ -32,7 +24,7 @@ func (r *RNG) Reseed(seed uint64) {
 func (r *RNG) State() uint64 { return r.state }
 
 // SetState restores a state captured by State. A zero value is remapped like
-// NewRNG's zero seed; it cannot arise from a live generator (xorshift never
+// Reseed's zero seed; it cannot arise from a live generator (xorshift never
 // reaches the all-zero fixed point from a non-zero state), so the remap only
 // guards a zero-value snapshot.
 func (r *RNG) SetState(state uint64) {
@@ -52,14 +44,6 @@ func (r *RNG) Uint64() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
-// Intn returns a uniform value in [0, n). It panics if n <= 0.
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("sim: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -68,17 +52,4 @@ func (r *RNG) Float64() float64 {
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

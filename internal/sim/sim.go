@@ -22,18 +22,10 @@ import (
 // Event is a callback scheduled to run at a virtual instant.
 type Event func(now time.Duration)
 
-// slot holds a scheduled event's callback and liveness state. Slots live in
-// the scheduler's arena and are recycled through its free list once they fire
-// or are discarded, so the hot path of a long simulation schedules without
-// allocating; gen disambiguates a recycled slot from the event a stale Handle
-// still points at.
-type slot struct {
-	fn   Event
-	dead bool   // cancelled
-	gen  uint64 // incremented on recycle; Handles from prior lives no-op
-}
-
-// entry is one queued event: the ordering key plus the index of its slot.
+// entry is one queued event: the ordering key plus the index of its slot in
+// the scheduler's arena of callbacks. Slots are recycled through a free list
+// once they fire or are discarded, so the hot path of a long simulation
+// schedules without allocating.
 // Entries carry no pointers, so sifting them up and down the heap moves plain
 // words — no interface boxing, no method-table dispatch, and no GC write
 // barriers on the simulation's single hottest path.
@@ -50,22 +42,6 @@ func (e entry) before(o entry) bool {
 		return e.at < o.at
 	}
 	return e.seq < o.seq
-}
-
-// Handle identifies a scheduled event so it can be cancelled.
-type Handle struct {
-	s    *Scheduler
-	slot int32
-	gen  uint64
-}
-
-// Cancel marks the event so it will not fire. Cancelling an already-fired or
-// already-cancelled event is a no-op, even if the scheduler has since
-// recycled the underlying slot for a different event.
-func (h Handle) Cancel() {
-	if h.s != nil && h.s.slots[h.slot].gen == h.gen {
-		h.s.slots[h.slot].dead = true
-	}
 }
 
 // Scheduler is a discrete-event scheduler with a virtual clock.
@@ -86,7 +62,7 @@ type Scheduler struct {
 	lane     []entry // ring of in-order events; len is 0 or a power of two
 	laneHead int     // ring index of the lane's earliest entry
 	laneLen  int     // entries queued in the lane
-	slots    []slot  // arena indexed by entry.slot / Handle.slot
+	slots    []Event // arena indexed by entry.slot
 	free     []int32 // recycled slot indices
 	steps    uint64
 }
@@ -97,14 +73,13 @@ var ErrPast = errors.New("sim: event scheduled in the past")
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
 
-// Pending returns the number of events still queued (including cancelled
-// events that have not yet been discarded).
+// Pending returns the number of events still queued.
 func (s *Scheduler) Pending() int { return len(s.heap) + s.laneLen }
 
-// NextAt returns the timestamp of the earliest queued event (cancelled
-// events included) and whether the queue is non-empty. Callers use it to
-// prove no further event can fire at the current instant — the bus's
-// arbitration kick elides its zero-delay hop on that proof.
+// NextAt returns the timestamp of the earliest queued event and whether the
+// queue is non-empty. Callers use it to prove no further event can fire at
+// the current instant — the bus's arbitration kick elides its zero-delay hop
+// on that proof.
 func (s *Scheduler) NextAt() (time.Duration, bool) {
 	e, _, ok := s.peek()
 	return e.at, ok
@@ -120,17 +95,13 @@ func (s *Scheduler) alloc() int32 {
 		s.free = s.free[:n-1]
 		return idx
 	}
-	s.slots = append(s.slots, slot{})
+	s.slots = append(s.slots, nil)
 	return int32(len(s.slots) - 1)
 }
 
-// recycle returns a popped slot to the free list, invalidating outstanding
-// Handles to its previous life.
+// recycle returns a popped slot to the free list.
 func (s *Scheduler) recycle(idx int32) {
-	sl := &s.slots[idx]
-	sl.fn = nil
-	sl.dead = false
-	sl.gen++
+	s.slots[idx] = nil
 	s.free = append(s.free, idx)
 }
 
@@ -246,12 +217,12 @@ func (s *Scheduler) drop(inLane bool) {
 
 // At schedules fn to run at absolute virtual time at.
 // It panics with ErrPast if at precedes the current time.
-func (s *Scheduler) At(at time.Duration, fn Event) Handle {
+func (s *Scheduler) At(at time.Duration, fn Event) {
 	if at < s.now {
 		panic(fmt.Errorf("%w: at=%v now=%v", ErrPast, at, s.now))
 	}
 	idx := s.alloc()
-	s.slots[idx].fn = fn
+	s.slots[idx] = fn
 	e := entry{at: at, seq: s.seq, slot: idx}
 	s.seq++
 	// seq only grows, so an event no earlier than the lane's last entry
@@ -262,38 +233,30 @@ func (s *Scheduler) At(at time.Duration, fn Event) Handle {
 		s.heap = append(s.heap, e)
 		s.siftUp(len(s.heap) - 1)
 	}
-	return Handle{s: s, slot: idx, gen: s.slots[idx].gen}
 }
 
 // After schedules fn to run d after the current virtual time.
-func (s *Scheduler) After(d time.Duration, fn Event) Handle {
+func (s *Scheduler) After(d time.Duration, fn Event) {
 	if d < 0 {
 		d = 0
 	}
-	return s.At(s.now+d, fn)
+	s.At(s.now+d, fn)
 }
 
 // Step executes the single next event, advancing the clock to its timestamp.
-// It returns false when no runnable events remain.
+// It returns false when the queue is empty.
 func (s *Scheduler) Step() bool {
-	for {
-		e, inLane, ok := s.peek()
-		if !ok {
-			return false
-		}
-		s.drop(inLane)
-		sl := &s.slots[e.slot]
-		if sl.dead {
-			s.recycle(e.slot)
-			continue
-		}
-		s.now = e.at
-		s.steps++
-		fn := sl.fn
-		s.recycle(e.slot)
-		fn(s.now)
-		return true
+	e, inLane, ok := s.peek()
+	if !ok {
+		return false
 	}
+	s.drop(inLane)
+	s.now = e.at
+	s.steps++
+	fn := s.slots[e.slot]
+	s.recycle(e.slot)
+	fn(s.now)
+	return true
 }
 
 // Run executes events until the queue drains.
@@ -306,16 +269,8 @@ func (s *Scheduler) Run() {
 // clock to deadline. Events scheduled beyond the deadline remain queued.
 func (s *Scheduler) RunUntil(deadline time.Duration) {
 	for {
-		next, inLane, ok := s.peek()
-		if !ok {
-			break
-		}
-		if s.slots[next.slot].dead {
-			s.drop(inLane)
-			s.recycle(next.slot)
-			continue
-		}
-		if next.at > deadline {
+		next, _, ok := s.peek()
+		if !ok || next.at > deadline {
 			break
 		}
 		s.Step()
@@ -323,15 +278,6 @@ func (s *Scheduler) RunUntil(deadline time.Duration) {
 	if s.now < deadline {
 		s.now = deadline
 	}
-}
-
-// RunSteps executes at most n events and reports how many actually ran.
-func (s *Scheduler) RunSteps(n int) int {
-	ran := 0
-	for ran < n && s.Step() {
-		ran++
-	}
-	return ran
 }
 
 // SchedulerSnapshot captures a quiescent scheduler's counters: the virtual
@@ -383,9 +329,7 @@ func (s *Scheduler) RestoreFrom(snap SchedulerSnapshot) {
 // Reset restores the scheduler to its pristine zero state — virtual time 0,
 // empty queue, zeroed step and sequence counters — without releasing memory:
 // every queued slot is recycled into the free list, so a reset scheduler
-// schedules without allocating. Handles issued before the reset are
-// invalidated (their Cancel becomes a no-op), exactly as if their events had
-// already fired.
+// schedules without allocating.
 func (s *Scheduler) Reset() {
 	s.RestoreFrom(SchedulerSnapshot{})
 }

@@ -72,21 +72,6 @@ func TestSchedulerNegativeAfterClamps(t *testing.T) {
 	}
 }
 
-func TestSchedulerCancel(t *testing.T) {
-	var s Scheduler
-	ran := false
-	h := s.At(time.Millisecond, func(time.Duration) { ran = true })
-	h.Cancel()
-	h.Cancel() // double-cancel is a no-op
-	s.Run()
-	if ran {
-		t.Error("cancelled event ran")
-	}
-	if s.Steps() != 0 {
-		t.Errorf("Steps() = %d after only cancelled events, want 0", s.Steps())
-	}
-}
-
 func TestSchedulerRunUntil(t *testing.T) {
 	var s Scheduler
 	var got []int
@@ -113,35 +98,6 @@ func TestSchedulerRunUntil(t *testing.T) {
 	}
 }
 
-func TestSchedulerRunUntilSkipsCancelledHead(t *testing.T) {
-	var s Scheduler
-	h := s.At(5*time.Millisecond, func(time.Duration) { t.Fatal("cancelled event ran") })
-	ran := false
-	s.At(6*time.Millisecond, func(time.Duration) { ran = true })
-	h.Cancel()
-	s.RunUntil(10 * time.Millisecond)
-	if !ran {
-		t.Error("live event behind a cancelled head did not run")
-	}
-}
-
-func TestSchedulerRunSteps(t *testing.T) {
-	var s Scheduler
-	n := 0
-	for i := 1; i <= 5; i++ {
-		s.At(time.Duration(i)*time.Millisecond, func(time.Duration) { n++ })
-	}
-	if ran := s.RunSteps(3); ran != 3 {
-		t.Fatalf("RunSteps(3) = %d", ran)
-	}
-	if n != 3 {
-		t.Fatalf("executed %d events, want 3", n)
-	}
-	if ran := s.RunSteps(10); ran != 2 {
-		t.Fatalf("RunSteps(10) = %d, want 2 remaining", ran)
-	}
-}
-
 func TestSchedulerEventsScheduledDuringRun(t *testing.T) {
 	var s Scheduler
 	depth := 0
@@ -163,15 +119,15 @@ func TestSchedulerEventsScheduledDuringRun(t *testing.T) {
 }
 
 func TestRNGDeterminism(t *testing.T) {
-	a, b := NewRNG(42), NewRNG(42)
+	a, b := seeded(42), seeded(42)
 	for i := 0; i < 1000; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatal("same seed produced different streams")
 		}
 	}
-	c := NewRNG(43)
+	c := seeded(43)
 	same := true
-	a = NewRNG(42)
+	a = seeded(42)
 	for i := 0; i < 10; i++ {
 		if a.Uint64() != c.Uint64() {
 			same = false
@@ -183,33 +139,14 @@ func TestRNGDeterminism(t *testing.T) {
 }
 
 func TestRNGZeroSeedRemapped(t *testing.T) {
-	r := NewRNG(0)
+	r := seeded(0)
 	if r.Uint64() == 0 && r.Uint64() == 0 {
 		t.Error("zero seed stuck at zero")
 	}
 }
 
-func TestRNGIntnRange(t *testing.T) {
-	r := NewRNG(7)
-	for i := 0; i < 10000; i++ {
-		v := r.Intn(13)
-		if v < 0 || v >= 13 {
-			t.Fatalf("Intn(13) = %d out of range", v)
-		}
-	}
-}
-
-func TestRNGIntnPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Intn(0) did not panic")
-		}
-	}()
-	NewRNG(1).Intn(0)
-}
-
 func TestRNGFloat64Range(t *testing.T) {
-	r := NewRNG(9)
+	r := seeded(9)
 	for i := 0; i < 10000; i++ {
 		f := r.Float64()
 		if f < 0 || f >= 1 {
@@ -219,7 +156,7 @@ func TestRNGFloat64Range(t *testing.T) {
 }
 
 func TestRNGBoolProbability(t *testing.T) {
-	r := NewRNG(11)
+	r := seeded(11)
 	n := 100000
 	hits := 0
 	for i := 0; i < n; i++ {
@@ -230,33 +167,6 @@ func TestRNGBoolProbability(t *testing.T) {
 	got := float64(hits) / float64(n)
 	if got < 0.28 || got > 0.32 {
 		t.Errorf("Bool(0.3) frequency = %v, want ~0.3", got)
-	}
-}
-
-func TestRNGPermIsPermutation(t *testing.T) {
-	r := NewRNG(5)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm produced invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestSchedulerStaleHandleCannotCancelRecycledItem(t *testing.T) {
-	var s Scheduler
-	fired := 0
-	// Fire and recycle the first event's heap item.
-	h1 := s.At(time.Millisecond, func(time.Duration) { fired++ })
-	s.Run()
-	// The next event reuses the recycled item; the stale handle must no-op.
-	s.At(2*time.Millisecond, func(time.Duration) { fired++ })
-	h1.Cancel()
-	s.Run()
-	if fired != 2 {
-		t.Errorf("fired = %d, want 2 (stale Cancel must not kill the recycled event)", fired)
 	}
 }
 
@@ -273,15 +183,5 @@ func TestSchedulerFreeListReusesItems(t *testing.T) {
 	})
 	if allocs > 0.1 {
 		t.Errorf("steady-state schedule+run allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-func TestSchedulerCancelledEventsAreRecycled(t *testing.T) {
-	var s Scheduler
-	h := s.At(time.Millisecond, func(time.Duration) {})
-	h.Cancel()
-	s.Run()
-	if got := s.Pending(); got != 0 {
-		t.Errorf("Pending() = %d after drain, want 0", got)
 	}
 }

@@ -44,16 +44,3 @@ func Classify(e Effects) Set {
 	}
 	return s
 }
-
-// EffectsOf inverts Classify, reconstructing the effect flags implied by a
-// category set. Classify(EffectsOf(s)) == s for every set.
-func EffectsOf(s Set) Effects {
-	return Effects{
-		ForgesIdentity:     s.Has(Spoofing),
-		ModifiesData:       s.Has(Tampering),
-		DeniesAction:       s.Has(Repudiation),
-		DisclosesInfo:      s.Has(InformationDisclosure),
-		DisruptsService:    s.Has(DenialOfService),
-		EscalatesPrivilege: s.Has(ElevationOfPrivilege),
-	}
-}

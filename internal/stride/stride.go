@@ -77,54 +77,14 @@ func (c Category) String() string { return c.Name() }
 // Set is a combination of STRIDE categories.
 type Set uint8
 
-// NewSet combines categories into a Set.
-func NewSet(cats ...Category) Set {
-	var s Set
-	for _, c := range cats {
-		s |= Set(c)
-	}
-	return s
-}
-
 // Has reports whether the set contains category c.
 func (s Set) Has(c Category) bool { return s&Set(c) != 0 }
 
 // Add returns the set with category c included.
 func (s Set) Add(c Category) Set { return s | Set(c) }
 
-// Remove returns the set with category c excluded.
-func (s Set) Remove(c Category) Set { return s &^ Set(c) }
-
-// Union returns the union of two sets.
-func (s Set) Union(t Set) Set { return s | t }
-
-// Intersect returns the intersection of two sets.
-func (s Set) Intersect(t Set) Set { return s & t }
-
 // Empty reports whether no categories are present.
 func (s Set) Empty() bool { return s == 0 }
-
-// Count returns the number of categories in the set.
-func (s Set) Count() int {
-	n := 0
-	for _, c := range All {
-		if s.Has(c) {
-			n++
-		}
-	}
-	return n
-}
-
-// Categories lists the contained categories in canonical order.
-func (s Set) Categories() []Category {
-	out := make([]Category, 0, 6)
-	for _, c := range All {
-		if s.Has(c) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
 
 // String renders the set in Table I letter notation ("STD", "STIDE", ...).
 // The empty set renders as "-".
@@ -139,16 +99,6 @@ func (s Set) String() string {
 		}
 	}
 	return b.String()
-}
-
-// Names returns the full category names in canonical order.
-func (s Set) Names() []string {
-	cats := s.Categories()
-	out := make([]string, len(cats))
-	for i, c := range cats {
-		out[i] = c.Name()
-	}
-	return out
 }
 
 // Parse reads Table I letter notation into a Set. Parsing is
@@ -178,13 +128,4 @@ func Parse(s string) (Set, error) {
 		}
 	}
 	return set, nil
-}
-
-// MustParse is Parse for static tables; it panics on bad input.
-func MustParse(s string) Set {
-	set, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return set
 }

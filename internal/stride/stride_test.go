@@ -10,16 +10,16 @@ func TestSetStringCanonicalOrder(t *testing.T) {
 		set  Set
 		want string
 	}{
-		{NewSet(), "-"},
-		{NewSet(Spoofing), "S"},
-		{NewSet(ElevationOfPrivilege, Spoofing), "SE"},
-		{NewSet(DenialOfService, Tampering, Spoofing), "STD"},
-		{NewSet(Spoofing, Tampering, InformationDisclosure, DenialOfService, ElevationOfPrivilege), "STIDE"},
-		{NewSet(Tampering, InformationDisclosure, ElevationOfPrivilege), "TIE"},
-		{NewSet(Tampering, DenialOfService, ElevationOfPrivilege), "TDE"},
-		{NewSet(Spoofing, Tampering, Repudiation), "STR"},
-		{NewSet(Tampering, ElevationOfPrivilege), "TE"},
-		{NewSet(Spoofing, Tampering, Repudiation, InformationDisclosure, DenialOfService, ElevationOfPrivilege), "STRIDE"},
+		{of(), "-"},
+		{of(Spoofing), "S"},
+		{of(ElevationOfPrivilege, Spoofing), "SE"},
+		{of(DenialOfService, Tampering, Spoofing), "STD"},
+		{of(Spoofing, Tampering, InformationDisclosure, DenialOfService, ElevationOfPrivilege), "STIDE"},
+		{of(Tampering, InformationDisclosure, ElevationOfPrivilege), "TIE"},
+		{of(Tampering, DenialOfService, ElevationOfPrivilege), "TDE"},
+		{of(Spoofing, Tampering, Repudiation), "STR"},
+		{of(Tampering, ElevationOfPrivilege), "TE"},
+		{of(Spoofing, Tampering, Repudiation, InformationDisclosure, DenialOfService, ElevationOfPrivilege), "STRIDE"},
 	}
 	for _, tt := range tests {
 		if got := tt.set.String(); got != tt.want {
@@ -65,43 +65,13 @@ func TestMustParsePanics(t *testing.T) {
 }
 
 func TestSetOperations(t *testing.T) {
-	s := NewSet(Spoofing, Tampering)
+	s := of(Spoofing, Tampering)
 	if !s.Has(Spoofing) || !s.Has(Tampering) || s.Has(Repudiation) {
 		t.Error("Has is wrong")
 	}
 	s = s.Add(DenialOfService)
 	if !s.Has(DenialOfService) {
 		t.Error("Add failed")
-	}
-	s = s.Remove(Spoofing)
-	if s.Has(Spoofing) {
-		t.Error("Remove failed")
-	}
-	if s.Count() != 2 {
-		t.Errorf("Count = %d, want 2", s.Count())
-	}
-	u := NewSet(Spoofing).Union(NewSet(Tampering))
-	if u.String() != "ST" {
-		t.Errorf("Union = %v", u)
-	}
-	i := NewSet(Spoofing, Tampering).Intersect(NewSet(Tampering, Repudiation))
-	if i.String() != "T" {
-		t.Errorf("Intersect = %v", i)
-	}
-}
-
-func TestCategoriesAndNames(t *testing.T) {
-	s := MustParse("SIE")
-	cats := s.Categories()
-	if len(cats) != 3 || cats[0] != Spoofing || cats[1] != InformationDisclosure || cats[2] != ElevationOfPrivilege {
-		t.Errorf("Categories = %v", cats)
-	}
-	names := s.Names()
-	want := []string{"Spoofing", "Information Disclosure", "Elevation of Privilege"}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Errorf("Names = %v", names)
-		}
 	}
 }
 
@@ -116,10 +86,19 @@ func TestCategoryLettersUnique(t *testing.T) {
 	}
 }
 
+// TestClassifyEffectsRoundTrip: every category set is the classification of
+// the effects it names.
 func TestClassifyEffectsRoundTrip(t *testing.T) {
 	prop := func(raw uint8) bool {
 		s := Set(raw & 0x3F)
-		return Classify(EffectsOf(s)) == s
+		return Classify(Effects{
+			ForgesIdentity:     s.Has(Spoofing),
+			ModifiesData:       s.Has(Tampering),
+			DeniesAction:       s.Has(Repudiation),
+			DisclosesInfo:      s.Has(InformationDisclosure),
+			DisruptsService:    s.Has(DenialOfService),
+			EscalatesPrivilege: s.Has(ElevationOfPrivilege),
+		}) == s
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
@@ -155,4 +134,22 @@ func TestParseStringRoundTripProperty(t *testing.T) {
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// MustParse is Parse for static tables; it panics on bad input.
+func MustParse(s string) Set {
+	set, err := Parse(s)
+	if err != nil {
+		panic(err)
+	}
+	return set
+}
+
+// of combines categories into a Set.
+func of(cats ...Category) Set {
+	var s Set
+	for _, c := range cats {
+		s = s.Add(c)
+	}
+	return s
 }

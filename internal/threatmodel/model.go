@@ -9,7 +9,6 @@ package threatmodel
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/dread"
@@ -246,35 +245,12 @@ func (u *UseCase) EntryPoint(name string) (EntryPoint, bool) {
 	return EntryPoint{}, false
 }
 
-// Nodes returns the sorted distinct node names hosting assets.
-func (u *UseCase) Nodes() []string {
-	seen := map[string]bool{}
-	for _, a := range u.Assets {
-		seen[a.Node] = true
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Analysis is the output of the pipeline's identification and rating
 // stages: the validated use case plus rated threats sorted by descending
 // severity (the prioritisation the paper's "Threat Rating" step calls for).
 type Analysis struct {
 	UseCase UseCase
 	Threats []RatedThreat
-}
-
-// ByAsset groups rated threats by asset name, preserving severity order.
-func (a *Analysis) ByAsset() map[string][]RatedThreat {
-	out := map[string][]RatedThreat{}
-	for _, t := range a.Threats {
-		out[t.Asset] = append(out[t.Asset], t)
-	}
-	return out
 }
 
 // Threat returns the rated threat with the given id.

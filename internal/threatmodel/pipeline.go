@@ -48,12 +48,6 @@ func (s Stage) String() string {
 	}
 }
 
-// Stages lists the pipeline stages in order.
-var Stages = []Stage{
-	StageRiskAssessment, StageAssetIdentification, StageEntryPoints,
-	StageThreatIdentification, StageThreatRating, StageCountermeasures,
-}
-
 // StageError wraps an error with the stage that produced it.
 type StageError struct {
 	Stage Stage

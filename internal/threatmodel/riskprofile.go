@@ -99,42 +99,6 @@ func Profile(a *Analysis) RiskProfile {
 	return p
 }
 
-// DeltaFrom describes how the profile moved relative to an earlier one —
-// the quantity that tells an OEM a new threat has invalidated the security
-// model (§II).
-type ProfileDelta struct {
-	// ExposureChange is the change in total exposure mass.
-	ExposureChange float64
-	// AssetChanges maps asset name to exposure-mass change (only non-zero
-	// entries are present).
-	AssetChanges map[string]float64
-}
-
-// DeltaFrom computes the change from an earlier profile to p.
-func (p RiskProfile) DeltaFrom(earlier RiskProfile) ProfileDelta {
-	d := ProfileDelta{
-		ExposureChange: p.TotalExposure - earlier.TotalExposure,
-		AssetChanges:   map[string]float64{},
-	}
-	prev := map[string]float64{}
-	for _, ar := range earlier.Assets {
-		prev[ar.Asset] = ar.SumAverage
-	}
-	seen := map[string]bool{}
-	for _, ar := range p.Assets {
-		if diff := ar.SumAverage - prev[ar.Asset]; diff != 0 {
-			d.AssetChanges[ar.Asset] = diff
-		}
-		seen[ar.Asset] = true
-	}
-	for asset, mass := range prev {
-		if !seen[asset] && mass != 0 {
-			d.AssetChanges[asset] = -mass
-		}
-	}
-	return d
-}
-
 // String renders the profile as a ranked report.
 func (p RiskProfile) String() string {
 	var b strings.Builder

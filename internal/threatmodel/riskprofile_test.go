@@ -57,35 +57,6 @@ func TestProfileAggregation(t *testing.T) {
 	}
 }
 
-func TestProfileDelta(t *testing.T) {
-	before := profileFixture(t, []Threat{testThreat("T1")})
-	newThreat := testThreat("T2")
-	newThreat.Assessment.Damage = dread.DamageLife
-	after := profileFixture(t, []Threat{testThreat("T1"), newThreat})
-
-	d := after.DeltaFrom(before)
-	if math.Abs(d.ExposureChange-6.2) > 1e-9 {
-		t.Errorf("ExposureChange = %v, want 6.2", d.ExposureChange)
-	}
-	if len(d.AssetChanges) != 1 || math.Abs(d.AssetChanges["ecu"]-6.2) > 1e-9 {
-		t.Errorf("AssetChanges = %v", d.AssetChanges)
-	}
-	// Symmetric: going back shows the negative delta.
-	back := before.DeltaFrom(after)
-	if math.Abs(back.ExposureChange+6.2) > 1e-9 {
-		t.Errorf("reverse ExposureChange = %v", back.ExposureChange)
-	}
-}
-
-func TestProfileDeltaEmptyWhenUnchanged(t *testing.T) {
-	a := profileFixture(t, []Threat{testThreat("T1")})
-	b := profileFixture(t, []Threat{testThreat("T1")})
-	d := b.DeltaFrom(a)
-	if d.ExposureChange != 0 || len(d.AssetChanges) != 0 {
-		t.Errorf("delta of identical profiles = %+v", d)
-	}
-}
-
 func TestProfileString(t *testing.T) {
 	p := profileFixture(t, []Threat{testThreat("T1")})
 	out := p.String()

@@ -264,19 +264,11 @@ func TestAnalysisHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byAsset := a.ByAsset()
-	if len(byAsset["ecu"]) != 1 || len(byAsset["display"]) != 1 {
-		t.Errorf("ByAsset = %v", byAsset)
-	}
 	if _, ok := a.Threat("T2"); !ok {
 		t.Error("Threat lookup failed")
 	}
 	if _, ok := a.Threat("ghost"); ok {
 		t.Error("ghost threat found")
-	}
-	nodes := a.UseCase.Nodes()
-	if len(nodes) != 2 || nodes[0] != "ECU" || nodes[1] != "HMI" {
-		t.Errorf("Nodes = %v", nodes)
 	}
 }
 
@@ -285,10 +277,11 @@ func TestStageStringsMatchFig1(t *testing.T) {
 		"Risk assessment", "Identify Assets", "Entry Points",
 		"Threat Identification", "Threat Rating", "Determine countermeasure",
 	}
-	if len(Stages) != len(want) {
-		t.Fatalf("Stages = %v", Stages)
+	stages := []Stage{
+		StageRiskAssessment, StageAssetIdentification, StageEntryPoints,
+		StageThreatIdentification, StageThreatRating, StageCountermeasures,
 	}
-	for i, s := range Stages {
+	for i, s := range stages {
 		if s.String() != want[i] {
 			t.Errorf("stage %d = %q, want %q", i, s, want[i])
 		}
