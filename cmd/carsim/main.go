@@ -23,8 +23,9 @@
 //
 //	0  success
 //	1  any other failure: a rejected flag value (a bad -chaos spec,
-//	   -shard-wire other than binary), an unreadable or invalid spec, or a
-//	   sweep that failed before producing a report
+//	   -shard-wire other than binary, a -shard-range outside the fleet),
+//	   an unreadable or invalid spec, a sweep that failed before producing
+//	   a report, or a failed write of the fleet report
 //	2  flag parsing failed: an undefined flag or a malformed value
 //	3  unrecoverable sweep: the partial report, health line included, was
 //	   flushed to stdout first
@@ -523,9 +524,10 @@ func runRisk(path string, listOnly bool, fleetSize, workers int, seed uint64, no
 	return nil
 }
 
-// runFleet sweeps the Table I matrix across a simulated fleet and prints the
-// merged report plus the wall-clock throughput. The report itself stays
-// byte-stable for a given config; the timing line is printed separately.
+// runFleet sweeps the Table I matrix across a simulated fleet and streams
+// the merged report to stdout, plus the wall-clock throughput. The report
+// itself stays byte-stable for a given config; the timing line is printed
+// separately. A failed write to stdout fails the run.
 func runFleet(fleetSize, workers int, seed uint64, enforcement string, noBatch bool, sup supervision) error {
 	ecfg, err := buildEngineConfig("", "", enforcement, fleetSize, workers, seed, noBatch, sup)
 	if err != nil {
@@ -545,17 +547,17 @@ func runFleet(fleetSize, workers int, seed uint64, enforcement string, noBatch b
 	} else {
 		fr, err = engine.Run(ecfg)
 	}
-	if err != nil {
-		if fr == nil {
-			return err
-		}
-		fmt.Printf("mode=%s\n", execMode(noBatch))
-		fmt.Print(fr)
-		return fmt.Errorf("%w: %v", errPartialSweep, err)
+	if fr == nil {
+		return err
 	}
 	elapsed := time.Since(start)
 	fmt.Printf("mode=%s\n", execMode(noBatch))
-	fmt.Print(fr)
+	if werr := fr.Render(os.Stdout); werr != nil {
+		return werr
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", errPartialSweep, err)
+	}
 	fmt.Printf("throughput: %.0f vehicles/s (%v wall clock)\n",
 		float64(fleetSize)/elapsed.Seconds(), elapsed.Round(time.Millisecond))
 	return nil

@@ -65,8 +65,8 @@
 //     keeps every vehicle trajectory pinned to its shard-independent
 //     coordinates); each range folds on its own as its vehicles arrive
 //     and the exact, order-free folds combine byte-identical to the
-//     unsharded run; vehicles move as runs that differ only in VIN and
-//     seed, so a stamped range folds in one step; spawn hooks run ranges
+//     unsharded run; vehicles move as runs that differ only in index,
+//     so a stamped range folds in one step; spawn hooks run ranges
 //     out of process (carsim -shard-exec) over the binary wire, up to
 //     -shard-parallelism at once; shard.Aggregate keeps no per-vehicle
 //     section, shard.Run lists every vehicle

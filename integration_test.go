@@ -579,6 +579,8 @@ func TestExitCodeContract(t *testing.T) {
 		{"carsim negative workers", []string{"carsim", "-campaign", "examples/campaigns/lite.campaign", "-fleet", "2", "-workers", "-3"}, 1, "-workers -3 is negative"},
 		{"carsim undefined flag", []string{"carsim", "-campaign", quickstart, "-no-such-flag"}, 2, "not defined: -no-such-flag"},
 		{"carsim unrecoverable chaos", []string{"carsim", "-campaign", quickstart, "-fleet", "4", "-chaos", "seed=3,panic=1,persist=99"}, 3, ""},
+		{"carsim shard range past the fleet", []string{"carsim", "-shard-range", "50:5", "-fleet", "10"}, 1, "shard 50:5: range outside the fleet of 10 vehicles"},
+		{"carsim shard range end overflows", []string{"carsim", "-shard-range", "9223372036854775806:5", "-fleet", "10"}, 1, "shard 9223372036854775806:5: range outside the fleet of 10 vehicles"},
 		{"rollout advance", []string{"rollout", "-vehicles", "40"}, 0, ""},
 		{"rollout driver failure", []string{"rollout", "-vehicles", "0"}, 1, ""},
 		{"rollout rollback", []string{"rollout", "-vehicles", "40", "-drill", "rollback"}, 2, ""},

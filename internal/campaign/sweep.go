@@ -211,6 +211,7 @@ func foldReport(plan *Plan, cfg SweepConfig, fr *engine.FleetReport) *CampaignRe
 		FramesDelivered:     fr.FramesDelivered,
 		BusErrors:           fr.BusErrors,
 		MeanUtilisation:     fr.MeanUtilisation,
+		Totals:              fr.Attacks,
 		Health:              fr.Health,
 		HealthEnabled:       fr.HealthEnabled,
 	}
@@ -222,21 +223,6 @@ func foldReport(plan *Plan, cfg SweepConfig, fr *engine.FleetReport) *CampaignRe
 			Scenarios: len(fam.Scenarios),
 			Regimes:   fr.Groups[fi].Regimes,
 		})
-		for _, rs := range fr.Groups[fi].Regimes {
-			rep.fold(rs)
-		}
 	}
 	return rep
-}
-
-// fold merges one regime aggregate into the campaign totals, keyed by
-// regime in first-appearance order.
-func (r *CampaignReport) fold(rs attack.RegimeSummary) {
-	for i := range r.Totals {
-		if r.Totals[i].Regime == rs.Regime {
-			r.Totals[i].Summary.Merge(rs.Summary)
-			return
-		}
-	}
-	r.Totals = append(r.Totals, rs)
 }

@@ -251,43 +251,6 @@ func VehicleSeed(root uint64, index int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// VIN formats the deterministic vehicle identifier for an index, "VIN-"
-// and the index zero-padded to six digits — the fmt form "VIN-%06d".
-func VIN(index int) string {
-	var b [len("VIN-") + 19]byte
-	return string(appendVIN(b[:0], index))
-}
-
-// appendVIN appends VIN(index) to b, without fmt or strconv for the
-// non-negative indices every stamped vehicle pays for: the digits go
-// backwards into a fixed array, the prefix in front of them.
-func appendVIN(b []byte, index int) []byte {
-	if index < 0 {
-		return fmt.Appendf(b, "VIN-%06d", index)
-	}
-	var d [len("VIN-") + 19]byte // 19 digits hold any non-negative int
-	i := len(d)
-	for u := uint(index); u > 0 || i > len(d)-6; u /= 10 {
-		i--
-		d[i] = byte('0' + u%10)
-	}
-	i -= copy(d[i-len("VIN-"):], "VIN-")
-	return append(b, d[i:]...)
-}
-
-// vinLen is len(VIN(index)), worked out without formatting: "VIN-" and
-// the index in at least six characters, its sign included.
-func vinLen(index int) int {
-	n, u := 1, uint(index)
-	if index < 0 {
-		n, u = 2, -u
-	}
-	for ; u >= 10; u /= 10 {
-		n++
-	}
-	return len("VIN-") + max(n, 6)
-}
-
 // macCheck is one precomputed least-privilege probe: the security contexts
 // are built once per fleet run instead of re-rendering the SELinux type
 // strings for every vehicle (string formatting was ~10% of a sweep's CPU).
@@ -321,8 +284,8 @@ type shared struct {
 // of the derived module, so the attack aggregates and probe counts never
 // vary. The live phase is the one seeded phase, and its seed's only
 // consumer is the bus error-injection RNG, which it draws from only when
-// Config.ErrorRate is non-zero. Stamped reports share first's Groups and
-// Attacks slices, so no consumer may write through them.
+// Config.ErrorRate is non-zero. Stamped reports share first's Groups
+// slices, so no consumer may write through them.
 type stamp struct {
 	// first is the first vehicle's report with its Health cleared: a
 	// stamped vehicle contains nothing.
@@ -336,7 +299,7 @@ type stamp struct {
 // aggregates — on a vehicle whose live phase executed.
 func (st *stamp) onto(rep *VehicleReport) {
 	rep.MACChecks, rep.MACAllowed = st.first.MACChecks, st.first.MACAllowed
-	rep.Groups, rep.Attacks = st.first.Groups, st.first.Attacks
+	rep.Groups = st.first.Groups
 }
 
 // buildProbes precomputes the least-privilege probe contexts.
@@ -369,11 +332,11 @@ func Run(cfg Config) (*FleetReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	root, fn := sh.cfg.Groups[0].RootSeed, cfg.OnVehicle
+	fn := cfg.OnVehicle
 	vehicles := make([]VehicleReport, 0, sh.cfg.Fleet)
 	fr, err := sh.sweep(func(v *VehicleReport, n int) {
 		lo := len(vehicles)
-		vehicles = AppendRun(vehicles, v, n, root)
+		vehicles = AppendRun(vehicles, v, n)
 		if fn != nil {
 			for i := lo; i < len(vehicles); i++ {
 				fn(&vehicles[i])
@@ -395,9 +358,9 @@ func Run(cfg Config) (*FleetReport, error) {
 // emit, when non-nil, receives the vehicles in index order as runs, under
 // OnVehicle's guarantees (never concurrently, v valid only for the call):
 // v stands for the n >= 1 vehicles v.Index … v.Index+n-1, which differ from
-// v only in VIN and Seed — VehicleReport.Member gives each one, and
-// AppendRun lists them all. A fully stamped range is emitted as its first
-// vehicle and one run of Fleet-1; every other vehicle is a run of one.
+// v only in Index — AppendRun lists them all. A fully stamped range is
+// emitted as its first vehicle and one run of Fleet-1; every other vehicle
+// is a run of one.
 // Aggregate returns an error if cfg.OnVehicle is set.
 func Aggregate(cfg Config, emit func(v *VehicleReport, n int)) (*FleetReport, error) {
 	if cfg.OnVehicle != nil {
@@ -484,12 +447,13 @@ func (sh *shared) sweep(emit func(*VehicleReport, int)) (*FleetReport, error) {
 		}
 	}
 	// With a full stamp no later vehicle executes, so no worker starts:
-	// every later vehicle is the stamp under its own identity, one run
-	// headed by vehicle 1.
+	// every later vehicle is the stamp under its own index, one run headed
+	// by vehicle 1.
 	if st := sh.stamp; st != nil && st.live {
 		release(&first, 1)
 		if n := cfg.Fleet - 1; n > 0 {
-			rest := st.first.Member(cfg.Groups[0].RootSeed, cfg.IndexOffset+1)
+			rest := st.first
+			rest.Index = cfg.IndexOffset + 1
 			release(&rest, n)
 		}
 		// Keep one yield per sweep, as the executing path's wait for its
@@ -543,8 +507,8 @@ func (sh *shared) sweep(emit func(*VehicleReport, int)) (*FleetReport, error) {
 					// Stack construction only fails on programming errors;
 					// record it once, then drain this worker's share of the
 					// cursor so the run still terminates, each drained
-					// vehicle under its own Index, VIN and Seed.
-					rep = (&VehicleReport{}).Member(cfg.Groups[0].RootSeed, i+cfg.IndexOffset)
+					// vehicle under its own Index.
+					rep = VehicleReport{Index: i + cfg.IndexOffset}
 					if !reported {
 						err, reported = serr, true
 					}
@@ -703,13 +667,13 @@ func (sh *shared) runVehicle(s stack, index int) (VehicleReport, error) {
 }
 
 // visitLive is one attempt of a visit's opening phase: the vehicle's
-// identity and its live background simulation — its own seeded traffic
+// live background simulation — its own traffic, seeded from its index,
 // over the configured horizon on a reset vehicle with provisioned policy
 // engines.
 func (sh *shared) visitLive(s stack, index int) (rep VehicleReport, err error) {
 	defer contain(index, &err)
+	rep = VehicleReport{Index: index}
 	seed := VehicleSeed(sh.cfg.Groups[0].RootSeed, index)
-	rep = VehicleReport{Index: index, VIN: VIN(index), Seed: seed}
 	c, err := s.startLive(sh, car.Config{Seed: seed, ErrorRate: sh.cfg.ErrorRate})
 	if err != nil {
 		return rep, err
@@ -757,7 +721,6 @@ func (sh *shared) visit(s stack, index, attempt int, h *Health) (rep VehicleRepo
 			return rep, fmt.Errorf("group %d (%q): %w", gi, g.Name, gerr)
 		}
 	}
-	rep.Attacks = foldGroups(rep.Groups)
 	return rep, nil
 }
 
@@ -771,15 +734,11 @@ func contain(index int, err *error) {
 }
 
 // foldGroups flattens per-group regime summaries into one aggregate per
-// regime, keyed by first appearance across groups. A single-group run folds
-// to exactly its group's summaries. The result is always freshly allocated —
-// the Attacks view must never alias a group's own slice, or a caller
-// folding into one would corrupt the other.
-func foldGroups(groups [][]attack.RegimeSummary) []attack.RegimeSummary {
-	if len(groups) == 1 {
-		return append([]attack.RegimeSummary(nil), groups[0]...)
-	}
-	var out []attack.RegimeSummary
+// regime, keyed by first appearance: a regime that several groups sweep,
+// or one group sweeps twice, folds into one. The result reuses dst's
+// storage and never aliases a group's slice, so a caller may fold into it.
+func foldGroups(dst []attack.RegimeSummary, groups [][]attack.RegimeSummary) []attack.RegimeSummary {
+	out := dst[:0]
 	for _, g := range groups {
 		for _, rs := range g {
 			merged := false

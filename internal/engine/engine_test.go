@@ -68,14 +68,15 @@ func TestRunSingleVehicle(t *testing.T) {
 		t.Errorf("MAC probe allowed %d of %d checks; the spoof probe should be denied",
 			v.MACAllowed, v.MACChecks)
 	}
-	if len(v.Attacks) != 2 {
-		t.Fatalf("attack regimes = %d, want 2", len(v.Attacks))
+	if len(v.Groups) != 1 || len(v.Groups[0]) != 2 {
+		t.Fatalf("attack groups = %v, want one group of 2 regimes", v.Groups)
 	}
-	if v.Attacks[0].Summary.SuccessRate() != 1.0 {
-		t.Errorf("unenforced success rate = %v, want 1.0", v.Attacks[0].Summary.SuccessRate())
+	g := v.Groups[0]
+	if g[0].Summary.SuccessRate() != 1.0 {
+		t.Errorf("unenforced success rate = %v, want 1.0", g[0].Summary.SuccessRate())
 	}
-	if v.Attacks[1].Summary.BlockRate() != 1.0 {
-		t.Errorf("HPE block rate = %v, want 1.0", v.Attacks[1].Summary.BlockRate())
+	if g[1].Summary.BlockRate() != 1.0 {
+		t.Errorf("HPE block rate = %v, want 1.0", g[1].Summary.BlockRate())
 	}
 }
 

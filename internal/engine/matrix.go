@@ -45,7 +45,7 @@ func (sh *shared) runFirst(a *arena, index int) (VehicleReport, error) {
 		return rep, nil
 	}
 	if err := a.rebuild(sh); err != nil {
-		return (&VehicleReport{}).Member(sh.cfg.Groups[0].RootSeed, index), err
+		return VehicleReport{Index: index}, err
 	}
 	return sh.runVehicle(a, index)
 }
@@ -99,7 +99,6 @@ func (sh *shared) visitParallel(a *arena, index int) (VehicleReport, bool) {
 	for k, mu := range m.units {
 		rep.Groups[mu.g][sh.plans[mu.g].UnitRegime(mu.u)].Summary.Merge(m.sums[k])
 	}
-	rep.Attacks = foldGroups(rep.Groups)
 	return rep, true
 }
 

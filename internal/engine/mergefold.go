@@ -20,11 +20,10 @@ import (
 // Finish rounds the mean once. Folding the same vehicles in any order, or
 // in parts joined by Combine, finishes bit-identical.
 //
-// A run of vehicles known to be equal but for Index, VIN and Seed — a
-// stamped range, or a run frame off the shard wire — folds as one count
-// (FoldRun): every field, the utilisation included, is scaled by the
-// count, which equals the repeated sum exactly. Add folds one vehicle, a
-// run of one.
+// A run of vehicles known to be equal but for Index — a stamped range, or
+// a run frame off the shard wire — folds as one count (FoldRun): every
+// field, the utilisation included, is scaled by the count, which equals
+// the repeated sum exactly. Add folds one vehicle, a run of one.
 //
 // Not safe for concurrent use: the shard driver gives each range a fold
 // of its own, and a sweep folds behind its ordered emitter.
@@ -77,10 +76,10 @@ func newMergeFold(cfg Config) *MergeFold {
 // Add folds one vehicle report into the fleet aggregates.
 func (m *MergeFold) Add(v VehicleReport) { m.FoldRun(&v, 1) }
 
-// FoldRun folds n >= 0 vehicles whose reports equal v but for Index, VIN
-// and Seed, exactly as folding each in turn would: every field is scaled
-// by n — the integers wrap around as the repeated sum does, and the
-// utilisation's product is exact. v.Utilisation must be finite.
+// FoldRun folds n >= 0 vehicles whose reports equal v but for Index,
+// exactly as folding each in turn would: every field is scaled by n — the
+// integers wrap around as the repeated sum does, and the utilisation's
+// product is exact. v.Utilisation must be finite.
 func (m *MergeFold) FoldRun(v *VehicleReport, n int) {
 	if n == 0 {
 		return
@@ -142,7 +141,7 @@ func (m *MergeFold) Finish() *FleetReport {
 	for gi := range fr.Groups {
 		groupRegimes[gi] = fr.Groups[gi].Regimes
 	}
-	fr.Attacks = foldGroups(groupRegimes)
+	fr.Attacks = foldGroups(nil, groupRegimes)
 	if m.folded > 0 {
 		mean, _ := m.sum.Rat(nil)
 		fr.MeanUtilisation, _ = mean.Quo(mean, big.NewRat(int64(m.folded), 1)).Float64()

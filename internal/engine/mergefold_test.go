@@ -182,7 +182,7 @@ func naiveFold(cfg Config, vehicles []VehicleReport) *FleetReport {
 	for gi := range fr.Groups {
 		regimes[gi] = fr.Groups[gi].Regimes
 	}
-	fr.Attacks = foldGroups(regimes)
+	fr.Attacks = foldGroups(nil, regimes)
 	if len(vehicles) > 0 {
 		fr.MeanUtilisation, _ = utilSum.Quo(utilSum, big.NewRat(int64(len(vehicles)), 1)).Float64()
 	}
@@ -245,11 +245,11 @@ func foldVehicles(data []byte, raw bool) []VehicleReport {
 }
 
 // countFold folds vehicles with every maximal stretch of consecutive
-// vehicles that are equal but for Index, VIN and Seed collapsed into one
-// count fold — the shape of a stamped range.
+// vehicles that are equal but for Index collapsed into one count fold —
+// the shape of a stamped range.
 func countFold(cfg Config, vehicles []VehicleReport) *FleetReport {
 	anon := func(v VehicleReport) VehicleReport {
-		v.Index, v.VIN, v.Seed = 0, "", 0
+		v.Index = 0
 		return v
 	}
 	m := newMergeFold(cfg)

@@ -1,34 +1,31 @@
 package engine
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/attack"
 )
 
-// VehicleReport is the merged outcome of one vehicle's simulation.
+// VehicleReport is the merged outcome of one vehicle's simulation. It holds
+// only what the vehicle measured: its VIN and seed derive from Index and the
+// fleet's root seed, and its per-regime totals fold from Groups, where the
+// fleet report renders them.
 type VehicleReport struct {
 	// Index is the vehicle's position in the fleet.
 	Index int
-	// VIN is the deterministic vehicle identifier.
-	VIN string
-	// Seed is the vehicle's derived simulation seed (the first group's, when
-	// the run sweeps multiple scenario groups).
-	Seed uint64
-	// Attacks holds one aggregate per enforcement regime, keyed by first
-	// appearance across the vehicle's scenario groups. For a single-group
-	// run this is exactly the group's sweep-order aggregates.
-	Attacks []attack.RegimeSummary
 	// Groups holds one regime-summary block per scenario group, in group
-	// order — the per-vehicle slice the campaign executor folds from.
+	// order — the per-vehicle slice the fleet fold and the campaign
+	// executor read.
 	//
-	// Groups and Attacks are read-only: on the batched path every vehicle
-	// after a run's first shares the first vehicle's slices (the run-level
-	// stamp) instead of owning a copy, the members AppendRun lists share
-	// their run's, and vehicles decoded from a shard stream share one
-	// decoded copy of each matrix the stream repeats, so writing through
-	// one vehicle's slice would change every vehicle's.
+	// Groups is read-only: on the batched path every vehicle after a run's
+	// first shares the first vehicle's slices (the run-level stamp) instead
+	// of owning a copy, the members AppendRun lists share their run's, and
+	// vehicles decoded from a shard stream share one decoded copy of each
+	// matrix the stream repeats, so writing through one vehicle's slice
+	// would change every vehicle's.
 	Groups [][]attack.RegimeSummary
 	// FramesDelivered, BusErrors, WriteBlocked, ReadBlocked and AbortedTx
 	// are the background simulation's bus counters.
@@ -50,40 +47,13 @@ type VehicleReport struct {
 	Health Health
 }
 
-// Member returns the report of vehicle index of the run v heads: v under
-// that vehicle's own Index, VIN and Seed, which derive from the index and
-// root, the run's Groups[0].RootSeed. A run's vehicles differ from its
-// first in nothing else (see Aggregate).
-func (v *VehicleReport) Member(root uint64, index int) VehicleReport {
-	m := *v
-	m.Index, m.VIN, m.Seed = index, VIN(index), VehicleSeed(root, index)
-	return m
-}
-
 // AppendRun appends the n >= 1 vehicles of the run v heads to dst, in
-// index order: v itself, then each later member as Member derives it from
-// root. The members' VINs are slices of one string, so a run of any length
-// allocates its VINs once; a consumer that keeps one VIN keeps that string
-// alive.
-func AppendRun(dst []VehicleReport, v *VehicleReport, n int, root uint64) []VehicleReport {
-	dst = append(dst, *v)
-	if n <= 1 {
-		return dst
-	}
-	var b strings.Builder
-	b.Grow((n - 1) * vinLen(v.Index+n-1))
-	var d [len("VIN-") + 20]byte // 20 characters hold any int, sign included
-	for i := 1; i < n; i++ {
-		b.Write(appendVIN(d[:0], v.Index+i))
-	}
-	vins := b.String()
-	for i := 1; i < n; i++ {
-		m := *v
-		m.Index = v.Index + i
-		w := vinLen(m.Index)
-		m.VIN, vins = vins[:w], vins[w:]
-		m.Seed = VehicleSeed(root, m.Index)
+// index order: n copies of *v under the indices v.Index … v.Index+n-1.
+func AppendRun(dst []VehicleReport, v *VehicleReport, n int) []VehicleReport {
+	m := *v
+	for range n {
 		dst = append(dst, m)
+		m.Index++
 	}
 	return dst
 }
@@ -103,8 +73,8 @@ type FleetReport struct {
 	// Fleet and Workers echo the run configuration.
 	Fleet   int
 	Workers int
-	// RootSeed echoes the first group's root, which seeds the live phase
-	// and the per-vehicle Seed column.
+	// RootSeed echoes the first group's root, which seeds the live phase:
+	// vehicle i's line renders VehicleSeed(RootSeed, i).
 	RootSeed uint64
 	// Vehicles holds every per-vehicle report, ordered by index: Run's
 	// listing. It is nil from Aggregate, which returns the same report
@@ -139,27 +109,45 @@ type FleetReport struct {
 // RootSeed, byte-identical output, regardless of worker count.
 func (r *FleetReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fleet run: %d vehicle(s), %d worker(s), root seed %#x\n",
+	r.Render(&b) // a strings.Builder never fails a write
+	return b.String()
+}
+
+// Render writes the report String renders to w, through a buffer, and
+// returns the first write error. A vehicle's line derives its VIN and seed
+// from its Index and RootSeed, and its per-regime totals from its Groups.
+// A vehicle without Groups (its visit failed before its cells, or its
+// stack was never built) or with an unrecoverable failure booked (its
+// Groups are partial) lists no regimes, though the fleet totals fold
+// whatever it completed.
+func (r *FleetReport) Render(w io.Writer) error {
+	b := bufio.NewWriter(w)
+	fmt.Fprintf(b, "fleet run: %d vehicle(s), %d worker(s), root seed %#x\n",
 		r.Fleet, r.Workers, r.RootSeed)
-	fmt.Fprintf(&b, "bus: delivered=%d errors=%d wblk=%d rblk=%d aborted=%d mean-util=%.4f%%\n",
+	fmt.Fprintf(b, "bus: delivered=%d errors=%d wblk=%d rblk=%d aborted=%d mean-util=%.4f%%\n",
 		r.FramesDelivered, r.BusErrors, r.WriteBlocked, r.ReadBlocked, r.AbortedTx,
 		r.MeanUtilisation*100)
-	fmt.Fprintf(&b, "mac: checks=%d allowed=%d\n", r.MACChecks, r.MACAllowed)
+	fmt.Fprintf(b, "mac: checks=%d allowed=%d\n", r.MACChecks, r.MACAllowed)
 	if r.HealthEnabled || !r.Health.IsZero() {
-		fmt.Fprintf(&b, "health: %s\n", r.Health)
+		fmt.Fprintf(b, "health: %s\n", r.Health)
 	}
 	for _, rs := range r.Attacks {
-		fmt.Fprintf(&b, "attacks[%s]: %s success=%.1f%% blocked=%.1f%%\n",
+		fmt.Fprintf(b, "attacks[%s]: %s success=%.1f%% blocked=%.1f%%\n",
 			rs.Regime, rs.Summary, rs.Summary.SuccessRate()*100, rs.Summary.BlockRate()*100)
 	}
+	var regimes []attack.RegimeSummary // one vehicle's, reused down the listing
 	for i := range r.Vehicles {
 		v := &r.Vehicles[i]
-		fmt.Fprintf(&b, "  %s seed=%#016x delivered=%-5d util=%.4f%% steps=%-6d",
-			v.VIN, v.Seed, v.FramesDelivered, v.Utilisation*100, v.SchedulerSteps)
-		for _, rs := range v.Attacks {
-			fmt.Fprintf(&b, " %s{succ=%d blk=%d}", rs.Regime, rs.Summary.Succeeded, rs.Summary.Blocked)
+		fmt.Fprintf(b, "  VIN-%06d seed=%#016x delivered=%-5d util=%.4f%% steps=%-6d",
+			v.Index, VehicleSeed(r.RootSeed, v.Index), v.FramesDelivered, v.Utilisation*100, v.SchedulerSteps)
+		regimes = regimes[:0]
+		if v.Health.Unrecoverable == 0 {
+			regimes = foldGroups(regimes, v.Groups)
+		}
+		for _, rs := range regimes {
+			fmt.Fprintf(b, " %s{succ=%d blk=%d}", rs.Regime, rs.Summary.Succeeded, rs.Summary.Blocked)
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
+	return b.Flush()
 }

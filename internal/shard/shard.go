@@ -15,7 +15,7 @@
 //
 // Vehicles travel as runs from the engine to the fold: a run is a vehicle
 // report standing for itself and the vehicles after it that differ from
-// it only in VIN and seed (engine.Aggregate). A fully stamped range is two
+// it only in index (engine.Aggregate). A fully stamped range is two
 // runs, its first vehicle and the rest, and the driver folds each run in
 // one step (engine.MergeFold.FoldRun). An in-process shard is an
 // engine.Aggregate over its range whose runs fold straight into its fold
@@ -148,8 +148,8 @@ type Stream interface {
 }
 
 // runStream is a Stream that yields runs: v stands for the n >= 1
-// vehicles v.Index … v.Index+n-1, which differ from v only in VIN and
-// seed (wire.Reader.NextRun).
+// vehicles v.Index … v.Index+n-1, which differ from v only in Index
+// (wire.Reader.NextRun).
 type runStream interface {
 	NextRun() (v *engine.VehicleReport, n int, err error)
 }
@@ -214,7 +214,6 @@ func rangeConfig(cfg engine.Config, r Range) engine.Config {
 type merge struct {
 	r    Range
 	fold *engine.MergeFold
-	root uint64 // Groups[0].RootSeed: a run's seeds derive from it
 	// vehicles is the range's window of Run's listing (nil for Aggregate):
 	// its folded vehicles, runs expanded, in a slice of capacity r.Count.
 	vehicles []engine.VehicleReport
@@ -258,7 +257,7 @@ func (m *merge) add(v *engine.VehicleReport, n int) {
 	if k := min(n, m.r.Count-m.carried); k > 0 {
 		m.fold.FoldRun(v, k)
 		if m.vehicles != nil {
-			m.vehicles = engine.AppendRun(m.vehicles, v, k, m.root)
+			m.vehicles = engine.AppendRun(m.vehicles, v, k)
 		}
 	}
 	m.carried = carry(m.carried, n)
@@ -322,17 +321,20 @@ func (m *merge) trailer(st Stream) {
 // trailer carries the range echo and the sweep's error text, so an
 // unrecoverable shard still ships its partial vehicles first (the
 // partial-report contract engine.Run keeps). The returned error reports
-// transport failures only — a sweep error travels in the trailer.
+// a range outside the whole fleet cfg describes, before any byte is
+// written, and transport failures — a sweep error travels in the trailer.
 func RunRangeWire(cfg engine.Config, r Range, out io.Writer) error {
-	sub := rangeConfig(cfg, r)
+	if fleet := max(cfg.Fleet, 1); r.Start < 0 || r.Count < 1 || r.Count > fleet-r.Start {
+		return fmt.Errorf("shard %s: range outside the fleet of %d vehicles", r, fleet)
+	}
 	w := wire.NewWriter(out)
 	var werr error
 	emit := func(v *engine.VehicleReport, n int) {
 		if werr == nil {
-			werr = w.WriteRun(v, n, sub.Groups[0].RootSeed) // Aggregate emits only with Groups set
+			werr = w.WriteRun(v, n)
 		}
 	}
-	_, err := engine.Aggregate(sub, emit)
+	_, err := engine.Aggregate(rangeConfig(cfg, r), emit)
 	if werr != nil {
 		return fmt.Errorf("shard %s: wire write: %w", r, werr)
 	}
@@ -412,7 +414,7 @@ func sweep(cfg Config, list bool) (*engine.FleetReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		merges[i] = &merge{r: r, fold: fold, root: ec.Groups[0].RootSeed}
+		merges[i] = &merge{r: r, fold: fold}
 		if list {
 			merges[i].vehicles = vehicles[r.Start : r.Start : r.Start+r.Count]
 		}

@@ -205,16 +205,15 @@ func fakeChild(t *testing.T, vs []engine.VehicleReport, tr wire.Trailer) Stream 
 }
 
 // runChild encodes a shard stream the way a child writes a stamped range
-// — first as one frame, then the run of n vehicles rest heads, seeded from
-// root — and then tr.
-func runChild(t *testing.T, first, rest *engine.VehicleReport, n int, root uint64, tr wire.Trailer) Stream {
+// — first as one frame, then the run of n vehicles rest heads — and tr.
+func runChild(t *testing.T, first, rest *engine.VehicleReport, n int, tr wire.Trailer) Stream {
 	t.Helper()
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf)
 	if err := w.WriteVehicle(first); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteRun(rest, n, root); err != nil {
+	if err := w.WriteRun(rest, n); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WriteTrailer(tr); err != nil {
@@ -380,9 +379,30 @@ func TestStackFailureListsIdentities(t *testing.T) {
 		t.Fatalf("merged report lists %d vehicles, want 4", len(got.Vehicles))
 	}
 	for i, v := range got.Vehicles {
-		if v.Index != i || v.VIN != engine.VIN(i) || v.Seed != engine.VehicleSeed(cfg.Groups[0].RootSeed, i) {
-			t.Errorf("listed vehicle %d is %d %s %#x", i, v.Index, v.VIN, v.Seed)
+		if v.Index != i {
+			t.Errorf("listed vehicle %d has index %d", i, v.Index)
 		}
+	}
+}
+
+// TestRangeOutsideFleetRejected: a shard child asked for a range that
+// leaves its whole fleet, or whose end overflows, fails before it writes a
+// byte; a range that ends at the fleet's last vehicle streams.
+func TestRangeOutsideFleetRejected(t *testing.T) {
+	cfg := smallCfg(10)
+	for _, r := range []Range{{50, 5}, {8, 3}, {-1, 2}, {0, 0}, {math.MaxInt - 1, 5}} {
+		var buf bytes.Buffer
+		err := RunRangeWire(cfg, r, &buf)
+		if err == nil || !strings.Contains(err.Error(), "shard "+r.String()+": ") {
+			t.Errorf("range %s: err = %v, want an error naming the range", r, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("range %s: wrote %d bytes", r, buf.Len())
+		}
+	}
+	var buf bytes.Buffer
+	if err := RunRangeWire(cfg, Range{8, 2}, &buf); err != nil || buf.Len() == 0 {
+		t.Errorf("range 8:2 of 10: err = %v, %d bytes", err, buf.Len())
 	}
 }
 
@@ -477,7 +497,7 @@ func TestOvercountRecorded(t *testing.T) {
 			if r.Start == 0 {
 				n++ // the run reaches one vehicle past the range
 			}
-			return runChild(t, &vs[0], &vs[1], n, cfg.Groups[0].RootSeed, tr)
+			return runChild(t, &vs[0], &vs[1], n, tr)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -517,7 +537,7 @@ func TestHugeRunCountRecorded(t *testing.T) {
 		if r.Start == 2 {
 			n = 1 << 40
 		}
-		return runChild(t, &vs[0], &vs[1], n, cfg.Groups[0].RootSeed, wire.Trailer{Start: r.Start, Count: r.Count}), nil
+		return runChild(t, &vs[0], &vs[1], n, wire.Trailer{Start: r.Start, Count: r.Count}), nil
 	}
 	for _, par := range []int{1, 3} {
 		got, err := Run(Config{Engine: cfg, Shards: 3, Spawn: spawn, Parallelism: par})
@@ -601,7 +621,7 @@ func TestWrappedHugeRunStopsAtRange(t *testing.T) {
 				n = 1 << 40
 			}
 			tr := wire.Trailer{Start: r.Start, Count: r.Count}
-			streams[r.Start] = &countingStream{Stream: runChild(t, &vs[0], &vs[1], n, cfg.Groups[0].RootSeed, tr)}
+			streams[r.Start] = &countingStream{Stream: runChild(t, &vs[0], &vs[1], n, tr)}
 		}
 		spawn := func(r Range) (Stream, error) { return streams[r.Start], nil }
 		done := make(chan result, 1)

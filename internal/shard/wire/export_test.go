@@ -11,7 +11,7 @@ import (
 // one, and its matrix is always inline: a lone payload has no stream to
 // refer back to.
 func AppendVehicle(b []byte, v *engine.VehicleReport) []byte {
-	return appendVehicle(b, v, 1, 0, appendMatrix([]byte{matrixInline}, v))
+	return appendVehicle(b, v, 1, appendMatrix([]byte{matrixInline}, v))
 }
 
 // DecodeVehiclePayload decodes one raw vehicle payload produced by
@@ -20,7 +20,7 @@ func AppendVehicle(b []byte, v *engine.VehicleReport) []byte {
 func DecodeVehiclePayload(b []byte) (*engine.VehicleReport, error) {
 	d := dec{b: b}
 	var v engine.VehicleReport
-	n, _ := decodeVehicle(&d, &v, nil)
+	n := decodeVehicle(&d, &v, nil)
 	if d.err != nil {
 		return nil, d.err
 	}

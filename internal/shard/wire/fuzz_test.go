@@ -89,7 +89,7 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add(encodeStream(f, []engine.VehicleReport{a[0], a[1], b[0], b[1], a[2]}, wire.Trailer{Count: 5}))
 	frames := splitFrames(f, encodeStream(f, a[:2], wire.Trailer{Count: 2}))
 	f.Add(joinFrames(frames[1], frames[2]))
-	f.Add(withRun(f, vs[:1], 999, 42, wire.Trailer{Count: 1000}))
+	f.Add(withRun(f, vs[:1], 999, wire.Trailer{Count: 1000}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// 1. Stream decode: drain until EOF or error; must not panic.
@@ -132,7 +132,7 @@ func FuzzWireCodec(f *testing.F) {
 		var stream bytes.Buffer
 		sw := wire.NewWriter(&stream)
 		for _, n := range runs {
-			if err := sw.WriteRun(v, n, 42); err != nil {
+			if err := sw.WriteRun(v, n); err != nil {
 				t.Fatalf("WriteRun: %v", err)
 			}
 		}

@@ -17,27 +17,28 @@
 //	frame   := length(uvarint) payload(length) crc32(4, LE, IEEE of payload)
 //	payload := kind(1) body
 //	kind    := 0x01 (vehicle) | 0x02 (trailer)
-//	body    := Index VIN Seed run matrix FramesDelivered … Health (vehicle)
-//	         | Start Count Err                                  (trailer)
-//	run     := count(uvarint ≥ 1) root(uvarint, only when count > 1)
-//	matrix  := 0x00 Attacks Groups (inline)
-//	         | 0x01                (back-reference)
+//	body    := Index count matrix FramesDelivered … Health (vehicle)
+//	         | Start Count Err                          (trailer)
+//	count   := uvarint ≥ 1
+//	matrix  := 0x00 Groups (inline)
+//	         | 0x01        (back-reference)
 //
 // A vehicle frame stands for the run of count vehicles Index …
 // Index+count−1 (see engine.Aggregate): the first is the report the frame
-// spells out, and vehicle i of the rest differs from it only in
-// VIN = engine.VIN(i) and Seed = engine.VehicleSeed(root, i). A fully
-// stamped shard therefore sends two vehicle frames: its first vehicle and
-// one run of the rest. A count of zero, or one that carries Index+count
-// past the largest int, is corruption. Reader.NextRun returns a run whole;
-// Reader.Next hands it out vehicle by vehicle.
+// spells out, and the rest differ from it only in Index. A vehicle's VIN,
+// seed and per-regime totals are not sent: engine.FleetReport derives them
+// from Index, the fleet's root seed and Groups. A fully stamped shard
+// therefore sends two vehicle frames: its first vehicle and one run of the
+// rest. A count of zero, or one that carries Index+count past the largest
+// int, is corruption. Reader.NextRun returns a run whole; Reader.Next
+// hands it out vehicle by vehicle.
 //
-// A back-reference means the vehicle's Attacks and Groups equal the last
-// inline matrix of the same stream. The Writer sends one whenever a
-// vehicle's encoded matrix bytes equal the last matrix it sent inline —
-// a decision by content, so it holds whether or not the caller's slices
-// are shared — and the Reader decodes an inline matrix once and hands
-// every back-referencing vehicle the same read-only slices. A stamped
+// A back-reference means the vehicle's Groups equal the last inline matrix
+// of the same stream. The Writer sends one whenever a vehicle's encoded
+// matrix bytes equal the last matrix it sent inline — a decision by
+// content, so it holds whether or not the caller's slices are shared —
+// and the Reader decodes an inline matrix once and hands every
+// back-referencing vehicle the same read-only slices. A stamped
 // run's vehicles all carry its first vehicle's matrix, so a shard stream
 // of one sends it once. A stream's first vehicle frame is always inline;
 // a back-reference before any inline matrix, or any other tag value, is
@@ -67,6 +68,8 @@
 //     back-references.
 //   - v3: the run after Seed; a vehicle frame stands for a run of
 //     vehicles that differ only in VIN and Seed.
+//   - v4: VIN, Seed, the run's root and Attacks leave the payload; the
+//     count follows Index, and the run's vehicles differ only in Index.
 package wire
 
 import (
@@ -86,7 +89,7 @@ import (
 
 // Version is the protocol version this package speaks. Bumped on any
 // change to the stream grammar or payload layout.
-const Version = 3
+const Version = 4
 
 // schemas pins, per protocol version, a fingerprint of the struct layout
 // that version encodes positionally: the field names, types and order of
@@ -97,6 +100,7 @@ var schemas = map[int]string{
 	1: "ed64c7a3270cb79aa0383e4a95266ae2dfe66870ea1877f860c63bc02bfbb731",
 	2: "ed64c7a3270cb79aa0383e4a95266ae2dfe66870ea1877f860c63bc02bfbb731",
 	3: "ed64c7a3270cb79aa0383e4a95266ae2dfe66870ea1877f860c63bc02bfbb731",
+	4: "8a3c0067d39b9aea88f5c64154dee034ecd8b92f3557eda1963cc354beccef7e",
 }
 
 // magic opens every stream: "CSW1" (carsim shard wire). Distinguishes a
@@ -109,10 +113,10 @@ const (
 	kindTrailer = 0x02
 )
 
-// Matrix tags: the byte after a vehicle payload's Seed.
+// Matrix tags: the byte after a vehicle payload's count.
 const (
-	matrixInline = 0x00 // Attacks and Groups follow
-	matrixRepeat = 0x01 // Attacks and Groups equal the stream's last inline matrix
+	matrixInline = 0x00 // Groups follow
+	matrixRepeat = 0x01 // Groups equal the stream's last inline matrix
 )
 
 // maxFrame bounds a frame's declared payload length (64 MiB). A real
@@ -200,15 +204,14 @@ func (w *Writer) frame() error {
 }
 
 // WriteVehicle emits one vehicle frame: a run of one.
-func (w *Writer) WriteVehicle(v *engine.VehicleReport) error { return w.WriteRun(v, 1, 0) }
+func (w *Writer) WriteVehicle(v *engine.VehicleReport) error { return w.WriteRun(v, 1) }
 
 // WriteRun emits one vehicle frame standing for the run of n >= 1
 // vehicles v heads: v.Index … v.Index+n-1, which differ from v only in
-// VIN and Seed (engine.VehicleReport.Member under root, the run's
-// Groups[0].RootSeed, which travels only when n > 1). Its matrix goes as a
-// back-reference when its encoding equals the last one this stream sent
-// inline. An encoded matrix is never empty, so the first goes inline.
-func (w *Writer) WriteRun(v *engine.VehicleReport, n int, root uint64) error {
+// Index. Its matrix goes as a back-reference when its encoding equals the
+// last one this stream sent inline. An encoded matrix is never empty, so
+// the first goes inline.
+func (w *Writer) WriteRun(v *engine.VehicleReport, n int) error {
 	if n < 1 {
 		return fmt.Errorf("wire: run of %d vehicles", n)
 	}
@@ -219,7 +222,7 @@ func (w *Writer) WriteRun(v *engine.VehicleReport, n int, root uint64) error {
 	} else {
 		w.last, w.mat = w.mat, w.last
 	}
-	w.buf = appendVehicle(append(w.buf[:0], kindVehicle), v, n, root, mat)
+	w.buf = appendVehicle(append(w.buf[:0], kindVehicle), v, n, mat)
 	return w.frame()
 }
 
@@ -248,12 +251,10 @@ type Reader struct {
 	err     error
 	buf     []byte // frame payload scratch, reused across frames
 	last    matrix // the stream's last inline matrix
-	// head is the first vehicle of the run Next is handing out: left of
-	// its vehicles are still to come, the next of them at index at, seeded
-	// from root.
-	head     engine.VehicleReport
-	root     uint64
-	at, left int
+	// head is the vehicle of the run Next handed out last; left of the
+	// run's vehicles are still to come, from index head.Index+1.
+	head engine.VehicleReport
+	left int
 }
 
 // NewReader returns a Reader decoding the stream from in.
@@ -327,16 +328,16 @@ func (r *Reader) Next() (*engine.VehicleReport, error) {
 	}
 	v, n, err := r.readRun()
 	if n > 1 {
-		r.head, r.at, r.left = *v, v.Index+1, n-1
+		r.head, r.left = *v, n-1
 	}
 	return v, err
 }
 
 // NextRun returns the next run of vehicles whole — v stands for the n >= 1
-// vehicles v.Index … v.Index+n-1, which differ from v only in VIN and Seed
-// (see the package doc) — or io.EOF after the trailer frame has been
-// consumed. After Next has handed out part of a run, NextRun returns the
-// rest of it. A Reader that has returned an error keeps returning it.
+// vehicles v.Index … v.Index+n-1, which differ from v only in Index — or
+// io.EOF after the trailer frame has been consumed. After Next has handed
+// out part of a run, NextRun returns the rest of it. A Reader that has
+// returned an error keeps returning it.
 func (r *Reader) NextRun() (*engine.VehicleReport, int, error) {
 	if n := r.left; n > 0 {
 		r.left = 0
@@ -348,8 +349,8 @@ func (r *Reader) NextRun() (*engine.VehicleReport, int, error) {
 // member returns the report of the next vehicle of the run Next is
 // handing out.
 func (r *Reader) member() *engine.VehicleReport {
-	m := r.head.Member(r.root, r.at)
-	r.at++
+	r.head.Index++
+	m := r.head
 	return &m
 }
 
@@ -379,12 +380,11 @@ func (r *Reader) readRun() (*engine.VehicleReport, int, error) {
 	switch kind {
 	case kindVehicle:
 		var v engine.VehicleReport
-		n, root := decodeVehicle(&d, &v, &r.last)
+		n := decodeVehicle(&d, &v, &r.last)
 		if d.err != nil || len(d.b) != 0 {
 			r.err = fmt.Errorf("%w: malformed vehicle payload", ErrFrameChecksum)
 			return nil, 0, r.err
 		}
-		r.root = root
 		return &v, n, nil
 	case kindTrailer:
 		r.trailer.Start = d.int()
@@ -610,10 +610,9 @@ func decodeHealth(d *dec, h *engine.Health) {
 	h.Unrecoverable = d.int()
 }
 
-// appendMatrix encodes a vehicle's Attacks and Groups: the section a
-// back-reference stands in for.
+// appendMatrix encodes a vehicle's Groups: the section a back-reference
+// stands in for.
 func appendMatrix(b []byte, v *engine.VehicleReport) []byte {
-	b = appendRegimes(b, v.Attacks)
 	b = appendUint(b, uint64(len(v.Groups)))
 	for _, g := range v.Groups {
 		b = appendRegimes(b, g)
@@ -621,17 +620,16 @@ func appendMatrix(b []byte, v *engine.VehicleReport) []byte {
 	return b
 }
 
-// matrix is a decoded Attacks and Groups pair. A Reader keeps its stream's
-// last inline one and gives the same slices to every vehicle that
+// matrix is a decoded Groups section. A Reader keeps its stream's last
+// inline one and gives the same slices to every vehicle that
 // back-references it.
 type matrix struct {
-	attacks []attack.RegimeSummary
-	groups  [][]attack.RegimeSummary
-	seen    bool
+	groups [][]attack.RegimeSummary
+	seen   bool
 }
 
 func decodeMatrix(d *dec) matrix {
-	m := matrix{attacks: decodeRegimes(d), seen: true}
+	m := matrix{seen: true}
 	if n := d.sliceLen(1); d.err == nil && n > 0 {
 		m.groups = make([][]attack.RegimeSummary, n)
 		for i := range m.groups {
@@ -644,14 +642,9 @@ func decodeMatrix(d *dec) matrix {
 // appendVehicle encodes the payload of the run of n vehicles v heads
 // around mat, its matrix section: the tag and, when inline, the
 // appendMatrix encoding.
-func appendVehicle(b []byte, v *engine.VehicleReport, n int, root uint64, mat []byte) []byte {
+func appendVehicle(b []byte, v *engine.VehicleReport, n int, mat []byte) []byte {
 	b = appendInt(b, v.Index)
-	b = appendString(b, v.VIN)
-	b = appendUint(b, v.Seed)
 	b = appendUint(b, uint64(n))
-	if n > 1 {
-		b = appendUint(b, root)
-	}
 	b = append(b, mat...)
 	b = appendUint(b, v.FramesDelivered)
 	b = appendUint(b, v.BusErrors)
@@ -667,22 +660,17 @@ func appendVehicle(b []byte, v *engine.VehicleReport, n int, root uint64, mat []
 }
 
 // decodeVehicle decodes one vehicle payload into the first vehicle of its
-// run and returns the run's count and root. last is the stream's last
-// inline matrix, which an inline matrix replaces; a standalone payload
-// passes nil and may not back-reference.
-func decodeVehicle(d *dec, v *engine.VehicleReport, last *matrix) (n int, root uint64) {
+// run and returns the run's count. last is the stream's last inline
+// matrix, which an inline matrix replaces; a standalone payload passes nil
+// and may not back-reference.
+func decodeVehicle(d *dec, v *engine.VehicleReport, last *matrix) (n int) {
 	v.Index = d.int()
-	v.VIN = d.string()
-	v.Seed = d.uint()
 	switch count := d.uint(); {
 	case d.err != nil:
 	case count == 0 || count > math.MaxInt || v.Index > math.MaxInt-int(count):
 		d.err = fmt.Errorf("wire: run of %d vehicles from index %d", count, v.Index)
 	default:
 		n = int(count)
-		if n > 1 {
-			root = d.uint()
-		}
 	}
 	switch tag := d.byte(); {
 	case tag == matrixInline:
@@ -690,9 +678,9 @@ func decodeVehicle(d *dec, v *engine.VehicleReport, last *matrix) (n int, root u
 		if last != nil {
 			*last = m
 		}
-		v.Attacks, v.Groups = m.attacks, m.groups
+		v.Groups = m.groups
 	case tag == matrixRepeat && last != nil && last.seen:
-		v.Attacks, v.Groups = last.attacks, last.groups
+		v.Groups = last.groups
 	default: // d.byte succeeded: a failed read returns 0, inline
 		d.err = fmt.Errorf("wire: bad matrix tag %#x (want inline 0x00, or 0x01 after an inline matrix)", tag)
 	}
@@ -709,5 +697,5 @@ func decodeVehicle(d *dec, v *engine.VehicleReport, last *matrix) (n int, root u
 	v.MACChecks = d.int()
 	v.MACAllowed = d.int()
 	decodeHealth(d, &v.Health)
-	return n, root
+	return n
 }

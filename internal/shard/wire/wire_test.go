@@ -132,33 +132,23 @@ func joinFrames(payloads ...[]byte) []byte {
 }
 
 // countAt returns the offset of a vehicle frame payload's run count: after
-// the kind byte, Index, VIN and Seed.
+// the kind byte and Index.
 func countAt(t testing.TB, payload []byte) int {
 	t.Helper()
 	if len(payload) == 0 || payload[0] != 0x01 {
 		t.Fatal("not a vehicle frame")
 	}
-	off := 1
-	_, n := binary.Varint(payload[off:]) // Index
-	off += n
-	vin, n := binary.Uvarint(payload[off:])
-	off += n + int(vin)
-	_, n = binary.Uvarint(payload[off:]) // Seed
-	return off + n
+	_, n := binary.Varint(payload[1:]) // Index
+	return 1 + n
 }
 
 // runAt returns a vehicle frame payload's run count and the offset of its
-// matrix tag: after the count and, when the count exceeds one, the root.
+// matrix tag, which follows the count.
 func runAt(t testing.TB, payload []byte) (count uint64, tag int) {
 	t.Helper()
 	off := countAt(t, payload)
 	count, n := binary.Uvarint(payload[off:])
-	off += n
-	if count > 1 {
-		_, n = binary.Uvarint(payload[off:]) // root
-		off += n
-	}
-	return count, off
+	return count, off + n
 }
 
 // tagAt returns the offset of a vehicle frame payload's matrix tag.
@@ -194,9 +184,9 @@ func runCounts(t testing.TB, stream []byte) []uint64 {
 }
 
 // withRun encodes vs as single frames, then the run of n vehicles that
-// follows the last of them, seeded from root, then tr: a stream whose last
-// vehicle frame is a run frame.
-func withRun(t testing.TB, vs []engine.VehicleReport, n int, root uint64, tr wire.Trailer) []byte {
+// follows the last of them, then tr: a stream whose last vehicle frame is
+// a run frame.
+func withRun(t testing.TB, vs []engine.VehicleReport, n int, tr wire.Trailer) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf)
@@ -205,8 +195,9 @@ func withRun(t testing.TB, vs []engine.VehicleReport, n int, root uint64, tr wir
 			t.Fatalf("WriteVehicle: %v", err)
 		}
 	}
-	head := vs[len(vs)-1].Member(root, vs[len(vs)-1].Index+1)
-	if err := w.WriteRun(&head, n, root); err != nil {
+	head := vs[len(vs)-1]
+	head.Index++
+	if err := w.WriteRun(&head, n); err != nil {
 		t.Fatalf("WriteRun: %v", err)
 	}
 	if err := w.WriteTrailer(tr); err != nil {
@@ -308,7 +299,7 @@ const headerLen = 5
 // yield a silently different report set.
 func TestFlipAnyByteErrors(t *testing.T) {
 	vs := realVehicles(t, 3)
-	stream := withRun(t, vs, 2, 0xC0FFEE, wire.Trailer{Start: 0, Count: 5})
+	stream := withRun(t, vs, 2, wire.Trailer{Start: 0, Count: 5})
 	if tags := matrixTags(t, stream); !bytes.Equal(tags, []byte{0, 1, 1, 1}) {
 		t.Fatalf("matrix tags %v, want [0 1 1 1]: the flips must cover back-references", tags)
 	}
@@ -346,7 +337,7 @@ func TestFlipAnyByteErrors(t *testing.T) {
 // a crashed child and is treated as corruption.
 func TestTruncationErrors(t *testing.T) {
 	vs := realVehicles(t, 2)
-	stream := withRun(t, vs, 3, 0xC0FFEE, wire.Trailer{Start: 0, Count: 5})
+	stream := withRun(t, vs, 3, wire.Trailer{Start: 0, Count: 5})
 	if tags := matrixTags(t, stream); !bytes.Equal(tags, []byte{0, 1, 1}) {
 		t.Fatalf("matrix tags %v, want [0 1 1]: the prefixes must cover a back-reference", tags)
 	}
@@ -518,7 +509,7 @@ func TestHeterogeneousMatrixStream(t *testing.T) {
 		}
 	}
 	for _, i := range []int{1, 3} {
-		if &got[i].Attacks[0] != &got[i-1].Attacks[0] || &got[i].Groups[0] != &got[i-1].Groups[0] {
+		if &got[i].Groups[0] != &got[i-1].Groups[0] {
 			t.Errorf("vehicle %d does not share vehicle %d's decoded matrix", i, i-1)
 		}
 	}
@@ -529,7 +520,6 @@ func TestHeterogeneousMatrixStream(t *testing.T) {
 // travel as inline + back-reference.
 func TestEqualMatricesBackReferenceByContent(t *testing.T) {
 	vs := stampedVehicles(t, 2, attack.EnforceNone, attack.EnforceHPE)
-	vs[1].Attacks = slices.Clone(vs[1].Attacks)
 	vs[1].Groups = slices.Clone(vs[1].Groups)
 	for gi := range vs[1].Groups {
 		vs[1].Groups[gi] = slices.Clone(vs[1].Groups[gi])
@@ -548,8 +538,8 @@ func TestEqualMatricesBackReferenceByContent(t *testing.T) {
 }
 
 // TestBackReferenceDecodeAllocs guards the back-reference's point: a
-// vehicle that repeats its stream's matrix decodes into the report and its
-// VIN, and nothing of the matrix is decoded or allocated again.
+// vehicle that repeats its stream's matrix decodes into the report alone,
+// and nothing of the matrix is decoded or allocated again.
 func TestBackReferenceDecodeAllocs(t *testing.T) {
 	const fleet = 64
 	stream := encodeStream(t, stampedVehicles(t, fleet, attack.EnforceNone, attack.EnforceHPE), wire.Trailer{Count: fleet})
@@ -570,18 +560,16 @@ func TestBackReferenceDecodeAllocs(t *testing.T) {
 	if err != nil || n != fleet-1 {
 		t.Fatalf("decoded %d back-references, err %v; want %d", n, err, fleet-1)
 	}
-	if allocs > 2 {
-		t.Errorf("%.1f allocations per back-referencing vehicle, want ≤ 2 (the report and its VIN)", allocs)
+	if allocs > 1 {
+		t.Errorf("%.1f allocations per back-referencing vehicle, want ≤ 1 (the report)", allocs)
 	}
 }
 
 // TestRunRoundTrip: a run frame's vehicles, handed out one by one by
-// Next, equal the same vehicles sent as single frames, across the VIN
-// width change (999,999 -> 1,000,000) and at a non-zero offset; NextRun
-// returns each frame whole, and after Next has handed out part of a run,
-// the rest of it.
+// Next, equal the same vehicles sent as single frames, at non-zero offsets
+// on either side of 1,000,000; NextRun returns each frame whole, and after
+// Next has handed out part of a run, the rest of it.
 func TestRunRoundTrip(t *testing.T) {
-	const root = 0xC0FFEE
 	for _, offset := range []int{37, 1000000 - 5} {
 		fr, err := engine.Run(engine.Config{
 			Fleet:       12,
@@ -590,7 +578,7 @@ func TestRunRoundTrip(t *testing.T) {
 			Groups: []engine.ScenarioGroup{{
 				Scenarios: attack.Scenarios()[:2],
 				Regimes:   []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
-				RootSeed:  root,
+				RootSeed:  0xC0FFEE,
 			}},
 			TrafficHorizon: 10 * time.Millisecond,
 		})
@@ -599,7 +587,7 @@ func TestRunRoundTrip(t *testing.T) {
 		}
 		vs := fr.Vehicles
 		single := encodeStream(t, vs, wire.Trailer{Start: offset, Count: len(vs)})
-		runs := withRun(t, vs[:1], len(vs)-1, root, wire.Trailer{Start: offset, Count: len(vs)})
+		runs := withRun(t, vs[:1], len(vs)-1, wire.Trailer{Start: offset, Count: len(vs)})
 		if counts := runCounts(t, runs); !slices.Equal(counts, []uint64{1, uint64(len(vs) - 1)}) {
 			t.Fatalf("offset %d: run counts %v, want [1 %d]", offset, counts, len(vs)-1)
 		}
@@ -659,9 +647,6 @@ func TestRunCountRejected(t *testing.T) {
 		p := splitFrames(t, encodeStream(t, []engine.VehicleReport{v}, wire.Trailer{}))[0]
 		off := countAt(t, p)
 		out := binary.AppendUvarint(bytes.Clone(p[:off]), count)
-		if count > 1 {
-			out = binary.AppendUvarint(out, 0xC0FFEE)
-		}
 		return append(out, p[off+1:]...) // a count of one is one byte
 	}
 	for _, tc := range []struct {
@@ -694,10 +679,10 @@ func TestDecodeVehiclePayloadRejectsRun(t *testing.T) {
 	vs := stampedVehicles(t, 1, attack.EnforceHPE)
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf)
-	if err := w.WriteRun(&vs[0], 0, 0); err == nil {
+	if err := w.WriteRun(&vs[0], 0); err == nil {
 		t.Error("WriteRun wrote a run of no vehicles")
 	}
-	if err := w.WriteRun(&vs[0], 2, 0xC0FFEE); err != nil {
+	if err := w.WriteRun(&vs[0], 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WriteTrailer(wire.Trailer{Count: 2}); err != nil {
