@@ -147,7 +147,7 @@ func BenchmarkFig4HPEDecision(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := hpe.New(car.NodeEVECU, hpe.FixedMode(car.ModeNormal), hpe.DefaultCycleModel())
+	eng := hpe.New(car.NodeEVECU, hpe.FixedMode(car.ModeNormal))
 	if err := eng.Install(h.Compiled); err != nil {
 		b.Fatal(err)
 	}
@@ -163,8 +163,7 @@ func BenchmarkFig4HPEDecision(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	cm := eng.CycleModel()
-	b.ReportMetric(cm.LatencyNanos(cm.PerDecision()), "hw_ns/decision")
+	b.ReportMetric(hpe.LatencyNanos(hpe.CyclesPerDecision), "hw_ns/decision")
 }
 
 // BenchmarkClaimResponseCycle (C1) evaluates the §V-A.3 claim across a
@@ -250,7 +249,7 @@ func benchLookup(b *testing.B, kind policy.LookupKind, size uint32) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := hpe.New("n", hpe.FixedMode("m"), hpe.DefaultCycleModel())
+	eng := hpe.New("n", hpe.FixedMode("m"))
 	if err := eng.Install(compiled); err != nil {
 		b.Fatal(err)
 	}
@@ -291,7 +290,7 @@ func BenchmarkHPELookup(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				eng := hpe.New("n", hpe.FixedMode("m"), hpe.DefaultCycleModel())
+				eng := hpe.New("n", hpe.FixedMode("m"))
 				if err := eng.InstallEnforcer(enf); err != nil {
 					b.Fatal(err)
 				}
@@ -421,7 +420,7 @@ func BenchmarkAblationBehaviouralOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	base := hpe.New(car.NodeDoorLocks, hpe.FixedMode(car.ModeNormal), hpe.DefaultCycleModel())
+	base := hpe.New(car.NodeDoorLocks, hpe.FixedMode(car.ModeNormal))
 	if err := base.Install(h.Compiled); err != nil {
 		b.Fatal(err)
 	}

@@ -23,15 +23,17 @@
 //
 //	0  success
 //	1  any other failure: a rejected flag value (a bad -chaos spec,
-//	   -shard-wire other than binary, a -shard-range outside the fleet),
-//	   an unreadable or invalid spec, a sweep that failed before producing
-//	   a report, or a failed write of the fleet report
+//	   -shard-wire other than binary, a -shard-range outside the fleet, a
+//	   repeated -enforcement regime), an unreadable or invalid spec, a sweep
+//	   that failed before producing a report, or a failed write of stdout
+//	   in any mode, a partial report's included
 //	2  flag parsing failed: an undefined flag or a malformed value
 //	3  unrecoverable sweep: the partial report, health line included, was
 //	   flushed to stdout first
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -39,6 +41,7 @@ import (
 	"os/exec"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -61,6 +64,11 @@ import (
 // generic failure exit 1, so callers can tell "failed with evidence" from
 // "failed outright".
 var errPartialSweep = errors.New("sweep unrecoverable, partial report flushed")
+
+// stdout buffers every mode's output but the shard child's wire stream,
+// which streams to os.Stdout frame by frame; main flushes it before it
+// decides the exit code, so a failed write of stdout fails the run.
+var stdout = bufio.NewWriter(os.Stdout)
 
 // supervision bundles the sweep supervisor's CLI-selectable knobs plus the
 // policy backend the swept vehicles enforce with, and the sharding layout.
@@ -162,6 +170,11 @@ func main() {
 		defer func() { flushErr = stopProfiles() }()
 		return run(*topology, *nodeArch, *hpeView, *latency, *attackSel, *enforcement, *trace, *fleetSize, *workers, *seed, *noBatch, *detail, *campaignFile, *riskFile, *listScenarios, sup)
 	}()
+	// A failed write of stdout fails the run. It also turns exit 3 into 1:
+	// a partial report that never reached stdout is no evidence.
+	if werr := stdout.Flush(); werr != nil && (err == nil || errors.Is(err, errPartialSweep)) {
+		err = werr
+	}
 	if err == nil {
 		err = flushErr
 	}
@@ -224,11 +237,11 @@ func startProfiles(cpuPath, memPath string) (func() error, error) {
 
 func run(topology bool, nodeArch string, hpeView, latency bool, attackSel, enforcement string, trace bool, fleetSize, workers int, seed uint64, noBatch, detail bool, campaignFile, riskFile string, listScenarios bool, sup supervision) error {
 	if topology {
-		fmt.Print(report.Topology())
+		fmt.Fprint(stdout, report.Topology())
 		return nil
 	}
 	if nodeArch != "" {
-		fmt.Print(report.NodeArchitecture(nodeArch))
+		fmt.Fprint(stdout, report.NodeArchitecture(nodeArch))
 		return nil
 	}
 	if hpeView {
@@ -427,7 +440,7 @@ func runCampaign(path string, listOnly bool, fleetSize, workers int, seed uint64
 		return err
 	}
 	if listOnly {
-		fmt.Print(plan.Matrix())
+		fmt.Fprint(stdout, plan.Matrix())
 		return nil
 	}
 	if fleetSize <= 0 {
@@ -445,18 +458,18 @@ func runCampaign(path string, listOnly bool, fleetSize, workers int, seed uint64
 		}
 		// Unrecoverable sweep: flush the partial view — its Health ledger is
 		// the evidence an operator debugs from — then fail with exit code 3.
-		fmt.Printf("mode=%s\n", execMode(noBatch))
-		fmt.Print(report.CampaignView(rep))
+		fmt.Fprintf(stdout, "mode=%s\n", execMode(noBatch))
+		fmt.Fprint(stdout, report.CampaignView(rep))
 		return fmt.Errorf("%w: %v", errPartialSweep, err)
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("mode=%s\n", execMode(noBatch))
+	fmt.Fprintf(stdout, "mode=%s\n", execMode(noBatch))
 	if detail {
-		fmt.Print(report.CampaignDetailView(rep))
+		fmt.Fprint(stdout, report.CampaignDetailView(rep))
 	} else {
-		fmt.Print(report.CampaignView(rep))
+		fmt.Fprint(stdout, report.CampaignView(rep))
 	}
-	fmt.Printf("\nthroughput: %.0f vehicles/s, %.0f cells/s (%v wall clock)\n",
+	fmt.Fprintf(stdout, "\nthroughput: %.0f vehicles/s, %.0f cells/s (%v wall clock)\n",
 		float64(fleetSize)/elapsed.Seconds(), float64(rep.Cells)/elapsed.Seconds(),
 		elapsed.Round(time.Millisecond))
 	return nil
@@ -492,7 +505,7 @@ func runRisk(path string, listOnly bool, fleetSize, workers int, seed uint64, no
 		if err != nil {
 			return err
 		}
-		fmt.Print(out.Plan.Matrix())
+		fmt.Fprint(stdout, out.Plan.Matrix())
 		return nil
 	}
 	if fleetSize <= 0 {
@@ -511,14 +524,14 @@ func runRisk(path string, listOnly bool, fleetSize, workers int, seed uint64, no
 		// The profile was never calibrated (scoring from a partial sweep
 		// would launder incomplete block rates into DREAD deltas); flush the
 		// partial campaign evidence instead.
-		fmt.Printf("mode=%s\n", execMode(noBatch))
-		fmt.Print(report.CampaignView(out.Report))
+		fmt.Fprintf(stdout, "mode=%s\n", execMode(noBatch))
+		fmt.Fprint(stdout, report.CampaignView(out.Report))
 		return fmt.Errorf("%w: %v", errPartialSweep, err)
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("mode=%s\n", execMode(noBatch))
-	fmt.Print(report.RiskView(out.Profile))
-	fmt.Printf("\nthroughput: %.0f vehicles/s, %.0f cells/s (%v wall clock)\n",
+	fmt.Fprintf(stdout, "mode=%s\n", execMode(noBatch))
+	fmt.Fprint(stdout, report.RiskView(out.Profile))
+	fmt.Fprintf(stdout, "\nthroughput: %.0f vehicles/s, %.0f cells/s (%v wall clock)\n",
 		float64(out.Report.Fleet)/elapsed.Seconds(), float64(out.Report.Cells)/elapsed.Seconds(),
 		elapsed.Round(time.Millisecond))
 	return nil
@@ -527,7 +540,7 @@ func runRisk(path string, listOnly bool, fleetSize, workers int, seed uint64, no
 // runFleet sweeps the Table I matrix across a simulated fleet and streams
 // the merged report to stdout, plus the wall-clock throughput. The report
 // itself stays byte-stable for a given config; the timing line is printed
-// separately. A failed write to stdout fails the run.
+// separately.
 func runFleet(fleetSize, workers int, seed uint64, enforcement string, noBatch bool, sup supervision) error {
 	ecfg, err := buildEngineConfig("", "", enforcement, fleetSize, workers, seed, noBatch, sup)
 	if err != nil {
@@ -551,14 +564,14 @@ func runFleet(fleetSize, workers int, seed uint64, enforcement string, noBatch b
 		return err
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("mode=%s\n", execMode(noBatch))
-	if werr := fr.Render(os.Stdout); werr != nil {
+	fmt.Fprintf(stdout, "mode=%s\n", execMode(noBatch))
+	if werr := fr.Render(stdout); werr != nil {
 		return werr
 	}
 	if err != nil {
 		return fmt.Errorf("%w: %v", errPartialSweep, err)
 	}
-	fmt.Printf("throughput: %.0f vehicles/s (%v wall clock)\n",
+	fmt.Fprintf(stdout, "throughput: %.0f vehicles/s (%v wall clock)\n",
 		float64(fleetSize)/elapsed.Seconds(), elapsed.Round(time.Millisecond))
 	return nil
 }
@@ -569,7 +582,7 @@ func runLatency() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("E1: per-class delivery latency under a high-priority flood (250 ms horizon)")
+	fmt.Fprintln(stdout, "E1: per-class delivery latency under a high-priority flood (250 ms horizon)")
 	cases := []struct {
 		label string
 		cfg   attack.LatencyConfig
@@ -583,9 +596,9 @@ func runLatency() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\n%s:\n", cs.label)
+		fmt.Fprintf(stdout, "\n%s:\n", cs.label)
 		for _, s := range stats {
-			fmt.Println("  ", s)
+			fmt.Fprintln(stdout, "  ", s)
 		}
 	}
 	return nil
@@ -597,28 +610,34 @@ func printHPEView() error {
 		return err
 	}
 	c := car.MustNew(car.Config{})
-	engines, err := hpe.Deploy(c.Bus(), h.Compiled, c, h.Cycles, car.AllNodes...)
+	engines, err := hpe.Deploy(c.Bus(), h.Compiled, c, car.AllNodes...)
 	if err != nil {
 		return err
 	}
-	fmt.Print(report.HPEView(engines[car.NodeEVECU], h.Compiled, car.ModeNormal))
+	fmt.Fprint(stdout, report.HPEView(engines[car.NodeEVECU], h.Compiled, car.ModeNormal))
 	return nil
 }
 
 func parseRegimes(s string) ([]attack.Enforcement, error) {
 	var out []attack.Enforcement
 	for _, part := range strings.Split(s, ",") {
+		var r attack.Enforcement
 		switch strings.TrimSpace(strings.ToLower(part)) {
 		case "none":
-			out = append(out, attack.EnforceNone)
+			r = attack.EnforceNone
 		case "software":
-			out = append(out, attack.EnforceSoftware)
+			r = attack.EnforceSoftware
 		case "hpe":
-			out = append(out, attack.EnforceHPE)
+			r = attack.EnforceHPE
 		case "":
+			continue
 		default:
 			return nil, fmt.Errorf("unknown enforcement regime %q", part)
 		}
+		if slices.Contains(out, r) {
+			return nil, fmt.Errorf("enforcement regime %q repeated", r)
+		}
+		out = append(out, r)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("no enforcement regimes selected")
@@ -650,19 +669,19 @@ func runAttacks(sel, enforcement string, trace bool, backend string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Attack matrix: %d scenario(s) x %d regime(s)\n\n", len(scenarios), len(regimes))
-	fmt.Print(report.AttackResults(results))
-	fmt.Println()
+	fmt.Fprintf(stdout, "Attack matrix: %d scenario(s) x %d regime(s)\n\n", len(scenarios), len(regimes))
+	fmt.Fprint(stdout, report.AttackResults(results))
+	fmt.Fprintln(stdout)
 	for _, r := range results {
-		fmt.Println(" ", r)
+		fmt.Fprintln(stdout, " ", r)
 	}
 	if trace {
-		fmt.Println("\nBus trace of the first scenario under the last regime:")
-		res, err := h.Trace(scenarios[0], regimes[len(regimes)-1], func(e canbus.TraceEvent) { fmt.Println("   ", e) })
+		fmt.Fprintln(stdout, "\nBus trace of the first scenario under the last regime:")
+		res, err := h.Trace(scenarios[0], regimes[len(regimes)-1], func(e canbus.TraceEvent) { fmt.Fprintln(stdout, "   ", e) })
 		if err != nil {
 			return err
 		}
-		fmt.Printf("    outcome: succeeded=%v\n", res.Succeeded)
+		fmt.Fprintf(stdout, "    outcome: succeeded=%v\n", res.Succeeded)
 	}
 	return nil
 }

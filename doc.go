@@ -15,8 +15,8 @@
 //   - internal/stride    — STRIDE categorisation
 //   - internal/dread     — DREAD scoring with a qualitative rubric
 //   - internal/policy    — policy model, DSL, compiler, signed bundles
-//   - internal/policy/ir — typed policy IR and the pluggable enforcement
-//     backend registry: policies lower once (interned subjects/modes,
+//   - internal/policy/ir — typed policy IR and its three named enforcement
+//     backends: policies lower once (interned subjects/modes,
 //     dropped unreachable rules, closed-world decision contract) and
 //     compile through a named backend — "table" (the HPE-table
 //     interpreter, unchanged), "expr" (rego/CEL-style rule-AST walker,

@@ -151,7 +151,7 @@ func main() {
 		log.Fatal(err)
 	}
 	mode := &switchableMode{mode: "Away"}
-	engines, err := hpe.Deploy(bus, compiled, mode, hpe.DefaultCycleModel(), nodes...)
+	engines, err := hpe.Deploy(bus, compiled, mode, nodes...)
 	if err != nil {
 		log.Fatal(err)
 	}

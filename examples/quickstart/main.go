@@ -90,7 +90,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := hpe.Deploy(bus, compiled, hpe.FixedMode("Run"), hpe.DefaultCycleModel(), "PLC", "Valve"); err != nil {
+	if _, err := hpe.Deploy(bus, compiled, hpe.FixedMode("Run"), "PLC", "Valve"); err != nil {
 		log.Fatal(err)
 	}
 

@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	engines, err := hpe.Deploy(c.Bus(), compiled, c, hpe.DefaultCycleModel(), car.AllNodes...)
+	engines, err := hpe.Deploy(c.Bus(), compiled, c, car.AllNodes...)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package repro_test
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -189,7 +190,7 @@ func TestDefenceInDepthLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := car.MustNew(car.Config{})
-	engines, err := hpe.Deploy(c.Bus(), h.Compiled, c, hpe.DefaultCycleModel(), car.AllNodes...)
+	engines, err := hpe.Deploy(c.Bus(), h.Compiled, c, car.AllNodes...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,6 +264,16 @@ func TestFleetRolloutAcrossRealDevices(t *testing.T) {
 	vehicles := make([]fleet.Vehicle, 0, n)
 	devices := map[string]*core.Device{}
 	cars := map[string]*car.Car{}
+	// vehicle adapts a device to the rollout; a bundle whose version the
+	// device already runs counts as success, so a re-run is idempotent.
+	vehicle := func(vid string, dev *core.Device) fleet.Vehicle {
+		return fleet.VehicleFunc{VID: vid, Fn: func(b *policy.Bundle) error {
+			if dev.PolicyVersion() >= b.Version {
+				return nil // already current
+			}
+			return dev.ApplyUpdate(b)
+		}}
+	}
 	provision := func(vid string, key []byte) {
 		c := car.MustNew(car.Config{})
 		dev, err := core.Provision(c.Bus(), c, key, car.AllNodes, car.AllModes)
@@ -271,7 +282,7 @@ func TestFleetRolloutAcrossRealDevices(t *testing.T) {
 		}
 		devices[vid] = dev
 		cars[vid] = c
-		vehicles = append(vehicles, core.FleetVehicle{VID: vid, Dev: dev})
+		vehicles = append(vehicles, vehicle(vid, dev))
 	}
 	wrongOEM, _ := core.NewOEM(testEntropy(99))
 	for i := 0; i < n; i++ {
@@ -303,7 +314,7 @@ func TestFleetRolloutAcrossRealDevices(t *testing.T) {
 		t.Fatal(err)
 	}
 	devices["VIN-000"] = devFixed
-	vehicles[0] = core.FleetVehicle{VID: "VIN-000", Dev: devFixed}
+	vehicles[0] = vehicle("VIN-000", devFixed)
 
 	report, err = fleet.Rollout(vehicles, bundle, fleet.DefaultPlan())
 	if err != nil {
@@ -564,6 +575,10 @@ func TestExitCodeContract(t *testing.T) {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
 	const quickstart = "examples/campaigns/quickstart.campaign"
+	const lite = "examples/campaigns/lite.campaign"
+	// A row whose args end in toFull runs with stdout on /dev/full, where
+	// every write fails; such rows skip where that device does not exist.
+	const toFull = ">/dev/full"
 	cases := []struct {
 		name string
 		args []string
@@ -581,6 +596,13 @@ func TestExitCodeContract(t *testing.T) {
 		{"carsim unrecoverable chaos", []string{"carsim", "-campaign", quickstart, "-fleet", "4", "-chaos", "seed=3,panic=1,persist=99"}, 3, ""},
 		{"carsim shard range past the fleet", []string{"carsim", "-shard-range", "50:5", "-fleet", "10"}, 1, "shard 50:5: range outside the fleet of 10 vehicles"},
 		{"carsim shard range end overflows", []string{"carsim", "-shard-range", "9223372036854775806:5", "-fleet", "10"}, 1, "shard 9223372036854775806:5: range outside the fleet of 10 vehicles"},
+		{"carsim repeated regime", []string{"carsim", "-fleet", "3", "-enforcement", "none,hpe,none"}, 1, `enforcement regime "none" repeated`},
+		{"carsim campaign to a full stdout", []string{"carsim", "-campaign", lite, "-fleet", "2", toFull}, 1, "no space left on device"},
+		{"carsim partial report to a full stdout", []string{"carsim", "-campaign", quickstart, "-fleet", "4", "-chaos", "seed=3,panic=1,persist=99", toFull}, 1, "no space left on device"},
+		{"carsim risk to a full stdout", []string{"carsim", "-risk", "examples/threatmodels/connected-car.json", toFull}, 1, "no space left on device"},
+		{"carsim attacks to a full stdout", []string{"carsim", "-attack", "all", toFull}, 1, "no space left on device"},
+		{"carsim topology to a full stdout", []string{"carsim", "-print-topology", toFull}, 1, "no space left on device"},
+		{"carsim latency to a full stdout", []string{"carsim", "-latency", toFull}, 1, "no space left on device"},
 		{"rollout advance", []string{"rollout", "-vehicles", "40"}, 0, ""},
 		{"rollout driver failure", []string{"rollout", "-vehicles", "0"}, 1, ""},
 		{"rollout rollback", []string{"rollout", "-vehicles", "40", "-drill", "rollback"}, 2, ""},
@@ -593,7 +615,23 @@ func TestExitCodeContract(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			out, err := exec.Command(filepath.Join(bin, c.args[0]), c.args[1:]...).CombinedOutput()
+			args := c.args
+			full := args[len(args)-1] == toFull
+			if full {
+				args = args[:len(args)-1]
+			}
+			cmd := exec.Command(filepath.Join(bin, args[0]), args[1:]...)
+			var out bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &out, &out
+			if full {
+				f, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+				if err != nil {
+					t.Skipf("no /dev/full: %v", err)
+				}
+				defer f.Close()
+				cmd.Stdout = f
+			}
+			err := cmd.Run()
 			code := 0
 			var exit *exec.ExitError
 			if errors.As(err, &exit) {
@@ -602,10 +640,10 @@ func TestExitCodeContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			if code != c.want {
-				t.Errorf("%v: exit code %d, want %d\n%s", c.args, code, c.want, out)
+				t.Errorf("%v: exit code %d, want %d\n%s", c.args, code, c.want, out.String())
 			}
-			if !strings.Contains(string(out), c.msg) {
-				t.Errorf("%v: output does not mention %q:\n%s", c.args, c.msg, out)
+			if !strings.Contains(out.String(), c.msg) {
+				t.Errorf("%v: output does not mention %q:\n%s", c.args, c.msg, out.String())
 			}
 		})
 	}

@@ -45,7 +45,7 @@ func (h *Harness) NewArena() (*Arena, error) {
 	guards := make([]*behaviour.Engine, len(car.AllNodes))
 	nodes := make([]*canbus.Node, len(car.AllNodes))
 	for i, name := range car.AllNodes {
-		eng := hpe.New(name, c, h.Cycles)
+		eng := hpe.New(name, c)
 		if err := eng.InstallEnforcer(h.Enforcer); err != nil {
 			return nil, err
 		}
@@ -67,18 +67,15 @@ func (a *Arena) Car() *car.Car { return a.car }
 // drop the call.
 func (a *Arena) SetSeed(uint64) {}
 
-// deployEngines resets every pooled engine's counters, reinstalls the
-// harness's enforcer (a table reuse, not a recompilation) and attaches each
+// deployEngines resets every pooled engine's counters and attaches each
 // engine as its node's inline filter — the pooled equivalent of hpe.Deploy.
-func (a *Arena) deployEngines() error {
+// NewArena installed the harness's enforcer once; Reset keeps that table
+// and its Installs count, so a pooled engine counts like a deployed one.
+func (a *Arena) deployEngines() {
 	for i, n := range a.nodes {
 		a.engines[i].Reset()
-		if err := a.engines[i].ReinstallEnforcer(a.h.Enforcer); err != nil {
-			return err
-		}
 		n.SetInlineFilter(a.engines[i])
 	}
-	return nil
 }
 
 // StartLive resets the arena's car with cfg and provisions the pooled
@@ -86,9 +83,7 @@ func (a *Arena) deployEngines() error {
 // by hpe.Deploy, used for live background simulations.
 func (a *Arena) StartLive(cfg car.Config) (*car.Car, error) {
 	a.car.Reset(cfg)
-	if err := a.deployEngines(); err != nil {
-		return nil, err
-	}
+	a.deployEngines()
 	return a.car, nil
 }
 
@@ -96,17 +91,13 @@ func (a *Arena) StartLive(cfg car.Config) (*car.Car, error) {
 // enforcement regime, leaving the vehicle exactly as a scenario run expects
 // to find it. Factored out of Run so the batched path can provision once per
 // (prefix, regime) pair instead of once per cell.
-func (a *Arena) resetForRegime(enf Enforcement) error {
+func (a *Arena) resetForRegime(enf Enforcement) {
 	a.car.Reset(car.Config{})
 	switch enf {
 	case EnforceHPE:
-		if err := a.deployEngines(); err != nil {
-			return err
-		}
+		a.deployEngines()
 	case EnforceBehaviour:
-		if err := a.deployEngines(); err != nil {
-			return err
-		}
+		a.deployEngines()
 		// Layer the pooled behavioural guards over the freshly re-provisioned
 		// identifier engines; Reset clears their rate windows so a reused
 		// guard decides exactly like the fresh path's per-run guards.
@@ -119,15 +110,12 @@ func (a *Arena) resetForRegime(enf Enforcement) error {
 			n.Controller().SetFilters()
 		}
 	}
-	return nil
 }
 
 // Run executes one scenario under one enforcement regime on the pooled
 // vehicle, resetting it first. Results match Harness.Run on a fresh car.
 func (a *Arena) Run(sc Scenario, enf Enforcement) (Result, error) {
-	if err := a.resetForRegime(enf); err != nil {
-		return Result{}, err
-	}
+	a.resetForRegime(enf)
 	return a.h.execute(a.car, sc, enf, &a.inj)
 }
 
@@ -146,12 +134,12 @@ type checkpoint struct {
 // capture snapshots the arena into ck. Engine and guard state is captured
 // only for the regimes that consult it: under EnforceNone/EnforceSoftware no
 // inline filter is installed, so their (stale, unread) state cannot affect a
-// forked cell. A violated quiescence precondition returns ErrNotQuiescent
-// (a hard panic under the chaosdebug build tag) instead of capturing state
-// the restore could not faithfully reproduce.
+// forked cell. A violated quiescence precondition returns ErrNotQuiescent,
+// the retryable fault the sweep supervisor quarantines, instead of
+// capturing state the restore could not faithfully reproduce.
 func (a *Arena) capture(ck *checkpoint, enf Enforcement) error {
-	if err := a.guardQuiescent(); err != nil {
-		return err
+	if !a.car.Quiescent() {
+		return ErrNotQuiescent
 	}
 	a.car.Snapshot(&ck.car)
 	if enf == EnforceHPE || enf == EnforceBehaviour {

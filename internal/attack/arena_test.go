@@ -114,3 +114,48 @@ func TestArenaStartLive(t *testing.T) {
 		t.Error("pooled engines not enforcing after StartLive")
 	}
 }
+
+// TestPooledEnginesCountLikeDeployed pins the Reset contract the pooled
+// path relies on: after a scenario run, StartLive and a live traffic run
+// with bus errors, every pooled engine's Stats, Installs included, equal
+// those of a fresh car.New + Harness.DeployEngines stack that ran the same
+// traffic.
+func TestPooledEnginesCountLikeDeployed(t *testing.T) {
+	h, err := NewHarness()
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena, err := h.NewArena()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := arena.Run(Scenarios()[0], EnforceHPE); err != nil {
+		t.Fatal(err)
+	}
+	cfg := car.Config{ErrorRate: 0.02, Seed: 123}
+	pooled, err := arena.StartLive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := car.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deployed, err := h.DeployEngines(fresh.Bus(), fresh, car.AllNodes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*car.Car{pooled, fresh} {
+		c.StartTraffic(time.Millisecond, 50*time.Millisecond, 88)
+		c.Scheduler().Run()
+	}
+	for i, name := range car.AllNodes {
+		got, want := arena.engines[i].Stats(), deployed[name].Stats()
+		if got != want {
+			t.Errorf("%s: pooled engine counts %+v, deployed %+v", name, got, want)
+		}
+		if want.Installs != 1 || want.Decisions == 0 {
+			t.Errorf("%s: deployed engine counts %+v, want one install and some decisions", name, want)
+		}
+	}
+}

@@ -231,8 +231,6 @@ type Harness struct {
 	// Compiled itself on the table backend (ir.WrapCompiled, so nothing
 	// compiles twice), the named backend's enforcer otherwise.
 	Enforcer ir.Enforcer
-	// Cycles is the HPE cycle model.
-	Cycles hpe.CycleModel
 }
 
 // NewHarness derives and compiles the connected-car policy (via the
@@ -271,7 +269,7 @@ func NewHarnessFromSet(set *policy.Set, backend string) (*Harness, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &Harness{Compiled: compiled, Enforcer: ir.WrapCompiled(compiled), Cycles: hpe.DefaultCycleModel()}
+	h := &Harness{Compiled: compiled, Enforcer: ir.WrapCompiled(compiled)}
 	if backend != "" && backend != ir.DefaultBackend {
 		opts.Backend = backend
 		if h.Enforcer, err = ir.Build(set, opts); err != nil {
@@ -284,7 +282,7 @@ func NewHarnessFromSet(set *policy.Set, backend string) (*Harness, error) {
 // DeployEngines attaches policy engines running the harness's enforcer to
 // the named bus nodes.
 func (h *Harness) DeployEngines(bus *canbus.Bus, modes hpe.ModeSource, nodeNames ...string) (map[string]*hpe.Engine, error) {
-	return hpe.DeployEnforcer(bus, h.Enforcer, modes, h.Cycles, nodeNames...)
+	return hpe.DeployEnforcer(bus, h.Enforcer, modes, nodeNames...)
 }
 
 // stepTime spaces injected frames apart on the virtual clock.

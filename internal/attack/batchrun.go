@@ -104,9 +104,7 @@ func (b *BatchRun) Run() (Result, error) {
 		return b.a.Run(sc, enf)
 	}
 	if !b.primed {
-		if err := b.a.resetForRegime(enf); err != nil {
-			return Result{}, err
-		}
+		b.a.resetForRegime(enf)
 		if err := b.a.h.runSetup(b.a.car, b.p.Scenarios[bucket[0]]); err != nil {
 			return Result{}, err
 		}

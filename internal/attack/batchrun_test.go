@@ -236,9 +236,7 @@ func TestIntegritySumCatchesModeFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.resetForRegime(EnforceNone); err != nil {
-		t.Fatal(err)
-	}
+	a.resetForRegime(EnforceNone)
 	before := a.integritySum()
 	a.corruptState()
 	if after := a.integritySum(); after == before {

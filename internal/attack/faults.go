@@ -10,8 +10,7 @@ var (
 	// transmission. Scenario prefixes are supposed to drain the scheduler
 	// before the capture instant; a violated contract is a scenario bug, and
 	// the supervisor demotes the cell to the oracle path rather than
-	// crashing the fleet. Build with -tags chaosdebug to keep the original
-	// hard panic for debugging.
+	// crashing the fleet.
 	ErrNotQuiescent = errors.New("attack: checkpoint capture on a non-quiescent arena")
 	// ErrIntegrity reports a checkpoint restore whose cheap state checksum
 	// no longer matches the capture — the restored arena would fork cells

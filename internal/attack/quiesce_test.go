@@ -1,5 +1,3 @@
-//go:build !chaosdebug
-
 package attack
 
 import (
@@ -9,10 +7,8 @@ import (
 )
 
 // TestCaptureNotQuiescentReturnsTypedError: capturing with events still
-// queued returns ErrNotQuiescent (release build) instead of panicking — the
-// retryable fault the sweep supervisor quarantines — and a quiescent
-// capture succeeds. The chaosdebug build restores the panic; see
-// quiesce_debug_test.go.
+// queued returns ErrNotQuiescent instead of panicking — the retryable fault
+// the sweep supervisor quarantines — and a quiescent capture succeeds.
 func TestCaptureNotQuiescentReturnsTypedError(t *testing.T) {
 	h, err := NewHarness()
 	if err != nil {
@@ -22,9 +18,7 @@ func TestCaptureNotQuiescentReturnsTypedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.resetForRegime(EnforceHPE); err != nil {
-		t.Fatal(err)
-	}
+	a.resetForRegime(EnforceHPE)
 	var ck checkpoint
 	if err := a.capture(&ck, EnforceHPE); err != nil {
 		t.Fatalf("quiescent capture failed: %v", err)

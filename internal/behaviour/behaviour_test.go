@@ -156,7 +156,7 @@ func TestCredentialAbuseScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines, err := hpe.Deploy(c.Bus(), compiled, c, hpe.DefaultCycleModel(), car.AllNodes...)
+	engines, err := hpe.Deploy(c.Bus(), compiled, c, car.AllNodes...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ package campaign
 import (
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -396,9 +397,9 @@ func validString(key, s string) error {
 	return nil
 }
 
-// Validate checks the spec is well-formed: known kinds and regimes, unique
-// family names, bounded repeat/frame/gap values, known predicates, and the
-// per-kind field requirements.
+// Validate checks the spec is well-formed: known kinds, known regimes
+// listed once each, unique family names, bounded repeat/frame/gap values,
+// known predicates, and the per-kind field requirements.
 func (sp *Spec) Validate() error {
 	seen := map[string]bool{}
 	if err := validString("campaign name", sp.Name); err != nil {
@@ -442,9 +443,12 @@ func (sp *Spec) Validate() error {
 }
 
 func validRegimes(words []string) error {
-	for _, w := range words {
+	for i, w := range words {
 		if !regimeWords[w] {
 			return fmt.Errorf("unknown enforcement regime %q", w)
+		}
+		if slices.Contains(words[:i], w) {
+			return fmt.Errorf("enforcement regime %q repeated", w)
 		}
 	}
 	return nil

@@ -98,6 +98,10 @@ func TestParseRejectsInvalid(t *testing.T) {
 		`campaign "x" version 1 { mutate "m" { repeats 0 } }`,                   // bad repeat
 		`campaign "x" version 1 { mutate "m" { payloads 010203040506070809 } }`, // >8 bytes
 		`{"name":"x","version":1,"generators":[{"kind":"warp","name":"g"}]}`,    // bad kind via JSON
+		`campaign "x" version 1 { regimes none, hpe, none mutate "m" {} }`,      // repeated regime
+		`campaign "x" version 1 { mutate "m" { regimes hpe, HPE } }`,            // repeated regime, family list
+		`{"name":"x","version":1,"regimes":["none","none"],"generators":[{"kind":"mutate","name":"m"}]}`,
+		`{"name":"x","version":1,"generators":[{"kind":"mutate","name":"m","regimes":["hpe","none","hpe"]}]}`,
 	}
 	for i, src := range bad {
 		if i == 2 {

@@ -1,8 +1,8 @@
 package canbus
 
 // AcceptanceFilter is the mask/code filter a CAN controller applies to
-// received identifiers. A frame passes when (id & Mask) == (Code & Mask) and
-// the frame format matches the filter's format.
+// received standard identifiers. A frame passes when it is a standard frame
+// and (id & Mask) == (Code & Mask); no filter accepts an extended frame.
 //
 // On production controllers these filters are configured by firmware, which
 // is exactly why the paper argues they are insufficient: compromised
@@ -13,13 +13,11 @@ type AcceptanceFilter struct {
 	Mask uint32
 	// Code gives the expected values of the selected bits.
 	Code uint32
-	// Extended restricts the filter to extended (true) or standard (false) frames.
-	Extended bool
 }
 
 // Matches reports whether the frame passes this filter.
 func (a AcceptanceFilter) Matches(f Frame) bool {
-	if f.Extended != a.Extended {
+	if f.Extended {
 		return false
 	}
 	return f.ID&a.Mask == a.Code&a.Mask

@@ -18,11 +18,6 @@ func TestAcceptanceFilterMatching(t *testing.T) {
 			MustDataFrame(0x12A, nil), true},
 		{"masked group miss", AcceptanceFilter{Mask: 0x7F0, Code: 0x120},
 			MustDataFrame(0x130, nil), false},
-		{"extended filter hit", AcceptanceFilter{Mask: 0x1FFFFFFF, Code: 0x18FF0000, Extended: true},
-			Frame{ID: 0x18FF0000, Extended: true}, true},
-		{"extended filter vs standard frame",
-			AcceptanceFilter{Mask: 0x7FF, Code: 0x123, Extended: true},
-			MustDataFrame(0x123, nil), false},
 		{"zero mask matches everything standard", AcceptanceFilter{},
 			MustDataFrame(0x001, nil), true},
 	}

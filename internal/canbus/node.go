@@ -48,7 +48,7 @@ func (c *Controller) SetFilters(filters ...AcceptanceFilter) {
 		return
 	}
 	for _, f := range filters {
-		if f.Extended || f.Mask != MaxStandardID || f.Code > MaxStandardID {
+		if f.Mask != MaxStandardID || f.Code > MaxStandardID {
 			return
 		}
 	}

@@ -98,13 +98,12 @@ func Provision(bus *canbus.Bus, modes hpe.ModeSource, oemKey ed25519.PublicKey, 
 		Modes:    deviceModes,
 	})
 	d := &Device{store: store, engines: make(map[string]*hpe.Engine, len(subjects))}
-	cycles := hpe.DefaultCycleModel()
 	for _, name := range subjects {
 		node, ok := bus.Node(name)
 		if !ok {
 			return nil, fmt.Errorf("core: node %q not attached", name)
 		}
-		eng := hpe.New(name, modes, cycles)
+		eng := hpe.New(name, modes)
 		node.SetInlineFilter(eng)
 		d.engines[name] = eng
 	}
@@ -134,28 +133,6 @@ func (d *Device) PolicyVersion() uint64 {
 		return s.Version
 	}
 	return 0
-}
-
-// FleetVehicle adapts a provisioned Device to the fleet.Vehicle interface
-// so OEM-side staged rollouts (internal/fleet) can drive real devices. A
-// bundle whose version the device already runs counts as success, making
-// re-runs of a partially completed rollout idempotent.
-type FleetVehicle struct {
-	// VID is the vehicle identifier (VIN).
-	VID string
-	// Dev is the provisioned device.
-	Dev *Device
-}
-
-// ID implements fleet.Vehicle.
-func (v FleetVehicle) ID() string { return v.VID }
-
-// Apply implements fleet.Vehicle.
-func (v FleetVehicle) Apply(b *policy.Bundle) error {
-	if v.Dev.PolicyVersion() >= b.Version {
-		return nil // already current
-	}
-	return v.Dev.ApplyUpdate(b)
 }
 
 // MACClassCAN is the object class used by the derived software module.

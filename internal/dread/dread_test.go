@@ -202,43 +202,6 @@ func TestRubricRejectsInvalidLevels(t *testing.T) {
 	}
 }
 
-func TestScoreAdjusted(t *testing.T) {
-	r := Rubric{}
-	base := Assessment{
-		Damage:          DamageControl,
-		Reproducibility: ReproReliable,
-		Exploitability:  ExploitSkilled,
-		AffectedUsers:   AffectedOwner,
-		Discoverability: DiscoverKnown,
-	}
-	s, err := r.ScoreAdjusted(base, Adjust{Damage: +1, Discoverability: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := MustNew(8, 5, 5, 6, 5); s != want {
-		t.Errorf("adjusted = %v, want %v", s, want)
-	}
-	// Excessive adjustment is rejected.
-	if _, err := r.ScoreAdjusted(base, Adjust{Damage: 2}); err == nil {
-		t.Error("adjustment beyond ±1 accepted")
-	}
-	// Clamping at the bounds.
-	low := Assessment{
-		Damage:          DamageNegligible, // value 0
-		Reproducibility: ReproHard,
-		Exploitability:  ExploitExpert,
-		AffectedUsers:   AffectedFew,
-		Discoverability: DiscoverObscure,
-	}
-	s2, err := r.ScoreAdjusted(low, Adjust{Damage: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Damage != 0 {
-		t.Errorf("clamped damage = %d, want 0", s2.Damage)
-	}
-}
-
 func TestAverageFormatMatchesPaperStyle(t *testing.T) {
 	// Table I prints one decimal; verify .0 averages keep the trailing zero.
 	s := MustNew(7, 5, 5, 9, 4)

@@ -181,28 +181,8 @@ func (a Assessment) Validate() error {
 	return nil
 }
 
-// Rubric converts qualitative assessments into numeric scores. Adjust holds
-// per-component deltas an analyst may apply for scenario-specific judgement
-// calls; deltas larger than ±1 are rejected to keep the rubric honest.
+// Rubric converts qualitative assessments into numeric scores.
 type Rubric struct{}
-
-// MaxAdjust bounds each analyst adjustment applied via ScoreAdjusted.
-const MaxAdjust = 1
-
-// Adjust is a bounded per-component analyst correction.
-type Adjust struct {
-	Damage, Reproducibility, Exploitability, AffectedUsers, Discoverability int
-}
-
-// Validate rejects adjustments outside ±MaxAdjust.
-func (a Adjust) Validate() error {
-	for _, d := range [5]int{a.Damage, a.Reproducibility, a.Exploitability, a.AffectedUsers, a.Discoverability} {
-		if d < -MaxAdjust || d > MaxAdjust {
-			return fmt.Errorf("dread: adjustment %d exceeds ±%d", d, MaxAdjust)
-		}
-	}
-	return nil
-}
 
 // Score converts an assessment into a Score via the level values.
 func (Rubric) Score(a Assessment) (Score, error) {
@@ -215,33 +195,5 @@ func (Rubric) Score(a Assessment) (Score, error) {
 		a.Exploitability.Value(),
 		a.AffectedUsers.Value(),
 		a.Discoverability.Value(),
-	)
-}
-
-// ScoreAdjusted applies a bounded analyst adjustment on top of Score,
-// clamping each component to the valid range.
-func (r Rubric) ScoreAdjusted(a Assessment, adj Adjust) (Score, error) {
-	if err := adj.Validate(); err != nil {
-		return Score{}, err
-	}
-	base, err := r.Score(a)
-	if err != nil {
-		return Score{}, err
-	}
-	clamp := func(v int) int {
-		if v < 0 {
-			return 0
-		}
-		if v > MaxComponent {
-			return MaxComponent
-		}
-		return v
-	}
-	return New(
-		clamp(base.Damage+adj.Damage),
-		clamp(base.Reproducibility+adj.Reproducibility),
-		clamp(base.Exploitability+adj.Exploitability),
-		clamp(base.AffectedUsers+adj.AffectedUsers),
-		clamp(base.Discoverability+adj.Discoverability),
 	)
 }

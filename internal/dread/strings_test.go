@@ -55,21 +55,3 @@ func TestAssessmentValidateEachField(t *testing.T) {
 		}
 	}
 }
-
-func TestAdjustValidateEachField(t *testing.T) {
-	mutations := []Adjust{
-		{Damage: 2},
-		{Reproducibility: -2},
-		{Exploitability: 2},
-		{AffectedUsers: -2},
-		{Discoverability: 2},
-	}
-	for i, adj := range mutations {
-		if err := adj.Validate(); err == nil {
-			t.Errorf("case %d: out-of-band adjustment accepted", i)
-		}
-	}
-	if err := (Adjust{Damage: 1, Discoverability: -1}).Validate(); err != nil {
-		t.Errorf("in-band adjustment rejected: %v", err)
-	}
-}

@@ -154,8 +154,8 @@ type Config struct {
 	TrafficHorizon time.Duration
 	// ErrorRate enables bus error injection in the background simulation.
 	ErrorRate float64
-	// Harness supplies the attack harness (compiled policy, enforcement
-	// backend and cycle model) every vehicle enforces with; nil means
+	// Harness supplies the attack harness (compiled policy and enforcement
+	// backend) every vehicle enforces with; nil means
 	// attack.NewHarness(), the table backend. A caller that sweeps several
 	// runs with one policy — shard.Run, the rollout gate — builds the
 	// harness once and shares it.
@@ -259,8 +259,8 @@ type macCheck struct {
 }
 
 // shared holds the immutable artifacts every vehicle reuses: the compiled
-// policy and cycle model (inside the harness), the derived MAC module and
-// the precomputed probe contexts.
+// policy (inside the harness), the derived MAC module and the precomputed
+// probe contexts.
 type shared struct {
 	cfg       Config
 	harness   *attack.Harness

@@ -18,8 +18,9 @@ import (
 	"repro/internal/policy"
 )
 
-// Vehicle is one update endpoint. core.Device satisfies this through the
-// DeviceVehicle adapter; tests use fakes.
+// Vehicle is one update endpoint. Callers adapt theirs through VehicleFunc:
+// cmd/rollout wraps a policy store per simulated vehicle, and tests wrap
+// real core.Device stacks or fakes.
 type Vehicle interface {
 	// ID returns the vehicle's stable identifier (e.g. VIN).
 	ID() string

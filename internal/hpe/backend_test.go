@@ -44,7 +44,7 @@ func TestInstallEnforcerDecisionsMatchTable(t *testing.T) {
 	for _, mode := range []policy.Mode{"Normal", "Diag", "Limp"} {
 		ref := newEngine(t, mode)
 		for _, backend := range ir.Names() {
-			e := New("ecu", FixedMode(mode), DefaultCycleModel())
+			e := New("ecu", FixedMode(mode))
 			if err := e.InstallEnforcer(buildEnforcer(t, backend)); err != nil {
 				t.Fatalf("InstallEnforcer(%s): %v", backend, err)
 			}
@@ -65,29 +65,6 @@ func TestInstallEnforcerDecisionsMatchTable(t *testing.T) {
 	}
 }
 
-// TestReinstallEnforcerReusesInstall requires the pooled fast path to count
-// an install without rebuilding, and a different enforcer to swap fully.
-func TestReinstallEnforcerReusesInstall(t *testing.T) {
-	enf := buildEnforcer(t, "closure")
-	e := New("ecu", FixedMode("Normal"), DefaultCycleModel())
-	if err := e.InstallEnforcer(enf); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ReinstallEnforcer(enf); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Stats().Installs; got != 2 {
-		t.Errorf("Installs = %d, want 2", got)
-	}
-	other := buildEnforcer(t, "expr")
-	if err := e.ReinstallEnforcer(other); err != nil {
-		t.Fatal(err)
-	}
-	if e.backend != "expr" {
-		t.Errorf("after swap backend = %q, want expr", e.backend)
-	}
-}
-
 // TestSnapshotBackendIdentity is the fail-fast contract: a checkpoint
 // captured under one policy backend must refuse to restore onto an engine
 // running another, with the typed ErrBackendMismatch.
@@ -103,7 +80,7 @@ func TestSnapshotBackendIdentity(t *testing.T) {
 		t.Fatalf("same-backend restore: %v", err)
 	}
 
-	closure := New("ecu", FixedMode("Normal"), DefaultCycleModel())
+	closure := New("ecu", FixedMode("Normal"))
 	if err := closure.InstallEnforcer(buildEnforcer(t, "closure")); err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +108,14 @@ func TestSnapshotBackendIdentity(t *testing.T) {
 func TestDeployEnforcer(t *testing.T) {
 	bus := canbus.New(&sim.Scheduler{}, canbus.Config{})
 	bus.MustAttach("ecu")
-	engines, err := DeployEnforcer(bus, buildEnforcer(t, "expr"), FixedMode("Normal"), DefaultCycleModel(), "ecu")
+	engines, err := DeployEnforcer(bus, buildEnforcer(t, "expr"), FixedMode("Normal"), "ecu")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if engines["ecu"].backend != "expr" {
 		t.Errorf("deployed backend = %q, want expr", engines["ecu"].backend)
 	}
-	if _, err := DeployEnforcer(bus, buildEnforcer(t, "expr"), FixedMode("Normal"), DefaultCycleModel(), "ghost"); err == nil {
+	if _, err := DeployEnforcer(bus, buildEnforcer(t, "expr"), FixedMode("Normal"), "ghost"); err == nil {
 		t.Error("unknown node: want error")
 	}
 }
@@ -152,7 +129,7 @@ func TestDecideAllocFree(t *testing.T) {
 			subject string
 			mode    policy.Mode
 		}{{"ecu", "Normal"}, {"ecu", "Limp"}, {"ghost", "Normal"}} {
-			e := New(c.subject, FixedMode(c.mode), DefaultCycleModel())
+			e := New(c.subject, FixedMode(c.mode))
 			if err := e.InstallEnforcer(buildEnforcer(t, backend)); err != nil {
 				t.Fatal(err)
 			}

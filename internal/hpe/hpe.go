@@ -7,8 +7,9 @@
 //
 //   - Transparency: the engine implements canbus.InlineFilter and is invisible
 //     to node software; nothing in the node's firmware path can mutate it.
-//     Table swaps happen only through Install/InstallEnforcer, which the
-//     secure policy-update path (policy.Store) and the attack harness drive.
+//     Table swaps happen only through InstallEnforcer (Install is it on the
+//     table backend), which the secure policy-update path (policy.Store) and
+//     the attack harness drive.
 //   - Robustness to firmware compromise: compromising the CAN controller
 //     (Controller.CompromiseFilters) bypasses software acceptance filters but
 //     leaves the engine's filtering intact, because it is a separate hardware
@@ -20,8 +21,9 @@
 // There is one decision path; backends differ only in the policy.IDLookup
 // behind each list.
 //
-// Because a real HPE is an RTL block, the simulation also carries a cycle
-// cost model so benchmarks can report decision latency in hardware terms.
+// Because a real HPE is an RTL block, the simulation also counts cycles at
+// a fixed per-decision cost so reports can give decision latency in
+// hardware terms.
 package hpe
 
 import (
@@ -50,35 +52,18 @@ func (m FixedMode) Mode() policy.Mode { return policy.Mode(m) }
 
 var _ ModeSource = FixedMode("")
 
-// CycleModel prices engine operations in hardware clock cycles.
-type CycleModel struct {
-	// ClockHz is the engine clock frequency (for latency conversion).
-	ClockHz uint64
-	// DecodeCycles is the fixed cost of parsing the frame header.
-	DecodeCycles uint64
-	// LookupCycles is the cost of one approved-list query (1 for a CAM).
-	LookupCycles uint64
-	// DecisionCycles is the cost of the decision block itself.
-	DecisionCycles uint64
-}
+// The cycle cost model approximates a modest FPGA implementation.
+const (
+	// ClockHz is the engine clock frequency: 100 MHz.
+	ClockHz = 100_000_000
+	// CyclesPerDecision is the cost of one grant/block decision: a 2-cycle
+	// header decode, a single-cycle CAM lookup and a 1-cycle decision.
+	CyclesPerDecision = 2 + 1 + 1
+)
 
-// DefaultCycleModel approximates a modest FPGA implementation: 100 MHz
-// clock, 2-cycle header decode, single-cycle CAM lookup, 1-cycle decision.
-func DefaultCycleModel() CycleModel {
-	return CycleModel{ClockHz: 100_000_000, DecodeCycles: 2, LookupCycles: 1, DecisionCycles: 1}
-}
-
-// PerDecision returns the cycle cost of one grant/block decision.
-func (m CycleModel) PerDecision() uint64 {
-	return m.DecodeCycles + m.LookupCycles + m.DecisionCycles
-}
-
-// LatencyNanos converts a cycle count to nanoseconds at the engine clock.
-func (m CycleModel) LatencyNanos(cycles uint64) float64 {
-	if m.ClockHz == 0 {
-		return 0
-	}
-	return float64(cycles) / float64(m.ClockHz) * 1e9
+// LatencyNanos converts a cycle count to nanoseconds at ClockHz.
+func LatencyNanos(cycles uint64) float64 {
+	return float64(cycles) / ClockHz * 1e9
 }
 
 // Stats counts engine activity. All counters are monotonically increasing.
@@ -91,7 +76,7 @@ type Stats struct {
 	WritesGranted, WritesBlocked uint64
 	// Cycles accumulates the modelled hardware cycle cost.
 	Cycles uint64
-	// Installs counts policy table swaps.
+	// Installs counts policy table swaps. Reset keeps it.
 	Installs uint64
 }
 
@@ -104,15 +89,10 @@ type Stats struct {
 type Engine struct {
 	subject string
 	modes   ModeSource
-	cycles  CycleModel
-	// perDecision caches cycles.PerDecision(): the sum sits on the
-	// per-frame decision path of every node.
-	perDecision uint64
 
 	// table is the node's approved lists, swapped whole on every install.
 	table   *policy.NodeTable
-	source  ir.Enforcer // the enforcer the table came from
-	backend string      // its backend name ("" before any install)
+	backend string // its enforcer's backend name ("" before any install)
 
 	// Resolved mode-table cache: it skips the per-decision map lookup
 	// NodeTable.Table performs while neither the table nor the mode moves.
@@ -129,11 +109,11 @@ var _ canbus.InlineFilter = (*Engine)(nil)
 // New creates an engine for the named node. Until Install is called the
 // engine fails closed: every frame is blocked, matching the paper's
 // least-privilege stance (§V-B).
-func New(subject string, modes ModeSource, cycles CycleModel) *Engine {
+func New(subject string, modes ModeSource) *Engine {
 	if modes == nil {
 		panic("hpe: nil ModeSource")
 	}
-	return &Engine{subject: subject, modes: modes, cycles: cycles, perDecision: cycles.PerDecision()}
+	return &Engine{subject: subject, modes: modes}
 }
 
 // Subject returns the node name this engine protects.
@@ -156,37 +136,23 @@ func (e *Engine) InstallEnforcer(enf ir.Enforcer) error {
 		return fmt.Errorf("hpe: nil enforcer")
 	}
 	e.table = enf.Node(e.subject)
-	e.source = enf
 	e.backend = enf.Backend()
 	e.stats.Installs++
 	return nil
 }
 
-// ReinstallEnforcer is InstallEnforcer specialised for re-provisioning a
-// pooled engine: when enf is the enforcer already installed, the installed
-// table is kept instead of being looked up again (a table enforcer builds
-// a fresh deny-all table per lookup of an unknown subject). A different
-// enforcer falls back to a full InstallEnforcer.
-func (e *Engine) ReinstallEnforcer(enf ir.Enforcer) error {
-	if enf != nil && e.source == enf {
-		e.stats.Installs++
-		return nil
-	}
-	return e.InstallEnforcer(enf)
-}
-
-// Reset zeroes the engine's counters, returning it to the statistical state
-// of a freshly constructed engine. The installed table, mode source, cycle
-// model and attached auditor are kept: a reset engine decides exactly as it
-// did before.
-func (e *Engine) Reset() { e.stats = Stats{} }
+// Reset zeroes the engine's decision counters. The installed table, the
+// Installs count, the mode source and the attached auditor are kept: a
+// reset engine decides and counts exactly as a freshly deployed one with
+// the same table.
+func (e *Engine) Reset() { e.stats = Stats{Installs: e.stats.Installs} }
 
 // Snapshot captures an engine's mutable decision state — the statistics and
 // the resolved-table cache — for the attack arena's prefix checkpointing.
-// The installed table and its source are deliberately not captured: no
-// install runs inside a checkpoint window (regime provisioning happens
-// before the capture), so they are invariant across every restore, and the
-// cache fields re-resolve against the same table.
+// The installed table is deliberately not captured: no install runs inside
+// a checkpoint window (regime provisioning happens before the capture), so
+// it is invariant across every restore, and the cache fields re-resolve
+// against the same table.
 type Snapshot struct {
 	stats      Stats
 	backend    string
@@ -211,9 +177,9 @@ func (e *Engine) Snapshot(dst *Snapshot) {
 
 // RestoreFrom rewinds the engine to a state captured by Snapshot. A restored
 // engine decides and counts byte-identically to one that replayed the
-// captured prefix after a Reset + ReinstallEnforcer. The snapshot carries the
-// identity of the backend that was active at capture time; restoring it
-// onto an engine running a different backend returns ErrBackendMismatch.
+// captured prefix after a Reset. The snapshot carries the identity of the
+// backend that was active at capture time; restoring it onto an engine
+// running a different backend returns ErrBackendMismatch.
 func (e *Engine) RestoreFrom(src *Snapshot) error {
 	if e.backend != src.backend {
 		return fmt.Errorf("%w: engine %q runs %q, snapshot captured under %q",
@@ -228,9 +194,6 @@ func (e *Engine) RestoreFrom(src *Snapshot) error {
 
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats { return e.stats }
-
-// CycleModel returns the engine's cycle cost model.
-func (e *Engine) CycleModel() CycleModel { return e.cycles }
 
 // Decide implements canbus.InlineFilter: it consults the approved reading
 // list for inbound frames and the approved writing list for outbound
@@ -256,7 +219,7 @@ func (e *Engine) Decide(dir canbus.Direction, f canbus.Frame) canbus.Verdict {
 	}
 
 	e.stats.Decisions++
-	e.stats.Cycles += e.perDecision
+	e.stats.Cycles += CyclesPerDecision
 	switch {
 	case dir == canbus.Read && verdict == canbus.Grant:
 		e.stats.ReadsGranted++
@@ -275,24 +238,24 @@ func (e *Engine) Decide(dir canbus.Direction, f canbus.Frame) canbus.Verdict {
 
 // Deploy attaches engines to every listed node of a bus and installs the
 // compiled policy into each: DeployEnforcer on the table backend.
-func Deploy(bus *canbus.Bus, compiled *policy.Compiled, modes ModeSource, cycles CycleModel, nodeNames ...string) (map[string]*Engine, error) {
+func Deploy(bus *canbus.Bus, compiled *policy.Compiled, modes ModeSource, nodeNames ...string) (map[string]*Engine, error) {
 	if compiled == nil {
 		return nil, fmt.Errorf("hpe: nil compiled policy")
 	}
-	return DeployEnforcer(bus, ir.WrapCompiled(compiled), modes, cycles, nodeNames...)
+	return DeployEnforcer(bus, ir.WrapCompiled(compiled), modes, nodeNames...)
 }
 
 // DeployEnforcer attaches engines to every listed node of a bus and
 // installs the enforcer's approved lists into each. It returns the engines
 // keyed by node name.
-func DeployEnforcer(bus *canbus.Bus, enf ir.Enforcer, modes ModeSource, cycles CycleModel, nodeNames ...string) (map[string]*Engine, error) {
+func DeployEnforcer(bus *canbus.Bus, enf ir.Enforcer, modes ModeSource, nodeNames ...string) (map[string]*Engine, error) {
 	engines := make(map[string]*Engine, len(nodeNames))
 	for _, name := range nodeNames {
 		node, ok := bus.Node(name)
 		if !ok {
 			return nil, fmt.Errorf("hpe: node %q not attached to bus", name)
 		}
-		eng := New(name, modes, cycles)
+		eng := New(name, modes)
 		if err := eng.InstallEnforcer(enf); err != nil {
 			return nil, err
 		}

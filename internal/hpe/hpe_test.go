@@ -32,7 +32,7 @@ const testPolicy = `policy "p" version 1 {
 func newEngine(t *testing.T, mode policy.Mode) *Engine {
 	t.Helper()
 	c := compiled(t, testPolicy, []string{"ecu"}, []policy.Mode{"Normal", "Diag"})
-	e := New("ecu", FixedMode(mode), DefaultCycleModel())
+	e := New("ecu", FixedMode(mode))
 	if err := e.Install(c); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func newEngine(t *testing.T, mode policy.Mode) *Engine {
 func frame(id uint32) canbus.Frame { return canbus.MustDataFrame(id, nil) }
 
 func TestFailClosedBeforeInstall(t *testing.T) {
-	e := New("ecu", FixedMode("Normal"), DefaultCycleModel())
+	e := New("ecu", FixedMode("Normal"))
 	if e.table != nil {
 		t.Fatal("fresh engine claims installed")
 	}
@@ -78,7 +78,7 @@ func TestDecideDirectionality(t *testing.T) {
 func TestModeSwitchChangesDecisions(t *testing.T) {
 	c := compiled(t, testPolicy, []string{"ecu"}, []policy.Mode{"Normal", "Diag"})
 	mode := policy.Mode("Normal")
-	e := New("ecu", modeFunc(func() policy.Mode { return mode }), DefaultCycleModel())
+	e := New("ecu", modeFunc(func() policy.Mode { return mode }))
 	if err := e.Install(c); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestStatsAccounting(t *testing.T) {
 		st.WritesGranted != 1 || st.WritesBlocked != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.Cycles != 4*DefaultCycleModel().PerDecision() {
+	if st.Cycles != 4*CyclesPerDecision {
 		t.Errorf("cycles = %d", st.Cycles)
 	}
 	if st.Installs != 1 {
@@ -116,21 +116,16 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestCycleModel(t *testing.T) {
-	m := DefaultCycleModel()
-	if m.PerDecision() != 4 {
-		t.Errorf("PerDecision = %d, want 4", m.PerDecision())
+	if CyclesPerDecision != 4 {
+		t.Errorf("CyclesPerDecision = %d, want 4", CyclesPerDecision)
 	}
-	if ns := m.LatencyNanos(m.PerDecision()); ns != 40 {
+	if ns := LatencyNanos(CyclesPerDecision); ns != 40 {
 		t.Errorf("latency = %v ns, want 40 (4 cycles @ 100MHz)", ns)
-	}
-	var zero CycleModel
-	if zero.LatencyNanos(10) != 0 {
-		t.Error("zero clock should yield zero latency, not NaN/Inf")
 	}
 }
 
 func TestInstallRejectsNil(t *testing.T) {
-	e := New("ecu", FixedMode("Normal"), DefaultCycleModel())
+	e := New("ecu", FixedMode("Normal"))
 	if err := e.Install(nil); err == nil {
 		t.Error("nil compile accepted")
 	}
@@ -142,7 +137,7 @@ func TestNewPanicsOnNilModeSource(t *testing.T) {
 			t.Fatal("nil ModeSource accepted")
 		}
 	}()
-	New("ecu", nil, DefaultCycleModel())
+	New("ecu", nil)
 }
 
 func TestHotSwapTables(t *testing.T) {
@@ -175,7 +170,7 @@ func TestDeploy(t *testing.T) {
   allow write 0x100 at sensors
 }`, []string{"ecu", "sensors"}, []policy.Mode{"Normal"})
 
-	engines, err := Deploy(bus, c, FixedMode("Normal"), DefaultCycleModel(), "ecu", "sensors")
+	engines, err := Deploy(bus, c, FixedMode("Normal"), "ecu", "sensors")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +198,7 @@ func TestDeploy(t *testing.T) {
 		t.Errorf("sensors WritesBlocked = %d", st.WritesBlocked)
 	}
 
-	if _, err := Deploy(bus, c, FixedMode("Normal"), DefaultCycleModel(), "ghost"); err == nil {
+	if _, err := Deploy(bus, c, FixedMode("Normal"), "ghost"); err == nil {
 		t.Error("Deploy accepted unknown node")
 	}
 }

@@ -8,10 +8,10 @@ import (
 	"repro/internal/policy/ir"
 )
 
-// reinstallPolicy builds a small compiled policy for the reuse tests.
-func reinstallPolicy(t *testing.T, version uint64) *policy.Compiled {
+// resetPolicy builds a small compiled policy for TestEngineReset.
+func resetPolicy(t *testing.T) *policy.Compiled {
 	t.Helper()
-	set := &policy.Set{Name: "p", Version: version, Rules: []policy.Rule{
+	set := &policy.Set{Name: "p", Version: 1, Rules: []policy.Rule{
 		{Subject: "ecu", Effect: policy.Allow, Action: policy.ActRead, IDs: policy.SingleID(0x100)},
 	}}
 	c, err := policy.Compile(set, policy.CompileOptions{
@@ -23,11 +23,11 @@ func reinstallPolicy(t *testing.T, version uint64) *policy.Compiled {
 	return c
 }
 
-// TestEngineReset checks Reset zeroes the counters while the installed
-// table keeps deciding identically.
+// TestEngineReset checks Reset zeroes the decision counters, keeps the
+// Installs count, and leaves the installed table deciding identically.
 func TestEngineReset(t *testing.T) {
-	c := reinstallPolicy(t, 1)
-	e := New("ecu", FixedMode("Normal"), DefaultCycleModel())
+	c := resetPolicy(t)
+	e := New("ecu", FixedMode("Normal"))
 	if err := e.Install(c); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestEngineReset(t *testing.T) {
 		t.Fatalf("stats before reset: %+v", e.Stats())
 	}
 	e.Reset()
-	if e.Stats() != (Stats{}) {
+	if e.Stats() != (Stats{Installs: 1}) {
 		t.Fatalf("stats after reset: %+v", e.Stats())
 	}
 	if e.table == nil {
@@ -53,53 +53,9 @@ func TestEngineReset(t *testing.T) {
 	}
 }
 
-// TestEngineReinstall checks ReinstallEnforcer keeps the installed table
-// for the enforcer already installed and swaps for a different one.
-func TestEngineReinstall(t *testing.T) {
-	c1 := ir.WrapCompiled(reinstallPolicy(t, 1))
-	e := New("ecu", FixedMode("Normal"), DefaultCycleModel())
-	if err := e.InstallEnforcer(c1); err != nil {
-		t.Fatal(err)
-	}
-	before := e.table
-	if err := e.ReinstallEnforcer(c1); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Stats().Installs; got != 2 {
-		t.Errorf("Installs = %d after Install+Reinstall, want 2", got)
-	}
-	if e.table != before {
-		t.Error("same-enforcer Reinstall looked the table up again")
-	}
-	if e.Decide(canbus.Read, canbus.MustDataFrame(0x100, nil)) != canbus.Grant {
-		t.Error("table lost across same-policy Reinstall")
-	}
-
-	// A different compiled policy must actually swap.
-	set := &policy.Set{Name: "p", Version: 2, Rules: []policy.Rule{
-		{Subject: "ecu", Effect: policy.Allow, Action: policy.ActRead, IDs: policy.SingleID(0x200)},
-	}}
-	c2, err := policy.Compile(set, policy.CompileOptions{
-		Subjects: []string{"ecu"}, Modes: []policy.Mode{"Normal"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ReinstallEnforcer(ir.WrapCompiled(c2)); err != nil {
-		t.Fatal(err)
-	}
-	if e.Decide(canbus.Read, canbus.MustDataFrame(0x200, nil)) != canbus.Grant {
-		t.Error("Reinstall with a new policy did not swap the table")
-	}
-	if e.Decide(canbus.Read, canbus.MustDataFrame(0x100, nil)) != canbus.Block {
-		t.Error("old table still active after swap")
-	}
-}
-
 // TestModeCache checks the resolved-mode cache Decide keeps follows mode
 // switches and table swaps: a different table installed in an unchanged
-// mode takes effect at the next decision, and a same-enforcer reinstall
-// changes no decision.
+// mode takes effect at the next decision, and a Reset changes no decision.
 func TestModeCache(t *testing.T) {
 	set := &policy.Set{Name: "p", Version: 1, Rules: []policy.Rule{
 		{Subject: "ecu", Effect: policy.Allow, Action: policy.ActRead,
@@ -114,7 +70,7 @@ func TestModeCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	mode := policy.Mode("Normal")
-	e := New("ecu", modeFunc(func() policy.Mode { return mode }), DefaultCycleModel())
+	e := New("ecu", modeFunc(func() policy.Mode { return mode }))
 	if err := e.Install(c); err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +107,9 @@ func TestModeCache(t *testing.T) {
 	}
 	expect("table swap", canbus.Block, canbus.Block, canbus.Grant)
 
-	// Re-provisioning with the installed enforcer keeps table and cache.
-	if err := e.ReinstallEnforcer(enf); err != nil {
-		t.Fatal(err)
-	}
-	expect("same-enforcer reinstall", canbus.Block, canbus.Block, canbus.Grant)
+	// Re-provisioning a pooled engine is a Reset: table and cache stay.
+	e.Reset()
+	expect("reset", canbus.Block, canbus.Block, canbus.Grant)
 	mode = "Normal"
 	expect("mode switch after swap", canbus.Block, canbus.Block, canbus.Block)
 }

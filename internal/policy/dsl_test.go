@@ -204,3 +204,47 @@ func MustParse(src string) *Set {
 	}
 	return s
 }
+
+// TestSetReadsBackThroughDSL: a valid set built in Go renders through
+// Set.String as DSL that Parse reads back to the same rendering and the
+// same decisions, odd subjects and every identifier character a mode name
+// may use included; a mode name that is no identifier fails Validate.
+func TestSetReadsBackThroughDSL(t *testing.T) {
+	build := func(mode Mode) *Set {
+		return &Set{Name: "p", Version: 4, Rules: []Rule{
+			{Subject: "ecu", Effect: Allow, Action: ActRead, IDs: SingleID(16),
+				Modes: NewModeSet("Normal", "remote-diag", "a/b.c", mode)},
+			{Subject: "odd subject", Effect: Deny, Action: ActWrite, IDs: IDSet{{Lo: 32, Hi: 40}},
+				Modes: NewModeSet("Normal")},
+			{Name: "all", Subject: "*", Effect: Allow, Action: ActReadWrite, IDs: SingleID(48)},
+		}}
+	}
+	s := build("_x9")
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	text := s.String()
+	back, err := Parse(text)
+	if err != nil {
+		t.Fatalf("the DSL rendering of a valid set does not parse: %v\n%s", err, text)
+	}
+	if got := back.String(); got != text {
+		t.Errorf("DSL round trip changed the rendering:\n%s\nwant\n%s", got, text)
+	}
+	for _, subj := range []string{"ecu", "odd subject", "ghost"} {
+		for _, mode := range []Mode{"Normal", "remote-diag", "a/b.c", "_x9", "ghost"} {
+			for id := uint32(0); id <= 0x40; id++ {
+				for _, act := range []Action{ActRead, ActWrite} {
+					if s.Decide(subj, mode, act, id) != back.Decide(subj, mode, act, id) {
+						t.Fatalf("DSL round trip changed the decision at %s/%s/%v/0x%X", subj, mode, act, id)
+					}
+				}
+			}
+		}
+	}
+	for _, mode := range []Mode{"*", "x y", "", "9lives", "a..b"} {
+		if err := build(mode).Validate(); !errors.Is(err, ErrBadMode) {
+			t.Errorf("mode %q: Validate returned %v, want ErrBadMode", mode, err)
+		}
+	}
+}

@@ -2,8 +2,9 @@ package ir
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"maps"
+	"slices"
+	"strings"
 
 	"repro/internal/policy"
 )
@@ -100,8 +101,6 @@ func (e *irEnforcer) Node(subject string) *policy.NodeTable {
 
 // Backend compiles lowered policy IR into an Enforcer.
 type Backend interface {
-	// Name is the registry key ("table", "expr", "closure").
-	Name() string
 	// Compile builds an enforcer for the policy.
 	Compile(p *Policy) (Enforcer, error)
 }
@@ -110,66 +109,29 @@ type Backend interface {
 // table form the engine has always run.
 const DefaultBackend = "table"
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Backend{}
-)
-
-// Register adds a backend under its name. Registering a duplicate name
-// panics: backends register from init and a collision is a programming
-// error.
-func Register(b Backend) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[b.Name()]; dup {
-		panic(fmt.Sprintf("ir: backend %q registered twice", b.Name()))
-	}
-	registry[b.Name()] = b
+// backends maps each backend's name to it.
+var backends = map[string]Backend{
+	"table":   tableBackend{},
+	"expr":    exprBackend{},
+	"closure": closureBackend{},
 }
 
 // Lookup resolves a backend name; the empty name means DefaultBackend. The
-// error for an unknown name lists every registered backend so CLI surfaces
-// can print it verbatim.
+// error for an unknown name lists every backend so CLI surfaces can print
+// it verbatim.
 func Lookup(name string) (Backend, error) {
 	if name == "" {
 		name = DefaultBackend
 	}
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	b, ok := registry[name]
+	b, ok := backends[name]
 	if !ok {
-		return nil, fmt.Errorf("ir: unknown policy backend %q (registered: %s)", name, namesLocked())
+		return nil, fmt.Errorf("ir: unknown policy backend %q (registered: %s)", name, strings.Join(Names(), ", "))
 	}
 	return b, nil
 }
 
-// Names returns the sorted registered backend names.
-func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func namesLocked() string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	s := ""
-	for i, n := range out {
-		if i > 0 {
-			s += ", "
-		}
-		s += n
-	}
-	return s
-}
+// Names returns the sorted backend names.
+func Names() []string { return slices.Sorted(maps.Keys(backends)) }
 
 // Build is the front door: lower the set against the device model and
 // compile it with the backend named by opts.Backend (default "table").

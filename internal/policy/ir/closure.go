@@ -17,10 +17,6 @@ import (
 
 type closureBackend struct{}
 
-func init() { Register(closureBackend{}) }
-
-func (closureBackend) Name() string { return "closure" }
-
 func (closureBackend) Compile(p *Policy) (Enforcer, error) {
 	ids, err := p.Universe.Enumerate(policy.TableLimit)
 	if err != nil {

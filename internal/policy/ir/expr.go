@@ -18,10 +18,6 @@ import (
 
 type exprBackend struct{}
 
-func init() { Register(exprBackend{}) }
-
-func (exprBackend) Name() string { return "expr" }
-
 func (exprBackend) Compile(p *Policy) (Enforcer, error) {
 	return compileNodes("expr", p, func(si, mi int, act policy.Action) policy.IDLookup {
 		return newExprList(p, si, mi, act)

@@ -15,9 +15,9 @@
 //     and operating modes interned against the concrete device model, rules
 //     normalised into index/bitmask/range form with unreachable rules
 //     dropped.
-//   - Backend compiles the IR into an Enforcer; backends self-register under
-//     a name (Register/Lookup), and Build is the one-call front door used by
-//     everything that threads a `-policy-backend` flag.
+//   - Backend compiles the IR into an Enforcer; Lookup resolves a backend
+//     by name from a fixed map, and Build is the one-call front door used
+//     by everything that threads a `-policy-backend` flag.
 //   - Three backends ship: "table" re-homes the existing HPE-table/bitmap
 //     interpreter behind the interface with zero behaviour change, "expr"
 //     walks the normalised rule list directly (and is the transpile source

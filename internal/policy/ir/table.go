@@ -12,10 +12,6 @@ import (
 // default.
 type tableBackend struct{}
 
-func init() { Register(tableBackend{}) }
-
-func (tableBackend) Name() string { return "table" }
-
 func (tableBackend) Compile(p *Policy) (Enforcer, error) {
 	c, err := policy.Compile(p.ToSet(), policy.CompileOptions{
 		Subjects: p.Subjects,

@@ -42,20 +42,6 @@ func (a Action) String() string {
 	}
 }
 
-// ParseAction reads Table I notation back into an Action.
-func ParseAction(s string) (Action, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "R", "READ":
-		return ActRead, nil
-	case "W", "WRITE":
-		return ActWrite, nil
-	case "RW", "READWRITE", "READ-WRITE":
-		return ActReadWrite, nil
-	default:
-		return 0, fmt.Errorf("policy: unknown action %q", s)
-	}
-}
-
 // Has reports whether a includes all of b's access kinds.
 func (a Action) Has(b Action) bool { return a&b == b }
 

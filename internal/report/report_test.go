@@ -161,7 +161,7 @@ func TestHPEViewRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := hpe.New(car.NodeEVECU, hpe.FixedMode(car.ModeNormal), hpe.DefaultCycleModel())
+	eng := hpe.New(car.NodeEVECU, hpe.FixedMode(car.ModeNormal))
 	if err := eng.Install(compiled); err != nil {
 		t.Fatal(err)
 	}

@@ -182,9 +182,8 @@ func HPEView(e *hpe.Engine, compiled *policy.Compiled, mode policy.Mode) string 
 	st := e.Stats()
 	fmt.Fprintf(&b, "    decisions=%d reads(grant/block)=%d/%d writes(grant/block)=%d/%d\n",
 		st.Decisions, st.ReadsGranted, st.ReadsBlocked, st.WritesGranted, st.WritesBlocked)
-	cm := e.CycleModel()
 	fmt.Fprintf(&b, "    cycle cost per decision: %d cycles (%.0f ns @ %d MHz)\n",
-		cm.PerDecision(), cm.LatencyNanos(cm.PerDecision()), cm.ClockHz/1_000_000)
+		hpe.CyclesPerDecision, hpe.LatencyNanos(hpe.CyclesPerDecision), hpe.ClockHz/1_000_000)
 	return b.String()
 }
 

@@ -44,10 +44,9 @@ type Config struct {
 	// Current is the set the fleet runs today; Candidate the proposed one.
 	// Candidate.Version must exceed Current.Version (store monotonicity).
 	Current, Candidate *policy.Set
-	// Vehicles are the update endpoints, driven through fleet.Rollout.
+	// Vehicles are the update endpoints, driven through fleet.Rollout
+	// under fleet.DefaultPlan().
 	Vehicles []fleet.Vehicle
-	// Plan stages the rollout (zero value: fleet.DefaultPlan()).
-	Plan fleet.Plan
 	// GateSpec is the risk spec whose synthesized campaign supplies the
 	// per-stage gate evidence. Nil disables evidence gating (stages advance
 	// on the abort threshold alone).
@@ -258,10 +257,7 @@ func Run(cfg Config) (*Outcome, error) {
 	if !(cfg.Tolerance >= 0 && cfg.Tolerance <= math.MaxFloat64) {
 		return nil, fmt.Errorf("rollout: tolerance %v is not finite and non-negative", cfg.Tolerance)
 	}
-	plan := cfg.Plan
-	if len(plan.Stages) == 0 {
-		plan = fleet.DefaultPlan()
-	}
+	plan := fleet.DefaultPlan()
 
 	diff, err := policy.DiffSets(cfg.Current, cfg.Candidate)
 	if err != nil {

@@ -103,8 +103,6 @@ type Threat struct {
 	Effects stride.Effects
 	// Assessment holds the qualitative DREAD judgements.
 	Assessment dread.Assessment
-	// Adjust carries bounded analyst corrections to the rubric output.
-	Adjust dread.Adjust
 	// Vector is the malicious data-flow direction (drives the policy letter).
 	Vector Vector
 	// Goal names the observable-state predicate (campaign vocabulary) that

@@ -109,7 +109,7 @@ func Analyze(uc UseCase, threats []Threat) (*Analysis, error) {
 			return nil, &StageError{Stage: StageThreatIdentification,
 				Err: fmt.Errorf("threat %s has no STRIDE-classifiable effects", t.ID)}
 		}
-		score, err := rubric.ScoreAdjusted(t.Assessment, t.Adjust)
+		score, err := rubric.Score(t.Assessment)
 		if err != nil {
 			return nil, &StageError{Stage: StageThreatRating,
 				Err: fmt.Errorf("threat %s: %w", t.ID, err)}

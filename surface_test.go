@@ -13,14 +13,16 @@ import (
 	"io"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 )
 
 // surfaceAllowlist names the exported identifiers under internal/ that
-// TestExportedSurfaceHasCallers accepts without a non-test caller, each
-// with the reason it stays. Keys are "pkg.Name" or "pkg.Recv.Name", pkg
+// TestExportedSurfaceHasCallers accepts without a non-test caller (or, for
+// a struct field, without a non-test setter), each with the reason it
+// stays. Keys are "pkg.Name", "pkg.Recv.Name" or "pkg.Struct.Field", pkg
 // being the path below internal/.
 var surfaceAllowlist = map[string]string{
 	// Paper-figure and ablation benchmarks in the root bench_test.go.
@@ -61,6 +63,9 @@ var surfaceAllowlist = map[string]string{
 	"dread.Parse":  "CI's FuzzParse holds the Table I DREAD renderer to it",
 	"stride.Parse": "CI's FuzzParse holds the Table I STRIDE renderer to it",
 
+	// A rendered column the calibration holds still.
+	"risk.Delta.Discoverability": "every calibrated profile renders it as Di+0: by design the calibration never moves it",
+
 	// The test-support package.
 	"policy/difftest.Check":             "test-support package",
 	"policy/difftest.CheckCompileError": "test-support package",
@@ -72,8 +77,11 @@ var surfaceAllowlist = map[string]string{
 // this module or of the benchmark module, unless surfaceAllowlist names
 // it. A method also counts as called when its receiver satisfies an
 // interface one of the modules declares or writes, or one of the standard
-// interfaces fmt and encoding call through. The scan is the standard
-// library's go/types over `go list -deps` of both modules.
+// interfaces fmt and encoding call through; a method's receiver is not a
+// use of its own type. An exported field of an exported struct type needs
+// a setter the same way (see fieldWrites), or a json tag through which
+// input sets it. The scan is the standard library's go/types over
+// `go list -deps` of both modules.
 func TestExportedSurfaceHasCallers(t *testing.T) {
 	pkgs := listPackages(t, ".", "benchmark")
 	fset := token.NewFileSet()
@@ -86,11 +94,14 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 		return std.Import(path)
 	})
 	info := &types.Info{
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	var internal []*types.Package
+	var all []*ast.File
 	var literals []*ast.InterfaceType
+	receivers := map[*ast.Ident]bool{}
 	for _, lp := range pkgs {
 		var files []*ast.File
 		for _, name := range lp.GoFiles {
@@ -100,12 +111,23 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 			}
 			files = append(files, f)
 			ast.Inspect(f, func(n ast.Node) bool {
-				if it, ok := n.(*ast.InterfaceType); ok {
-					literals = append(literals, it)
+				switch n := n.(type) {
+				case *ast.InterfaceType:
+					literals = append(literals, n)
+				case *ast.FuncDecl:
+					if n.Recv != nil {
+						ast.Inspect(n.Recv, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								receivers[id] = true
+							}
+							return true
+						})
+					}
 				}
 				return true
 			})
 		}
+		all = append(all, files...)
 		conf := types.Config{Importer: imp}
 		p, err := conf.Check(lp.ImportPath, fset, files, info)
 		if err != nil {
@@ -118,7 +140,10 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 	}
 
 	used := map[types.Object]bool{}
-	for _, obj := range info.Uses {
+	for id, obj := range info.Uses {
+		if receivers[id] {
+			continue
+		}
 		if fn, ok := obj.(*types.Func); ok {
 			obj = fn.Origin() // a method of an instantiated generic type
 		}
@@ -131,16 +156,18 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 		}
 	}
 
+	written := fieldWrites(info, all)
+
 	found := map[string]bool{}
 	var failures []string
-	check := func(key string, obj types.Object, called bool) {
+	check := func(key string, obj types.Object, called bool, by string) {
 		found[key] = true
 		_, allowed := surfaceAllowlist[key]
 		switch {
 		case !called && !allowed:
-			failures = append(failures, fmt.Sprintf("%s (%s): no non-test caller", key, fset.Position(obj.Pos())))
+			failures = append(failures, fmt.Sprintf("%s (%s): no non-test %s", key, fset.Position(obj.Pos()), by))
 		case called && allowed:
-			failures = append(failures, fmt.Sprintf("%s (%s): allowlisted but has a caller", key, fset.Position(obj.Pos())))
+			failures = append(failures, fmt.Sprintf("%s (%s): allowlisted but has a %s", key, fset.Position(obj.Pos()), by))
 		}
 	}
 	for _, p := range internal {
@@ -149,7 +176,7 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
 			if obj.Exported() {
-				check(rel+"."+name, obj, used[obj])
+				check(rel+"."+name, obj, used[obj], "caller")
 			}
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -162,7 +189,18 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
 				if m.Exported() {
-					check(rel+"."+name+"."+m.Name(), m, used[m] || satisfies(named, m.Name(), ifaces))
+					check(rel+"."+name+"."+m.Name(), m, used[m] || satisfies(named, m.Name(), ifaces), "caller")
+				}
+			}
+			st, ok := named.Underlying().(*types.Struct)
+			if !ok || !tn.Exported() {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if f.Exported() {
+					tag, ok := reflect.StructTag(st.Tag(i)).Lookup("json")
+					check(rel+"."+name+"."+f.Name(), f, written[f] || ok && tag != "-", "setter")
 				}
 			}
 		}
@@ -176,6 +214,64 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 	for _, f := range failures {
 		t.Error(f)
 	}
+}
+
+// fieldWrites returns the struct fields that files write: through a keyed
+// or unkeyed composite literal, an assignment or ++/-- to x.F, &x.F, or a
+// pointer-receiver method called on x.F.
+func fieldWrites(info *types.Info, files []*ast.File) map[*types.Var]bool {
+	set := map[*types.Var]bool{}
+	mark := func(e ast.Expr) {
+		if x, ok := e.(*ast.SelectorExpr); ok {
+			if s := info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
+				set[s.Obj().(*types.Var).Origin()] = true
+			}
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					mark(lhs)
+				}
+			case *ast.IncDecStmt:
+				mark(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					mark(n.X)
+				}
+			case *ast.SelectorExpr:
+				s := info.Selections[n]
+				if s == nil || s.Kind() != types.MethodVal {
+					return true
+				}
+				if _, ptr := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
+					mark(n.X)
+				}
+			case *ast.CompositeLit:
+				t := info.Types[n].Type
+				if p, ok := t.Underlying().(*types.Pointer); ok {
+					t = p.Elem() // an elided &T, as in []*T{{…}}
+				}
+				st, ok := t.Underlying().(*types.Struct)
+				if !ok {
+					return true
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							set[v.Origin()] = true
+						}
+					} else {
+						set[st.Field(i).Origin()] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	return set
 }
 
 type listedPackage struct {
